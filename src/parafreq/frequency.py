@@ -67,8 +67,9 @@ def frequency_trace(traj: Trajectory, op: DriftOperator | None = None) -> Freque
         )
     energy = traj.geometry.energy_batch(stack)
     D = -energy
-    applied = np.matmul(op.matrix, stack)
-    d_op = np.einsum("snc,n,snc->s", stack, mu, applied)
+    by_node = stack.transpose(1, 0, 2)
+    applied = (op.matrix @ by_node.reshape(mu.size, -1)).reshape(by_node.shape)
+    d_op = np.einsum("nsc,n,nsc->s", by_node, mu, applied)
     d_gap = float(np.max(np.abs(d_op + energy) / (energy + np.abs(I))))
     U = D / I
     dt = traj.grid.dt

@@ -4,6 +4,10 @@ The operator is mu-self-adjoint by construction: on periodic grids it is
 ``L = -M^{-1} G^T C G`` for the edge-difference matrix ``G`` and the positive
 edge weights ``C``; on the Gauss line it is diagonal in the collocation
 basis.  Self-adjointness is structural, never a post-hoc symmetrization.
+
+The operator is stored sparse (CSR): a periodic stencil has 3 (circle) or 5
+(torus) nonzeros per row.  Only the eigensystem is dense, and it is refused
+above :data:`MAX_DENSE_NODES` nodes.
 """
 
 from __future__ import annotations
@@ -13,12 +17,15 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .core import Field, WeightedGeometry, energy_pairing, weighted_inner
 from .errors import IncompatibleFieldsError, InvalidInputError
 from .reports import CheckReport
 
-DIVERGENCE_FORM = "divergence-form"
+# Largest node count for the dense eigensolve (a torus of 64^2): beyond it the
+# n x n eigenvector matrices alone would take more than 130 MB each.
+MAX_DENSE_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -31,29 +38,45 @@ class EigenPair:
 
 @dataclass(frozen=True)
 class DriftOperator:
-    """Dense matrix realization of the discrete drift operator."""
+    """Sparse CSR realization of the discrete drift operator.
+
+    ``matrix`` may be given dense or sparse; it is stored as a read-only CSR
+    array.
+    """
 
     geometry: WeightedGeometry
-    matrix: np.ndarray
-    form: str = DIVERGENCE_FORM
+    matrix: scipy.sparse.csr_array
 
     def __post_init__(self):
-        self.matrix.setflags(write=False)
+        matrix = scipy.sparse.csr_array(self.matrix, dtype=float)
+        for arr in (matrix.data, matrix.indices, matrix.indptr):
+            arr.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
 
     def apply(self, u: Field) -> Field:
         if u.geometry is not self.geometry:
             raise IncompatibleFieldsError("field does not live on the operator geometry")
         return Field(self.geometry, self.matrix @ u.values)
 
-    @cached_property
+    @property
     def symmetrized(self) -> np.ndarray:
-        """Similarity transform ``M^{1/2} L M^{-1/2}``, plainly symmetric."""
+        """Dense similarity transform ``M^{1/2} L M^{-1/2}``, plainly symmetric."""
         root = np.sqrt(self.geometry.mu)
-        return (root[:, None] * self.matrix) / root[None, :]
+        return (root[:, None] * self.matrix.toarray()) / root[None, :]
 
     @cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Full spectrum, nonincreasing from ~0, with mu-orthonormal columns."""
+        """Full spectrum, nonincreasing from ~0, with mu-orthonormal columns.
+
+        Raises :class:`InvalidInputError` above :data:`MAX_DENSE_NODES` nodes,
+        before anything dense is allocated.
+        """
+        n = self.geometry.node_count
+        if n > MAX_DENSE_NODES:
+            raise InvalidInputError(
+                f"the dense eigensolve is limited to {MAX_DENSE_NODES} nodes; "
+                f"this geometry has {n}"
+            )
         vals, vecs = scipy.linalg.eigh(self.symmetrized)
         order = np.argsort(vals)[::-1]
         vals = vals[order]
@@ -68,22 +91,23 @@ def assemble(geometry: WeightedGeometry) -> DriftOperator:
 
     Periodic kinds get the second-order divergence-form stencil with
     edge-midpoint weights (the conformal prefactor enters through division by
-    ``mu``); the Gauss line gets the diagonal collocation representation.
+    ``mu``), summed straight from the edge list into CSR; the Gauss line gets
+    the diagonal collocation representation.
     """
-    n = geometry.node_count
     if geometry.basis is not None:
         basis = geometry.basis.basis
         weighted = geometry.mu[:, None] * basis
         matrix = basis @ (geometry.basis.rates[:, None] * weighted.T)
     else:
+        n = geometry.node_count
         st = geometry.stencil
-        stiff = np.zeros((n, n))
         coef = st.edge_coef
-        np.add.at(stiff, (st.edge_i, st.edge_i), coef)
-        np.add.at(stiff, (st.edge_j, st.edge_j), coef)
-        np.add.at(stiff, (st.edge_i, st.edge_j), -coef)
-        np.add.at(stiff, (st.edge_j, st.edge_i), -coef)
-        matrix = -stiff / geometry.mu[:, None]
+        rows = np.concatenate([st.edge_i, st.edge_j, st.edge_i, st.edge_j])
+        cols = np.concatenate([st.edge_i, st.edge_j, st.edge_j, st.edge_i])
+        entries = np.concatenate([coef, coef, -coef, -coef])
+        matrix = scipy.sparse.coo_array((entries, (rows, cols)), shape=(n, n)).tocsr()
+        row_of = np.repeat(np.arange(n), np.diff(matrix.indptr))
+        matrix.data = -matrix.data / geometry.mu[row_of]
     return DriftOperator(geometry=geometry, matrix=matrix)
 
 

@@ -102,8 +102,7 @@ def self_adjoint_reports(ctx: SuiteContext, corrupt_operator: bool = False) -> l
     for name in ("circle", "torus", "gauss-line"):
         op = ctx.operators[name]
         if corrupt_operator and name == "circle":
-            broken = op.matrix.copy()
-            broken.setflags(write=True)
+            broken = op.matrix.toarray()
             broken[0, 1] += 1e-3
             op = DriftOperator(geometry=op.geometry, matrix=broken)
         rep = check_self_adjoint(op, SELF_ADJOINT_TRIALS, seed=ctx.seed + 17)

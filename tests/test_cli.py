@@ -1,10 +1,14 @@
 import json
+import re
+import time
+from pathlib import Path
 
 import numpy as np
 
 from parafreq.cli import main
 
 TWO_PI = 2.0 * np.pi
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(path, raw):
@@ -112,6 +116,23 @@ class TestSimulate:
         lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
         assert lines[0] == "t,node,component,value"
         assert len(lines) == 1 + 51 * 64
+
+    def test_readme_config_example_passes(self, tmp_path):
+        block = re.search(r"```json\n(.*?)```", README.read_text(), re.DOTALL).group(1)
+        config = write_config(tmp_path / "c.json", json.loads(block))
+        assert main(["--out", str(tmp_path / "out"), "simulate", "--config", config]) == 0
+
+    def test_spectral_run_beyond_dense_limit_exits_1(self, tmp_path, capsys):
+        raw = eigenmode_config()
+        raw["geometry"] = {"kind": "torus2d", "nx": 128, "ny": 128, "lx": TWO_PI, "ly": TWO_PI}
+        raw["initial"] = {"kind": "expression", "expression": "sin(x)*cos(y)"}
+        raw["time"]["steps"] = 2
+        config = write_config(tmp_path / "c.json", raw)
+        start = time.perf_counter()
+        code = main(["--out", str(tmp_path / "out"), "simulate", "--config", config])
+        assert code == 1
+        assert time.perf_counter() - start < 5.0
+        assert "dense eigensolve" in capsys.readouterr().err
 
     def test_determinism(self, tmp_path):
         config = write_config(tmp_path / "c.json", eigenmode_config())

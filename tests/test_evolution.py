@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,14 @@ from parafreq import (
     GaugeSpec,
     PerturbationSpec,
     TimeGrid,
+    assemble,
     evolve_cn,
     evolve_exact,
     evolve_perturbed,
+    frequency_trace,
     gauge_transform,
     eigenpairs,
+    make_torus,
     weighted_inner,
     weighted_norm,
 )
@@ -98,6 +103,29 @@ class TestSpectralEvolution:
                 )
                 assert gap < 1e-12
 
+    @pytest.mark.parametrize("components", [1, 2])
+    def test_batched_samples_match_per_sample_formula(self, conformal_torus_op, components):
+        geom = conformal_torus_op.geometry
+        rng = np.random.default_rng(16)
+        u0 = Field(geom, rng.standard_normal((geom.node_count, components)))
+        grid = TimeGrid(0.2, 0.7, 15)
+        traj = evolve_exact(conformal_torus_op, u0, grid)
+        vals, vecs = conformal_torus_op.eigensystem
+        coeffs = vecs.T @ (geom.mu[:, None] * u0.values)
+        scale = np.max(np.abs(u0.values))
+        for fld, t in zip(traj.fields, grid.times):
+            expected = vecs @ (np.exp(vals * (t - grid.a))[:, None] * coeffs)
+            assert fld.values.shape == (geom.node_count, components)
+            assert np.max(np.abs(fld.values - expected)) <= 1e-13 * scale
+
+    def test_trace_d_expressions_agree_on_conformal_torus(self, conformal_torus_op):
+        geom = conformal_torus_op.geometry
+        rng = np.random.default_rng(17)
+        u0 = Field(geom, rng.standard_normal((geom.node_count, 2)))
+        traj = evolve_exact(conformal_torus_op, u0, TimeGrid(0.0, 0.5, 20))
+        trace = frequency_trace(traj, conformal_torus_op)
+        assert trace.aux["d_expression_gap"] <= 1e-12
+
 
 class TestImplicitStepping:
     def test_constant_field_is_fixed(self, weighted_circle_op):
@@ -132,6 +160,24 @@ class TestImplicitStepping:
         grid = TimeGrid(0.0, 0.1, 4)
         assert evolve_exact(flat_circle_op, u0, grid).provenance == "spectral-exact"
         assert evolve_cn(flat_circle_op, u0, grid).provenance == "implicit-step"
+
+    def test_periodic_paths_allocate_no_dense_operator(self):
+        # a 64x64 torus: one dense n x n matrix would take 134 MB
+        base = make_torus(64, 64, TWO_PI, TWO_PI)
+        geom = make_torus(64, 64, TWO_PI, TWO_PI, 0.3 * np.cos(base.coords[:, 0]))
+        u0 = Field(geom, np.sin(geom.coords[:, 0]) * np.cos(geom.coords[:, 1]))
+        grid = TimeGrid(0.0, 0.01, 4)
+        pert = PerturbationSpec.build(geom, grid, b=[0.2, 0.1], c=0.1)
+        dense_bytes = 8 * geom.node_count**2
+        tracemalloc.start()
+        try:
+            op = assemble(geom)
+            frequency_trace(evolve_cn(op, u0, grid), op)
+            frequency_trace(evolve_perturbed(op, u0, grid, pert), op)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 16
 
 
 class TestPerturbedFlow:

@@ -11,9 +11,11 @@ from parafreq import (
     eigenpairs,
     make_circle,
     make_gauss_line,
+    make_torus,
     weighted_inner,
 )
 from parafreq.errors import IncompatibleFieldsError, InvalidInputError
+from parafreq.operators import MAX_DENSE_NODES
 
 TWO_PI = 2.0 * np.pi
 
@@ -23,7 +25,36 @@ def circle_symbol(k: int, n: int = 128, length: float = TWO_PI) -> float:
     return -4.0 * np.sin(k * h / 2.0) ** 2 / h**2
 
 
+def dense_edge_assembly(geometry):
+    """Reference: scatter the edge list into a dense matrix, then divide by mu."""
+    n = geometry.node_count
+    st = geometry.stencil
+    stiff = np.zeros((n, n))
+    np.add.at(stiff, (st.edge_i, st.edge_i), st.edge_coef)
+    np.add.at(stiff, (st.edge_j, st.edge_j), st.edge_coef)
+    np.add.at(stiff, (st.edge_i, st.edge_j), -st.edge_coef)
+    np.add.at(stiff, (st.edge_j, st.edge_i), -st.edge_coef)
+    return -stiff / geometry.mu[:, None]
+
+
 class TestAssembly:
+    def test_sparse_matches_dense_edge_assembly(self, weighted_circle_op, conformal_torus_op):
+        for op in (weighted_circle_op, conformal_torus_op):
+            reference = dense_edge_assembly(op.geometry)
+            gap = np.max(np.abs(op.matrix.toarray() - reference))
+            assert gap <= 1e-15 * np.max(np.abs(reference))
+
+    def test_stencil_sparsity(self, weighted_circle_op, conformal_torus_op):
+        assert weighted_circle_op.matrix.nnz <= 3 * weighted_circle_op.geometry.node_count
+        assert conformal_torus_op.matrix.nnz <= 5 * conformal_torus_op.geometry.node_count
+
+    def test_dense_input_is_stored_as_read_only_csr(self, flat_circle_op):
+        op = DriftOperator(geometry=flat_circle_op.geometry, matrix=flat_circle_op.matrix.toarray())
+        assert op.matrix.format == "csr"
+        assert op.matrix.nnz == flat_circle_op.matrix.nnz
+        with pytest.raises(ValueError):
+            op.matrix.data[0] = 0.0
+
     def test_constants_in_kernel_pointwise(self, flat_circle_op, conformal_torus_op):
         # stencil assembly differences a constant to exact zeros
         for op in (flat_circle_op, conformal_torus_op):
@@ -40,7 +71,7 @@ class TestAssembly:
         op = assemble(geom)
         expected = -2.0 * np.eye(16)
         expected += np.roll(np.eye(16), 1, axis=1) + np.roll(np.eye(16), -1, axis=1)
-        assert np.max(np.abs(op.matrix - expected)) < 1e-14
+        assert np.max(np.abs(op.matrix.toarray() - expected)) < 1e-14
 
     def test_sine_mode_second_order(self):
         errors = []
@@ -129,8 +160,7 @@ class TestSelfAdjointness:
         assert rep.passed
 
     def test_corrupted_operator_fails(self, flat_circle_op):
-        broken = flat_circle_op.matrix.copy()
-        broken.setflags(write=True)
+        broken = flat_circle_op.matrix.toarray()
         broken[0, 1] += 1e-6
         rep = check_self_adjoint(
             DriftOperator(geometry=flat_circle_op.geometry, matrix=broken),
@@ -212,7 +242,7 @@ class TestSpectrum:
         geom = make_circle(48, TWO_PI, 0.5 * np.sin(base.coords[:, 0]))
         op = assemble(geom)
         structured = np.array([p.eigenvalue for p in eigenpairs(op, 48)])
-        brute = np.sort(scipy.linalg.eig(op.matrix)[0].real)[::-1]
+        brute = np.sort(scipy.linalg.eig(op.matrix.toarray())[0].real)[::-1]
         assert np.max(np.abs(structured - brute)) < 1e-10
 
     def test_gauss_line_matches_dense_solve(self):
@@ -220,6 +250,14 @@ class TestSpectrum:
         structured = np.array([p.eigenvalue for p in eigenpairs(op, 6)])
         brute = np.sort(scipy.linalg.eigh(op.symmetrized)[0])[::-1][:6]
         assert np.max(np.abs(structured - brute)) < 1e-12
+
+    def test_dense_limit_fails_fast(self):
+        assert 48 * 48 <= MAX_DENSE_NODES <= 4096
+        op = assemble(make_torus(128, 128, TWO_PI, TWO_PI))
+        with pytest.raises(InvalidInputError, match="dense eigensolve"):
+            op.eigensystem
+        with pytest.raises(InvalidInputError):
+            eigenpairs(op, 1)
 
     def test_k_out_of_range(self, flat_circle_op):
         with pytest.raises(InvalidInputError):
