@@ -7,7 +7,9 @@ basis.  Self-adjointness is structural, never a post-hoc symmetrization.
 
 The operator is stored sparse (CSR): a periodic stencil has 3 (circle) or 5
 (torus) nonzeros per row.  Only the eigensystem is dense, and it is refused
-above :data:`MAX_DENSE_NODES` nodes.
+above :data:`MAX_DENSE_NODES` nodes.  It comes from LAPACK's divide-and-conquer
+``dsyevd``, which overwrites the dense symmetrized matrix with the eigenvectors;
+with its workspace the solve peaks at about 3 n^2 doubles.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .core import Field, WeightedGeometry, energy_pairing, weighted_inner
-from .errors import IncompatibleFieldsError, InvalidInputError
+from .errors import IncompatibleFieldsError, InvalidInputError, NumericalFailureError
 from .reports import CheckReport
 
 # Largest node count for the dense eigensolve (a torus of 64^2): beyond it the
@@ -62,14 +64,18 @@ class DriftOperator:
     def symmetrized(self) -> np.ndarray:
         """Dense similarity transform ``M^{1/2} L M^{-1/2}``, plainly symmetric."""
         root = np.sqrt(self.geometry.mu)
-        return (root[:, None] * self.matrix.toarray()) / root[None, :]
+        dense = self.matrix.toarray()
+        dense *= root[:, None]
+        dense /= root[None, :]
+        return dense
 
     @cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Full spectrum, nonincreasing from ~0, with mu-orthonormal columns.
 
         Raises :class:`InvalidInputError` above :data:`MAX_DENSE_NODES` nodes,
-        before anything dense is allocated.
+        before anything dense is allocated, and :class:`NumericalFailureError`
+        when LAPACK reports a failure.
         """
         n = self.geometry.node_count
         if n > MAX_DENSE_NODES:
@@ -77,10 +83,14 @@ class DriftOperator:
                 f"the dense eigensolve is limited to {MAX_DENSE_NODES} nodes; "
                 f"this geometry has {n}"
             )
-        vals, vecs = scipy.linalg.eigh(self.symmetrized)
-        order = np.argsort(vals)[::-1]
-        vals = vals[order]
-        vecs = vecs[:, order] / np.sqrt(self.geometry.mu)[:, None]
+        sym = self.symmetrized
+        try:
+            # sym.T is Fortran-ordered, so dsyevd writes the eigenvectors into sym itself
+            vals, vecs = scipy.linalg.eigh(sym.T, driver="evd", overwrite_a=True)
+        except scipy.linalg.LinAlgError as exc:
+            raise NumericalFailureError(f"the dense eigensolve failed: {exc}") from exc
+        vals, vecs = vals[::-1], vecs[:, ::-1]
+        vecs /= np.sqrt(self.geometry.mu)[:, None]
         vals.setflags(write=False)
         vecs.setflags(write=False)
         return vals, vecs

@@ -104,21 +104,16 @@ def write_trace_csv(path, trace) -> None:
 
 
 def write_trajectory_csv(path, traj) -> None:
-    times = traj.grid.times
-    chunks = []
-    n_nodes = traj.geometry.node_count
-    for k, fld in enumerate(traj.fields):
-        for comp in range(fld.components):
-            chunk = np.column_stack(
-                [
-                    np.full(n_nodes, times[k]),
-                    np.arange(n_nodes, dtype=float),
-                    np.full(n_nodes, float(comp)),
-                    fld.values[:, comp],
-                ]
-            )
-            chunks.append(chunk)
-    _write_csv(path, TRAJECTORY_CSV_HEADER, np.vstack(chunks))
+    """One row per (sample, component, node), streamed one sample at a time."""
+    middles = [
+        [f",{float(node)!r},{float(comp)!r}," for node in range(traj.geometry.node_count)]
+        for comp in range(traj.fields[0].components)
+    ]
+    with open(path, "w") as fh:
+        fh.write(TRAJECTORY_CSV_HEADER + "\n")
+        for stamp, fld in zip(map(repr, traj.grid.times.tolist()), traj.fields):
+            for middle, column in zip(middles, fld.values.T.tolist()):
+                fh.write("".join([f"{stamp}{mid}{v!r}\n" for mid, v in zip(middle, column)]))
 
 
 def write_spectrum_csv(path, eigenvalues) -> None:
@@ -134,7 +129,6 @@ def write_poon_csv(path, s, radii, h_values) -> None:
 
 
 def _write_csv(path, header: str, rows: np.ndarray) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows.tolist()]))

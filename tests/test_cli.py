@@ -4,6 +4,8 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse.linalg
 
 from parafreq.cli import main
 
@@ -140,6 +142,36 @@ class TestSimulate:
         main(["--out", str(tmp_path / "b"), "--seed", "3", "simulate", "--config", config])
         for name in ("report.json", "trace.csv", "trajectory.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+class TestNumericalFailures:
+    def run(self, tmp_path, capsys, raw):
+        config = write_config(tmp_path / "c.json", raw)
+        code = main(["--out", str(tmp_path / "out"), "simulate", "--config", config])
+        return code, capsys.readouterr().err
+
+    def test_eigensolver_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("the eigensolver did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", fail)
+        code, err = self.run(tmp_path, capsys, eigenmode_config())
+        assert code == 1
+        assert err.startswith("error:") and "did not converge" in err
+        assert "Traceback" not in err
+
+    def test_factorization_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", fail)
+        raw = eigenmode_config()
+        raw["integrator"] = "implicit-step"
+        raw["initial"] = {"kind": "expression", "expression": "sin(x)"}
+        code, err = self.run(tmp_path, capsys, raw)
+        assert code == 1
+        assert err.startswith("error:") and "exactly singular" in err
+        assert "Traceback" not in err
 
 
 class TestEigen:

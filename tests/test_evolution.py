@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from parafreq import (
     Field,
@@ -313,6 +314,20 @@ class TestGauge:
         same = gauge_transform(traj, GaugeSpec(rate=0.0))
         for a, b in zip(traj.fields, same.fields):
             assert np.array_equal(a.values, b.values)
+
+    def test_matches_per_field_scaling(self, weighted_circle_op):
+        geom = weighted_circle_op.geometry
+        x = geom.coords[:, 0]
+        u0 = Field(geom, np.stack([np.sin(x), np.cos(2.0 * x)], axis=1))
+        grid = TimeGrid(0.0, 1.0, 20)
+        traj = evolve_exact(weighted_circle_op, u0, grid)
+        gauge = GaugeSpec(rate=lambda t: 0.3 - 0.5 * t)
+        scaled = gauge_transform(traj, gauge)
+        integral = scipy.integrate.cumulative_trapezoid(
+            gauge.sample(grid.times), grid.times, initial=0.0
+        )
+        for factor, before, after in zip(np.exp(-integral), traj.fields, scaled.fields):
+            assert np.array_equal(after.values, factor * before.values)
 
     def test_constant_rate_scales_norm(self, flat_circle_op):
         geom = flat_circle_op.geometry

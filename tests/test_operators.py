@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -23,6 +25,14 @@ TWO_PI = 2.0 * np.pi
 def circle_symbol(k: int, n: int = 128, length: float = TWO_PI) -> float:
     h = length / n
     return -4.0 * np.sin(k * h / 2.0) ** 2 / h**2
+
+
+def make_conformal_torus(side: int):
+    base = make_torus(side, side, TWO_PI, TWO_PI)
+    x, y = base.coords[:, 0], base.coords[:, 1]
+    phi = 0.4 * np.sin(x) * np.cos(y) + 0.2 * np.cos(2.0 * x)
+    psi = 0.3 * np.sin(x) * np.cos(y)
+    return make_torus(side, side, TWO_PI, TWO_PI, phi, psi)
 
 
 def dense_edge_assembly(geometry):
@@ -229,6 +239,48 @@ class TestSpectrum:
                 expected = 1.0 if i == j else 0.0
                 inner = weighted_inner(pi_.eigenfield, pj.eigenfield)
                 assert abs(inner - expected) < 1e-10
+
+    @pytest.mark.parametrize("side", [16, 32])
+    def test_full_basis_is_mu_orthonormal_to_round_off(self, side):
+        geom = make_conformal_torus(side)
+        vals, vecs = assemble(geom).eigensystem
+        gram = vecs.T @ (geom.mu[:, None] * vecs)
+        assert np.max(np.abs(gram - np.eye(vals.size))) <= 1e-13
+
+    def test_eigenvalues_nonincreasing(self, weighted_circle_op, conformal_torus_op):
+        for op in (weighted_circle_op, conformal_torus_op):
+            vals, _ = op.eigensystem
+            assert np.all(np.diff(vals) <= 0.0)
+
+    def test_in_place_solve_corrupts_nothing_shared(self, weighted_circle):
+        op = assemble(weighted_circle)  # a fresh operator: eigensystem is cached
+        before = op.symmetrized
+        data = op.matrix.data.copy()
+        vals, vecs = op.eigensystem
+        assert np.array_equal(op.symmetrized, before)
+        assert np.array_equal(op.matrix.data, data)
+        assert not np.shares_memory(vecs, before)
+
+    def test_eigensolve_peaks_near_three_dense_matrices(self):
+        # the symmetrized matrix, overwritten by the eigenvectors, plus dsyevd's 2 n^2 workspace;
+        # an out-of-place solve holds a fourth n x n array
+        op = assemble(make_conformal_torus(32))
+        n = op.geometry.node_count
+        tracemalloc.start()
+        try:
+            op.eigensystem
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.25 * 8 * n * n
+
+    def test_eigensystem_is_read_only(self, conformal_torus_op):
+        vals, vecs = conformal_torus_op.eigensystem
+        assert not vals.flags.writeable and not vecs.flags.writeable
+        with pytest.raises(ValueError):
+            vecs[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            vals[0] = 1.0
 
     def test_residual_invariant(self, conformal_torus_op):
         for pair in eigenpairs(conformal_torus_op, 8):
