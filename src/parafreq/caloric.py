@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .core import Field, TimeGrid, Trajectory, PROVENANCE_ANALYTIC, WeightedGeometry
+from .core import TimeGrid, Trajectory, PROVENANCE_ANALYTIC, WeightedGeometry
 from .errors import InvalidInputError
 from .reports import CheckReport, passing
 
@@ -425,8 +425,9 @@ def trajectory_from_cov(
     """Sample w on the Gauss line as an analytic-oracle trajectory in s."""
     if geometry.basis is None or cov.oracle.n != 1:
         raise InvalidInputError("cov trajectories sample 1D oracles on the gauss line")
-    fields = tuple(
-        Field(geometry, cov.w(geometry.coords, np.full(geometry.node_count, s)))
-        for s in grid.times
+    values = np.stack(
+        [cov.w(geometry.coords, np.full(geometry.node_count, s)) for s in grid.times]
+    )[:, :, None]
+    return Trajectory(
+        grid=grid, geometry=geometry, values=values, provenance=PROVENANCE_ANALYTIC
     )
-    return Trajectory(grid=grid, fields=fields, provenance=PROVENANCE_ANALYTIC)

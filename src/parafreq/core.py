@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 
 from .errors import IncompatibleFieldsError, InvalidInputError
 
@@ -95,8 +96,9 @@ class WeightedGeometry:
         """Nodal gradient of per-node data, shape (nodes, dim, N).
 
         Periodic kinds average the two adjacent edge-midpoint differences
-        (equivalently, a centered difference); the Gauss line differentiates
-        in the collocation basis.
+        (equivalently, a centered difference, applied as a cached sparse
+        matrix per axis); the Gauss line differentiates in the collocation
+        basis.
         """
         values = np.asarray(values, dtype=float)
         if values.ndim == 1:
@@ -106,13 +108,24 @@ class WeightedGeometry:
             coef = self.basis.basis.T @ (self.mu[:, None] * values)
             out = (self.basis.basis @ (self.basis.deriv @ coef))[:, None, :]
         else:
-            shape = self.stencil.shape
             out = np.empty((self.node_count, self.dim, n_comp))
-            grid = values.reshape(shape + (n_comp,))
-            for axis, h in enumerate(self.stencil.spacings):
-                diff = np.roll(grid, -1, axis=axis) - np.roll(grid, 1, axis=axis)
-                out[:, axis, :] = diff.reshape(self.node_count, n_comp) / (2.0 * h)
+            steps = zip(self._centered_differences, self.stencil.spacings)
+            for axis, (diff, h) in enumerate(steps):
+                out[:, axis, :] = (diff @ values) / (2.0 * h)
         return out
+
+    @cached_property
+    def _centered_differences(self) -> tuple[scipy.sparse.csr_array, ...]:
+        """Per-axis CSR matrices of ``u[next] - u[prev]`` on the periodic grid."""
+        n = self.node_count
+        flat = np.arange(n).reshape(self.stencil.shape)
+        rows = np.tile(flat.ravel(), 2)
+        signs = np.repeat([1.0, -1.0], n)
+        mats = []
+        for axis in range(self.dim):
+            cols = np.concatenate([np.roll(flat, -1, axis).ravel(), np.roll(flat, 1, axis).ravel()])
+            mats.append(scipy.sparse.csr_array((signs, (rows, cols)), shape=(n, n)))
+        return tuple(mats)
 
     def energy_pairing(self, u_values: np.ndarray, v_values: np.ndarray) -> float:
         """Discrete weighted Dirichlet pairing; equals ``-<u, L v>_mu`` exactly."""
@@ -205,35 +218,113 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """A time-indexed sequence of fields produced by one integrator."""
+class ModalExpansion:
+    """Eigen-expansion of a spectral flow, ``u(a + s) = V (exp(rates * s) * coeffs)``.
 
-    grid: TimeGrid
-    fields: tuple[Field, ...]
-    provenance: str
-    gradient_only: bool = False
-    certified_bound: np.ndarray | None = None
+    ``vectors`` holds the mu-orthonormal eigenvectors ``V`` as columns,
+    ``coeffs = V^T M u(a)`` has shape (nodes, N), and ``initial`` is ``u(a)``.
+    """
+
+    rates: np.ndarray
+    vectors: np.ndarray
+    coeffs: np.ndarray
+    initial: np.ndarray
 
     def __post_init__(self):
-        if len(self.fields) != self.grid.steps + 1:
-            raise InvalidInputError("trajectory must hold one field per time sample")
-        geom = self.fields[0].geometry
-        n_comp = self.fields[0].components
-        for f in self.fields:
-            if f.geometry is not geom or f.components != n_comp:
-                raise IncompatibleFieldsError(
-                    "all trajectory fields must share one geometry and one N"
-                )
-        if self.provenance not in (
+        for arr in (self.rates, self.vectors, self.coeffs, self.initial):
+            arr.setflags(write=False)
+
+    def sample(self, offsets: np.ndarray) -> np.ndarray:
+        """Values at the times ``a + offsets``, shape (samples, nodes, N)."""
+        decay = np.exp(np.outer(self.rates, offsets))
+        modal = decay[:, :, None] * self.coeffs[:, None, :]
+        # every sample at once, (n, n) @ (n, samples * N): one GEMM, not one GEMV each
+        values = (self.vectors @ modal.reshape(self.rates.size, -1)).reshape(modal.shape)
+        return values.transpose(1, 0, 2).copy()
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class Trajectory:
+    """A time-indexed stack of field values produced by one integrator.
+
+    ``values`` is one read-only array of shape (samples, nodes, N), checked
+    finite once over the whole stack.  A spectral trajectory may carry its
+    ``modal`` expansion instead; its ``values`` are then built on first access
+    and cached, so a caller that needs only modal quantities (the frequency
+    trace) never materializes them.  ``fields`` is a derived tuple of
+    :class:`Field` views of ``values``, and the keyword form
+    ``Trajectory(grid=..., fields=..., provenance=...)`` stacks given fields.
+    """
+
+    grid: TimeGrid
+    provenance: str
+    geometry: WeightedGeometry
+    gradient_only: bool = False
+    certified_bound: np.ndarray | None = None
+    modal: ModalExpansion | None = None
+
+    def __init__(
+        self,
+        grid: TimeGrid,
+        fields: tuple[Field, ...] | None = None,
+        provenance: str | None = None,
+        gradient_only: bool = False,
+        certified_bound: np.ndarray | None = None,
+        *,
+        geometry: WeightedGeometry | None = None,
+        values: np.ndarray | None = None,
+        modal: ModalExpansion | None = None,
+    ):
+        if (fields is None) + (values is None) + (modal is None) != 2:
+            raise InvalidInputError("a trajectory needs exactly one of fields, values or modal")
+        if fields is not None:
+            if len(fields) != grid.steps + 1:
+                raise InvalidInputError("trajectory must hold one field per time sample")
+            geometry = fields[0].geometry
+            n_comp = fields[0].components
+            for f in fields:
+                if f.geometry is not geometry or f.components != n_comp:
+                    raise IncompatibleFieldsError(
+                        "all trajectory fields must share one geometry and one N"
+                    )
+            values = np.stack([f.values for f in fields])
+        if geometry is None:
+            raise InvalidInputError("a trajectory built from values or modal data needs a geometry")
+        if provenance not in (
             PROVENANCE_SPECTRAL,
             PROVENANCE_IMPLICIT,
             PROVENANCE_ANALYTIC,
         ):
-            raise InvalidInputError(f"unknown provenance {self.provenance!r}")
+            raise InvalidInputError(f"unknown provenance {provenance!r}")
+        # frozen: fill the instance dict directly, as cached_property does
+        vars(self).update(
+            grid=grid, provenance=provenance, geometry=geometry,
+            gradient_only=gradient_only, certified_bound=certified_bound, modal=modal,
+        )
+        if values is not None:
+            vars(self)["values"] = self._checked(values)
 
-    @property
-    def geometry(self) -> WeightedGeometry:
-        return self.fields[0].geometry
+    def _checked(self, values) -> np.ndarray:
+        values = np.asarray(values, dtype=float)
+        expected = (self.grid.steps + 1, self.geometry.node_count)
+        if values.ndim != 3 or values.shape[:2] != expected:
+            raise InvalidInputError(
+                f"trajectory values must have shape {expected + ('N',)}; got {values.shape}"
+            )
+        if not np.all(np.isfinite(values)):
+            raise InvalidInputError("trajectory values must be finite")
+        values.setflags(write=False)
+        return values
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Field values at every sample, (samples, nodes, N); built once from ``modal``."""
+        return self._checked(self.modal.sample(self.grid.times - self.grid.a))
+
+    @cached_property
+    def fields(self) -> tuple[Field, ...]:
+        """One read-only :class:`Field` view of ``values`` per time sample."""
+        return tuple(Field(self.geometry, sample) for sample in self.values)
 
 
 def make_circle(nodes: int, length: float, phi=0.0) -> WeightedGeometry:

@@ -5,6 +5,11 @@ semidiscrete operator (theorem-grade trajectories), the implicit trapezoid
 path carries O(dt^2) stepping error (tolerance-budgeted trajectories).
 Perturbations are treated explicitly with midpoint averaging; the zeroth-order
 gauge is removed by an exact scalar factor.
+
+Every trajectory is one read-only (samples, nodes, N) array.  The stepped
+paths fill it step by step with one cached LU factorization per operator and
+step size; the spectral path keeps its modal data and builds the array with
+one GEMM only when a caller reads it.
 """
 
 from __future__ import annotations
@@ -14,13 +19,12 @@ from typing import Callable
 
 import numpy as np
 import scipy.integrate
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .core import (
     PROVENANCE_IMPLICIT,
     PROVENANCE_SPECTRAL,
     Field,
+    ModalExpansion,
     TimeGrid,
     Trajectory,
     WeightedGeometry,
@@ -30,7 +34,6 @@ from .errors import (
     CertificationFailureError,
     DegenerateInputError,
     InvalidInputError,
-    NumericalFailureError,
 )
 from .operators import DriftOperator
 
@@ -157,34 +160,33 @@ def _check_initial(op: DriftOperator, u0: Field) -> None:
 
 
 def evolve_exact(op: DriftOperator, u0: Field, grid: TimeGrid) -> Trajectory:
-    """Exact semigroup of the discrete operator, computed in its eigenbasis."""
+    """Exact semigroup of the discrete operator, kept in its eigenbasis.
+
+    The trajectory carries the modal data (eigenvalues, eigenvectors,
+    ``c = V^T M u0`` and ``u0``); its ``values`` are built from them with one
+    GEMM on first access.
+    """
     _check_initial(op, u0)
     vals, vecs = op.eigensystem
     coeffs = vecs.T @ (op.geometry.mu[:, None] * u0.values)
-    decay = np.exp(np.outer(vals, grid.times - grid.a))
-    modal = decay[:, :, None] * coeffs[:, None, :]
-    # every sample at once, (n, n) @ (n, samples * N): one GEMM, not one GEMV each
-    values = (vecs @ modal.reshape(vals.size, -1)).reshape(modal.shape)
-    stack = values.transpose(1, 0, 2).copy()
-    fields = tuple(Field(op.geometry, sample) for sample in stack)
-    return Trajectory(grid=grid, fields=fields, provenance=PROVENANCE_SPECTRAL)
+    modal = ModalExpansion(rates=vals, vectors=vecs, coeffs=coeffs, initial=u0.values)
+    return Trajectory(
+        grid=grid, geometry=op.geometry, modal=modal, provenance=PROVENANCE_SPECTRAL
+    )
 
 
 def _imex_steps(
     op: DriftOperator, u0: Field, grid: TimeGrid, pert: PerturbationSpec | None
-) -> list[np.ndarray]:
-    """Trapezoidal stepping, implicit in L, midpoint-averaged in the perturbation."""
-    eye = scipy.sparse.eye_array(op.geometry.node_count, format="csr")
+) -> np.ndarray:
+    """Trapezoidal stepping, implicit in L, midpoint-averaged in the perturbation.
+
+    Returns the (samples, nodes, N) stack of every step.
+    """
     dt = grid.dt
-    half_step = 0.5 * dt * op.matrix
-    try:
-        # I - dt/2 L has a symmetric pattern: minimum degree on A^T + A fills in less than COLAMD
-        solver = scipy.sparse.linalg.splu((eye - half_step).tocsc(), permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:
-        raise NumericalFailureError(f"implicit factorization failed: {exc}") from exc
-    forward = eye + half_step
-    values = [u0.values.copy()]
-    u = u0.values.copy()
+    solver, forward = op.trapezoid_factors(dt)
+    values = np.empty((grid.steps + 1,) + u0.values.shape)
+    values[0] = u0.values
+    u = u0.values
     for k in range(grid.steps):
         rhs = forward @ u
         if pert is None:
@@ -194,7 +196,7 @@ def _imex_steps(
             predictor = solver.solve(rhs + dt * p_old)
             p_mid = 0.5 * (p_old + pert.term(k + 1, predictor))
             u = solver.solve(rhs + dt * p_mid)
-        values.append(u.copy())
+        values[k + 1] = u
     return values
 
 
@@ -202,8 +204,9 @@ def evolve_cn(op: DriftOperator, u0: Field, grid: TimeGrid) -> Trajectory:
     """Unconditionally stable implicit trapezoid stepping, O(dt^2) accurate."""
     _check_initial(op, u0)
     values = _imex_steps(op, u0, grid, None)
-    fields = tuple(Field(op.geometry, v) for v in values)
-    return Trajectory(grid=grid, fields=fields, provenance=PROVENANCE_IMPLICIT)
+    return Trajectory(
+        grid=grid, geometry=op.geometry, values=values, provenance=PROVENANCE_IMPLICIT
+    )
 
 
 def evolve_perturbed(
@@ -231,11 +234,10 @@ def evolve_perturbed(
     c_sup = np.zeros(grid.times.size) if pert.c is None else np.abs(pert.c).max(axis=1)
     if np.any(b_sup > pert.bound + _CERT_SLACK) or np.any(c_sup > pert.bound + _CERT_SLACK):
         raise CertificationFailureError("perturbation violates its certified bound")
-    values = _imex_steps(op, u0, grid, pert)
-    fields = tuple(Field(op.geometry, v) for v in values)
     return Trajectory(
         grid=grid,
-        fields=fields,
+        geometry=op.geometry,
+        values=_imex_steps(op, u0, grid, pert),
         provenance=PROVENANCE_IMPLICIT,
         gradient_only=pert.gradient_only,
         certified_bound=pert.bound,
@@ -253,11 +255,10 @@ def gauge_transform(traj: Trajectory, gauge: GaugeSpec) -> Trajectory:
     rates = gauge.sample(times)
     integral = scipy.integrate.cumulative_trapezoid(rates, times, initial=0.0)
     factors = np.exp(-integral)
-    scaled = factors[:, None, None] * np.stack([fld.values for fld in traj.fields])
-    fields = tuple(Field(traj.geometry, values) for values in scaled)
     return Trajectory(
         grid=traj.grid,
-        fields=fields,
+        geometry=traj.geometry,
+        values=factors[:, None, None] * traj.values,
         provenance=traj.provenance,
         gradient_only=traj.gradient_only,
         certified_bound=traj.certified_bound,

@@ -5,6 +5,11 @@ grid (one-sided second-order stencils at the endpoints); inequality checks
 gate on interior samples only.  Spectrally exact trajectories satisfy the
 inequalities to near round-off; implicit-step trajectories carry the
 discretization budget ``10 * (dt^2 + h^2) * (1 + |U(a)|)``.
+
+A spectral trajectory is traced in closed form from its modal data: with
+``w_k = |c_k|^2``, ``I(t) = sum_k w_k exp(2 lambda_k (t - a))`` and
+``D(t) = sum_k lambda_k w_k exp(2 lambda_k (t - a))``, so its field values are
+never built.  Every other trajectory is traced from its value stack.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 import scipy.integrate
 
-from .core import PROVENANCE_IMPLICIT, Field, Trajectory, weighted_norm
+from .core import PROVENANCE_IMPLICIT, Trajectory
 from .errors import DegenerateTraceError, InvalidInputError
 from .operators import DriftOperator, assemble
 from .reports import CheckReport, passing
@@ -49,34 +54,26 @@ class FrequencyTrace:
 def frequency_trace(traj: Trajectory, op: DriftOperator | None = None) -> FrequencyTrace:
     """Build the frequency trace of a trajectory.
 
-    D is computed both as the negated Dirichlet energy and as ``<u, L u>_mu``;
-    their worst relative gap is recorded under ``aux['d_expression_gap']``.
-    Raises :class:`DegenerateTraceError` when I(t) vanishes at any sample
-    (the backward-uniqueness regime).
+    ``aux['d_expression_gap']`` is the worst gap between two expressions of D,
+    relative to ``energy + I``.  With modal data it compares the closed-form
+    D(a) with both the negated Dirichlet energy and ``<u, L u>_mu`` of u(a)
+    (one sparse apply); otherwise D is the negated Dirichlet energy of every
+    sample, compared with ``<u, L u>_mu`` there.  Raises
+    :class:`DegenerateTraceError` when I(t) vanishes at any sample (the
+    backward-uniqueness regime).
     """
     if op is None:
         op = assemble(traj.geometry)
-    times = traj.grid.times
-    mu = traj.geometry.mu
-    stack = np.stack([fld.values for fld in traj.fields])
-    I = np.einsum("snc,n,snc->s", stack, mu, stack)
-    if np.any(I <= 0.0) or not np.all(np.isfinite(I)):
-        k = int(np.argmin(I))
-        raise DegenerateTraceError(
-            f"I(t) vanished at t={times[k]:.6g}; backward-uniqueness regime"
-        )
-    energy = traj.geometry.energy_batch(stack)
-    D = -energy
-    by_node = stack.transpose(1, 0, 2)
-    applied = (op.matrix @ by_node.reshape(mu.size, -1)).reshape(by_node.shape)
-    d_op = np.einsum("nsc,n,nsc->s", by_node, mu, applied)
-    d_gap = float(np.max(np.abs(d_op + energy) / (energy + np.abs(I))))
+    if traj.modal is not None:
+        I, D, d_gap = _modal_trace(traj, op)
+    else:
+        I, D, d_gap = _sampled_trace(traj, op)
     U = D / I
     dt = traj.grid.dt
     dlogI = np.gradient(np.log(I), dt, edge_order=2)
     dU = np.gradient(U, dt, edge_order=2)
     return FrequencyTrace(
-        times=times,
+        times=traj.grid.times,
         I=I,
         D=D,
         U=U,
@@ -89,6 +86,42 @@ def frequency_trace(traj: Trajectory, op: DriftOperator | None = None) -> Freque
         certified_bound=traj.certified_bound,
         aux={"d_expression_gap": d_gap},
     )
+
+
+def _modal_trace(traj: Trajectory, op: DriftOperator) -> tuple[np.ndarray, np.ndarray, float]:
+    """Closed-form I and D of a spectral flow, and the D(a) cross-check."""
+    modal = traj.modal
+    weights = np.sum(modal.coeffs**2, axis=1)
+    growth = np.exp(np.outer(2.0 * (traj.grid.times - traj.grid.a), modal.rates))
+    I = _nonvanishing(growth @ weights, traj.grid.times)
+    D = growth @ (modal.rates * weights)
+    u0 = modal.initial
+    energy = traj.geometry.energy_pairing(u0, u0)
+    d_op = float(np.sum(traj.geometry.mu[:, None] * u0 * (op.matrix @ u0)))
+    d_gap = max(abs(D[0] + energy), abs(D[0] - d_op)) / (energy + abs(I[0]))
+    return I, D, float(d_gap)
+
+
+def _sampled_trace(traj: Trajectory, op: DriftOperator) -> tuple[np.ndarray, np.ndarray, float]:
+    """I and D of every materialized sample, and the two-expression D gap."""
+    mu = traj.geometry.mu
+    stack = traj.values
+    I = _nonvanishing(np.einsum("snc,n,snc->s", stack, mu, stack), traj.grid.times)
+    energy = traj.geometry.energy_batch(stack)
+    by_node = stack.transpose(1, 0, 2)
+    applied = (op.matrix @ by_node.reshape(mu.size, -1)).reshape(by_node.shape)
+    d_op = np.einsum("nsc,n,nsc->s", by_node, mu, applied)
+    d_gap = float(np.max(np.abs(d_op + energy) / (energy + np.abs(I))))
+    return I, -energy, d_gap
+
+
+def _nonvanishing(I: np.ndarray, times: np.ndarray) -> np.ndarray:
+    if np.any(I <= 0.0) or not np.all(np.isfinite(I)):
+        k = int(np.argmin(I))
+        raise DegenerateTraceError(
+            f"I(t) vanished at t={times[k]:.6g}; backward-uniqueness regime"
+        )
+    return I
 
 
 def default_tolerance(trace: FrequencyTrace, scale: float = 1.0) -> float:
@@ -205,18 +238,16 @@ def check_rigidity(
     u_dev = float(np.max(np.abs(trace.U - trace.U[0])))
     lam = float(trace.U[0])
     is_eigenmode = u_dev <= tol
-    u0 = traj.fields[0]
-    norm0 = weighted_norm(u0)
     if is_eigenmode:
-        sep_res = 0.0
-        for k, fld in enumerate(traj.fields):
-            factor = np.exp(lam * (trace.times[k] - trace.times[0]))
-            diff = Field(traj.geometry, fld.values - factor * u0.values)
-            sep_res = max(sep_res, weighted_norm(diff) / norm0)
-        lu = op.apply(u0)
-        eig_res = weighted_norm(
-            Field(traj.geometry, lu.values - lam * u0.values)
-        ) / norm0
+        values = traj.values
+        u0 = values[0]
+        mu = traj.geometry.mu
+        norm0 = float(np.sqrt(np.sum(mu[:, None] * u0 * u0)))
+        factors = np.exp(lam * (trace.times - trace.times[0]))
+        diff = values - factors[:, None, None] * u0
+        sep_res = float(np.sqrt(np.max(np.einsum("snc,n,snc->s", diff, mu, diff)))) / norm0
+        eig_diff = op.matrix @ u0 - lam * u0
+        eig_res = float(np.sqrt(np.sum(mu[:, None] * eig_diff * eig_diff))) / norm0
         margin = tol - max(sep_res, eig_res)
         aux = {"separation_residual": sep_res, "eigen_residual": eig_res}
     else:

@@ -107,12 +107,12 @@ def write_trajectory_csv(path, traj) -> None:
     """One row per (sample, component, node), streamed one sample at a time."""
     middles = [
         [f",{float(node)!r},{float(comp)!r}," for node in range(traj.geometry.node_count)]
-        for comp in range(traj.fields[0].components)
+        for comp in range(traj.values.shape[2])
     ]
     with open(path, "w") as fh:
         fh.write(TRAJECTORY_CSV_HEADER + "\n")
-        for stamp, fld in zip(map(repr, traj.grid.times.tolist()), traj.fields):
-            for middle, column in zip(middles, fld.values.T.tolist()):
+        for stamp, sample in zip(map(repr, traj.grid.times.tolist()), traj.values):
+            for middle, column in zip(middles, sample.T.tolist()):
                 fh.write("".join([f"{stamp}{mid}{v!r}\n" for mid, v in zip(middle, column)]))
 
 

@@ -208,7 +208,7 @@ def monotonicity_reports(ctx: SuiteContext) -> list[CheckReport]:
     u0 = Field(op.geometry, np.sin(x) + np.sin(2.0 * x))
     traj = evolve_exact(op, u0, grid)
     reversed_traj = Trajectory(
-        grid=grid, fields=tuple(reversed(traj.fields)), provenance=traj.provenance
+        grid=grid, geometry=traj.geometry, values=traj.values[::-1], provenance=traj.provenance
     )
     rep = check_u_monotone(frequency_trace(reversed_traj, op), 1e-10)
     reports.append(
@@ -305,27 +305,24 @@ def _random_perturbation(
     freq = TWO_PI / length
 
     def profile():
+        """(K+1, n) samples of a fixed spatial profile under a time envelope."""
         coeffs = rng.standard_normal(6)
         phase = rng.uniform(0.0, TWO_PI, 2)
-
-        def fn(t):
-            spatial = (
-                coeffs[0]
-                + coeffs[1] * np.cos(freq * x + phase[0])
-                + coeffs[2] * np.sin(2.0 * freq * x + phase[1])
-            )
-            envelope = 1.0 + 0.5 * np.sin(coeffs[3] + 2.0 * t)
-            peak = np.max(np.abs(spatial)) * 1.5
-            return amplitude * spatial * envelope / (peak if peak > 0 else 1.0)
-
-        return fn
+        spatial = (
+            coeffs[0]
+            + coeffs[1] * np.cos(freq * x + phase[0])
+            + coeffs[2] * np.sin(2.0 * freq * x + phase[1])
+        )
+        envelope = 1.0 + 0.5 * np.sin(coeffs[3] + 2.0 * grid.times)
+        peak = np.max(np.abs(spatial)) * 1.5
+        return amplitude * spatial * envelope[:, None] / (peak if peak > 0 else 1.0)
 
     b_profile = profile()
     c_profile = profile() if with_potential else None
     return PerturbationSpec.build(
         geometry,
         grid,
-        b=lambda t: b_profile(t)[:, None],
+        b=b_profile[:, :, None],
         c=c_profile,
         bound=None,
         gradient_only=not with_potential,
@@ -407,10 +404,7 @@ def perturbed_reports(ctx: SuiteContext) -> list[CheckReport]:
     u0 = random_smooth_field(geometry, _rng(ctx.seed, 7))
     traj_zero = evolve_perturbed(op, u0, grid, zero)
     traj_cn = evolve_cn(op, u0, grid)
-    bit_equal = all(
-        np.array_equal(a.values, b.values)
-        for a, b in zip(traj_zero.fields, traj_cn.fields)
-    )
+    bit_equal = np.array_equal(traj_zero.values, traj_cn.values)
     reports.append(
         CheckReport(
             name="perturbed/zero-matches-stepped",

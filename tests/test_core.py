@@ -3,8 +3,10 @@ import pytest
 import scipy.special
 
 from parafreq import (
+    PROVENANCE_IMPLICIT,
     Field,
     TimeGrid,
+    Trajectory,
     dirichlet_energy,
     make_circle,
     make_gauss_line,
@@ -206,3 +208,91 @@ class TestFieldAndGrids:
     def test_geometry_arrays_are_frozen(self, flat_circle):
         with pytest.raises(ValueError):
             flat_circle.mu[0] = 2.0
+
+
+def roll_gradient(geom, values):
+    """Centered differences with np.roll, the reference for the sparse gradient."""
+    values = values.reshape(geom.node_count, -1)
+    grid = values.reshape(geom.stencil.shape + (values.shape[1],))
+    out = np.empty((geom.node_count, geom.dim, values.shape[1]))
+    for axis, h in enumerate(geom.stencil.spacings):
+        diff = np.roll(grid, -1, axis=axis) - np.roll(grid, 1, axis=axis)
+        out[:, axis, :] = diff.reshape(geom.node_count, -1) / (2.0 * h)
+    return out
+
+
+class TestGradient:
+    @pytest.mark.parametrize("components", [1, 2])
+    @pytest.mark.parametrize("geometry", ["weighted_circle", "conformal_torus"])
+    def test_sparse_matches_roll_bit_for_bit(self, request, geometry, components):
+        geom = request.getfixturevalue(geometry)
+        values = np.random.default_rng(31).standard_normal((geom.node_count, components))
+        grad = geom.gradient(values)
+        assert grad.shape == (geom.node_count, geom.dim, components)
+        assert np.array_equal(grad, roll_gradient(geom, values))
+
+    def test_one_dimensional_input(self, conformal_torus):
+        values = np.random.default_rng(32).standard_normal(conformal_torus.node_count)
+        assert np.array_equal(
+            conformal_torus.gradient(values), roll_gradient(conformal_torus, values)
+        )
+
+
+class TestTrajectory:
+    @pytest.fixture
+    def stack(self, flat_circle):
+        rng = np.random.default_rng(33)
+        return rng.standard_normal((5, flat_circle.node_count, 2))
+
+    def make(self, geom, values):
+        return Trajectory(
+            grid=TimeGrid(0.0, 1.0, 4), geometry=geom, values=values,
+            provenance=PROVENANCE_IMPLICIT,
+        )
+
+    def test_fields_are_read_only_views_of_values(self, flat_circle, stack):
+        traj = self.make(flat_circle, stack.copy())
+        assert len(traj.fields) == 5
+        for k, fld in enumerate(traj.fields):
+            assert fld.geometry is flat_circle
+            assert np.array_equal(fld.values, traj.values[k])
+            assert np.shares_memory(fld.values, traj.values)
+        with pytest.raises(ValueError):
+            traj.values[0, 0, 0] = 1.0
+
+    def test_field_keyword_construction_stacks_fields(self, flat_circle, stack):
+        fields = tuple(Field(flat_circle, sample) for sample in stack)
+        traj = Trajectory(
+            grid=TimeGrid(0.0, 1.0, 4), fields=fields, provenance=PROVENANCE_IMPLICIT
+        )
+        assert traj.geometry is flat_circle
+        assert traj.values.shape == (5, flat_circle.node_count, 2)
+        assert np.array_equal(traj.values, stack)
+
+    def test_non_finite_stack_rejected(self, flat_circle, stack):
+        stack[3, 7, 1] = np.nan
+        with pytest.raises(InvalidInputError):
+            self.make(flat_circle, stack)
+
+    @pytest.mark.parametrize("shape", [(4, 128, 1), (5, 127, 1), (5, 128)])
+    def test_wrong_shape_rejected(self, flat_circle, shape):
+        with pytest.raises(InvalidInputError):
+            self.make(flat_circle, np.zeros(shape))
+
+    def test_exactly_one_source(self, flat_circle, stack):
+        grid = TimeGrid(0.0, 1.0, 4)
+        with pytest.raises(InvalidInputError):
+            Trajectory(grid=grid, provenance=PROVENANCE_IMPLICIT, geometry=flat_circle)
+        with pytest.raises(InvalidInputError):
+            Trajectory(grid=grid, values=stack, provenance=PROVENANCE_IMPLICIT)
+        fields = tuple(Field(flat_circle, sample) for sample in stack)
+        with pytest.raises(InvalidInputError):
+            Trajectory(grid=grid, fields=fields, values=stack, provenance=PROVENANCE_IMPLICIT)
+
+    def test_mixed_fields_rejected(self, flat_circle, weighted_circle, stack):
+        fields = [Field(flat_circle, sample) for sample in stack]
+        fields[2] = Field(weighted_circle, stack[2])
+        with pytest.raises(IncompatibleFieldsError):
+            Trajectory(
+                grid=TimeGrid(0.0, 1.0, 4), fields=tuple(fields), provenance=PROVENANCE_IMPLICIT
+            )

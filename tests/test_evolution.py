@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.sparse.linalg
 
 from parafreq import (
     Field,
@@ -16,6 +17,7 @@ from parafreq import (
     frequency_trace,
     gauge_transform,
     eigenpairs,
+    make_circle,
     make_torus,
     weighted_inner,
     weighted_norm,
@@ -128,7 +130,62 @@ class TestSpectralEvolution:
         assert trace.aux["d_expression_gap"] <= 1e-12
 
 
+    def test_values_are_built_from_modal_data_on_first_access(self, weighted_circle_op):
+        geom = weighted_circle_op.geometry
+        u0 = Field(geom, np.random.default_rng(18).standard_normal((geom.node_count, 2)))
+        grid = TimeGrid(0.0, 0.4, 8)
+        traj = evolve_exact(weighted_circle_op, u0, grid)
+        modal = traj.modal
+        assert "values" not in vars(traj)
+        assert modal.initial is u0.values
+        vals, vecs = weighted_circle_op.eigensystem
+        assert modal.rates is vals and modal.vectors is vecs
+        assert np.array_equal(modal.coeffs, vecs.T @ (geom.mu[:, None] * u0.values))
+        values = traj.values
+        assert traj.values is values
+        assert not values.flags.writeable
+        assert np.array_equal(values, modal.sample(grid.times - grid.a))
+        for k, fld in enumerate(traj.fields):
+            assert np.array_equal(fld.values, values[k])
+
+
 class TestImplicitStepping:
+    def test_one_factorization_per_operator_and_step(self, monkeypatch):
+        calls = []
+        splu = scipy.sparse.linalg.splu
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+        op = assemble(make_circle(32, TWO_PI))
+        u0 = Field(op.geometry, np.sin(op.geometry.coords[:, 0]))
+        grid = TimeGrid(0.0, 1.0, 20)
+        first = evolve_cn(op, u0, grid)
+        second = evolve_cn(op, u0, grid)
+        zero = evolve_perturbed(op, u0, grid, PerturbationSpec.build(op.geometry, grid, bound=0.0))
+        assert len(calls) == 1
+        assert np.array_equal(first.values, second.values)
+        assert np.array_equal(first.values, zero.values)
+        evolve_cn(op, u0, TimeGrid(0.0, 1.0, 40))
+        assert len(calls) == 2
+        evolve_cn(assemble(op.geometry), u0, grid)
+        assert len(calls) == 3
+
+    def test_stack_is_one_read_only_array(self, weighted_circle_op):
+        geom = weighted_circle_op.geometry
+        u0 = Field(geom, np.random.default_rng(19).standard_normal((geom.node_count, 2)))
+        grid = TimeGrid(0.0, 0.5, 10)
+        traj = evolve_cn(weighted_circle_op, u0, grid)
+        assert traj.values.shape == (11, geom.node_count, 2)
+        assert not traj.values.flags.writeable
+        assert traj.modal is None
+        assert np.array_equal(traj.values[0], u0.values)
+        for k, fld in enumerate(traj.fields):
+            assert np.shares_memory(fld.values, traj.values)
+            assert np.array_equal(fld.values, traj.values[k])
+
     def test_constant_field_is_fixed(self, weighted_circle_op):
         one = Field.constant(weighted_circle_op.geometry)
         traj = evolve_cn(weighted_circle_op, one, TimeGrid(0.0, 1.0, 20))
@@ -192,6 +249,16 @@ class TestPerturbedFlow:
         b = evolve_cn(weighted_circle_op, u0, grid)
         for fa, fb in zip(a.fields, b.fields):
             assert np.array_equal(fa.values, fb.values)
+
+    def test_non_finite_stack_rejected(self, flat_circle_op):
+        # an explicit potential of 1e300 overflows the stepped values to inf and nan
+        geom = flat_circle_op.geometry
+        grid = TimeGrid(0.0, 1.0, 4)
+        pert = PerturbationSpec.build(geom, grid, c=1e300)
+        u0 = Field(geom, np.sin(geom.coords[:, 0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidInputError, match="values must be finite"):
+                evolve_perturbed(flat_circle_op, u0, grid, pert)
 
     def test_advection_preserves_flat_norm(self, flat_circle_op):
         # traveling wave: I(t) = pi * exp(2 rate t) for u0 = sin(kx)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from parafreq import (
+    PROVENANCE_SPECTRAL,
     Field,
     PerturbationSpec,
     TimeGrid,
@@ -22,6 +23,7 @@ from parafreq import (
     vanishing_order_surrogate,
     weighted_inner,
 )
+from parafreq.core import ModalExpansion
 from parafreq.errors import DegenerateTraceError, InvalidInputError
 
 TWO_PI = 2.0 * np.pi
@@ -85,6 +87,61 @@ class TestTraceValues:
         traj = Trajectory(grid=grid, fields=(zero, zero, zero), provenance="analytic-oracle")
         with pytest.raises(DegenerateTraceError):
             frequency_trace(traj, flat_circle_op)
+
+
+def materialized(traj):
+    """The same flow as a plain value stack, traced sample by sample."""
+    return Trajectory(
+        grid=traj.grid, geometry=traj.geometry, values=traj.values, provenance=traj.provenance
+    )
+
+
+class TestClosedFormSpectralTrace:
+    @pytest.mark.parametrize("components", [1, 2])
+    @pytest.mark.parametrize(
+        "operator", ["weighted_circle_op", "conformal_torus_op", "gauss_line_op"]
+    )
+    def test_matches_materialized_trace(self, request, operator, components):
+        op = request.getfixturevalue(operator)
+        geom = op.geometry
+        rng = np.random.default_rng(22)
+        u0 = Field(geom, rng.standard_normal((geom.node_count, components)))
+        traj = evolve_exact(op, u0, TimeGrid(0.0, 1.0, 40))
+        closed = frequency_trace(traj, op)
+        sampled = frequency_trace(materialized(traj), op)
+        assert np.max(np.abs(closed.I - sampled.I) / sampled.I) <= 1e-13
+        u_scale = 1.0 + np.max(np.abs(sampled.U))
+        assert np.max(np.abs(closed.U - sampled.U)) <= 1e-12 * u_scale
+        assert closed.aux["d_expression_gap"] <= 1e-12
+        assert sampled.aux["d_expression_gap"] <= 1e-12
+
+    def test_trace_leaves_values_unmaterialized(self, conformal_torus_op, two_mode):
+        geom = conformal_torus_op.geometry
+        u0 = Field(geom, np.cos(geom.coords[:, 0]) + np.sin(2.0 * geom.coords[:, 1]))
+        traj = evolve_exact(conformal_torus_op, u0, TimeGrid(0.0, 1.0, 200))
+        frequency_trace(traj, conformal_torus_op)
+        assert "values" not in vars(traj) and "fields" not in vars(traj)
+        # a non-rigid flow needs no residual, so rigidity does not build values either
+        two_mode_traj, _ = two_mode
+        check_rigidity(two_mode_traj, 1e-9)
+        assert "values" not in vars(two_mode_traj)
+
+    def test_d_gap_detects_inconsistent_modal_data(self, weighted_circle_op):
+        geom = weighted_circle_op.geometry
+        u0 = Field(geom, np.random.default_rng(23).standard_normal(geom.node_count))
+        traj = evolve_exact(weighted_circle_op, u0, TimeGrid(0.0, 1.0, 10))
+        coeffs = 1.01 * traj.modal.coeffs  # no longer the expansion of u(a)
+        broken = Trajectory(
+            grid=traj.grid,
+            geometry=geom,
+            modal=ModalExpansion(
+                rates=traj.modal.rates, vectors=traj.modal.vectors, coeffs=coeffs,
+                initial=traj.modal.initial,
+            ),
+            provenance=PROVENANCE_SPECTRAL,
+        )
+        assert frequency_trace(traj, weighted_circle_op).aux["d_expression_gap"] <= 1e-12
+        assert frequency_trace(broken, weighted_circle_op).aux["d_expression_gap"] > 1e-3
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +297,24 @@ class TestRigidity:
         rep = check_rigidity(traj, 1e-9)
         assert rep.passed and not rep.aux["is_eigenmode"]
         assert abs(rep.aux["u_variation"] - 1.491) < 5e-3
+
+    def test_separation_residual_matches_per_sample_reference(self, weighted_circle_op):
+        geom = weighted_circle_op.geometry
+        pair = eigenpairs(weighted_circle_op, 4)[3]
+        traj = evolve_exact(weighted_circle_op, pair.eigenfield, TimeGrid(0.0, 1.0, 50))
+        rep = check_rigidity(traj, 1e-9, weighted_circle_op)
+        assert rep.aux["is_eigenmode"]
+        lam = rep.aux["lambda_estimate"]
+        u0 = traj.fields[0]
+        reference = max(
+            np.sqrt(weighted_inner(diff, diff) / weighted_inner(u0, u0))
+            for diff in (
+                Field(geom, fld.values - np.exp(lam * t) * u0.values)
+                for fld, t in zip(traj.fields, traj.grid.times)
+            )
+        )
+        assert abs(rep.aux["separation_residual"] - reference) <= 1e-15
+        assert rep.aux["separation_residual"] < 1e-10
 
     def test_constant_field_rigid_at_zero(self, weighted_circle_op):
         one = Field.constant(weighted_circle_op.geometry)

@@ -1,10 +1,14 @@
 import json
 
 import numpy as np
+import pytest
 
+from parafreq import PerturbationSpec, TimeGrid, make_circle
 from parafreq.reports import write_report
 from parafreq.suite import (
+    TWO_PI,
     SuiteContext,
+    _random_perturbation,
     caloric_reports,
     gauge_reports,
     self_adjoint_reports,
@@ -65,3 +69,49 @@ def test_failing_report_still_serializes(tmp_path):
     payload = write_report(tmp_path / "bad.json", reports, seed=0)
     assert payload["passed"] is False
     assert np.isfinite(payload["checks"][0]["margin"])
+
+
+def callback_perturbation(geometry, grid, rng, amplitude, with_potential):
+    """Per-sample callbacks: the reference for the array-built random perturbation."""
+    x = geometry.coords[:, 0]
+    freq = TWO_PI / (geometry.node_count * geometry.stencil.spacings[0])
+
+    def profile():
+        coeffs = rng.standard_normal(6)
+        phase = rng.uniform(0.0, TWO_PI, 2)
+
+        def fn(t):
+            spatial = (
+                coeffs[0]
+                + coeffs[1] * np.cos(freq * x + phase[0])
+                + coeffs[2] * np.sin(2.0 * freq * x + phase[1])
+            )
+            envelope = 1.0 + 0.5 * np.sin(coeffs[3] + 2.0 * t)
+            peak = np.max(np.abs(spatial)) * 1.5
+            return amplitude * spatial * envelope / (peak if peak > 0 else 1.0)
+
+        return fn
+
+    b_profile = profile()
+    c_profile = profile() if with_potential else None
+    return PerturbationSpec.build(
+        geometry, grid, b=lambda t: b_profile(t)[:, None], c=c_profile,
+        gradient_only=not with_potential,
+    )
+
+
+@pytest.mark.parametrize("with_potential", [False, True])
+def test_random_perturbation_matches_callback_reference(with_potential):
+    geometry = make_circle(128, TWO_PI)
+    grid = TimeGrid(0.0, 1.0, 200)
+    spec = _random_perturbation(
+        geometry, grid, np.random.default_rng([3, 6]), 0.3, with_potential
+    )
+    ref = callback_perturbation(geometry, grid, np.random.default_rng([3, 6]), 0.3, with_potential)
+    assert spec.gradient_only is ref.gradient_only
+    for got, want in ((spec.b, ref.b), (spec.c, ref.c), (spec.bound, ref.bound)):
+        if want is None:
+            assert got is None
+        else:
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
