@@ -19,15 +19,6 @@ from .core import TimeGrid, Trajectory, PROVENANCE_ANALYTIC, WeightedGeometry
 from .errors import InvalidInputError
 from .reports import CheckReport, passing
 
-ORACLE_KINDS = (
-    "constant",
-    "linear",
-    "caloric-quadratic",
-    "heat-kernel",
-    "custom-polynomial",
-)
-
-
 @dataclass(frozen=True)
 class HeatOracle:
     """Closed-form function on R^n x (t_min, 0) with consistent derivatives."""
@@ -55,103 +46,57 @@ def _points(x, n: int) -> np.ndarray:
     return pts
 
 
-def _poly_terms_1d(coeffs: np.ndarray) -> list[np.ndarray]:
-    """Coefficient arrays of ``lap^j p / j!`` until the Laplacian kills p."""
-    terms = [coeffs]
-    j = 0
-    while terms[-1].size > 2:
-        j += 1
-        terms.append(npoly.polyder(terms[-1], 2) / j)
-    return terms
+def _polyval(pts: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Evaluate a power series with one coefficient axis per coordinate."""
+    return (npoly.polyval, npoly.polyval2d)[c.ndim - 1](*pts.T, c)
 
 
-def _lap_coeffs_2d(c: np.ndarray) -> np.ndarray:
-    dxx = npoly.polyder(c, 2, axis=0) if c.shape[0] > 2 else np.zeros((1, 1))
-    dyy = npoly.polyder(c, 2, axis=1) if c.shape[1] > 2 else np.zeros((1, 1))
-    rows = max(dxx.shape[0], dyy.shape[0])
-    cols = max(dxx.shape[1], dyy.shape[1])
-    out = np.zeros((rows, cols))
-    out[: dxx.shape[0], : dxx.shape[1]] += dxx
-    out[: dyy.shape[0], : dyy.shape[1]] += dyy
+def _polyder(c: np.ndarray, axis: int, m: int = 1) -> np.ndarray:
+    if c.shape[axis] > m:
+        return npoly.polyder(c, m, axis=axis)
+    return np.zeros((1,) * c.ndim)
+
+
+def _lap_coeffs(c: np.ndarray) -> np.ndarray:
+    parts = [_polyder(c, axis, 2) for axis in range(c.ndim)]
+    out = np.zeros(np.max([p.shape for p in parts], axis=0))
+    for p in parts:
+        out[tuple(slice(k) for k in p.shape)] += p
     return out
 
 
-def _poly_terms_2d(coeffs: np.ndarray) -> list[np.ndarray]:
-    terms = [coeffs]
-    j = 0
-    while np.any(_lap_coeffs_2d(terms[-1])):
-        j += 1
-        terms.append(_lap_coeffs_2d(terms[-1]) / j)
-    return terms
+def _time_sum(parts, pts: np.ndarray, t, shift: int = 0) -> np.ndarray:
+    """``sum_j d^shift/dt^shift (t^j) * p_j(x)`` over the coefficient arrays."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(pts.shape[0])
+    for j, c in enumerate(parts[shift:], start=shift):
+        out += (j if shift else 1.0) * t ** (j - shift) * _polyval(pts, c)
+    return out
 
 
 def _polynomial_oracle(n: int, coeffs, complete: bool) -> HeatOracle:
+    """``sum_j t^j lap^j p / j!``: the caloric completion of p, or p alone."""
     coeffs = np.asarray(coeffs, dtype=float)
-    if n == 1:
-        coeffs = np.atleast_1d(coeffs)
-        terms = _poly_terms_1d(coeffs) if complete else [coeffs]
-        d_terms = [npoly.polyder(c, 1) if c.size > 1 else np.zeros(1) for c in terms]
-        l_terms = [npoly.polyder(c, 2) if c.size > 2 else np.zeros(1) for c in terms]
-
-        def time_sum(parts, x, t, shift=0):
-            xs = x[:, 0]
-            t = np.asarray(t, dtype=float)
-            out = np.zeros(xs.shape)
-            for j, c in enumerate(parts):
-                if shift and j < shift:
-                    continue
-                factor = j if shift else 1.0
-                power = j - shift
-                out += factor * np.asarray(t) ** power * npoly.polyval(xs, c)
-            return out
-
-        return HeatOracle(
-            kind="custom-polynomial",
-            n=1,
-            u=lambda x, t: time_sum(terms, _points(x, 1), t),
-            u_t=lambda x, t: time_sum(terms, _points(x, 1), t, shift=1),
-            grad=lambda x, t: time_sum(d_terms, _points(x, 1), t)[:, None],
-            lap=lambda x, t: time_sum(l_terms, _points(x, 1), t),
-            caloric=complete or coeffs.size <= 2,
-        )
-    if n == 2:
-        coeffs = np.atleast_2d(coeffs)
-        terms = _poly_terms_2d(coeffs) if complete else [coeffs]
-
-        def dcoef(c, axis):
-            return npoly.polyder(c, 1, axis=axis) if c.shape[axis] > 1 else np.zeros((1, 1))
-
-        dx_terms = [dcoef(c, 0) for c in terms]
-        dy_terms = [dcoef(c, 1) for c in terms]
-        l_terms = [_lap_coeffs_2d(c) for c in terms]
-
-        def time_sum2(parts, x, t, shift=0):
-            xs, ys = x[:, 0], x[:, 1]
-            out = np.zeros(xs.shape)
-            for j, c in enumerate(parts):
-                if shift and j < shift:
-                    continue
-                factor = j if shift else 1.0
-                power = j - shift
-                out += factor * np.asarray(t) ** power * npoly.polyval2d(xs, ys, c)
-            return out
-
-        def grad2(x, t):
-            pts = _points(x, 2)
-            return np.stack(
-                [time_sum2(dx_terms, pts, t), time_sum2(dy_terms, pts, t)], axis=1
-            )
-
-        return HeatOracle(
-            kind="custom-polynomial",
-            n=2,
-            u=lambda x, t: time_sum2(terms, _points(x, 2), t),
-            u_t=lambda x, t: time_sum2(terms, _points(x, 2), t, shift=1),
-            grad=grad2,
-            lap=lambda x, t: time_sum2(l_terms, _points(x, 2), t),
-            caloric=complete or not np.any(_lap_coeffs_2d(coeffs)),
-        )
-    raise InvalidInputError("polynomial oracles support n in {1, 2}")
+    coeffs = coeffs.reshape((1,) * (n - coeffs.ndim) + coeffs.shape)  # np.atleast_<n>d
+    if coeffs.ndim != n:
+        raise InvalidInputError(f"polynomial coefficients need {n} axes, got {coeffs.ndim}")
+    terms = [coeffs]
+    lap = _lap_coeffs(coeffs)
+    caloric = not np.any(lap)
+    while complete and np.any(lap):
+        terms.append(lap / len(terms))
+        lap = _lap_coeffs(terms[-1])
+    d_terms = [[_polyder(c, axis) for c in terms] for axis in range(n)]
+    l_terms = [_lap_coeffs(c) for c in terms]
+    return HeatOracle(
+        kind="custom-polynomial",
+        n=n,
+        u=lambda x, t: _time_sum(terms, _points(x, n), t),
+        u_t=lambda x, t: _time_sum(terms, _points(x, n), t, shift=1),
+        grad=lambda x, t: np.stack([_time_sum(d, _points(x, n), t) for d in d_terms], axis=1),
+        lap=lambda x, t: _time_sum(l_terms, _points(x, n), t),
+        caloric=complete or caloric,
+    )
 
 
 def make_oracle(kind: str, n: int = 1, params: dict | None = None) -> HeatOracle:
@@ -417,6 +362,27 @@ def check_poon_correspondence(
         mismatched_ratio_min=float(ratio_plus.min()),
         mismatched_ratio_max=float(ratio_plus.max()),
     )
+
+
+POON_ORACLES = ("constant", "linear", "caloric-quadratic")
+POON_S_GRID = np.linspace(0.2, 3.0, 21)
+POON_S_GRID.setflags(write=False)
+
+
+def poon_reports(tol: float) -> list[CheckReport]:
+    """Scaled-frequency correspondence and convexity for the standard oracle set."""
+    reports = []
+    for name in POON_ORACLES:
+        oracle = make_oracle(name, 1)
+        reports.append(
+            check_poon_correspondence(oracle, POON_S_GRID, tol).renamed(
+                f"poon-correspondence/{name}"
+            )
+        )
+        reports.append(
+            check_poon_convexity(oracle, POON_S_GRID, tol).renamed(f"poon-convexity/{name}")
+        )
+    return reports
 
 
 def trajectory_from_cov(

@@ -9,33 +9,19 @@ from __future__ import annotations
 
 import argparse
 import copy
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .caloric import (
-    check_poon_convexity,
-    check_poon_correspondence,
-    make_oracle,
-    poon_h,
+from .caloric import POON_ORACLES, POON_S_GRID, make_oracle, poon_h, poon_reports
+from .config import (
+    TRACE_CHECKS, ExperimentConfig, build_gauge, build_geometry, build_initial,
+    build_perturbation, build_time, load_json,
 )
-from .config import ExperimentConfig, build_gauge, build_geometry, build_initial, build_perturbation, build_time
 from .errors import ConfigError, ParafreqError
 from .evolution import evolve_cn, evolve_exact, evolve_perturbed, gauge_transform
-from .frequency import (
-    check_general_frequency,
-    check_general_lower_bound,
-    check_gradient_only,
-    check_hadamard_bound,
-    check_log_convexity,
-    check_rigidity,
-    check_u_monotone,
-    default_tolerance,
-    frequency_trace,
-    vanishing_order_surrogate,
-)
+from .frequency import default_tolerance, frequency_trace
 from .operators import assemble, eigenpairs
 from .reports import (
     write_poon_csv,
@@ -65,28 +51,9 @@ def _out_dir(args, config: ExperimentConfig | None = None) -> Path:
 def _run_trace_checks(config, traj, trace, op, tol_scale):
     reports = []
     for entry in config.checks:
-        name = entry["name"]
         tol = entry.get("tol")
-        if tol is None:
-            tol = default_tolerance(trace, tol_scale)
-        else:
-            tol = float(tol) * tol_scale
-        if name == "u-monotone":
-            reports.append(check_u_monotone(trace, tol))
-        elif name == "log-convexity":
-            reports.append(check_log_convexity(trace, tol / trace.dt**2))
-        elif name == "hadamard-bound":
-            reports.append(check_hadamard_bound(trace, tol))
-        elif name == "rigidity":
-            reports.append(check_rigidity(traj, tol, op))
-        elif name == "general-frequency":
-            reports.append(check_general_frequency(trace, entry.get("bound"), tol))
-        elif name == "general-lower-bound":
-            reports.append(check_general_lower_bound(trace, entry.get("bound"), tol))
-        elif name == "gradient-only":
-            reports.append(check_gradient_only(trace, entry.get("bound"), tol))
-        elif name == "vanishing-order":
-            reports.append(vanishing_order_surrogate(trace, float(entry.get("rate", 0.0))))
+        tol = default_tolerance(trace, tol_scale) if tol is None else float(tol) * tol_scale
+        reports.append(TRACE_CHECKS[entry["name"]](traj, trace, op, tol, entry))
     return reports
 
 
@@ -141,23 +108,12 @@ def run_eigen(config: ExperimentConfig, out_dir: Path, k: int, seed) -> int:
 
 def run_poon(out_dir: Path, seed, tol_scale: float) -> int:
     """Scaled-frequency curves and checks for the standard oracle set."""
-    s_grid = np.linspace(0.2, 3.0, 21)
-    reports = []
-    for name in ("constant", "linear", "caloric-quadratic"):
+    radii = np.exp(POON_S_GRID / 2.0)
+    for name in POON_ORACLES:
         oracle = make_oracle(name, 1)
-        radii = np.exp(s_grid / 2.0)
         h_vals = np.array([poon_h(oracle, r) for r in radii])
-        write_poon_csv(out_dir / f"poon_{name}.csv", s_grid, radii, h_vals)
-        reports.append(
-            check_poon_correspondence(oracle, s_grid, 1e-8 * tol_scale).renamed(
-                f"poon-correspondence/{name}"
-            )
-        )
-        reports.append(
-            check_poon_convexity(oracle, s_grid, 1e-8 * tol_scale).renamed(
-                f"poon-convexity/{name}"
-            )
-        )
+        write_poon_csv(out_dir / f"poon_{name}.csv", POON_S_GRID, radii, h_vals)
+    reports = poon_reports(1e-8 * tol_scale)
     write_report(out_dir / "report.json", reports, seed=seed, extra={"command": "poon"})
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK
 
@@ -260,13 +216,7 @@ def main(argv=None) -> int:
         if args.command == "poon":
             return run_poon(_out_dir(args), args.seed, args.tol_scale)
         if args.command == "sweep":
-            try:
-                raw = json.loads(Path(args.config).read_text())
-            except FileNotFoundError:
-                raise ConfigError(f"config file not found: {args.config}") from None
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from None
-            return run_sweep(raw, _out_dir(args), args.seed, args.tol_scale)
+            return run_sweep(load_json(args.config), _out_dir(args), args.seed, args.tol_scale)
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -18,20 +18,43 @@ from .core import CIRCLE, GAUSS_LINE, TORUS, Field, TimeGrid, WeightedGeometry
 from .errors import ConfigError
 from .evolution import GaugeSpec, PerturbationSpec
 from .expressions import compile_expression, evaluate_on_nodes
+from .frequency import (
+    check_general_frequency,
+    check_general_lower_bound,
+    check_gradient_only,
+    check_hadamard_bound,
+    check_log_convexity,
+    check_rigidity,
+    check_u_monotone,
+    vanishing_order_surrogate,
+)
 from .operators import DriftOperator, eigenpairs
 from .sampling import random_smooth_field
 
 INTEGRATORS = ("spectral-exact", "implicit-step")
-CHECK_NAMES = (
-    "u-monotone",
-    "log-convexity",
-    "hadamard-bound",
-    "rigidity",
-    "general-frequency",
-    "general-lower-bound",
-    "gradient-only",
-    "vanishing-order",
-)
+
+# config check name -> check(traj, trace, op, tol, entry); ``tol`` is resolved
+# by the caller, ``entry`` is the config entry with its optional number keys
+TRACE_CHECKS = {
+    "u-monotone": lambda traj, trace, op, tol, entry: check_u_monotone(trace, tol),
+    "log-convexity": lambda traj, trace, op, tol, entry: check_log_convexity(
+        trace, tol / trace.dt**2
+    ),
+    "hadamard-bound": lambda traj, trace, op, tol, entry: check_hadamard_bound(trace, tol),
+    "rigidity": lambda traj, trace, op, tol, entry: check_rigidity(traj, tol, op),
+    "general-frequency": lambda traj, trace, op, tol, entry: check_general_frequency(
+        trace, entry.get("bound"), tol
+    ),
+    "general-lower-bound": lambda traj, trace, op, tol, entry: check_general_lower_bound(
+        trace, entry.get("bound"), tol
+    ),
+    "gradient-only": lambda traj, trace, op, tol, entry: check_gradient_only(
+        trace, entry.get("bound"), tol
+    ),
+    "vanishing-order": lambda traj, trace, op, tol, entry: vanishing_order_surrogate(
+        trace, float(entry.get("rate") or 0.0), tol
+    ),
+}
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -216,14 +239,17 @@ class ExperimentConfig:
         checks = raw.get("checks", [])
         if not isinstance(checks, list):
             raise ConfigError("config.checks must be a list")
-        for entry in checks:
+        for i, entry in enumerate(checks):
             if not isinstance(entry, dict) or "name" not in entry:
                 raise ConfigError("config.checks entries need a 'name'")
-            if entry["name"] not in CHECK_NAMES:
+            if not isinstance(entry["name"], str) or entry["name"] not in TRACE_CHECKS:
                 raise ConfigError(
                     f"config.checks: unknown check {entry['name']!r} "
-                    f"(known: {', '.join(CHECK_NAMES)})"
+                    f"(known: {', '.join(TRACE_CHECKS)})"
                 )
+            for key in ("tol", "bound", "rate"):
+                if entry.get(key) is not None:
+                    _finite_real(entry[key], f"config.checks[{i}].{key}")
         return ExperimentConfig(
             geometry=geometry,
             initial=initial,
@@ -237,10 +263,14 @@ class ExperimentConfig:
 
     @staticmethod
     def load(path) -> "ExperimentConfig":
-        try:
-            raw = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
-        return ExperimentConfig.from_dict(raw)
+        return ExperimentConfig.from_dict(load_json(path))
+
+
+def load_json(path):
+    """Parse a JSON config file; a missing or malformed file is a ConfigError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from None

@@ -41,17 +41,17 @@ _CERT_SLACK = 1e-12
 
 
 def _sample_time_function(fn, times: np.ndarray, shape: tuple, name: str) -> np.ndarray:
-    """Sample a callable/array/scalar onto the grid; result has ``(K+1,) + shape``."""
+    """Sample a callable/array/scalar onto the grid; result has ``(K+1,) + shape``.
+
+    An array is broadcast against ``(K+1,) + shape``: one row per sample, or
+    one value for all of them.
+    """
     out = np.empty((times.size,) + shape)
     if callable(fn):
         for k, t in enumerate(times):
             out[k] = np.broadcast_to(np.asarray(fn(t), dtype=float), shape)
     else:
-        arr = np.asarray(fn, dtype=float)
-        if arr.shape == (times.size,) + shape:
-            out[:] = arr
-        else:
-            out[:] = np.broadcast_to(arr, shape)
+        out[:] = np.asarray(fn, dtype=float)
     if not np.all(np.isfinite(out)):
         raise InvalidInputError(f"{name} must be finite at every sample")
     return out
@@ -61,17 +61,42 @@ def _sample_time_function(fn, times: np.ndarray, shape: tuple, name: str) -> np.
 class PerturbationSpec:
     """Drift/potential perturbation ``b . grad u + c u`` with certified bound.
 
-    The sufficient sup-norm condition ``|b|, |c| <= C(t)`` is checked at every
-    sampled (node, time) pair at construction; gradient_only additionally
-    requires ``c == 0``.
+    Arrays are sampled per time: ``b`` (samples, nodes, dim), ``c`` (samples,
+    nodes), ``bound`` (samples,).  Construction checks the sufficient sup-norm
+    condition ``|b|, |c| <= C(t)`` at every sampled (node, time) pair, fills
+    in the tight certificate when ``bound`` is None, requires ``c == 0`` when
+    gradient_only, and makes the arrays read-only so the certificate holds.
     """
 
     geometry: WeightedGeometry
     grid: TimeGrid
     b: np.ndarray | None
     c: np.ndarray | None
-    bound: np.ndarray
+    bound: np.ndarray | None
     gradient_only: bool = False
+
+    def __post_init__(self):
+        times = self.grid.times
+        if self.gradient_only and self.c is not None and np.any(self.c != 0.0):
+            raise InvalidInputError("gradient_only perturbations require c == 0")
+        zero = np.zeros(times.size)
+        b_sup = zero if self.b is None else np.sqrt((self.b**2).sum(axis=2)).max(axis=1)
+        c_sup = zero if self.c is None else np.abs(self.c).max(axis=1)
+        if self.bound is None:
+            object.__setattr__(self, "bound", np.maximum(b_sup, c_sup))
+        else:
+            if np.any(self.bound < -_CERT_SLACK):
+                raise InvalidInputError("bound C(t) must be nonnegative")
+            bad = (b_sup > self.bound + _CERT_SLACK) | (c_sup > self.bound + _CERT_SLACK)
+            if np.any(bad):
+                k = int(np.argmax(bad))
+                raise CertificationFailureError(
+                    f"perturbation exceeds its certified bound at t={times[k]:.6g}: "
+                    f"sup|b|={b_sup[k]:.6g}, sup|c|={c_sup[k]:.6g}, C={self.bound[k]:.6g}"
+                )
+        for arr in (self.b, self.c, self.bound):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @staticmethod
     def build(
@@ -82,7 +107,7 @@ class PerturbationSpec:
         bound=None,
         gradient_only: bool = False,
     ) -> "PerturbationSpec":
-        """Sample, certify, and freeze a perturbation on a grid.
+        """Sample a perturbation on a grid; construction certifies it.
 
         ``b`` maps t to per-node coefficient vectors (nodes, dim), ``c`` maps
         t to per-node scalars; either may be an array over the whole grid, a
@@ -91,38 +116,12 @@ class PerturbationSpec:
         """
         times = grid.times
         nodes, dim = geometry.node_count, geometry.dim
-        b_arr = None if b is None else _sample_time_function(b, times, (nodes, dim), "b")
-        c_arr = None if c is None else _sample_time_function(c, times, (nodes,), "c")
-        if gradient_only and c_arr is not None and np.any(c_arr != 0.0):
-            raise InvalidInputError("gradient_only perturbations require c == 0")
-        b_sup = (
-            np.zeros(times.size)
-            if b_arr is None
-            else np.sqrt((b_arr**2).sum(axis=2)).max(axis=1)
-        )
-        c_sup = np.zeros(times.size) if c_arr is None else np.abs(c_arr).max(axis=1)
-        if bound is None:
-            bound_arr = np.maximum(b_sup, c_sup)
-        else:
-            bound_arr = _sample_time_function(bound, times, (), "bound")
-            if np.any(bound_arr < -_CERT_SLACK):
-                raise InvalidInputError("bound C(t) must be nonnegative")
-            bad = (b_sup > bound_arr + _CERT_SLACK) | (c_sup > bound_arr + _CERT_SLACK)
-            if np.any(bad):
-                k = int(np.argmax(bad))
-                raise CertificationFailureError(
-                    f"perturbation exceeds its certified bound at t={times[k]:.6g}: "
-                    f"sup|b|={b_sup[k]:.6g}, sup|c|={c_sup[k]:.6g}, C={bound_arr[k]:.6g}"
-                )
-        for arr in (b_arr, c_arr, bound_arr):
-            if arr is not None:
-                arr.setflags(write=False)
         return PerturbationSpec(
             geometry=geometry,
             grid=grid,
-            b=b_arr,
-            c=c_arr,
-            bound=bound_arr,
+            b=None if b is None else _sample_time_function(b, times, (nodes, dim), "b"),
+            c=None if c is None else _sample_time_function(c, times, (nodes,), "c"),
+            bound=None if bound is None else _sample_time_function(bound, times, (), "bound"),
             gradient_only=gradient_only,
         )
 
@@ -226,14 +225,6 @@ def evolve_perturbed(
         raise InvalidInputError(
             "perturbed flows are supported on flat geometries only (psi == 0)"
         )
-    b_sup = (
-        np.zeros(grid.times.size)
-        if pert.b is None
-        else np.sqrt((pert.b**2).sum(axis=2)).max(axis=1)
-    )
-    c_sup = np.zeros(grid.times.size) if pert.c is None else np.abs(pert.c).max(axis=1)
-    if np.any(b_sup > pert.bound + _CERT_SLACK) or np.any(c_sup > pert.bound + _CERT_SLACK):
-        raise CertificationFailureError("perturbation violates its certified bound")
     return Trajectory(
         grid=grid,
         geometry=op.geometry,

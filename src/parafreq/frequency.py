@@ -21,6 +21,7 @@ import scipy.integrate
 
 from .core import PROVENANCE_IMPLICIT, Trajectory
 from .errors import DegenerateTraceError, InvalidInputError
+from .evolution import _sample_time_function
 from .operators import DriftOperator, assemble
 from .reports import CheckReport, passing
 
@@ -127,7 +128,7 @@ def _nonvanishing(I: np.ndarray, times: np.ndarray) -> np.ndarray:
 def default_tolerance(trace: FrequencyTrace, scale: float = 1.0) -> float:
     """Provenance-aware tolerance: budgeted for stepped flows, tight otherwise."""
     if trace.provenance == PROVENANCE_IMPLICIT:
-        return 10.0 * scale * (trace.dt**2 + trace.length_scale**2) * (1.0 + abs(float(trace.U[0])))
+        return derivative_tolerance(trace, scale)
     return 1e-9 * scale
 
 
@@ -149,9 +150,7 @@ def _sample_bound(C, trace: FrequencyTrace) -> np.ndarray:
         if trace.certified_bound is None:
             raise InvalidInputError("no bound C(t): pass one or use a certified trace")
         return np.asarray(trace.certified_bound, dtype=float)
-    if callable(C):
-        return np.array([float(C(t)) for t in trace.times])
-    return np.broadcast_to(np.asarray(C, dtype=float), trace.times.shape).astype(float)
+    return _sample_time_function(C, trace.times, (), "bound")
 
 
 def check_u_monotone(trace: FrequencyTrace, tol: float | None = None) -> CheckReport:
@@ -396,14 +395,17 @@ def check_gradient_only(
     )
 
 
-def vanishing_order_surrogate(trace: FrequencyTrace, c: float) -> CheckReport:
+def vanishing_order_surrogate(
+    trace: FrequencyTrace, c: float, tol: float | None = None
+) -> CheckReport:
     """Finite-horizon vanishing-order report for ``exp(c t) I(t)``.
 
     Reports the extremes of the scaled trace and whether it stays above the
     growth-bound prediction ``exp(c t) I(a) exp(2 U(a) (t - a))`` at every
     sample.  No infinite-time claim is made.
     """
-    tol = default_tolerance(trace)
+    if tol is None:
+        tol = default_tolerance(trace)
     scaled_log = c * trace.times + np.log(trace.I)
     pred_log = (
         c * trace.times

@@ -16,10 +16,9 @@ import numpy as np
 
 from .caloric import (
     check_cov_residual,
-    check_poon_convexity,
-    check_poon_correspondence,
     cov_transform,
     make_oracle,
+    poon_reports,
     sample_grid,
     trajectory_from_cov,
 )
@@ -437,17 +436,7 @@ def caloric_reports(ctx: SuiteContext) -> list[CheckReport]:
                 oracles=len(oracle_set))
     )
 
-    s_grid = np.linspace(0.2, 3.0, 21)
-    for name in ("constant", "linear", "caloric-quadratic"):
-        oracle = make_oracle(name, 1)
-        reports.append(
-            check_poon_correspondence(oracle, s_grid, 1e-8).renamed(
-                f"poon-correspondence/{name}"
-            )
-        )
-        reports.append(
-            check_poon_convexity(oracle, s_grid, 1e-8).renamed(f"poon-convexity/{name}")
-        )
+    reports += poon_reports(1e-8)
 
     # caloric flows become drift eigenmode flows on the gauss line
     gl = ctx.gauss

@@ -96,6 +96,35 @@ class TestOracles:
         assert np.max(np.abs(oracle.u(pts, t) - expected)) < 1e-12
         assert np.max(np.abs(oracle.residual(pts, t))) < 1e-12
 
+    @pytest.mark.parametrize("complete", [True, False])
+    def test_polynomial_in_x_alone_matches_one_dimension(self, complete):
+        coeffs = [0.5, -1.0, 2.0, 0.0, 0.25]
+        params = {"coeffs": coeffs, "complete": complete}
+        line = make_oracle("custom-polynomial", 1, params)
+        plane = make_oracle(
+            "custom-polynomial", 2, dict(params, coeffs=[[c] for c in coeffs])
+        )
+        pts = np.array([[1.5, -2.0], [0.3, 0.7], [-1.1, 4.0]])
+        for t in (-0.4, np.array([-0.1, -0.5, -2.0])):
+            for name in ("u", "u_t", "lap"):
+                expected = getattr(line, name)(pts[:, :1], t)
+                assert np.array_equal(getattr(plane, name)(pts, t), expected)
+            grad = plane.grad(pts, t)
+            assert np.array_equal(grad[:, :1], line.grad(pts[:, :1], t))
+            assert not grad[:, 1].any()
+        assert plane.caloric == line.caloric == complete
+
+    def test_harmonic_polynomial_is_caloric(self):
+        # x^2 - y^2 and a linear 1D polynomial padded with zeros have lap == 0
+        saddle = {"coeffs": [[0, 0, -1], [0, 0, 0], [1, 0, 0]], "complete": False}
+        assert make_oracle("custom-polynomial", 2, saddle).caloric
+        padded = {"coeffs": [1, 2, 0, 0], "complete": False}
+        assert make_oracle("custom-polynomial", 1, padded).caloric
+
+    def test_polynomial_needs_one_axis_per_coordinate(self):
+        with pytest.raises(InvalidInputError):
+            make_oracle("custom-polynomial", 1, {"coeffs": [[1.0, 2.0], [3.0, 4.0]]})
+
     def test_unsupported_kind(self):
         with pytest.raises(InvalidInputError):
             make_oracle("wavelet", 1)

@@ -4,10 +4,13 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
+from parafreq.caloric import poon_reports
 from parafreq.cli import main
+from parafreq.config import TRACE_CHECKS
 
 TWO_PI = 2.0 * np.pi
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -28,6 +31,16 @@ def eigenmode_config():
             {"name": "rigidity", "tol": 1e-9},
             {"name": "hadamard-bound", "tol": 1e-9},
         ],
+    }
+
+
+def gradient_only_config():
+    return {
+        "geometry": {"kind": "circle", "nodes": 64, "length": TWO_PI},
+        "initial": {"kind": "expression", "expression": "sin(x)"},
+        "time": {"a": 0.0, "b": 1.0, "steps": 100},
+        "integrator": "implicit-step",
+        "perturbation": {"b": ["0.5"], "bound": 0.5, "gradient_only": True},
     }
 
 
@@ -98,17 +111,11 @@ class TestSimulate:
         assert np.max(np.abs(u_column - u_column[0])) < 1e-10
 
     def test_perturbed_run(self, tmp_path):
-        raw = {
-            "geometry": {"kind": "circle", "nodes": 64, "length": TWO_PI},
-            "initial": {"kind": "expression", "expression": "sin(x)"},
-            "time": {"a": 0.0, "b": 1.0, "steps": 100},
-            "integrator": "implicit-step",
-            "perturbation": {"b": ["0.5"], "bound": 0.5, "gradient_only": True},
-            "checks": [
-                {"name": "general-frequency", "bound": 0.5},
-                {"name": "gradient-only", "bound": 0.5},
-            ],
-        }
+        raw = gradient_only_config()
+        raw["checks"] = [
+            {"name": "general-frequency", "bound": 0.5},
+            {"name": "gradient-only", "bound": 0.5},
+        ]
         config = write_config(tmp_path / "c.json", raw)
         assert main(["--out", str(tmp_path / "out"), "simulate", "--config", config]) == 0
 
@@ -142,6 +149,61 @@ class TestSimulate:
         main(["--out", str(tmp_path / "b"), "--seed", "3", "simulate", "--config", config])
         for name in ("report.json", "trace.csv", "trajectory.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+BOUND_CHECKS = ("general-frequency", "general-lower-bound", "gradient-only")
+
+
+class TestCheckTable:
+    @pytest.mark.parametrize("name", sorted(TRACE_CHECKS))
+    def test_every_check_runs(self, tmp_path, name):
+        raw = gradient_only_config() if name in BOUND_CHECKS else eigenmode_config()
+        raw["checks"] = [{"name": name}]
+        config = write_config(tmp_path / "c.json", raw)
+        code = main(["--out", str(tmp_path / "out"), "simulate", "--config", config])
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [c["check"] for c in report["checks"]] == [name]
+        assert code == 0
+
+    def test_readme_lists_the_table(self):
+        text = README.read_text()
+        paragraph = text[text.index("Check names:"):]
+        listed = re.findall(r"`([^`]+)`", paragraph[: paragraph.index(".")])
+        assert listed == list(TRACE_CHECKS)
+
+    @pytest.mark.parametrize(
+        ("tol", "expected"), [(1e-30, 1e-30 * 5.0), (None, 1e-9 * 5.0)]
+    )
+    def test_vanishing_order_scales_its_tolerance(self, tmp_path, tol, expected):
+        raw = eigenmode_config()
+        raw["checks"] = [{"name": "vanishing-order", "rate": 1.0, "tol": tol}]
+        config = write_config(tmp_path / "c.json", raw)
+        argv = ["--out", str(tmp_path / "out"), "--tol-scale", "5", "simulate", "--config", config]
+        main(argv)
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["checks"][0]["tolerance"] == expected
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"name": "u-monotone", "tol": "abc"},
+            {"name": "u-monotone", "tol": True},
+            {"name": "u-monotone", "tol": float("nan")},
+            {"name": "general-frequency", "bound": "0.1*t"},
+            {"name": "general-frequency", "bound": [1, 2]},
+            {"name": "vanishing-order", "rate": "abc"},
+            {"name": ["u-monotone"]},
+        ],
+    )
+    def test_bad_entry_exits_1(self, tmp_path, capsys, entry):
+        raw = eigenmode_config()
+        raw["checks"] = [entry]
+        config = write_config(tmp_path / "c.json", raw)
+        code = main(["--out", str(tmp_path / "out"), "simulate", "--config", config])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("config error:")
+        assert "Traceback" not in captured.out + captured.err
 
 
 class TestNumericalFailures:
@@ -230,6 +292,11 @@ class TestPoonCommand:
         assert abs(h - 2.0 * radius**2) < 1e-12
         assert abs(logh - np.log(h)) < 1e-12
 
+    def test_report_matches_the_suite_loop(self, tmp_path):
+        assert main(["--out", str(tmp_path / "out"), "--tol-scale", "3", "poon"]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["checks"] == [r.to_dict() for r in poon_reports(1e-8 * 3.0)]
+
 
 class TestCheckCommand:
     def test_corrupted_operator_exits_2(self, tmp_path, capsys):
@@ -265,3 +332,11 @@ class TestSweep:
     def test_sweep_requires_entries(self, tmp_path):
         config = write_config(tmp_path / "c.json", {"base": eigenmode_config()})
         assert main(["--out", str(tmp_path / "out"), "sweep", "--config", config]) == 1
+
+    @pytest.mark.parametrize("text", [None, "{not json"])
+    def test_unreadable_sweep_config_exits_1(self, tmp_path, capsys, text):
+        path = tmp_path / "c.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["--out", str(tmp_path / "out"), "sweep", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -324,6 +325,31 @@ class TestPerturbedFlow:
                 b=lambda t: np.full((geom.node_count, 1), 0.5),
                 bound=0.3,
             )
+
+    def test_certified_at_construction(self, flat_circle_op):
+        geom = flat_circle_op.geometry
+        grid = TimeGrid(0.0, 1.0, 10)
+        spec = PerturbationSpec.build(
+            geom, grid, b=lambda t: np.full((geom.node_count, 1), 0.2), bound=0.3
+        )
+        big = np.full((grid.times.size, geom.node_count, 1), 0.5)
+        with pytest.raises(CertificationFailureError):
+            PerturbationSpec(geom, grid, b=big, c=None, bound=np.full(grid.times.size, 0.3))
+        with pytest.raises(CertificationFailureError):
+            dataclasses.replace(spec, b=big)
+        with pytest.raises(InvalidInputError):
+            dataclasses.replace(spec, c=np.full((grid.times.size, geom.node_count), 0.1),
+                                gradient_only=True)
+
+    def test_omitted_bound_is_the_tight_certificate(self, flat_circle_op):
+        geom = flat_circle_op.geometry
+        grid = TimeGrid(0.0, 1.0, 10)
+        b = np.multiply.outer(grid.times, np.sin(geom.coords))
+        c = np.full((grid.times.size, geom.node_count), 0.25)
+        spec = PerturbationSpec(geom, grid, b=b, c=c, bound=None)
+        assert np.array_equal(spec.bound, np.maximum(np.abs(b).max(axis=(1, 2)), 0.25))
+        assert not any(arr.flags.writeable for arr in (spec.b, spec.c, spec.bound))
+        assert np.array_equal(PerturbationSpec.build(geom, grid, b=b, c=c).bound, spec.bound)
 
     def test_gradient_only_requires_zero_potential(self, flat_circle_op):
         geom = flat_circle_op.geometry

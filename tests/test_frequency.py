@@ -24,6 +24,7 @@ from parafreq import (
     weighted_inner,
 )
 from parafreq.core import ModalExpansion
+from parafreq.frequency import derivative_tolerance
 from parafreq.errors import DegenerateTraceError, InvalidInputError
 
 TWO_PI = 2.0 * np.pi
@@ -277,6 +278,11 @@ class TestHadamardBound:
         assert rep.passed
         assert abs(rep.margin) < 1e-10
 
+    def test_vanishing_order_tolerance(self, two_mode):
+        _, trace = two_mode
+        assert vanishing_order_surrogate(trace, 0.0).tolerance == default_tolerance(trace)
+        assert vanishing_order_surrogate(trace, 0.0, 1e-3).tolerance == 1e-3
+
     def test_vanishing_order_zero_rate_reports_i(self, two_mode):
         _, trace = two_mode
         rep = vanishing_order_surrogate(trace, 0.0)
@@ -410,3 +416,14 @@ class TestPerturbedChecks:
         h = TWO_PI / 128
         expected = 10.0 * (0.01**2 + h**2) * (1.0 + abs(trace.U[0]))
         assert abs(default_tolerance(trace) - expected) < 1e-12
+        for scale in (1.0, 3.7):
+            assert default_tolerance(trace, scale) == derivative_tolerance(trace, scale)
+
+    def test_bound_forms_agree(self, advection):
+        constant = check_general_frequency(advection, 0.5)
+        forms = (lambda t: 0.5, np.full(advection.samples, 0.5), np.float64(0.5), [0.5])
+        for form in forms:
+            assert check_general_frequency(advection, form).to_dict() == constant.to_dict()
+        assert check_general_frequency(advection).margin == constant.margin  # certificate
+        with pytest.raises(InvalidInputError):
+            check_general_frequency(advection, lambda t: np.inf)
