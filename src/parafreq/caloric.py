@@ -9,7 +9,7 @@ exact on polynomial data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -110,38 +110,20 @@ def make_oracle(kind: str, n: int = 1, params: dict | None = None) -> HeatOracle
     params = dict(params or {})
     if n not in (1, 2):
         raise InvalidInputError("oracle dimension must be 1 or 2")
-    if kind == "constant":
-        value = float(params.get("value", 1.0))
-        return HeatOracle(
-            kind=kind,
-            n=n,
-            u=lambda x, t: np.full(_points(x, n).shape[0], value),
-            u_t=lambda x, t: np.zeros(_points(x, n).shape[0]),
-            grad=lambda x, t: np.zeros(_points(x, n).shape),
-            lap=lambda x, t: np.zeros(_points(x, n).shape[0]),
-        )
-    if kind == "linear":
-        coeffs = np.broadcast_to(
-            np.asarray(params.get("coeffs", [1.0] + [0.0] * (n - 1)), dtype=float), (n,)
-        ).copy()
-        offset = float(params.get("offset", 0.0))
-        return HeatOracle(
-            kind=kind,
-            n=n,
-            u=lambda x, t: _points(x, n) @ coeffs + offset,
-            u_t=lambda x, t: np.zeros(_points(x, n).shape[0]),
-            grad=lambda x, t: np.broadcast_to(coeffs, _points(x, n).shape).copy(),
-            lap=lambda x, t: np.zeros(_points(x, n).shape[0]),
-        )
-    if kind == "caloric-quadratic":
-        return HeatOracle(
-            kind=kind,
-            n=n,
-            u=lambda x, t: (_points(x, n) ** 2).sum(axis=1) + 2.0 * n * np.asarray(t),
-            u_t=lambda x, t: np.full(_points(x, n).shape[0], 2.0 * n),
-            grad=lambda x, t: 2.0 * _points(x, n),
-            lap=lambda x, t: np.full(_points(x, n).shape[0], 2.0 * n),
-        )
+    degree = {"constant": 0, "linear": 1, "caloric-quadratic": 2}.get(kind)
+    if degree is not None:
+        coeffs = np.zeros((degree + 1,) * n)
+        axes = np.eye(n, dtype=int)
+        if kind == "constant":
+            coeffs[(0,) * n] = float(params.get("value", 1.0))
+        elif kind == "linear":
+            coeffs[(0,) * n] = float(params.get("offset", 0.0))
+            coeffs[tuple(axes)] = np.broadcast_to(
+                np.asarray(params.get("coeffs", [1.0] + [0.0] * (n - 1)), dtype=float), (n,)
+            )
+        else:
+            coeffs[tuple(2 * axes)] = 1.0
+        return replace(_polynomial_oracle(n, coeffs, complete=True), kind=kind)
     if kind == "heat-kernel":
         t0 = float(params.get("time_offset", 1.0))
         if t0 <= 0.0:
@@ -242,14 +224,11 @@ def cov_transform(oracle: HeatOracle) -> CovSolution:
 
 
 def sample_grid(n: int, x_lim: float = 3.0, s_range=(0.2, 3.0), points: int = 20):
-    """A (points x points) tensor sample of (x, s) pairs for residual checks."""
+    """A tensor sample of (x, s) pairs, ``points`` per axis, for residual checks."""
     xs = np.linspace(-x_lim, x_lim, points)
     ss = np.linspace(s_range[0], s_range[1], points)
-    if n == 1:
-        xg, sg = np.meshgrid(xs, ss, indexing="ij")
-        return xg.ravel()[:, None], sg.ravel()
-    xg, yg, sg = np.meshgrid(xs, xs, ss, indexing="ij")
-    return np.column_stack([xg.ravel(), yg.ravel()]), sg.ravel()
+    *xg, sg = np.meshgrid(*[xs] * n, ss, indexing="ij")
+    return np.column_stack([g.ravel() for g in xg]), sg.ravel()
 
 
 def check_cov_residual(cov: CovSolution, points, tol: float = 1e-10) -> CheckReport:
@@ -269,10 +248,9 @@ def check_cov_residual(cov: CovSolution, points, tol: float = 1e-10) -> CheckRep
 
 def _gh_points(order: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     y, w = np.polynomial.hermite.hermgauss(order)
-    if n == 1:
-        return y[:, None], w
-    ya, yb = np.meshgrid(y, y, indexing="ij")
-    return np.column_stack([ya.ravel(), yb.ravel()]), np.outer(w, w).ravel()
+    pts = np.meshgrid(*[y] * n, indexing="ij")
+    wts = np.meshgrid(*[w] * n, indexing="ij")
+    return np.column_stack([p.ravel() for p in pts]), np.prod(wts, axis=0).ravel()
 
 
 def poon_h(oracle: HeatOracle, radius: float, order: int = 64) -> float:

@@ -8,7 +8,6 @@ run; identical config and seed produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import copy
 import sys
 from pathlib import Path
 
@@ -16,12 +15,12 @@ import numpy as np
 
 from .caloric import POON_ORACLES, POON_S_GRID, make_oracle, poon_h, poon_reports
 from .config import (
-    TRACE_CHECKS, ExperimentConfig, build_gauge, build_geometry, build_initial,
-    build_perturbation, build_time, load_json,
+    ExperimentConfig, build_gauge, build_geometry, build_initial, build_perturbation,
+    build_time, load_json, run_trace_checks, sweep_configs,
 )
 from .errors import ConfigError, ParafreqError
 from .evolution import evolve_cn, evolve_exact, evolve_perturbed, gauge_transform
-from .frequency import default_tolerance, frequency_trace
+from .frequency import frequency_trace
 from .operators import assemble, eigenpairs
 from .reports import (
     write_poon_csv,
@@ -48,15 +47,6 @@ def _out_dir(args, config: ExperimentConfig | None = None) -> Path:
     return out
 
 
-def _run_trace_checks(config, traj, trace, op, tol_scale):
-    reports = []
-    for entry in config.checks:
-        tol = entry.get("tol")
-        tol = default_tolerance(trace, tol_scale) if tol is None else float(tol) * tol_scale
-        reports.append(TRACE_CHECKS[entry["name"]](traj, trace, op, tol, entry))
-    return reports
-
-
 def run_simulate(config: ExperimentConfig, out_dir: Path, seed, tol_scale: float) -> int:
     geometry = build_geometry(config.geometry)
     op = assemble(geometry)
@@ -72,7 +62,7 @@ def run_simulate(config: ExperimentConfig, out_dir: Path, seed, tol_scale: float
     if config.gauge is not None:
         traj = gauge_transform(traj, build_gauge(config.gauge))
     trace = frequency_trace(traj, op)
-    reports = _run_trace_checks(config, traj, trace, op, tol_scale)
+    reports = run_trace_checks(config.checks, traj, trace, op, tol_scale)
     write_trajectory_csv(out_dir / "trajectory.csv", traj)
     write_trace_csv(out_dir / "trace.csv", trace)
     write_report(
@@ -119,26 +109,14 @@ def run_poon(out_dir: Path, seed, tol_scale: float) -> int:
 
 
 def run_sweep(raw_config: dict, out_dir: Path, seed, tol_scale: float) -> int:
-    base = raw_config.get("base")
-    entries = raw_config.get("sweep")
-    if not isinstance(base, dict) or not isinstance(entries, list) or not entries:
-        raise ConfigError("sweep configs need a 'base' object and a nonempty 'sweep' list")
+    runs = sweep_configs(raw_config)
     worst = EXIT_OK
     summary = []
-    for entry in entries:
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise ConfigError("sweep entries need a 'name'")
-        merged = copy.deepcopy(base)
-        for key, value in entry.get("overrides", {}).items():
-            node = merged
-            parts = key.split(".")
-            for part in parts[:-1]:
-                node = node.setdefault(part, {})
-            node[parts[-1]] = value
-        sub_dir = out_dir / str(entry["name"])
+    for name, config in runs.items():
+        sub_dir = out_dir / name
         sub_dir.mkdir(parents=True, exist_ok=True)
-        code = run_simulate(ExperimentConfig.from_dict(merged), sub_dir, seed, tol_scale)
-        summary.append({"name": str(entry["name"]), "exit": code})
+        code = run_simulate(config, sub_dir, seed, tol_scale)
+        summary.append({"name": name, "exit": code})
         worst = max(worst, code)
     write_report(
         out_dir / "report.json",

@@ -8,6 +8,7 @@ descriptors must carry a seed so runs stay reproducible.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +20,7 @@ from .errors import ConfigError
 from .evolution import GaugeSpec, PerturbationSpec
 from .expressions import compile_expression, evaluate_on_nodes
 from .frequency import (
+    FrequencyTrace,
     check_general_frequency,
     check_general_lower_bound,
     check_gradient_only,
@@ -26,6 +28,7 @@ from .frequency import (
     check_log_convexity,
     check_rigidity,
     check_u_monotone,
+    default_tolerance,
     vanishing_order_surrogate,
 )
 from .operators import DriftOperator, eigenpairs
@@ -34,7 +37,7 @@ from .sampling import random_smooth_field
 INTEGRATORS = ("spectral-exact", "implicit-step")
 
 # config check name -> check(traj, trace, op, tol, entry); ``tol`` is resolved
-# by the caller, ``entry`` is the config entry with its optional number keys
+# by run_trace_checks, ``entry`` is the config entry with its optional number keys
 TRACE_CHECKS = {
     "u-monotone": lambda traj, trace, op, tol, entry: check_u_monotone(trace, tol),
     "log-convexity": lambda traj, trace, op, tol, entry: check_log_convexity(
@@ -57,15 +60,35 @@ TRACE_CHECKS = {
 }
 
 
+def check_tolerance(entry: dict, trace: FrequencyTrace, tol_scale: float) -> float:
+    """The entry's ``tol`` times ``tol_scale``, or the trace's provenance-aware default."""
+    tol = entry.get("tol")
+    return default_tolerance(trace, tol_scale) if tol is None else float(tol) * tol_scale
+
+
+def run_trace_checks(entries, traj, trace, op, tol_scale: float) -> list:
+    """Run config check entries on one traced flow, in order."""
+    return [
+        TRACE_CHECKS[entry["name"]](traj, trace, op, check_tolerance(entry, trace, tol_scale), entry)
+        for entry in entries
+    ]
+
+
+def _object(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context}: expected an object, got {value!r}")
+    return value
+
+
 def _require(mapping: dict, key: str, context: str):
     if key not in mapping:
         raise ConfigError(f"{context}: missing required field {key!r}")
     return mapping[key]
 
 
-def _positive_int(value, context: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-        raise ConfigError(f"{context}: expected a positive integer, got {value!r}")
+def _integer(value, context: str, least: int = 1) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ConfigError(f"{context}: expected an integer >= {least}, got {value!r}")
     return value
 
 
@@ -87,14 +110,14 @@ def build_geometry(spec: dict) -> WeightedGeometry:
 
     kind = _require(spec, "kind", "geometry")
     if kind == CIRCLE:
-        nodes = _positive_int(_require(spec, "nodes", "geometry"), "geometry.nodes")
+        nodes = _integer(_require(spec, "nodes", "geometry"), "geometry.nodes")
         length = _finite_real(_require(spec, "length", "geometry"), "geometry.length")
         base = make_circle(nodes, length)
         phi = _node_values(spec.get("phi", 0.0), base.coords, "geometry.phi")
         return make_circle(nodes, length, phi)
     if kind == TORUS:
-        nx = _positive_int(_require(spec, "nx", "geometry"), "geometry.nx")
-        ny = _positive_int(_require(spec, "ny", "geometry"), "geometry.ny")
+        nx = _integer(_require(spec, "nx", "geometry"), "geometry.nx")
+        ny = _integer(_require(spec, "ny", "geometry"), "geometry.ny")
         lx = _finite_real(_require(spec, "lx", "geometry"), "geometry.lx")
         ly = _finite_real(_require(spec, "ly", "geometry"), "geometry.ly")
         base = make_torus(nx, ny, lx, ly)
@@ -102,7 +125,7 @@ def build_geometry(spec: dict) -> WeightedGeometry:
         psi = _node_values(spec.get("psi", 0.0), base.coords, "geometry.psi")
         return make_torus(nx, ny, lx, ly, phi, psi)
     if kind == GAUSS_LINE:
-        order = _positive_int(_require(spec, "order", "geometry"), "geometry.order")
+        order = _integer(_require(spec, "order", "geometry"), "geometry.order")
         return make_gauss_line(order)
     raise ConfigError(f"geometry: unknown kind {kind!r}")
 
@@ -110,7 +133,7 @@ def build_geometry(spec: dict) -> WeightedGeometry:
 def build_time(spec: dict) -> TimeGrid:
     a = _finite_real(_require(spec, "a", "time"), "time.a")
     b = _finite_real(_require(spec, "b", "time"), "time.b")
-    steps = _positive_int(_require(spec, "steps", "time"), "time.steps")
+    steps = _integer(_require(spec, "steps", "time"), "time.steps")
     if a >= b:
         raise ConfigError("time: requires a < b")
     return TimeGrid(a, b, steps)
@@ -120,26 +143,26 @@ def build_initial(spec: dict, geometry: WeightedGeometry, op: DriftOperator) -> 
     kind = _require(spec, "kind", "initial")
     if kind == "expression":
         text = _require(spec, "expression", "initial")
-        exprs = [text] if isinstance(text, str) else list(text)
+        exprs = [text] if isinstance(text, str) else text
+        if not isinstance(exprs, list) or not exprs:
+            raise ConfigError("initial.expression: expected a string or a nonempty list")
         values = np.column_stack(
             [_node_values(e, geometry.coords, "initial.expression") for e in exprs]
         )
         return Field(geometry, values)
     if kind == "eigenmode":
-        index = spec.get("index", 0)
-        if not isinstance(index, int) or index < 0:
-            raise ConfigError("initial.index: expected a nonnegative integer")
+        index = _integer(spec.get("index", 0), "initial.index", least=0)
         pairs = eigenpairs(op, index + 1)
         return pairs[index].eigenfield
     if kind == "random":
         if "seed" not in spec:
             raise ConfigError("initial: random descriptors require a seed")
-        rng = np.random.default_rng(int(spec["seed"]))
+        rng = np.random.default_rng(_integer(spec["seed"], "initial.seed", least=0))
         return random_smooth_field(
             geometry,
             rng,
-            max_mode=int(spec.get("max_mode", 4)),
-            components=int(spec.get("components", 1)),
+            max_mode=_integer(spec.get("max_mode", 4), "initial.max_mode", least=0),
+            components=_integer(spec.get("components", 1), "initial.components"),
             zero_mean=bool(spec.get("zero_mean", False)),
         )
     raise ConfigError(f"initial: unknown kind {kind!r}")
@@ -223,19 +246,22 @@ class ExperimentConfig:
     def from_dict(raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config root must be an object")
-        geometry = _require(raw, "geometry", "config")
-        initial = _require(raw, "initial", "config")
-        time = _require(raw, "time", "config")
+        geometry = _object(_require(raw, "geometry", "config"), "config.geometry")
+        initial = _object(_require(raw, "initial", "config"), "config.initial")
+        time = _object(_require(raw, "time", "config"), "config.time")
         integrator = raw.get("integrator", "spectral-exact")
         if integrator not in INTEGRATORS:
             raise ConfigError(
                 f"config.integrator: expected one of {INTEGRATORS}, got {integrator!r}"
             )
         perturbation = raw.get("perturbation")
-        if perturbation is not None and integrator != "implicit-step":
-            raise ConfigError(
-                "config: perturbations require the implicit-step integrator"
-            )
+        if perturbation is not None:
+            _object(perturbation, "config.perturbation")
+            if integrator != "implicit-step":
+                raise ConfigError("config: perturbations require the implicit-step integrator")
+        output = raw.get("output")
+        if output is not None and not isinstance(output, str):
+            raise ConfigError(f"config.output: expected a directory path, got {output!r}")
         checks = raw.get("checks", [])
         if not isinstance(checks, list):
             raise ConfigError("config.checks must be a list")
@@ -258,12 +284,45 @@ class ExperimentConfig:
             checks=tuple(checks),
             perturbation=perturbation,
             gauge=raw.get("gauge"),
-            output=raw.get("output"),
+            output=output,
         )
 
     @staticmethod
     def load(path) -> "ExperimentConfig":
         return ExperimentConfig.from_dict(load_json(path))
+
+
+def sweep_configs(raw) -> dict[str, ExperimentConfig]:
+    """Validate a sweep file into one config per entry name, in file order.
+
+    The file has a ``base`` config and a ``sweep`` list of ``{name, overrides}``
+    entries; each override key is a dotted path into the base.  A name names an
+    output directory, so it must be a nonempty string with no path separator,
+    other than ``.`` and ``..``, and unique.
+    """
+    raw = raw if isinstance(raw, dict) else {}
+    base, entries = raw.get("base"), raw.get("sweep")
+    if not isinstance(base, dict) or not isinstance(entries, list) or not entries:
+        raise ConfigError("sweep configs need a 'base' object and a nonempty 'sweep' list")
+    runs = {}
+    for entry in entries:
+        name = _object(entry, "sweep entry").get("name")
+        if not isinstance(name, str) or name in ("", ".", "..") or set(name) & set("/\\\0"):
+            raise ConfigError(
+                f"sweep entry name {name!r}: expected a nonempty string with no path "
+                "separator, other than '.' and '..'"
+            )
+        if name in runs:
+            raise ConfigError(f"sweep entry name {name!r} is used twice")
+        merged = copy.deepcopy(base)
+        for key, value in _object(entry.get("overrides", {}), f"sweep {name!r} overrides").items():
+            node = merged
+            parts = key.split(".")
+            for part in parts[:-1]:
+                node = _object(node.setdefault(part, {}), f"sweep {name!r} override {key!r}")
+            node[parts[-1]] = value
+        runs[name] = ExperimentConfig.from_dict(merged)
+    return runs
 
 
 def load_json(path):

@@ -327,6 +327,35 @@ class Trajectory:
         return tuple(Field(self.geometry, sample) for sample in self.values)
 
 
+def _periodic_grid(kind: str, shape, lengths, phi, psi) -> WeightedGeometry:
+    """Uniform periodic grid on a box of the given side lengths.
+
+    The measure is ``mu = prod(h) * exp(2*psi - phi)``.  Each node has one
+    edge per axis to its periodic successor; the edge along an axis carries
+    ``exp(-phi_mid) / (h_axis / prod(other h))``, with phi interpolated
+    linearly to the midpoint.
+    """
+    h = tuple(length / n for length, n in zip(lengths, shape))
+    index = np.meshgrid(*(np.arange(n) for n in shape), indexing="ij")
+    coords = np.column_stack([(i * step).ravel() for i, step in zip(index, h)])
+    nodes = coords.shape[0]
+    phi_arr = _as_node_array(phi, nodes, "phi")
+    psi_arr = _as_node_array(psi, nodes, "psi")
+    flat = np.arange(nodes).reshape(shape)
+    edge_i = np.tile(flat.ravel(), len(shape))
+    edge_j = np.concatenate([np.roll(flat, -1, axis).ravel() for axis in range(len(shape))])
+    phi_mid = 0.5 * (phi_arr[edge_i] + phi_arr[edge_j])
+    ratio = np.repeat([step / np.prod(h[:a] + h[a + 1:]) for a, step in enumerate(h)], nodes)
+    stencil = _PeriodicStencil(
+        shape=shape, spacings=h, edge_i=edge_i, edge_j=edge_j,
+        edge_coef=np.exp(-phi_mid) / ratio,
+    )
+    return WeightedGeometry(
+        kind=kind, coords=coords, phi=phi_arr, psi=psi_arr,
+        mu=np.prod(h) * np.exp(2.0 * psi_arr - phi_arr), dim=len(shape), stencil=stencil,
+    )
+
+
 def make_circle(nodes: int, length: float, phi=0.0) -> WeightedGeometry:
     """Periodic uniform grid on a circle of the given length.
 
@@ -337,29 +366,7 @@ def make_circle(nodes: int, length: float, phi=0.0) -> WeightedGeometry:
         raise InvalidInputError("circle needs at least 4 nodes")
     if not (np.isfinite(length) and length > 0.0):
         raise InvalidInputError("length must be a positive real")
-    h = length / nodes
-    x = h * np.arange(nodes)
-    phi_arr = _as_node_array(phi, nodes, "phi")
-    mu = h * np.exp(-phi_arr)
-    idx = np.arange(nodes)
-    nxt = (idx + 1) % nodes
-    phi_mid = 0.5 * (phi_arr[idx] + phi_arr[nxt])
-    stencil = _PeriodicStencil(
-        shape=(nodes,),
-        spacings=(h,),
-        edge_i=idx,
-        edge_j=nxt,
-        edge_coef=np.exp(-phi_mid) / h,
-    )
-    return WeightedGeometry(
-        kind=CIRCLE,
-        coords=x[:, None],
-        phi=phi_arr,
-        psi=np.zeros(nodes),
-        mu=mu,
-        dim=1,
-        stencil=stencil,
-    )
+    return _periodic_grid(CIRCLE, (nodes,), (length,), phi, 0.0)
 
 
 def make_torus(nx: int, ny: int, lx: float, ly: float, phi=0.0, psi=0.0) -> WeightedGeometry:
@@ -373,39 +380,7 @@ def make_torus(nx: int, ny: int, lx: float, ly: float, phi=0.0, psi=0.0) -> Weig
         raise InvalidInputError("torus needs at least 4 nodes per direction")
     if not (np.isfinite(lx) and lx > 0.0 and np.isfinite(ly) and ly > 0.0):
         raise InvalidInputError("side lengths must be positive reals")
-    hx, hy = lx / nx, ly / ny
-    ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    coords = np.column_stack([(ix * hx).ravel(), (iy * hy).ravel()])
-    nodes = nx * ny
-    phi_arr = _as_node_array(phi, nodes, "phi")
-    psi_arr = _as_node_array(psi, nodes, "psi")
-    mu = hx * hy * np.exp(2.0 * psi_arr - phi_arr)
-
-    flat = np.arange(nodes).reshape(nx, ny)
-    ex_i, ex_j = flat.ravel(), np.roll(flat, -1, axis=0).ravel()
-    ey_i, ey_j = flat.ravel(), np.roll(flat, -1, axis=1).ravel()
-    edge_i = np.concatenate([ex_i, ey_i])
-    edge_j = np.concatenate([ex_j, ey_j])
-    phi_mid = 0.5 * (phi_arr[edge_i] + phi_arr[edge_j])
-    coef = np.concatenate(
-        [np.full(nodes, hy / hx), np.full(nodes, hx / hy)]
-    ) * np.exp(-phi_mid)
-    stencil = _PeriodicStencil(
-        shape=(nx, ny),
-        spacings=(hx, hy),
-        edge_i=edge_i,
-        edge_j=edge_j,
-        edge_coef=coef,
-    )
-    return WeightedGeometry(
-        kind=TORUS,
-        coords=coords,
-        phi=phi_arr,
-        psi=psi_arr,
-        mu=mu,
-        dim=2,
-        stencil=stencil,
-    )
+    return _periodic_grid(TORUS, (nx, ny), (lx, ly), phi, psi)
 
 
 def _gauss_basis(x: np.ndarray, count: int) -> np.ndarray:

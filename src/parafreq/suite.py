@@ -22,6 +22,7 @@ from .caloric import (
     sample_grid,
     trajectory_from_cov,
 )
+from .config import check_tolerance, run_trace_checks
 from .core import Field, TimeGrid, Trajectory, make_circle, make_gauss_line, make_torus
 from .evolution import GaugeSpec, PerturbationSpec, evolve_cn, evolve_exact, evolve_perturbed, gauge_transform
 from .frequency import (
@@ -29,13 +30,10 @@ from .frequency import (
     check_general_frequency,
     check_general_lower_bound,
     check_hadamard_bound,
-    check_log_convexity,
     check_rigidity,
     check_u_monotone,
-    default_tolerance,
     derivative_tolerance,
     frequency_trace,
-    vanishing_order_surrogate,
 )
 from .operators import DriftOperator, assemble, check_self_adjoint, eigenpairs
 from .reports import CheckReport, passing
@@ -138,6 +136,43 @@ def spectrum_reports(ctx: SuiteContext) -> list[CheckReport]:
     return reports
 
 
+# lanes: (report label, config check entry, report aux); a report is named
+# <label>/<geometry> and carries the entry's worst margin over the lane's flows
+SPECTRAL_LANE = (
+    ("monotone/spectral", {"name": "u-monotone", "tol": 1e-10},
+     {"fields": RANDOM_FIELDS_PER_GEOMETRY}),
+    ("log-convexity/spectral", {"name": "log-convexity", "tol": 1e-8}, {}),
+    ("hadamard/spectral", {"name": "hadamard-bound", "tol": 1e-9}, {}),
+    ("backward-bound/spectral", {"name": "vanishing-order", "tol": 1e-9}, {}),
+)
+STEPPED_LANE = (
+    ("monotone/stepped", {"name": "u-monotone"}, {}),
+    ("log-convexity/stepped", {"name": "log-convexity"}, {}),
+    ("backward-bound/stepped", {"name": "vanishing-order"}, {}),
+)
+CALORIC_LANE = (("caloric-flow-monotone", {"name": "u-monotone", "tol": 1e-9}, {}),)
+
+
+def _lane_reports(lane, flows, where: str, tol_scale: float) -> list[CheckReport]:
+    """Each entry's worst margin over ``flows`` ((traj, op) pairs, traced one at a time).
+
+    The report's tolerance is the largest one the entry resolved to: its pinned
+    ``tol`` times ``tol_scale``, or the largest per-flow default.
+    """
+    entries = [entry for _, entry, _ in lane]
+    margins = [np.inf] * len(lane)
+    tols = [-np.inf] * len(lane)
+    for traj, op in flows:
+        trace = frequency_trace(traj, op)
+        for k, rep in enumerate(run_trace_checks(entries, traj, trace, op, tol_scale)):
+            margins[k] = min(margins[k], rep.margin)
+            tols[k] = max(tols[k], check_tolerance(entries[k], trace, tol_scale))
+    return [
+        passing(f"{label}/{where}", margin, tol, **aux)
+        for (label, _, aux), margin, tol in zip(lane, margins, tols)
+    ]
+
+
 def monotonicity_reports(ctx: SuiteContext) -> list[CheckReport]:
     """Random-data log-convexity suite, spectral and stepped lanes."""
     reports = []
@@ -145,62 +180,12 @@ def monotonicity_reports(ctx: SuiteContext) -> list[CheckReport]:
     for name in ("circle", "torus"):
         op = ctx.operators[name]
         rng = _rng(ctx.seed, 3 if name == "circle" else 4)
-        spectral_margins = {"u": np.inf, "d2": np.inf, "hadamard": np.inf, "backward": np.inf}
-        stepped_margins = {"u": np.inf, "d2": np.inf, "backward": np.inf}
-        budget = -np.inf
-        for _ in range(RANDOM_FIELDS_PER_GEOMETRY):
-            u0 = random_smooth_field(op.geometry, rng)
-            trace = frequency_trace(evolve_exact(op, u0, grid), op)
-            spectral_margins["u"] = min(
-                spectral_margins["u"], check_u_monotone(trace, 1e-10).margin
-            )
-            spectral_margins["d2"] = min(
-                spectral_margins["d2"],
-                check_log_convexity(trace, 1e-8 / trace.dt**2).margin,
-            )
-            spectral_margins["hadamard"] = min(
-                spectral_margins["hadamard"], check_hadamard_bound(trace, 1e-9).margin
-            )
-            spectral_margins["backward"] = min(
-                spectral_margins["backward"],
-                vanishing_order_surrogate(trace, 0.0).margin,
-            )
-            cn_trace = frequency_trace(evolve_cn(op, u0, grid), op)
-            tol = default_tolerance(cn_trace, ctx.tol_scale)
-            budget = max(budget, tol)
-            stepped_margins["u"] = min(
-                stepped_margins["u"], check_u_monotone(cn_trace, tol).margin
-            )
-            stepped_margins["d2"] = min(
-                stepped_margins["d2"],
-                check_log_convexity(cn_trace, tol / cn_trace.dt**2).margin,
-            )
-            stepped_margins["backward"] = min(
-                stepped_margins["backward"],
-                vanishing_order_surrogate(cn_trace, 0.0).margin,
-            )
-        reports.append(
-            passing(f"monotone/spectral/{name}", spectral_margins["u"], 1e-10,
-                    fields=RANDOM_FIELDS_PER_GEOMETRY)
-        )
-        reports.append(
-            passing(f"log-convexity/spectral/{name}", spectral_margins["d2"], 1e-8)
-        )
-        reports.append(
-            passing(f"hadamard/spectral/{name}", spectral_margins["hadamard"], 1e-9)
-        )
-        reports.append(
-            passing(f"backward-bound/spectral/{name}", spectral_margins["backward"], 1e-9)
-        )
-        reports.append(
-            passing(f"monotone/stepped/{name}", stepped_margins["u"], budget)
-        )
-        reports.append(
-            passing(f"log-convexity/stepped/{name}", stepped_margins["d2"], budget)
-        )
-        reports.append(
-            passing(f"backward-bound/stepped/{name}", stepped_margins["backward"], budget)
-        )
+        fields = [random_smooth_field(op.geometry, rng) for _ in range(RANDOM_FIELDS_PER_GEOMETRY)]
+        # the spectral lane pins its tolerances, so --tol-scale leaves them alone
+        exact = ((evolve_exact(op, u0, grid), op) for u0 in fields)
+        reports += _lane_reports(SPECTRAL_LANE, exact, name, 1.0)
+        stepped = ((evolve_cn(op, u0, grid), op) for u0 in fields)
+        reports += _lane_reports(STEPPED_LANE, stepped, name, ctx.tol_scale)
     # negative control: reversing time makes U nonincreasing
     op = ctx.operators["flat-circle"]
     x = op.geometry.coords[:, 0]
@@ -439,18 +424,13 @@ def caloric_reports(ctx: SuiteContext) -> list[CheckReport]:
     reports += poon_reports(1e-8)
 
     # caloric flows become drift eigenmode flows on the gauss line
-    gl = ctx.gauss
     sgrid = TimeGrid(0.3, 2.3, 80)
-    worst_margin = np.inf
-    for key in ("linear", "caloric-quadratic", "cubic"):
-        traj = trajectory_from_cov(cov_transform(oracle_set[key]), gl, sgrid)
-        worst_margin = min(
-            worst_margin, check_u_monotone(frequency_trace(traj), 1e-9).margin
-        )
-    reports.append(
-        passing("caloric-flow-monotone/gauss-line", worst_margin, 1e-9)
+    flows = (
+        (trajectory_from_cov(cov_transform(oracle_set[key]), ctx.gauss, sgrid),
+         ctx.operators["gauss-line"])
+        for key in ("linear", "caloric-quadratic", "cubic")
     )
-    return reports
+    return reports + _lane_reports(CALORIC_LANE, flows, "gauss-line", 1.0)
 
 
 def gauge_reports(ctx: SuiteContext) -> list[CheckReport]:

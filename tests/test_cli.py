@@ -206,6 +206,41 @@ class TestCheckTable:
         assert "Traceback" not in captured.out + captured.err
 
 
+def with_initial(**initial):
+    return dict(eigenmode_config(), initial=initial)
+
+
+def sweep_entry(**entry):
+    return {"base": eigenmode_config(), "sweep": [{"name": "a", **entry}]}
+
+
+class TestConfigFaults:
+    @pytest.mark.parametrize(
+        ("command", "raw"),
+        [
+            ("simulate", with_initial(kind="random", seed="abc")),
+            ("simulate", with_initial(kind="random", seed=-1)),
+            ("simulate", with_initial(kind="random", seed=1, components=0)),
+            ("simulate", with_initial(kind="random", seed=1, max_mode="4")),
+            ("simulate", with_initial(kind="expression", expression=5)),
+            ("simulate", with_initial(kind="expression", expression=[])),
+            ("simulate", with_initial(kind="eigenmode", index=True)),
+            ("simulate", dict(gradient_only_config(), perturbation=[1])),
+            ("simulate", dict(eigenmode_config(), output=5)),
+            ("sweep", sweep_entry(overrides=[1])),
+            ("sweep", sweep_entry(overrides={"geometry.nodes.x": 1})),
+        ],
+    )
+    def test_bad_config_exits_1(self, tmp_path, capsys, monkeypatch, command, raw):
+        monkeypatch.chdir(tmp_path)  # "output" is honoured only without --out
+        config = write_config(tmp_path / "c.json", raw)
+        code = main([command, "--config", config])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("config error:")
+        assert "Traceback" not in captured.out + captured.err
+
+
 class TestNumericalFailures:
     def run(self, tmp_path, capsys, raw):
         config = write_config(tmp_path / "c.json", raw)
@@ -328,6 +363,18 @@ class TestSweep:
             assert (tmp_path / "out" / name / "report.json").exists()
         summary = json.loads((tmp_path / "out" / "report.json").read_text())
         assert [run["exit"] for run in summary["runs"]] == [0, 0]
+
+    @pytest.mark.parametrize("names", [["ABS"], [""], ["."], [".."], ["a/b"], [3], ["a", "a"]])
+    def test_sweep_names_stay_inside_out_and_are_unique(self, tmp_path, capsys, names):
+        outside = tmp_path / "outside"
+        names = [str(outside) if name == "ABS" else name for name in names]
+        raw = {"base": eigenmode_config(), "sweep": [{"name": name} for name in names]}
+        config = write_config(tmp_path / "c.json", raw)
+        code = main(["--out", str(tmp_path / "out"), "sweep", "--config", config])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not outside.exists()
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_sweep_requires_entries(self, tmp_path):
         config = write_config(tmp_path / "c.json", {"base": eigenmode_config()})

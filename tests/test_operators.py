@@ -203,6 +203,17 @@ class TestSpectrum:
         rel = np.abs(values - continuum) / (1.0 + np.abs(continuum))
         assert np.max(rel) < 1e-3
 
+    def test_non_square_torus_matches_its_symbol(self):
+        # distinct node counts and side lengths per axis: swapped spacings would show
+        nx, ny, lx, ly = 12, 20, TWO_PI, 3.0 * np.pi
+        op = assemble(make_torus(nx, ny, lx, ly))
+        hx, hy = lx / nx, ly / ny
+        kx, ky = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+        symbol = -4.0 / hx**2 * np.sin(np.pi * kx / nx) ** 2 - 4.0 / hy**2 * np.sin(np.pi * ky / ny) ** 2
+        values = op.eigensystem[0]
+        assert np.max(np.abs(np.sort(values) - np.sort(symbol.ravel()))) < 1e-10
+        assert check_self_adjoint(op, trials=50, seed=4).passed
+
     def test_ou_spectrum(self, gauss_line_op):
         pairs = eigenpairs(gauss_line_op, 6)
         expected = -0.5 * np.arange(6)
