@@ -10,6 +10,7 @@ exact on polynomial data.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -246,11 +247,17 @@ def check_cov_residual(cov: CovSolution, points, tol: float = 1e-10) -> CheckRep
     )
 
 
+@lru_cache(maxsize=None)
 def _gh_points(order: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor Gauss-Hermite nodes (order**n, n) and weights, read-only and cached."""
     y, w = np.polynomial.hermite.hermgauss(order)
     pts = np.meshgrid(*[y] * n, indexing="ij")
     wts = np.meshgrid(*[w] * n, indexing="ij")
-    return np.column_stack([p.ravel() for p in pts]), np.prod(wts, axis=0).ravel()
+    points = np.column_stack([p.ravel() for p in pts])
+    weights = np.prod(wts, axis=0).ravel()
+    points.setflags(write=False)
+    weights.setflags(write=False)
+    return points, weights
 
 
 def poon_h(oracle: HeatOracle, radius: float, order: int = 64) -> float:

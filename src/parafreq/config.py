@@ -92,6 +92,12 @@ def _integer(value, context: str, least: int = 1) -> int:
     return value
 
 
+def _boolean(value, context: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{context}: expected true or false, got {value!r}")
+    return value
+
+
 def _finite_real(value, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
         raise ConfigError(f"{context}: expected a finite number, got {value!r}")
@@ -163,7 +169,7 @@ def build_initial(spec: dict, geometry: WeightedGeometry, op: DriftOperator) -> 
             rng,
             max_mode=_integer(spec.get("max_mode", 4), "initial.max_mode", least=0),
             components=_integer(spec.get("components", 1), "initial.components"),
-            zero_mean=bool(spec.get("zero_mean", False)),
+            zero_mean=_boolean(spec.get("zero_mean", False), "initial.zero_mean"),
         )
     raise ConfigError(f"initial: unknown kind {kind!r}")
 
@@ -200,9 +206,9 @@ def build_perturbation(
     if b_spec is not None:
         if isinstance(b_spec, (str, int, float)):
             b_spec = [b_spec]
-        if len(b_spec) != geometry.dim:
+        if not isinstance(b_spec, list) or len(b_spec) != geometry.dim:
             raise ConfigError(
-                f"perturbation.b: expected {geometry.dim} component expression(s)"
+                f"perturbation.b: expected {geometry.dim} component expression(s), got {b_spec!r}"
             )
         samplers = [
             _space_time_expression(component, geometry.coords, "perturbation.b")
@@ -221,7 +227,7 @@ def build_perturbation(
         b=b,
         c=c,
         bound=bound,
-        gradient_only=bool(spec.get("gradient_only", False)),
+        gradient_only=_boolean(spec.get("gradient_only", False), "perturbation.gradient_only"),
     )
 
 

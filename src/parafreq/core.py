@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 import scipy.sparse
@@ -24,6 +25,9 @@ GAUSS_LINE = "gauss-line"
 PROVENANCE_SPECTRAL = "spectral-exact"
 PROVENANCE_IMPLICIT = "implicit-step"
 PROVENANCE_ANALYTIC = "analytic-oracle"
+
+# samples per chunk of WeightedGeometry.energy_batch
+_ENERGY_CHUNK = 32
 
 
 def _as_node_array(values, nodes: int, name: str) -> np.ndarray:
@@ -145,15 +149,23 @@ class WeightedGeometry:
         return float(np.sum(st.edge_coef[:, None] * du * dv))
 
     def energy_batch(self, stack: np.ndarray) -> np.ndarray:
-        """Dirichlet energies of a (samples, nodes, N) stack of field values."""
+        """Dirichlet energies of a (samples, nodes, N) stack of field values.
+
+        Periodic kinds difference ``_ENERGY_CHUNK`` samples at a time, so the
+        edge-difference temporaries stay small; each sample's sum is the same.
+        """
         if self.basis is not None:
             coeffs = np.einsum(
                 "nk,snc->skc", self.basis.basis, self.mu[None, :, None] * stack
             )
             return np.einsum("k,skc->s", -self.basis.rates, coeffs**2)
         st = self.stencil
-        du = stack[:, st.edge_j, :] - stack[:, st.edge_i, :]
-        return np.einsum("sec,e,sec->s", du, st.edge_coef, du)
+        out = np.empty(stack.shape[0])
+        for start in range(0, stack.shape[0], _ENERGY_CHUNK):
+            part = stack[start:start + _ENERGY_CHUNK]
+            du = part[:, st.edge_j, :] - part[:, st.edge_i, :]
+            out[start:start + _ENERGY_CHUNK] = np.einsum("sec,e,sec->s", du, st.edge_coef, du)
+        return out
 
     @cached_property
     def length_scale(self) -> float:
@@ -251,7 +263,10 @@ class Trajectory:
     finite once over the whole stack.  A spectral trajectory may carry its
     ``modal`` expansion instead; its ``values`` are then built on first access
     and cached, so a caller that needs only modal quantities (the frequency
-    trace) never materializes them.  ``fields`` is a derived tuple of
+    trace) never materializes them.  A stepped trajectory carries its
+    ``stepping`` instead: a callable that runs the steps (or hands over the
+    values a block stepping already made) on first access, when the finite
+    check also runs.  ``fields`` is a derived tuple of
     :class:`Field` views of ``values``, and the keyword form
     ``Trajectory(grid=..., fields=..., provenance=...)`` stacks given fields.
     """
@@ -262,6 +277,7 @@ class Trajectory:
     gradient_only: bool = False
     certified_bound: np.ndarray | None = None
     modal: ModalExpansion | None = None
+    stepping: Callable[[], np.ndarray] | None = None
 
     def __init__(
         self,
@@ -274,9 +290,13 @@ class Trajectory:
         geometry: WeightedGeometry | None = None,
         values: np.ndarray | None = None,
         modal: ModalExpansion | None = None,
+        stepping: Callable[[], np.ndarray] | None = None,
     ):
-        if (fields is None) + (values is None) + (modal is None) != 2:
-            raise InvalidInputError("a trajectory needs exactly one of fields, values or modal")
+        sources = (fields, values, modal, stepping)
+        if sum(source is not None for source in sources) != 1:
+            raise InvalidInputError(
+                "a trajectory needs exactly one of fields, values, modal or stepping"
+            )
         if fields is not None:
             if len(fields) != grid.steps + 1:
                 raise InvalidInputError("trajectory must hold one field per time sample")
@@ -289,7 +309,7 @@ class Trajectory:
                     )
             values = np.stack([f.values for f in fields])
         if geometry is None:
-            raise InvalidInputError("a trajectory built from values or modal data needs a geometry")
+            raise InvalidInputError("a trajectory built without fields needs a geometry")
         if provenance not in (
             PROVENANCE_SPECTRAL,
             PROVENANCE_IMPLICIT,
@@ -300,6 +320,7 @@ class Trajectory:
         vars(self).update(
             grid=grid, provenance=provenance, geometry=geometry,
             gradient_only=gradient_only, certified_bound=certified_bound, modal=modal,
+            stepping=stepping,
         )
         if values is not None:
             vars(self)["values"] = self._checked(values)
@@ -318,8 +339,10 @@ class Trajectory:
 
     @cached_property
     def values(self) -> np.ndarray:
-        """Field values at every sample, (samples, nodes, N); built once from ``modal``."""
-        return self._checked(self.modal.sample(self.grid.times - self.grid.a))
+        """Field values at every sample, (samples, nodes, N); built once from ``modal`` or ``stepping``."""
+        if self.modal is not None:
+            return self._checked(self.modal.sample(self.grid.times - self.grid.a))
+        return self._checked(self.stepping())
 
     @cached_property
     def fields(self) -> tuple[Field, ...]:

@@ -9,7 +9,10 @@ discretization budget ``10 * (dt^2 + h^2) * (1 + |U(a)|)``.
 A spectral trajectory is traced in closed form from its modal data: with
 ``w_k = |c_k|^2``, ``I(t) = sum_k w_k exp(2 lambda_k (t - a))`` and
 ``D(t) = sum_k lambda_k w_k exp(2 lambda_k (t - a))``, so its field values are
-never built.  Every other trajectory is traced from its value stack.
+never built.  Every other trajectory is traced from its value stack; a
+stepped trajectory's stack is built when the trace first reads it, by
+running its steps, unless a block stepping (``evolution._step_together``)
+has already filled it.
 """
 
 from __future__ import annotations

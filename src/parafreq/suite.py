@@ -24,7 +24,15 @@ from .caloric import (
 )
 from .config import check_tolerance, run_trace_checks
 from .core import Field, TimeGrid, Trajectory, make_circle, make_gauss_line, make_torus
-from .evolution import GaugeSpec, PerturbationSpec, evolve_cn, evolve_exact, evolve_perturbed, gauge_transform
+from .evolution import (
+    GaugeSpec,
+    PerturbationSpec,
+    _in_blocks,
+    evolve_cn,
+    evolve_exact,
+    evolve_perturbed,
+    gauge_transform,
+)
 from .frequency import (
     check_gradient_only,
     check_general_frequency,
@@ -153,20 +161,27 @@ STEPPED_LANE = (
 CALORIC_LANE = (("caloric-flow-monotone", {"name": "u-monotone", "tol": 1e-9}, {}),)
 
 
-def _lane_reports(lane, flows, where: str, tol_scale: float) -> list[CheckReport]:
-    """Each entry's worst margin over ``flows`` ((traj, op) pairs, traced one at a time).
+def _lane_reports(lane, flows, op, where: str, tol_scale: float) -> list[CheckReport]:
+    """Each entry's worst margin over ``flows`` (trajectories on ``op``, traced one at a time).
 
     The report's tolerance is the largest one the entry resolved to: its pinned
-    ``tol`` times ``tol_scale``, or the largest per-flow default.
+    ``tol`` times ``tol_scale``, or the largest per-flow default.  No flow is
+    held past its own checks, so a stepped block is freed before the next one.
     """
     entries = [entry for _, entry, _ in lane]
+
+    def checked(traj):
+        trace = frequency_trace(traj, op)
+        reports = run_trace_checks(entries, traj, trace, op, tol_scale)
+        return [(rep.margin, check_tolerance(entry, trace, tol_scale))
+                for entry, rep in zip(entries, reports)]
+
     margins = [np.inf] * len(lane)
     tols = [-np.inf] * len(lane)
-    for traj, op in flows:
-        trace = frequency_trace(traj, op)
-        for k, rep in enumerate(run_trace_checks(entries, traj, trace, op, tol_scale)):
-            margins[k] = min(margins[k], rep.margin)
-            tols[k] = max(tols[k], check_tolerance(entries[k], trace, tol_scale))
+    for results in map(checked, flows):
+        for k, (margin, tol) in enumerate(results):
+            margins[k] = min(margins[k], margin)
+            tols[k] = max(tols[k], tol)
     return [
         passing(f"{label}/{where}", margin, tol, **aux)
         for (label, _, aux), margin, tol in zip(lane, margins, tols)
@@ -182,10 +197,10 @@ def monotonicity_reports(ctx: SuiteContext) -> list[CheckReport]:
         rng = _rng(ctx.seed, 3 if name == "circle" else 4)
         fields = [random_smooth_field(op.geometry, rng) for _ in range(RANDOM_FIELDS_PER_GEOMETRY)]
         # the spectral lane pins its tolerances, so --tol-scale leaves them alone
-        exact = ((evolve_exact(op, u0, grid), op) for u0 in fields)
-        reports += _lane_reports(SPECTRAL_LANE, exact, name, 1.0)
-        stepped = ((evolve_cn(op, u0, grid), op) for u0 in fields)
-        reports += _lane_reports(STEPPED_LANE, stepped, name, ctx.tol_scale)
+        exact = (evolve_exact(op, u0, grid) for u0 in fields)
+        reports += _lane_reports(SPECTRAL_LANE, exact, op, name, 1.0)
+        stepped = _in_blocks(evolve_cn(op, u0, grid) for u0 in fields)
+        reports += _lane_reports(STEPPED_LANE, stepped, op, name, ctx.tol_scale)
     # negative control: reversing time makes U nonincreasing
     op = ctx.operators["flat-circle"]
     x = op.geometry.coords[:, 0]
@@ -211,17 +226,18 @@ def richardson_reports(ctx: SuiteContext, fields: int = 10) -> list[CheckReport]
     """Observed O(dt^2) shrinkage of the stepped-lane U trace under dt/2."""
     op = ctx.operators["circle"]
     rng = _rng(ctx.seed, 5)
-    coarse, fine = ctx.window, TimeGrid(0.0, 1.0, 400)
-    worst_ratio = np.inf
-    for _ in range(fields):
-        u0 = random_smooth_field(op.geometry, rng)
-        gap = {}
-        for label, grid in (("coarse", coarse), ("fine", fine)):
-            exact = frequency_trace(evolve_exact(op, u0, grid), op)
-            stepped = frequency_trace(evolve_cn(op, u0, grid), op)
-            gap[label] = float(np.max(np.abs(stepped.U - exact.U)))
-        if gap["fine"] > 0:
-            worst_ratio = min(worst_ratio, gap["coarse"] / gap["fine"])
+    starts = [random_smooth_field(op.geometry, rng) for _ in range(fields)]
+
+    def u_gap(u0, stepped):
+        exact = frequency_trace(evolve_exact(op, u0, stepped.grid), op)
+        return float(np.max(np.abs(frequency_trace(stepped, op).U - exact.U)))
+
+    gaps = {}
+    for label, grid in (("coarse", ctx.window), ("fine", TimeGrid(0.0, 1.0, 400))):
+        stepped = _in_blocks(evolve_cn(op, u0, grid) for u0 in starts)
+        gaps[label] = list(map(u_gap, starts, stepped))
+    ratios = [c / f for c, f in zip(gaps["coarse"], gaps["fine"]) if f > 0]
+    worst_ratio = min(ratios, default=np.inf)
     return [
         passing("richardson/stepped-u-trace", worst_ratio - 2.5, 0.0,
                 worst_ratio=worst_ratio, expected_ratio=4.0)
@@ -340,33 +356,35 @@ def perturbed_reports(ctx: SuiteContext) -> list[CheckReport]:
         check_general_lower_bound(trace, beta).renamed("general-lower-bound/advection")
     )
 
-    # random certified perturbations, half gradient-only
+    # random certified perturbations, half gradient-only, drawn and stepped a block at a time
     rng = _rng(ctx.seed, 6)
+
+    def random_flows():
+        for index in range(RANDOM_PERTURBATIONS):
+            pert = _random_perturbation(
+                geometry, grid, rng, amplitude=0.3, with_potential=index % 2 == 1
+            )
+            u0 = random_smooth_field(geometry, rng, zero_mean=True)
+            yield evolve_perturbed(op, u0, grid, pert)
+
+    def checked(traj):
+        trace = frequency_trace(traj, op)
+        tol = derivative_tolerance(trace, ctx.tol_scale)
+        lower = check_general_lower_bound(trace, None, tol)
+        gradient = check_gradient_only(trace, None, tol).margin if traj.gradient_only else np.inf
+        return (tol, check_general_frequency(trace, None, tol).margin, lower, gradient)
+
     margins = {"general": np.inf, "lower": np.inf, "gradient": np.inf}
     budget = -np.inf
     statement_margins = []
     proof_margins = []
-    for index in range(RANDOM_PERTURBATIONS):
-        gradient_only = index % 2 == 0
-        pert = _random_perturbation(
-            geometry, grid, rng, amplitude=0.3, with_potential=not gradient_only
-        )
-        u0 = random_smooth_field(geometry, rng, zero_mean=True)
-        traj = evolve_perturbed(op, u0, grid, pert)
-        trace = frequency_trace(traj, op)
-        tol = derivative_tolerance(trace, ctx.tol_scale)
+    for tol, general, lower, gradient in map(checked, _in_blocks(random_flows())):
         budget = max(budget, tol)
-        margins["general"] = min(
-            margins["general"], check_general_frequency(trace, None, tol).margin
-        )
-        lower = check_general_lower_bound(trace, None, tol)
+        margins["general"] = min(margins["general"], general)
         margins["lower"] = min(margins["lower"], lower.margin)
+        margins["gradient"] = min(margins["gradient"], gradient)
         statement_margins.append(lower.aux["statement_margin"])
         proof_margins.append(lower.aux["proof_margin"])
-        if gradient_only:
-            margins["gradient"] = min(
-                margins["gradient"], check_gradient_only(trace, None, tol).margin
-            )
     reports.append(
         passing("general-frequency/random-suite", margins["general"], budget,
                 perturbations=RANDOM_PERTURBATIONS)
@@ -426,11 +444,11 @@ def caloric_reports(ctx: SuiteContext) -> list[CheckReport]:
     # caloric flows become drift eigenmode flows on the gauss line
     sgrid = TimeGrid(0.3, 2.3, 80)
     flows = (
-        (trajectory_from_cov(cov_transform(oracle_set[key]), ctx.gauss, sgrid),
-         ctx.operators["gauss-line"])
+        trajectory_from_cov(cov_transform(oracle_set[key]), ctx.gauss, sgrid)
         for key in ("linear", "caloric-quadratic", "cubic")
     )
-    return reports + _lane_reports(CALORIC_LANE, flows, "gauss-line", 1.0)
+    return reports + _lane_reports(CALORIC_LANE, flows, ctx.operators["gauss-line"],
+                                   "gauss-line", 1.0)
 
 
 def gauge_reports(ctx: SuiteContext) -> list[CheckReport]:

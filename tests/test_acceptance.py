@@ -5,7 +5,9 @@ follow the documented model 10 * (dt^2 + h^2) * (1 + |U(a)|).  Run with
 ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion lines.
 """
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +32,23 @@ from parafreq.suite import (
 )
 from parafreq.suite import run_check_all
 
+# the benchmark's tracer and flow counters, imported as the benchmark runs them
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from layers import COUNTERS  # noqa: E402
+from tracing import Tracer, instrument  # noqa: E402
+from workloads import CheckAll  # noqa: E402
+
 _SHARED = {}
+
+
+@pytest.fixture(scope="module")
+def traced_check_all():
+    """One ``check all`` at seed 0 under the benchmark's tracer: (reports, counts, seconds)."""
+    tracer = Tracer()
+    t0 = time.time()
+    with instrument(tracer, COUNTERS):
+        reports = run_check_all(seed=0)
+    return reports, tracer.counts, time.time() - t0
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +218,7 @@ def test_criterion_09_gradient_only(ctx):
             ok, elapsed, 10.0)
 
 
-def test_criterion_10_backward_uniqueness_and_full_run(tmp_path):
+def test_criterion_10_backward_uniqueness_and_full_run(tmp_path, traced_check_all):
     reports = _SHARED.get("monotonicity")
     ok = True
     if reports is not None:
@@ -209,10 +227,17 @@ def test_criterion_10_backward_uniqueness_and_full_run(tmp_path):
             ok &= by_name[f"backward-bound/spectral/{geom}"].margin >= -1e-9
             stepped = by_name[f"backward-bound/stepped/{geom}"]
             ok &= stepped.margin >= -stepped.tolerance
-    t0 = time.time()
-    full = run_check_all(seed=0)
-    elapsed = time.time() - t0
+    full, _, elapsed = traced_check_all
     write_report(tmp_path / "acceptance-check-all.json", full, seed=0)
     ok &= all(r.passed for r in full)
     verdict(10, "I(b) never below its growth-bound prediction; check all exits 0",
             ok, elapsed, 120.0)
+
+
+def test_traced_check_all_counts_the_benchmark_flows(traced_check_all):
+    # every flow enters through one evolve_* call, however the suite steps them, so the
+    # benchmark's traced count equals the one node_steps_per_s is computed from
+    _, counts, _ = traced_check_all
+    got = (counts["evolution.flows"], counts["evolution.node_steps"])
+    workload = CheckAll()
+    assert got == (workload.flows(None), workload.node_steps(None)) == (311, 27327008)

@@ -16,6 +16,7 @@ from parafreq import (
     sample_grid,
     trajectory_from_cov,
 )
+from parafreq.caloric import _gh_points
 from parafreq.errors import InvalidInputError
 
 S_GRID = np.linspace(0.2, 3.0, 21)
@@ -228,6 +229,13 @@ class TestPoonFrequency:
         base = poon_h(oracle, 0.8, order=8)
         for order in (16, 32, 64):
             assert abs(poon_h(oracle, 0.8, order=order) / base - 1.0) < 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_quadrature_nodes_are_cached_read_only(self, n):
+        points, weights = _gh_points(64, n)
+        assert _gh_points(64, n)[0] is points
+        assert points.shape == (64**n, n) and weights.shape == (64**n,)
+        assert not points.flags.writeable and not weights.flags.writeable
 
     def test_invalid_radius(self):
         with pytest.raises(InvalidInputError):

@@ -229,6 +229,10 @@ class TestConfigFaults:
             ("simulate", dict(eigenmode_config(), output=5)),
             ("sweep", sweep_entry(overrides=[1])),
             ("sweep", sweep_entry(overrides={"geometry.nodes.x": 1})),
+            ("simulate", with_initial(kind="random", seed=1, zero_mean="no")),
+            ("simulate", with_initial(kind="random", seed=1, zero_mean=1)),
+            ("simulate", dict(gradient_only_config(), perturbation={"b": ["0.5"], "gradient_only": "no"})),
+            ("simulate", dict(gradient_only_config(), perturbation={"b": {"x": 1}})),
         ],
     )
     def test_bad_config_exits_1(self, tmp_path, capsys, monkeypatch, command, raw):

@@ -187,6 +187,16 @@ class TestDirichletEnergy:
 
         assert abs(torus_total(16) - torus_total(32)) < (TWO_PI / 16) ** 2
 
+    @pytest.mark.parametrize("geometry", ["weighted_circle", "conformal_torus"])
+    def test_energy_batch_chunks_keep_each_sample_bit_for_bit(self, request, geometry):
+        # 75 samples: two full chunks and a partial one, against the one-shot sum
+        geom = request.getfixturevalue(geometry)
+        stack = np.random.default_rng(34).standard_normal((75, geom.node_count, 2))
+        st = geom.stencil
+        du = stack[:, st.edge_j, :] - stack[:, st.edge_i, :]
+        expected = np.einsum("sec,e,sec->s", du, st.edge_coef, du)
+        assert np.array_equal(geom.energy_batch(stack), expected)
+
 
 class TestFieldAndGrids:
     def test_field_shape_validation(self, flat_circle):

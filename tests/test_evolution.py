@@ -23,11 +23,14 @@ from parafreq import (
     weighted_inner,
     weighted_norm,
 )
+from parafreq import evolution
 from parafreq.errors import (
     CertificationFailureError,
     DegenerateInputError,
     InvalidInputError,
 )
+from parafreq.evolution import _in_blocks, _step_together
+from parafreq.sampling import random_smooth_field
 
 TWO_PI = 2.0 * np.pi
 
@@ -252,14 +255,15 @@ class TestPerturbedFlow:
             assert np.array_equal(fa.values, fb.values)
 
     def test_non_finite_stack_rejected(self, flat_circle_op):
-        # an explicit potential of 1e300 overflows the stepped values to inf and nan
+        # an explicit potential of 1e300 overflows the stepped values to inf and nan;
+        # the steps, and so the finite check, run when the values are first read
         geom = flat_circle_op.geometry
         grid = TimeGrid(0.0, 1.0, 4)
         pert = PerturbationSpec.build(geom, grid, c=1e300)
         u0 = Field(geom, np.sin(geom.coords[:, 0]))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(InvalidInputError, match="values must be finite"):
-                evolve_perturbed(flat_circle_op, u0, grid, pert)
+                evolve_perturbed(flat_circle_op, u0, grid, pert).values
 
     def test_advection_preserves_flat_norm(self, flat_circle_op):
         # traveling wave: I(t) = pi * exp(2 rate t) for u0 = sin(kx)
@@ -397,6 +401,141 @@ class TestPerturbedFlow:
             geom, grid, b=lambda t: np.full((geom.node_count, 1), 0.2 * np.cos(t))
         )
         assert np.allclose(pert.bound, 0.2 * np.abs(np.cos(grid.times)))
+
+
+class TestBlockStepping:
+    """Flows stepped together as one block of columns keep the bits of one-flow stepping."""
+
+    @staticmethod
+    def recurrence(op, u0, grid, pert=None):
+        """The one-flow trapezoid recurrence written out, as stepped before blocks existed."""
+        solver, forward = op.trapezoid_factors(grid.dt)
+
+        def term(k, u):
+            out = np.zeros_like(u)
+            if pert.b is not None:
+                out += np.einsum("nd,ndc->nc", pert.b[k], op.geometry.gradient(u))
+            if pert.c is not None:
+                out += pert.c[k][:, None] * u
+            return out
+
+        u = u0.values
+        values = [u]
+        for k in range(grid.steps):
+            rhs = forward @ u
+            if pert is None:
+                u = solver.solve(rhs)
+            else:
+                p_old = term(k, u)
+                predictor = solver.solve(rhs + grid.dt * p_old)
+                u = solver.solve(rhs + grid.dt * (0.5 * (p_old + term(k + 1, predictor))))
+            values.append(u)
+        return np.stack(values)
+
+    @staticmethod
+    def flows(kind, request):
+        """(op, grid, [(u0, pert or None)]) of seven flows of one test case."""
+        rng = np.random.default_rng(41)
+        grid = TimeGrid(0.0, 0.5, 25)
+        if kind == "circle-two-components":
+            op = request.getfixturevalue("weighted_circle_op")
+            starts = [random_smooth_field(op.geometry, rng, components=2) for _ in range(7)]
+            return op, grid, [(u0, None) for u0 in starts]
+        if kind == "conformal-torus":
+            op = request.getfixturevalue("conformal_torus_op")
+            return op, grid, [(random_smooth_field(op.geometry, rng), None) for _ in range(7)]
+        if kind == "flat-torus-perturbed":
+            op = assemble(make_torus(16, 16, TWO_PI, TWO_PI))
+        else:
+            op = request.getfixturevalue("flat_circle_op")
+        geom = op.geometry
+        dim, x = geom.dim, geom.coords[:, 0]
+        b = lambda t: 0.3 * np.cos(x + t)[:, None] * np.ones(dim)
+        c = lambda t: 0.2 * np.sin(2.0 * x - t)
+        perts = [  # gradient-only, drift and potential, potential only, zero
+            PerturbationSpec.build(geom, grid, b=b, gradient_only=True),
+            PerturbationSpec.build(geom, grid, b=b, c=c),
+            PerturbationSpec.build(geom, grid, c=c),
+            PerturbationSpec.build(geom, grid, bound=0.0),
+        ]
+        # N alternates 1, 2; each N's flows take the perturbations in turn, so no
+        # block's members read the same in reverse
+        return op, grid, [
+            (random_smooth_field(geom, rng, components=1 + i % 2), perts[i // 2 % 4])
+            for i in range(7)
+        ]
+
+    @staticmethod
+    def evolve(op, grid, u0, pert):
+        return evolve_cn(op, u0, grid) if pert is None else evolve_perturbed(op, u0, grid, pert)
+
+    CASES = ["circle-two-components", "conformal-torus", "flat-circle-perturbed",
+             "flat-torus-perturbed"]
+
+    @pytest.mark.parametrize("kind", CASES)
+    def test_block_of_one_is_the_one_flow_recurrence(self, request, kind):
+        op, grid, flows = self.flows(kind, request)
+        for u0, pert in flows[:4]:
+            expected = self.recurrence(op, u0, grid, pert)
+            assert np.array_equal(self.evolve(op, grid, u0, pert).values, expected)
+
+    @pytest.mark.parametrize("kind", CASES)
+    def test_block_matches_one_flow_stepping(self, request, monkeypatch, kind):
+        op, grid, flows = self.flows(kind, request)
+        # a budget of three members each, so the seven flows of a group fill 3 + 3 + 1
+        sample_bytes = (grid.steps + 1) * op.geometry.node_count * 8
+        perturbed = flows[0][1] is not None
+        pert_bytes = 2 * sample_bytes * (op.geometry.dim + 1) if perturbed else 0
+        counts = {}
+        for u0, _ in flows:
+            counts[u0.components] = counts.get(u0.components, 0) + 1
+        trajs = [self.evolve(op, grid, u0, pert) for u0, pert in flows]
+        for components in counts:
+            budget = 3 * (sample_bytes * components + pert_bytes) + 1
+            monkeypatch.setattr(evolution, "_BLOCK_BYTES", budget)
+            _step_together([t for t in trajs if t.stepping.u0.shape[1] == components])
+        for traj, (u0, pert) in zip(trajs, flows):
+            assert "values" not in vars(traj)  # stepped, but not read yet
+            alone = self.evolve(op, grid, u0, pert).values
+            assert traj.values.flags.c_contiguous and not traj.values.flags.writeable
+            assert np.array_equal(traj.values, alone)
+        blocks = {}
+        for traj in trajs:
+            blocks[id(traj.values.base)] = blocks.get(id(traj.values.base), 0) + 1
+        expected = [min(3, k - i) for k in counts.values() for i in range(0, k, 3)]
+        assert sorted(blocks.values()) == sorted(expected)
+
+    def test_spectral_and_read_flows_are_left_alone(self, weighted_circle_op):
+        geom = weighted_circle_op.geometry
+        grid = TimeGrid(0.0, 0.5, 25)
+        u0 = Field(geom, np.sin(geom.coords[:, 0]))
+        exact = evolve_exact(weighted_circle_op, u0, grid)
+        read = evolve_cn(weighted_circle_op, u0, grid)
+        before = read.values
+        pending = evolve_cn(weighted_circle_op, u0, grid)
+        _step_together([exact, read, pending])
+        assert "values" not in vars(exact)
+        assert read.values is before
+        assert np.array_equal(pending.values, before)
+
+    def test_realizing_fifty_torus_flows_holds_one_block(self):
+        op = assemble(make_torus(32, 32, TWO_PI, TWO_PI))
+        grid = TimeGrid(0.0, 1.0, 200)
+        rng = np.random.default_rng(8)
+        starts = [random_smooth_field(op.geometry, rng) for _ in range(50)]
+        member_bytes = (grid.steps + 1) * op.geometry.node_count * 8
+        evolve_cn(op, starts[0], grid)  # factor I - dt/2 L before the traced window
+        tracemalloc.start()
+        try:
+            # map holds no trajectory past its call, so each block is dropped before the next
+            finals = list(map(lambda traj: traj.values[-1].copy(),
+                              _in_blocks(evolve_cn(op, u0, grid) for u0 in starts)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(finals) == 50
+        assert evolution._BLOCK_BYTES // member_bytes == 5
+        assert peak < 1.25 * evolution._BLOCK_BYTES  # two blocks would take 16.5 MB
 
 
 class TestGauge:
