@@ -59,59 +59,3 @@ from .suite import run_check_all
 from . import errors
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CIRCLE",
-    "GAUSS_LINE",
-    "TORUS",
-    "PROVENANCE_ANALYTIC",
-    "PROVENANCE_IMPLICIT",
-    "PROVENANCE_SPECTRAL",
-    "CheckReport",
-    "CovSolution",
-    "DriftOperator",
-    "EigenPair",
-    "Field",
-    "FrequencyTrace",
-    "GaugeSpec",
-    "HeatOracle",
-    "PerturbationSpec",
-    "TimeGrid",
-    "Trajectory",
-    "WeightedGeometry",
-    "assemble",
-    "check_cov_residual",
-    "check_general_frequency",
-    "check_general_lower_bound",
-    "check_gradient_only",
-    "check_hadamard_bound",
-    "check_log_convexity",
-    "check_poon_convexity",
-    "check_poon_correspondence",
-    "check_rigidity",
-    "check_self_adjoint",
-    "check_u_monotone",
-    "cov_transform",
-    "default_tolerance",
-    "dirichlet_energy",
-    "eigenpairs",
-    "energy_pairing",
-    "errors",
-    "evolve_cn",
-    "evolve_exact",
-    "evolve_perturbed",
-    "frequency_trace",
-    "gauge_transform",
-    "gauss_weighted_norm2",
-    "make_circle",
-    "make_gauss_line",
-    "make_oracle",
-    "make_torus",
-    "poon_h",
-    "run_check_all",
-    "sample_grid",
-    "trajectory_from_cov",
-    "vanishing_order_surrogate",
-    "weighted_inner",
-    "weighted_norm",
-]

@@ -1,8 +1,9 @@
 """Batch driver: simulate, check, eigen, poon, and sweep subcommands.
 
-Exit codes: 0 all configured checks pass, 1 configuration error, 2 check
-failure.  Outputs are CSV files with stable schemas plus one JSON report per
-run; identical config and seed produce identical bytes.
+Exit codes: 0 all configured checks pass, 1 configuration error, numerical
+failure or lack of memory, 2 check failure.  Outputs are CSV files with stable
+schemas plus one JSON report per run; identical config and seed produce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -201,6 +202,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ParafreqError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError:
+        print("error: out of memory; use a smaller grid or fewer time steps", file=sys.stderr)
         return EXIT_CONFIG
 
 

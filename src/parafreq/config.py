@@ -1,9 +1,12 @@
-"""Experiment configuration: schema validation and object construction.
+"""Experiment configuration: key tables, their reader, and object construction.
 
-A config is one JSON document (see README for the schema).  Weight exponents,
-initial data, perturbation coefficients, and the gauge rate are expression
-strings over the coordinate names ``x``, ``y`` and time ``t``; randomized
-descriptors must carry a seed so runs stay reproducible.
+A config is one JSON document (see README for the schema).  Each object in it
+has a key table (``CONFIG_KEYS`` and the tables it points to), and one reader
+checks an object against its table, so a whole document, or a whole sweep
+file, is checked before anything is built.  Weight exponents, initial data,
+perturbation coefficients, and the gauge rate are expression strings over the
+coordinate names ``x``, ``y`` and time ``t``; randomized descriptors must
+carry a seed so runs stay reproducible.
 """
 
 from __future__ import annotations
@@ -15,7 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CIRCLE, GAUSS_LINE, TORUS, Field, TimeGrid, WeightedGeometry
+from .core import (
+    CIRCLE, GAUSS_LINE, TORUS, Field, TimeGrid, WeightedGeometry, make_circle,
+    make_gauss_line, make_torus, periodic_coords,
+)
 from .errors import ConfigError
 from .evolution import GaugeSpec, PerturbationSpec
 from .expressions import compile_expression, evaluate_on_nodes
@@ -35,29 +41,193 @@ from .operators import DriftOperator, eigenpairs
 from .sampling import random_smooth_field
 
 INTEGRATORS = ("spectral-exact", "implicit-step")
+_MAX = float(np.finfo(float).max)
 
-# config check name -> check(traj, trace, op, tol, entry); ``tol`` is resolved
-# by run_trace_checks, ``entry`` is the config entry with its optional number keys
+
+def _parser(ok, what: str):
+    """Parser of the values for which ``ok(value)`` holds, described as ``what``."""
+
+    # named privately: bench/tracing.py wraps every package function with a public name
+    def _parse(value, context: str):
+        if not ok(value):
+            raise ConfigError(f"{context}: expected {what}, got {value!r}")
+        return value
+
+    return _parse
+
+
+def _integer(least: int):
+    """Parser of an integer >= ``least`` (true and false are not integers)."""
+    return _parser(
+        lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= least,
+        f"an integer >= {least}",
+    )
+
+
+_object = _parser(lambda v: isinstance(v, dict), "an object")
+_string = _parser(lambda v: isinstance(v, str), "a string")
+_boolean = _parser(lambda v: isinstance(v, bool), "true or false")
+_integrator = _parser(lambda v: v in INTEGRATORS, f"one of {INTEGRATORS}")
+# a sweep entry's name names its output directory
+_run_name = _parser(
+    lambda v: isinstance(v, str) and v not in ("", ".", "..") and not set(v) & set("/\\\0"),
+    "a nonempty string with no path separator, other than '.' and '..'",
+)
+
+
+def _read(raw, table: dict, context: str) -> dict:
+    """``raw`` checked against a key table, with every default filled in.
+
+    ``table`` maps each key to its parser, ``parse(value, context)``, which
+    returns the checked value; an optional key maps to ``(parse, default)``
+    instead.  An unknown key is an error, and ``null`` means omitted.
+    """
+    for key in _object(raw, context):
+        if key not in table:
+            raise ConfigError(f"{context}: unknown key {key!r} (known: {', '.join(table)})")
+    out = {}
+    for key, rule in table.items():
+        optional = isinstance(rule, tuple)
+        parse, default = rule if optional else (rule, None)
+        if raw.get(key) is not None:
+            out[key] = parse(raw[key], f"{context}.{key}")
+        elif not optional:
+            raise ConfigError(f"{context}: missing required field {key!r}")
+        else:
+            out[key] = default
+    return out
+
+
+def _table(table: dict):
+    """Parser of an object with the keys of ``table``."""
+    return lambda raw, context: _read(raw, table, context)
+
+
+def _variant(tables: dict, tag: str):
+    """Parser of an object whose ``tag`` value picks its key table from ``tables``."""
+
+    def _parse(raw, context: str) -> dict:
+        choice = _object(raw, context).get(tag)
+        if not isinstance(choice, str) or choice not in tables:
+            raise ConfigError(
+                f"{context}.{tag}: expected one of {', '.join(tables)}, got {choice!r}"
+            )
+        return _read(raw, {tag: _string, **tables[choice]}, context)
+
+    return _parse
+
+
+def _list_of(parse, nonempty: bool = False):
+    """Parser of a list (a nonempty one if ``nonempty``), each item checked by ``parse``."""
+
+    def _parse_list(value, context: str) -> list:
+        if not isinstance(value, list) or (nonempty and not value):
+            what = "a nonempty list" if nonempty else "a list"
+            raise ConfigError(f"{context}: expected {what}, got {value!r}")
+        return [parse(item, f"{context}[{i}]") for i, item in enumerate(value)]
+
+    return _parse_list
+
+
+def _finite_real(value, context: str) -> float:
+    # an exact comparison: also false for NaN and for integers beyond the float range
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _MAX:
+        raise ConfigError(f"{context}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _expression(value, context: str) -> str:
+    """An expression string, parsed now over the names x, y and t, or a finite number.
+
+    A number becomes its exact ``repr``, so one path evaluates both.  A name
+    the geometry lacks (``y`` on a circle) is reported by the builder.
+    """
+    if not isinstance(value, str):
+        value = repr(_finite_real(value, context))
+    compile_expression(value, ("x", "y", "t"))
+    return value
+
+
+_expression_list = _list_of(_expression, nonempty=True)
+
+
+def _expressions(value, context: str) -> list:
+    """One expression string, or a nonempty list of expressions."""
+    return _expression_list([value] if isinstance(value, str) else value, context)
+
+
+def _time(raw, context: str) -> dict:
+    spec = _read(raw, TIME_KEYS, context)
+    if not (spec["a"] < spec["b"] and np.isfinite(spec["b"] - spec["a"])):
+        raise ConfigError(f"{context}: requires a < b with a finite b - a")
+    return spec
+
+
+_TOL = {"tol": (_finite_real, None)}
+_BOUND = {**_TOL, "bound": (_finite_real, None)}
+
+# config check name -> (check(traj, trace, op, tol, entry), the keys of its entry);
+# ``tol`` is resolved by run_trace_checks, and ``entry`` is read through the keys
 TRACE_CHECKS = {
-    "u-monotone": lambda traj, trace, op, tol, entry: check_u_monotone(trace, tol),
-    "log-convexity": lambda traj, trace, op, tol, entry: check_log_convexity(
-        trace, tol / trace.dt**2
+    "u-monotone": (lambda traj, trace, op, tol, entry: check_u_monotone(trace, tol), _TOL),
+    "log-convexity": (
+        lambda traj, trace, op, tol, entry: check_log_convexity(trace, tol / trace.dt**2), _TOL
     ),
-    "hadamard-bound": lambda traj, trace, op, tol, entry: check_hadamard_bound(trace, tol),
-    "rigidity": lambda traj, trace, op, tol, entry: check_rigidity(traj, tol, op),
-    "general-frequency": lambda traj, trace, op, tol, entry: check_general_frequency(
-        trace, entry.get("bound"), tol
+    "hadamard-bound": (lambda traj, trace, op, tol, entry: check_hadamard_bound(trace, tol), _TOL),
+    "rigidity": (lambda traj, trace, op, tol, entry: check_rigidity(traj, tol, op, trace), _TOL),
+    "general-frequency": (
+        lambda traj, trace, op, tol, entry: check_general_frequency(trace, entry["bound"], tol),
+        _BOUND,
     ),
-    "general-lower-bound": lambda traj, trace, op, tol, entry: check_general_lower_bound(
-        trace, entry.get("bound"), tol
+    "general-lower-bound": (
+        lambda traj, trace, op, tol, entry: check_general_lower_bound(trace, entry["bound"], tol),
+        _BOUND,
     ),
-    "gradient-only": lambda traj, trace, op, tol, entry: check_gradient_only(
-        trace, entry.get("bound"), tol
+    "gradient-only": (
+        lambda traj, trace, op, tol, entry: check_gradient_only(trace, entry["bound"], tol),
+        _BOUND,
     ),
-    "vanishing-order": lambda traj, trace, op, tol, entry: vanishing_order_surrogate(
-        trace, float(entry.get("rate") or 0.0), tol
+    "vanishing-order": (
+        lambda traj, trace, op, tol, entry: vanishing_order_surrogate(trace, entry["rate"], tol),
+        {**_TOL, "rate": (_finite_real, 0.0)},
     ),
 }
+
+# key tables: key -> parser of a required key, or (parser, default) of an
+# optional one; the "kind" of an object (a check entry's "name") picks its table
+GEOMETRY_KEYS = {
+    CIRCLE: {"nodes": _integer(4), "length": _finite_real, "phi": (_expression, "0.0")},
+    TORUS: {
+        "nx": _integer(4), "ny": _integer(4), "lx": _finite_real, "ly": _finite_real,
+        "phi": (_expression, "0.0"), "psi": (_expression, "0.0"),
+    },
+    GAUSS_LINE: {"order": _integer(4)},
+}
+TIME_KEYS = {"a": _finite_real, "b": _finite_real, "steps": _integer(1)}
+INITIAL_KEYS = {
+    "expression": {"expression": _expressions},
+    "eigenmode": {"index": (_integer(0), 0)},
+    "random": {
+        "seed": _integer(0), "max_mode": (_integer(0), 4), "components": (_integer(1), 1),
+        "zero_mean": (_boolean, False),
+    },
+}
+PERTURBATION_KEYS = {
+    "b": (_expressions, None), "c": (_expression, None), "bound": (_expression, None),
+    "gradient_only": (_boolean, False),
+}
+CHECK_KEYS = {name: keys for name, (_, keys) in TRACE_CHECKS.items()}
+_read_geometry = _variant(GEOMETRY_KEYS, "kind")
+_read_initial = _variant(INITIAL_KEYS, "kind")
+_read_check = _variant(CHECK_KEYS, "name")
+CONFIG_KEYS = {
+    "geometry": _read_geometry, "initial": _read_initial, "time": _time,
+    "integrator": (_integrator, "spectral-exact"),
+    "perturbation": (_table(PERTURBATION_KEYS), None), "gauge": (_expression, None),
+    "checks": (_list_of(_read_check), []), "output": (_string, None),
+}
+SWEEP_ENTRY_KEYS = {"name": _run_name, "overrides": (_object, {})}
+SWEEP_KEYS = {"base": _object, "sweep": _list_of(_table(SWEEP_ENTRY_KEYS), nonempty=True)}
 
 
 def check_tolerance(entry: dict, trace: FrequencyTrace, tol_scale: float) -> float:
@@ -68,176 +238,87 @@ def check_tolerance(entry: dict, trace: FrequencyTrace, tol_scale: float) -> flo
 
 def run_trace_checks(entries, traj, trace, op, tol_scale: float) -> list:
     """Run config check entries on one traced flow, in order."""
+    entries = [_read_check(entry, "check") for entry in entries]
     return [
-        TRACE_CHECKS[entry["name"]](traj, trace, op, check_tolerance(entry, trace, tol_scale), entry)
+        TRACE_CHECKS[entry["name"]][0](
+            traj, trace, op, check_tolerance(entry, trace, tol_scale), entry
+        )
         for entry in entries
     ]
 
 
-def _object(value, context: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{context}: expected an object, got {value!r}")
-    return value
-
-
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise ConfigError(f"{context}: missing required field {key!r}")
-    return mapping[key]
-
-
-def _integer(value, context: str, least: int = 1) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < least:
-        raise ConfigError(f"{context}: expected an integer >= {least}, got {value!r}")
-    return value
-
-
-def _boolean(value, context: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{context}: expected true or false, got {value!r}")
-    return value
-
-
-def _finite_real(value, context: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
-        raise ConfigError(f"{context}: expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _node_values(spec, coords: np.ndarray, context: str) -> np.ndarray:
-    """Per-node values from an expression string or a number."""
-    if isinstance(spec, str):
-        return evaluate_on_nodes(spec, coords)
-    return np.full(coords.shape[0], _finite_real(spec, context))
-
-
 def build_geometry(spec: dict) -> WeightedGeometry:
-    from .core import make_circle, make_gauss_line, make_torus
-
-    kind = _require(spec, "kind", "geometry")
-    if kind == CIRCLE:
-        nodes = _integer(_require(spec, "nodes", "geometry"), "geometry.nodes")
-        length = _finite_real(_require(spec, "length", "geometry"), "geometry.length")
-        base = make_circle(nodes, length)
-        phi = _node_values(spec.get("phi", 0.0), base.coords, "geometry.phi")
-        return make_circle(nodes, length, phi)
-    if kind == TORUS:
-        nx = _integer(_require(spec, "nx", "geometry"), "geometry.nx")
-        ny = _integer(_require(spec, "ny", "geometry"), "geometry.ny")
-        lx = _finite_real(_require(spec, "lx", "geometry"), "geometry.lx")
-        ly = _finite_real(_require(spec, "ly", "geometry"), "geometry.ly")
-        base = make_torus(nx, ny, lx, ly)
-        phi = _node_values(spec.get("phi", 0.0), base.coords, "geometry.phi")
-        psi = _node_values(spec.get("psi", 0.0), base.coords, "geometry.psi")
-        return make_torus(nx, ny, lx, ly, phi, psi)
-    if kind == GAUSS_LINE:
-        order = _integer(_require(spec, "order", "geometry"), "geometry.order")
-        return make_gauss_line(order)
-    raise ConfigError(f"geometry: unknown kind {kind!r}")
+    spec = _read_geometry(spec, "geometry")
+    if spec["kind"] == GAUSS_LINE:
+        return make_gauss_line(spec["order"])
+    if spec["kind"] == CIRCLE:
+        coords = periodic_coords((spec["nodes"],), (spec["length"],))
+        return make_circle(spec["nodes"], spec["length"], evaluate_on_nodes(spec["phi"], coords))
+    coords = periodic_coords((spec["nx"], spec["ny"]), (spec["lx"], spec["ly"]))
+    phi, psi = (evaluate_on_nodes(spec[key], coords) for key in ("phi", "psi"))
+    return make_torus(spec["nx"], spec["ny"], spec["lx"], spec["ly"], phi, psi)
 
 
 def build_time(spec: dict) -> TimeGrid:
-    a = _finite_real(_require(spec, "a", "time"), "time.a")
-    b = _finite_real(_require(spec, "b", "time"), "time.b")
-    steps = _integer(_require(spec, "steps", "time"), "time.steps")
-    if a >= b:
-        raise ConfigError("time: requires a < b")
-    return TimeGrid(a, b, steps)
+    return TimeGrid(**_time(spec, "time"))
 
 
 def build_initial(spec: dict, geometry: WeightedGeometry, op: DriftOperator) -> Field:
-    kind = _require(spec, "kind", "initial")
-    if kind == "expression":
-        text = _require(spec, "expression", "initial")
-        exprs = [text] if isinstance(text, str) else text
-        if not isinstance(exprs, list) or not exprs:
-            raise ConfigError("initial.expression: expected a string or a nonempty list")
-        values = np.column_stack(
-            [_node_values(e, geometry.coords, "initial.expression") for e in exprs]
-        )
-        return Field(geometry, values)
-    if kind == "eigenmode":
-        index = _integer(spec.get("index", 0), "initial.index", least=0)
-        pairs = eigenpairs(op, index + 1)
-        return pairs[index].eigenfield
-    if kind == "random":
-        if "seed" not in spec:
-            raise ConfigError("initial: random descriptors require a seed")
-        rng = np.random.default_rng(_integer(spec["seed"], "initial.seed", least=0))
-        return random_smooth_field(
-            geometry,
-            rng,
-            max_mode=_integer(spec.get("max_mode", 4), "initial.max_mode", least=0),
-            components=_integer(spec.get("components", 1), "initial.components"),
-            zero_mean=_boolean(spec.get("zero_mean", False), "initial.zero_mean"),
-        )
-    raise ConfigError(f"initial: unknown kind {kind!r}")
+    spec = _read_initial(spec, "initial")
+    if spec["kind"] == "expression":
+        values = [evaluate_on_nodes(e, geometry.coords) for e in spec["expression"]]
+        return Field(geometry, np.column_stack(values))
+    if spec["kind"] == "eigenmode":
+        return eigenpairs(op, spec["index"] + 1)[spec["index"]].eigenfield
+    rng = np.random.default_rng(spec["seed"])
+    return random_smooth_field(
+        geometry, rng, spec["max_mode"], spec["components"], spec["zero_mean"]
+    )
 
 
-def _time_expression(text, context: str):
-    """Compile an expression in t alone into a float-valued callable."""
-    if isinstance(text, (int, float)) and not isinstance(text, bool):
-        value = _finite_real(text, context)
-        return lambda t: value
-    fn = compile_expression(text, ("t",))
-    return lambda t: float(fn(t=t))
-
-
-def _space_time_expression(text, coords: np.ndarray, context: str):
-    if isinstance(text, (int, float)) and not isinstance(text, bool):
-        value = _finite_real(text, context)
-        return lambda t: np.full(coords.shape[0], value)
+def _space_time_expression(text: str, coords: np.ndarray):
+    """A checked expression over the coordinates and t, as ``t -> per-node values``."""
     names = ("x", "y")[: coords.shape[1]] + ("t",)
     fn = compile_expression(text, names)
     env = {name: coords[:, i] for i, name in enumerate(names[:-1])}
+    return lambda t: np.broadcast_to(fn(**env, t=t), (coords.shape[0],)).astype(float)
 
-    def sample(t):
-        return np.broadcast_to(fn(**env, t=t), (coords.shape[0],)).astype(float)
 
-    return sample
+def _time_expression(text: str):
+    """A checked expression in t alone, as a float-valued callable."""
+    fn = compile_expression(text, ("t",))
+    return lambda t: float(fn(t=t))
 
 
 def build_perturbation(
     spec: dict, geometry: WeightedGeometry, grid: TimeGrid
 ) -> PerturbationSpec:
-    b_spec = spec.get("b")
-    c_spec = spec.get("c")
-    b = None
-    if b_spec is not None:
-        if isinstance(b_spec, (str, int, float)):
-            b_spec = [b_spec]
-        if not isinstance(b_spec, list) or len(b_spec) != geometry.dim:
+    spec = _read(spec, PERTURBATION_KEYS, "perturbation")
+    b = c = bound = None
+    if spec["b"] is not None:
+        if len(spec["b"]) != geometry.dim:
             raise ConfigError(
-                f"perturbation.b: expected {geometry.dim} component expression(s), got {b_spec!r}"
+                f"perturbation.b: expected {geometry.dim} component expression(s), "
+                f"got {spec['b']!r}"
             )
-        samplers = [
-            _space_time_expression(component, geometry.coords, "perturbation.b")
-            for component in b_spec
-        ]
+        samplers = [_space_time_expression(part, geometry.coords) for part in spec["b"]]
         b = lambda t: np.column_stack([s(t) for s in samplers])
-    c = None
-    if c_spec is not None:
-        c = _space_time_expression(c_spec, geometry.coords, "perturbation.c")
-    bound = spec.get("bound")
-    if bound is not None:
-        bound = _time_expression(bound, "perturbation.bound")
+    if spec["c"] is not None:
+        c = _space_time_expression(spec["c"], geometry.coords)
+    if spec["bound"] is not None:
+        bound = _time_expression(spec["bound"])
     return PerturbationSpec.build(
-        geometry,
-        grid,
-        b=b,
-        c=c,
-        bound=bound,
-        gradient_only=_boolean(spec.get("gradient_only", False), "perturbation.gradient_only"),
+        geometry, grid, b=b, c=c, bound=bound, gradient_only=spec["gradient_only"]
     )
 
 
-def build_gauge(spec, context: str = "gauge") -> GaugeSpec:
-    return GaugeSpec(rate=_time_expression(spec, context))
+def build_gauge(spec) -> GaugeSpec:
+    return GaugeSpec(rate=_time_expression(_expression(spec, "gauge")))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description (raw dict form plus accessors)."""
+    """A config read through :data:`CONFIG_KEYS`: every object checked, defaults filled in."""
 
     geometry: dict
     initial: dict
@@ -245,53 +326,15 @@ class ExperimentConfig:
     integrator: str
     checks: tuple[dict, ...]
     perturbation: dict | None = None
-    gauge: object = None
+    gauge: str | None = None
     output: str | None = None
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be an object")
-        geometry = _object(_require(raw, "geometry", "config"), "config.geometry")
-        initial = _object(_require(raw, "initial", "config"), "config.initial")
-        time = _object(_require(raw, "time", "config"), "config.time")
-        integrator = raw.get("integrator", "spectral-exact")
-        if integrator not in INTEGRATORS:
-            raise ConfigError(
-                f"config.integrator: expected one of {INTEGRATORS}, got {integrator!r}"
-            )
-        perturbation = raw.get("perturbation")
-        if perturbation is not None:
-            _object(perturbation, "config.perturbation")
-            if integrator != "implicit-step":
-                raise ConfigError("config: perturbations require the implicit-step integrator")
-        output = raw.get("output")
-        if output is not None and not isinstance(output, str):
-            raise ConfigError(f"config.output: expected a directory path, got {output!r}")
-        checks = raw.get("checks", [])
-        if not isinstance(checks, list):
-            raise ConfigError("config.checks must be a list")
-        for i, entry in enumerate(checks):
-            if not isinstance(entry, dict) or "name" not in entry:
-                raise ConfigError("config.checks entries need a 'name'")
-            if not isinstance(entry["name"], str) or entry["name"] not in TRACE_CHECKS:
-                raise ConfigError(
-                    f"config.checks: unknown check {entry['name']!r} "
-                    f"(known: {', '.join(TRACE_CHECKS)})"
-                )
-            for key in ("tol", "bound", "rate"):
-                if entry.get(key) is not None:
-                    _finite_real(entry[key], f"config.checks[{i}].{key}")
-        return ExperimentConfig(
-            geometry=geometry,
-            initial=initial,
-            time=time,
-            integrator=integrator,
-            checks=tuple(checks),
-            perturbation=perturbation,
-            gauge=raw.get("gauge"),
-            output=output,
-        )
+        spec = _read(raw, CONFIG_KEYS, "config")
+        if spec["perturbation"] is not None and spec["integrator"] != "implicit-step":
+            raise ConfigError("config: perturbations require the implicit-step integrator")
+        return ExperimentConfig(**{**spec, "checks": tuple(spec["checks"])})
 
     @staticmethod
     def load(path) -> "ExperimentConfig":
@@ -299,35 +342,29 @@ class ExperimentConfig:
 
 
 def sweep_configs(raw) -> dict[str, ExperimentConfig]:
-    """Validate a sweep file into one config per entry name, in file order.
+    """Validate a whole sweep file into one config per entry name, in file order.
 
     The file has a ``base`` config and a ``sweep`` list of ``{name, overrides}``
-    entries; each override key is a dotted path into the base.  A name names an
-    output directory, so it must be a nonempty string with no path separator,
-    other than ``.`` and ``..``, and unique.
+    entries; each override key is a dotted path into the base, and no two
+    entries share a name.  Every entry is read before any of them runs.
     """
-    raw = raw if isinstance(raw, dict) else {}
-    base, entries = raw.get("base"), raw.get("sweep")
-    if not isinstance(base, dict) or not isinstance(entries, list) or not entries:
-        raise ConfigError("sweep configs need a 'base' object and a nonempty 'sweep' list")
+    sweep = _read(raw, SWEEP_KEYS, "sweep file")
     runs = {}
-    for entry in entries:
-        name = _object(entry, "sweep entry").get("name")
-        if not isinstance(name, str) or name in ("", ".", "..") or set(name) & set("/\\\0"):
-            raise ConfigError(
-                f"sweep entry name {name!r}: expected a nonempty string with no path "
-                "separator, other than '.' and '..'"
-            )
+    for entry in sweep["sweep"]:
+        name = entry["name"]
         if name in runs:
             raise ConfigError(f"sweep entry name {name!r} is used twice")
-        merged = copy.deepcopy(base)
-        for key, value in _object(entry.get("overrides", {}), f"sweep {name!r} overrides").items():
+        merged = copy.deepcopy(sweep["base"])
+        for key, value in entry["overrides"].items():
             node = merged
-            parts = key.split(".")
-            for part in parts[:-1]:
-                node = _object(node.setdefault(part, {}), f"sweep {name!r} override {key!r}")
-            node[parts[-1]] = value
-        runs[name] = ExperimentConfig.from_dict(merged)
+            *path, last = key.split(".")
+            for part in path:
+                node = _object(node.setdefault(part, {}), f"sweep entry {name!r}: {key!r}")
+            node[last] = value
+        try:
+            runs[name] = ExperimentConfig.from_dict(merged)
+        except ConfigError as exc:
+            raise ConfigError(f"sweep entry {name!r}: {exc}") from None
     return runs
 
 

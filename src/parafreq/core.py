@@ -89,8 +89,8 @@ class WeightedGeometry:
     def __post_init__(self):
         for arr in (self.coords, self.phi, self.psi, self.mu):
             arr.setflags(write=False)
-        if np.any(self.mu <= 0.0):
-            raise InvalidInputError("measure entries must be strictly positive")
+        if not np.all(np.isfinite(self.mu) & (self.mu > 0.0)):
+            raise InvalidInputError("measure entries must be finite and strictly positive")
 
     @property
     def node_count(self) -> int:
@@ -350,6 +350,16 @@ class Trajectory:
         return tuple(Field(self.geometry, sample) for sample in self.values)
 
 
+def periodic_coords(shape, lengths) -> np.ndarray:
+    """Node coordinates of the uniform periodic grid on a box, one row per node.
+
+    They equal the ``coords`` of :func:`make_circle` or :func:`make_torus` on that box.
+    """
+    h = tuple(length / n for length, n in zip(lengths, shape))
+    index = np.meshgrid(*(np.arange(n) for n in shape), indexing="ij")
+    return np.column_stack([(i * step).ravel() for i, step in zip(index, h)])
+
+
 def _periodic_grid(kind: str, shape, lengths, phi, psi) -> WeightedGeometry:
     """Uniform periodic grid on a box of the given side lengths.
 
@@ -359,8 +369,7 @@ def _periodic_grid(kind: str, shape, lengths, phi, psi) -> WeightedGeometry:
     linearly to the midpoint.
     """
     h = tuple(length / n for length, n in zip(lengths, shape))
-    index = np.meshgrid(*(np.arange(n) for n in shape), indexing="ij")
-    coords = np.column_stack([(i * step).ravel() for i, step in zip(index, h)])
+    coords = periodic_coords(shape, lengths)
     nodes = coords.shape[0]
     phi_arr = _as_node_array(phi, nodes, "phi")
     psi_arr = _as_node_array(psi, nodes, "psi")

@@ -195,7 +195,7 @@ class _PendingSteps:
 
     def __call__(self) -> np.ndarray:
         if self.values is None:
-            _step_block([self])
+            step_block([self])
         return self.values
 
     def block_size(self) -> int:
@@ -256,7 +256,7 @@ class _BlockTerm:
         return out
 
 
-def _step_block(members: list[_PendingSteps]) -> None:
+def step_block(members: list[_PendingSteps]) -> None:
     """Trapezoidal steps of one block, implicit in L, midpoint-averaged in the perturbation.
 
     The members share one operator, grid, step kind and N.  The state is a
@@ -304,7 +304,7 @@ def _step_together(trajs: Iterable[Trajectory]) -> None:
     for members in groups.values():
         size = members[0].block_size()
         for start in range(0, len(members), size):
-            _step_block(members[start:start + size])
+            step_block(members[start:start + size])
 
 
 def _in_blocks(flows: Iterable[Trajectory]) -> Iterator[Trajectory]:

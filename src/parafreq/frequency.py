@@ -224,17 +224,20 @@ def check_hadamard_bound(trace: FrequencyTrace, tol: float | None = None) -> Che
 
 
 def check_rigidity(
-    traj: Trajectory, tol: float | None = None, op: DriftOperator | None = None
+    traj: Trajectory, tol: float | None = None, op: DriftOperator | None = None,
+    trace: FrequencyTrace | None = None,
 ) -> CheckReport:
     """Classify a trajectory as an eigenmode flow and verify the equality case.
 
     When U is constant to within tol the flow must be a separated eigenmode:
     ``u(t) = exp(lambda t) u(a)`` and ``L u(a) = lambda u(a)`` with
     ``lambda = U(a)``.  Non-constant U is reported as non-rigid (and passes).
+    ``trace`` is ``frequency_trace(traj, op)``, traced here when not given.
     """
     if op is None:
         op = assemble(traj.geometry)
-    trace = frequency_trace(traj, op)
+    if trace is None:
+        trace = frequency_trace(traj, op)
     if tol is None:
         tol = default_tolerance(trace)
     u_dev = float(np.max(np.abs(trace.U - trace.U[0])))

@@ -125,7 +125,8 @@ def assemble(geometry: WeightedGeometry) -> DriftOperator:
     Periodic kinds get the second-order divergence-form stencil with
     edge-midpoint weights (the conformal prefactor enters through division by
     ``mu``), summed straight from the edge list into CSR; the Gauss line gets
-    the diagonal collocation representation.
+    the diagonal collocation representation.  An operator with a non-finite
+    entry raises :class:`InvalidInputError`.
     """
     if geometry.basis is not None:
         basis = geometry.basis.basis
@@ -140,8 +141,13 @@ def assemble(geometry: WeightedGeometry) -> DriftOperator:
         entries = np.concatenate([coef, coef, -coef, -coef])
         matrix = scipy.sparse.coo_array((entries, (rows, cols)), shape=(n, n)).tocsr()
         row_of = np.repeat(np.arange(n), np.diff(matrix.indptr))
-        matrix.data = -matrix.data / geometry.mu[row_of]
-    return DriftOperator(geometry=geometry, matrix=matrix)
+        with np.errstate(over="ignore", invalid="ignore"):
+            matrix.data = -matrix.data / geometry.mu[row_of]
+    op = DriftOperator(geometry=geometry, matrix=matrix)
+    if not np.all(np.isfinite(op.matrix.data)):
+        raise InvalidInputError("the drift operator has non-finite entries: the grid "
+                                "spacing or the weights are out of floating-point range")
+    return op
 
 
 def eigenpairs(op: DriftOperator, k: int) -> list[EigenPair]:

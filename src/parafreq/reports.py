@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,14 +51,7 @@ class CheckReport:
         }
 
     def renamed(self, name: str) -> "CheckReport":
-        return CheckReport(
-            name=name,
-            passed=self.passed,
-            margin=self.margin,
-            tolerance=self.tolerance,
-            location=self.location,
-            aux=self.aux,
-        )
+        return replace(self, name=name)
 
 
 def _json_finite(value: float) -> float:

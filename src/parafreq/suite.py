@@ -23,7 +23,9 @@ from .caloric import (
     trajectory_from_cov,
 )
 from .config import check_tolerance, run_trace_checks
-from .core import Field, TimeGrid, Trajectory, make_circle, make_gauss_line, make_torus
+from .core import (
+    Field, TimeGrid, Trajectory, make_circle, make_gauss_line, make_torus, periodic_coords,
+)
 from .evolution import (
     GaugeSpec,
     PerturbationSpec,
@@ -72,16 +74,15 @@ class SuiteContext:
 
     @cached_property
     def circle(self):
-        base = make_circle(128, TWO_PI)
-        phi = random_weight(base.coords, (TWO_PI,), _rng(self.seed, 1))
+        phi = random_weight(periodic_coords((128,), (TWO_PI,)), (TWO_PI,), _rng(self.seed, 1))
         return make_circle(128, TWO_PI, phi)
 
     @cached_property
     def torus(self):
-        base = make_torus(32, 32, TWO_PI, TWO_PI)
+        coords = periodic_coords((32, 32), (TWO_PI, TWO_PI))
         rng = _rng(self.seed, 2)
-        phi = random_weight(base.coords, (TWO_PI, TWO_PI), rng)
-        psi = random_weight(base.coords, (TWO_PI, TWO_PI), rng, amplitude=0.3)
+        phi = random_weight(coords, (TWO_PI, TWO_PI), rng)
+        psi = random_weight(coords, (TWO_PI, TWO_PI), rng, amplitude=0.3)
         return make_torus(32, 32, TWO_PI, TWO_PI, phi, psi)
 
     @cached_property
@@ -254,7 +255,8 @@ def rigidity_reports(ctx: SuiteContext) -> list[CheckReport]:
         worst_equality = 0.0
         for pair in eigenpairs(op, EIGENMODES_CHECKED):
             traj = evolve_exact(op, pair.eigenfield, grid)
-            rep = check_rigidity(traj, 1e-9, op)
+            trace = frequency_trace(traj, op)
+            rep = check_rigidity(traj, 1e-9, op, trace)
             if not rep.aux["is_eigenmode"]:
                 worst_u_gap = np.inf
                 continue
@@ -263,7 +265,6 @@ def rigidity_reports(ctx: SuiteContext) -> list[CheckReport]:
             worst_residual = max(
                 worst_residual, rep.aux["separation_residual"], rep.aux["eigen_residual"]
             )
-            trace = frequency_trace(traj, op)
             worst_equality = max(
                 worst_equality, abs(check_hadamard_bound(trace, 1e-9).margin)
             )

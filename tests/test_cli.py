@@ -9,6 +9,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from parafreq.caloric import poon_reports
+from parafreq import cli
 from parafreq.cli import main
 from parafreq.config import TRACE_CHECKS
 
@@ -245,6 +246,57 @@ class TestConfigFaults:
         assert "Traceback" not in captured.out + captured.err
 
 
+def sweep_of(base, *entries):
+    return {"base": base, "sweep": list(entries)}
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize(
+        ("command", "raw", "key"),
+        [
+            ("simulate", dict(eigenmode_config(), integrater="implicit-step"), "integrater"),
+            ("simulate", dict(eigenmode_config(), time={"a": 0.0, "b": 1.0, "stpes": 5}), "stpes"),
+            ("simulate", dict(eigenmode_config(), geometry={
+                "kind": "circle", "nodes": 64, "length": TWO_PI, "psi": "0.1"}), "psi"),
+            ("simulate", dict(eigenmode_config(), geometry={
+                "kind": "gauss-line", "order": 16, "phi": "x"}), "phi"),
+            ("simulate", with_initial(kind="eigenmode", index=1, seed=3), "seed"),
+            ("simulate", dict(eigenmode_config(), checks=[
+                {"name": "u-monotone", "tolerance": 1e-30}]), "tolerance"),
+            ("simulate", dict(eigenmode_config(), checks=[
+                {"name": "u-monotone", "bound": 0.5}]), "bound"),
+            ("simulate", dict(eigenmode_config(), checks=[
+                {"name": "hadamard-bound", "rate": 1.0}]), "rate"),
+            ("simulate", dict(gradient_only_config(), perturbation={
+                "b": ["0.5"], "gradient-only": True}), "gradient-only"),
+            ("sweep", sweep_of(eigenmode_config(), {
+                "name": "a", "override": {"initial.index": 2}}), "override"),
+        ],
+    )
+    def test_unknown_key_exits_1_naming_it(self, tmp_path, capsys, command, raw, key):
+        config = write_config(tmp_path / "c.json", raw)
+        code = main(["--out", str(tmp_path / "out"), command, "--config", config])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("config error:")
+        assert f"unknown key {key!r}" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_null_means_omitted(self, tmp_path):
+        raw = eigenmode_config()
+        raw["initial"] = {"kind": "eigenmode", "index": None}
+        raw["geometry"]["phi"] = None
+        raw.update(integrator=None, gauge=None, perturbation=None, output=None)
+        raw["checks"] = [{"name": "vanishing-order", "tol": None, "rate": None}]
+        config = write_config(tmp_path / "c.json", raw)
+        assert main(["--out", str(tmp_path / "out"), "simulate", "--config", config]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["integrator"] == "spectral-exact"
+        assert report["checks"][0]["tolerance"] == 1e-9
+        assert report["checks"][0]["aux"]["rate"] == 0.0
+
+
 class TestNumericalFailures:
     def run(self, tmp_path, capsys, raw):
         config = write_config(tmp_path / "c.json", raw)
@@ -272,6 +324,27 @@ class TestNumericalFailures:
         code, err = self.run(tmp_path, capsys, raw)
         assert code == 1
         assert err.startswith("error:") and "exactly singular" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("integrator", ["spectral-exact", "implicit-step"])
+    def test_non_finite_operator_exits_1(self, tmp_path, capsys, integrator):
+        raw = eigenmode_config()
+        raw["geometry"] = {"kind": "circle", "nodes": 8, "length": 1e-160}
+        raw["initial"] = {"kind": "expression", "expression": "1 + 0*x"}
+        raw["integrator"] = integrator
+        code, err = self.run(tmp_path, capsys, raw)
+        assert code == 1
+        assert err.startswith("error:") and "non-finite" in err
+        assert "Traceback" not in err
+
+    def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch):
+        def exhausted(spec):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "build_geometry", exhausted)
+        code, err = self.run(tmp_path, capsys, eigenmode_config())
+        assert code == 1
+        assert err.startswith("error:") and "out of memory" in err
         assert "Traceback" not in err
 
 
@@ -379,6 +452,20 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("config error:")
         assert not outside.exists()
         assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"geometry.nodes": "sixty"}, {"initial.index": -1}, {"checks": [{"name": "entropy"}]},
+         {"time.steps": 0}, {"gauge": "sin(t"}],
+    )
+    def test_bad_later_entry_runs_no_entry(self, tmp_path, capsys, override):
+        raw = sweep_of(eigenmode_config(), {"name": "a"}, {"name": "b", "overrides": override})
+        config = write_config(tmp_path / "c.json", raw)
+        code = main(["--out", str(tmp_path / "out"), "sweep", "--config", config])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error: sweep entry 'b'")
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_sweep_requires_entries(self, tmp_path):
         config = write_config(tmp_path / "c.json", {"base": eigenmode_config()})

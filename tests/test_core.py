@@ -13,6 +13,7 @@ from parafreq import (
     make_torus,
     weighted_inner,
 )
+from parafreq.core import periodic_coords
 from parafreq.errors import IncompatibleFieldsError, InvalidInputError
 
 TWO_PI = 2.0 * np.pi
@@ -77,6 +78,13 @@ class TestTorusMeasure:
     def test_too_few_nodes_rejected(self):
         with pytest.raises(InvalidInputError):
             make_torus(3, 16, TWO_PI, TWO_PI)
+
+    def test_periodic_coords_are_the_geometry_coords(self):
+        # weights evaluated on periodic_coords match a geometry built first, bit for bit
+        assert np.array_equal(periodic_coords((12,), (TWO_PI,)), make_circle(12, TWO_PI).coords)
+        assert np.array_equal(
+            periodic_coords((5, 7), (2.0, 3.0)), make_torus(5, 7, 2.0, 3.0).coords
+        )
 
 
 class TestGaussLine:

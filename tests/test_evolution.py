@@ -537,6 +537,23 @@ class TestBlockStepping:
         assert evolution._BLOCK_BYTES // member_bytes == 5
         assert peak < 1.25 * evolution._BLOCK_BYTES  # two blocks would take 16.5 MB
 
+    def test_every_stepping_runs_in_step_block(self, weighted_circle_op, monkeypatch):
+        # a public function, so a tracer that wraps the module's functions sees each block
+        blocks = []
+        step_block = evolution.step_block
+
+        def counted(members):
+            blocks.append(len(members))
+            step_block(members)
+
+        monkeypatch.setattr(evolution, "step_block", counted)
+        geom = weighted_circle_op.geometry
+        grid = TimeGrid(0.0, 0.5, 25)
+        u0 = Field(geom, np.sin(geom.coords[:, 0]))
+        evolve_cn(weighted_circle_op, u0, grid).values
+        _step_together([evolve_cn(weighted_circle_op, u0, grid) for _ in range(3)])
+        assert blocks == [1, 3]
+
 
 class TestGauge:
     def test_identity_gauge(self, flat_circle_op):

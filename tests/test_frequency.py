@@ -23,6 +23,7 @@ from parafreq import (
     vanishing_order_surrogate,
     weighted_inner,
 )
+from parafreq import frequency
 from parafreq.core import ModalExpansion
 from parafreq.frequency import derivative_tolerance
 from parafreq.errors import DegenerateTraceError, InvalidInputError
@@ -297,6 +298,14 @@ class TestRigidity:
         rep = check_rigidity(traj, 1e-9, flat_circle_op)
         assert rep.passed and rep.aux["is_eigenmode"]
         assert abs(rep.aux["lambda_estimate"] - pair.eigenvalue) < 1e-9
+
+    def test_given_trace_is_used_as_is(self, flat_circle_op, monkeypatch):
+        pair = eigenpairs(flat_circle_op, 3)[2]
+        traj = evolve_exact(flat_circle_op, pair.eigenfield, TimeGrid(0.0, 1.0, 50))
+        trace = frequency_trace(traj, flat_circle_op)
+        expected = check_rigidity(traj, 1e-9, flat_circle_op).to_dict()
+        monkeypatch.setattr(frequency, "frequency_trace", None)  # a second trace would fail
+        assert check_rigidity(traj, 1e-9, flat_circle_op, trace).to_dict() == expected
 
     def test_two_mode_not_rigid(self, two_mode):
         traj, _ = two_mode

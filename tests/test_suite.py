@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from parafreq import PerturbationSpec, TimeGrid, make_circle
+from parafreq import frequency, suite
 from parafreq.reports import write_report
 from parafreq.suite import (
+    EIGENMODES_CHECKED,
     TWO_PI,
     SuiteContext,
     _random_perturbation,
     caloric_reports,
     gauge_reports,
+    rigidity_reports,
     self_adjoint_reports,
     spectrum_reports,
 )
@@ -31,6 +34,18 @@ def test_corrupted_operator_negative_control():
     by_name = {r.name: r for r in reports}
     assert not by_name["self-adjoint/circle"].passed
     assert by_name["self-adjoint/torus"].passed
+
+
+def test_rigidity_traces_each_flow_once(monkeypatch):
+    # five eigenmode flows on each of three geometries, plus the two-mode control
+    traced = []
+    trace = suite.frequency_trace
+    counting = lambda traj, op=None: traced.append(traj) or trace(traj, op)
+    monkeypatch.setattr(suite, "frequency_trace", counting)
+    monkeypatch.setattr(frequency, "frequency_trace", counting)
+    reports = rigidity_reports(SuiteContext(seed=0))
+    assert all(r.passed for r in reports)
+    assert len(traced) == len({id(traj) for traj in traced}) == 3 * EIGENMODES_CHECKED + 1
 
 
 def test_spectrum_reports_pass():
