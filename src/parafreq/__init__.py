@@ -21,7 +21,6 @@ from .core import (
 )
 from .operators import DriftOperator, EigenPair, assemble, check_self_adjoint, eigenpairs
 from .evolution import (
-    GaugeSpec,
     PerturbationSpec,
     evolve_cn,
     evolve_exact,
@@ -47,7 +46,6 @@ from .caloric import (
     check_cov_residual,
     check_poon_convexity,
     check_poon_correspondence,
-    cov_transform,
     gauss_weighted_norm2,
     make_oracle,
     poon_h,

@@ -103,37 +103,32 @@ def _polynomial_oracle(n: int, coeffs, complete: bool) -> HeatOracle:
 def make_oracle(kind: str, n: int = 1, params: dict | None = None) -> HeatOracle:
     """Build a closed-form oracle.
 
-    Kinds: ``constant`` (value), ``linear`` (coeffs, offset),
-    ``caloric-quadratic`` (``|x|^2 + 2 n t``), ``heat-kernel``
-    (time_offset > 0, valid for t > -time_offset), and ``custom-polynomial``
-    (coeffs; calorically completed unless ``complete`` is False).
+    Kinds: ``constant`` (1), ``linear`` (``x_1``), ``caloric-quadratic``
+    (``|x|^2 + 2 n t``), ``heat-kernel`` (the kernel at ``t + 1``, valid for
+    t > -1), and ``custom-polynomial`` (params ``coeffs``, calorically
+    completed unless ``complete`` is False).  A params key the kind does not
+    take raises :class:`InvalidInputError`.
     """
     params = dict(params or {})
     if n not in (1, 2):
         raise InvalidInputError("oracle dimension must be 1 or 2")
+    taken = ("coeffs", "complete") if kind == "custom-polynomial" else ()
+    for key in params:
+        if key not in taken:
+            raise InvalidInputError(f"oracle kind {kind!r} takes no parameter {key!r}")
     degree = {"constant": 0, "linear": 1, "caloric-quadratic": 2}.get(kind)
     if degree is not None:
         coeffs = np.zeros((degree + 1,) * n)
-        axes = np.eye(n, dtype=int)
-        if kind == "constant":
-            coeffs[(0,) * n] = float(params.get("value", 1.0))
-        elif kind == "linear":
-            coeffs[(0,) * n] = float(params.get("offset", 0.0))
-            coeffs[tuple(axes)] = np.broadcast_to(
-                np.asarray(params.get("coeffs", [1.0] + [0.0] * (n - 1)), dtype=float), (n,)
-            )
+        if kind == "caloric-quadratic":
+            coeffs[tuple(2 * np.eye(n, dtype=int))] = 1.0
         else:
-            coeffs[tuple(2 * axes)] = 1.0
+            coeffs[(degree,) + (0,) * (n - 1)] = 1.0
         return replace(_polynomial_oracle(n, coeffs, complete=True), kind=kind)
     if kind == "heat-kernel":
-        t0 = float(params.get("time_offset", 1.0))
-        if t0 <= 0.0:
-            raise InvalidInputError("heat-kernel time_offset must be positive")
-
         def kernel(x, t):
             pts = _points(x, n)
             tau = np.broadcast_to(
-                t0 + np.asarray(t, dtype=float), (pts.shape[0],)
+                1.0 + np.asarray(t, dtype=float), (pts.shape[0],)
             ).astype(float)
             if np.any(tau <= 0.0):
                 raise InvalidInputError("heat-kernel sampled outside its time domain")
@@ -155,7 +150,7 @@ def make_oracle(kind: str, n: int = 1, params: dict | None = None) -> HeatOracle
             return k_ut(x, t)
 
         return HeatOracle(
-            kind=kind, n=n, u=k_u, u_t=k_ut, grad=k_grad, lap=k_lap, t_min=-t0
+            kind=kind, n=n, u=k_u, u_t=k_ut, grad=k_grad, lap=k_lap, t_min=-1.0
         )
     if kind == "custom-polynomial":
         coeffs = params.get("coeffs")
@@ -220,14 +215,10 @@ class CovSolution:
         return np.exp(-s_arr) * self.oracle.residual(xi, t)
 
 
-def cov_transform(oracle: HeatOracle) -> CovSolution:
-    return CovSolution(oracle=oracle)
-
-
-def sample_grid(n: int, x_lim: float = 3.0, s_range=(0.2, 3.0), points: int = 20):
-    """A tensor sample of (x, s) pairs, ``points`` per axis, for residual checks."""
-    xs = np.linspace(-x_lim, x_lim, points)
-    ss = np.linspace(s_range[0], s_range[1], points)
+def sample_grid(n: int):
+    """Tensor (x, s) samples for residual checks, 20 per axis of ``[-3, 3]^n x [0.2, 3]``."""
+    xs = np.linspace(-3.0, 3.0, 20)
+    ss = np.linspace(0.2, 3.0, 20)
     *xg, sg = np.meshgrid(*[xs] * n, ss, indexing="ij")
     return np.column_stack([g.ravel() for g in xg]), sg.ravel()
 
@@ -247,6 +238,10 @@ def check_cov_residual(cov: CovSolution, points, tol: float = 1e-10) -> CheckRep
     )
 
 
+# Gauss-Hermite nodes per axis of every H(R) and I_w quadrature
+GAUSS_HERMITE_ORDER = 64
+
+
 @lru_cache(maxsize=None)
 def _gh_points(order: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor Gauss-Hermite nodes (order**n, n) and weights, read-only and cached."""
@@ -260,7 +255,7 @@ def _gh_points(order: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return points, weights
 
 
-def poon_h(oracle: HeatOracle, radius: float, order: int = 64) -> float:
+def poon_h(oracle: HeatOracle, radius: float) -> float:
     """Parabolically scaled Gaussian frequency of the oracle at time -R^2.
 
     ``H(R) = (4 pi R^2)^{-n/2} * integral of u^2(y, -R^2) exp(-|y|^2/(4R^2))``
@@ -274,20 +269,20 @@ def poon_h(oracle: HeatOracle, radius: float, order: int = 64) -> float:
         raise InvalidInputError(
             f"oracle is not defined at time {t:.6g} (needs t > {oracle.t_min:.6g})"
         )
-    pts, wts = _gh_points(order, oracle.n)
+    pts, wts = _gh_points(GAUSS_HERMITE_ORDER, oracle.n)
     vals = oracle.u(2.0 * radius * pts, t)
     return float(np.pi ** (-oracle.n / 2.0) * np.sum(wts * vals**2))
 
 
-def gauss_weighted_norm2(cov: CovSolution, s: float, order: int = 64) -> float:
+def gauss_weighted_norm2(cov: CovSolution, s: float) -> float:
     """``I_w(s) = integral of w^2(x, s) exp(-|x|^2/4) dx`` by Gauss quadrature."""
-    pts, wts = _gh_points(order, cov.oracle.n)
+    pts, wts = _gh_points(GAUSS_HERMITE_ORDER, cov.oracle.n)
     vals = cov.w(2.0 * pts, np.full(pts.shape[0], float(s)))
     return float(2.0 ** cov.oracle.n * np.sum(wts * vals**2))
 
 
 def check_poon_convexity(
-    oracle: HeatOracle, s_grid: np.ndarray, tol: float = 1e-8, order: int = 64
+    oracle: HeatOracle, s_grid: np.ndarray, tol: float = 1e-8
 ) -> CheckReport:
     """Convexity of ``s -> log H(e^{s/2})`` by second differences.
 
@@ -297,11 +292,11 @@ def check_poon_convexity(
     s_grid = np.asarray(s_grid, dtype=float)
     if s_grid.size < 3:
         raise InvalidInputError("convexity needs at least 3 samples")
-    log_plus = np.log([poon_h(oracle, np.exp(s / 2.0), order) for s in s_grid])
+    log_plus = np.log([poon_h(oracle, np.exp(s / 2.0)) for s in s_grid])
     d2_plus = log_plus[2:] - 2.0 * log_plus[1:-1] + log_plus[:-2]
     # mirrored radii can leave a bounded time domain (e.g. the heat kernel)
     if np.exp(-s_grid.min()) < -oracle.t_min:
-        log_minus = np.log([poon_h(oracle, np.exp(-s / 2.0), order) for s in s_grid])
+        log_minus = np.log([poon_h(oracle, np.exp(-s / 2.0)) for s in s_grid])
         d2_minus = log_minus[2:] - 2.0 * log_minus[1:-1] + log_minus[:-2]
         mirrored = float(d2_minus.min())
     else:
@@ -318,7 +313,7 @@ def check_poon_convexity(
 
 
 def check_poon_correspondence(
-    oracle: HeatOracle, s_grid: np.ndarray, tol: float = 1e-8, order: int = 64
+    oracle: HeatOracle, s_grid: np.ndarray, tol: float = 1e-8
 ) -> CheckReport:
     """The weighted norm of w reproduces H up to the Gaussian normalization.
 
@@ -327,10 +322,10 @@ def check_poon_correspondence(
     ``H(e^{+s/2})`` is reported in aux so the sign discrepancy stays visible.
     """
     s_grid = np.asarray(s_grid, dtype=float)
-    cov = cov_transform(oracle)
-    iw = np.array([gauss_weighted_norm2(cov, s, order) for s in s_grid])
-    h_minus = np.array([poon_h(oracle, np.exp(-s / 2.0), order) for s in s_grid])
-    h_plus = np.array([poon_h(oracle, np.exp(s / 2.0), order) for s in s_grid])
+    cov = CovSolution(oracle)
+    iw = np.array([gauss_weighted_norm2(cov, s) for s in s_grid])
+    h_minus = np.array([poon_h(oracle, np.exp(-s / 2.0)) for s in s_grid])
+    h_plus = np.array([poon_h(oracle, np.exp(s / 2.0)) for s in s_grid])
     expected = (4.0 * np.pi) ** (oracle.n / 2.0)
     ratio = iw / h_minus
     rel_dev = np.abs(ratio / expected - 1.0)

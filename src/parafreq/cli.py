@@ -63,7 +63,7 @@ def run_simulate(config: ExperimentConfig, out_dir: Path, seed, tol_scale: float
     if config.gauge is not None:
         traj = gauge_transform(traj, build_gauge(config.gauge))
     trace = frequency_trace(traj, op)
-    reports = run_trace_checks(config.checks, traj, trace, op, tol_scale)
+    reports = [rep for _, rep in run_trace_checks(config.checks, traj, trace, op, tol_scale)]
     write_trajectory_csv(out_dir / "trajectory.csv", traj)
     write_trace_csv(out_dir / "trace.csv", trace)
     write_report(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,10 +24,9 @@ from .core import (
     make_gauss_line, make_torus, periodic_coords,
 )
 from .errors import ConfigError
-from .evolution import GaugeSpec, PerturbationSpec
+from .evolution import PerturbationSpec
 from .expressions import compile_expression, evaluate_on_nodes
 from .frequency import (
-    FrequencyTrace,
     check_general_frequency,
     check_general_lower_bound,
     check_gradient_only,
@@ -37,11 +37,15 @@ from .frequency import (
     default_tolerance,
     vanishing_order_surrogate,
 )
-from .operators import DriftOperator, eigenpairs
+from .operators import MAX_DENSE_NODES, DriftOperator, eigenpairs
 from .sampling import random_smooth_field
 
 INTEGRATORS = ("spectral-exact", "implicit-step")
 _MAX = float(np.finfo(float).max)
+# The most doubles one array of a run may hold (2**24, 128 MiB, the size of the
+# largest dense eigenvector matrix): the trajectory's (steps + 1) x nodes x
+# components values, and the Gauss line's order x order basis.
+MAX_VALUES = MAX_DENSE_NODES**2
 
 
 def _parser(ok, what: str):
@@ -56,11 +60,11 @@ def _parser(ok, what: str):
     return _parse
 
 
-def _integer(least: int):
-    """Parser of an integer >= ``least`` (true and false are not integers)."""
+def _integer(least: int, most: float = np.inf):
+    """Parser of an integer from ``least`` to ``most`` (true and false are not integers)."""
     return _parser(
-        lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= least,
-        f"an integer >= {least}",
+        lambda v: isinstance(v, int) and not isinstance(v, bool) and least <= v <= most,
+        f"an integer >= {least}" + (f" and <= {most}" if most < np.inf else ""),
     )
 
 
@@ -195,20 +199,22 @@ TRACE_CHECKS = {
 
 # key tables: key -> parser of a required key, or (parser, default) of an
 # optional one; the "kind" of an object (a check entry's "name") picks its table
+_nodes = _integer(4, MAX_VALUES)
 GEOMETRY_KEYS = {
-    CIRCLE: {"nodes": _integer(4), "length": _finite_real, "phi": (_expression, "0.0")},
+    CIRCLE: {"nodes": _nodes, "length": _finite_real, "phi": (_expression, "0.0")},
     TORUS: {
-        "nx": _integer(4), "ny": _integer(4), "lx": _finite_real, "ly": _finite_real,
+        "nx": _nodes, "ny": _nodes, "lx": _finite_real, "ly": _finite_real,
         "phi": (_expression, "0.0"), "psi": (_expression, "0.0"),
     },
-    GAUSS_LINE: {"order": _integer(4)},
+    GAUSS_LINE: {"order": _integer(4, MAX_DENSE_NODES)},
 }
-TIME_KEYS = {"a": _finite_real, "b": _finite_real, "steps": _integer(1)}
+TIME_KEYS = {"a": _finite_real, "b": _finite_real, "steps": _integer(1, MAX_VALUES)}
 INITIAL_KEYS = {
     "expression": {"expression": _expressions},
     "eigenmode": {"index": (_integer(0), 0)},
     "random": {
-        "seed": _integer(0), "max_mode": (_integer(0), 4), "components": (_integer(1), 1),
+        "seed": _integer(0), "max_mode": (_integer(0), 4),
+        "components": (_integer(1, MAX_VALUES), 1),
         "zero_mean": (_boolean, False),
     },
 }
@@ -219,32 +225,38 @@ PERTURBATION_KEYS = {
 CHECK_KEYS = {name: keys for name, (_, keys) in TRACE_CHECKS.items()}
 _read_geometry = _variant(GEOMETRY_KEYS, "kind")
 _read_initial = _variant(INITIAL_KEYS, "kind")
-_read_check = _variant(CHECK_KEYS, "name")
+read_check = _variant(CHECK_KEYS, "name")
 CONFIG_KEYS = {
     "geometry": _read_geometry, "initial": _read_initial, "time": _time,
     "integrator": (_integrator, "spectral-exact"),
     "perturbation": (_table(PERTURBATION_KEYS), None), "gauge": (_expression, None),
-    "checks": (_list_of(_read_check), []), "output": (_string, None),
+    "checks": (_list_of(read_check), []), "output": (_string, None),
 }
 SWEEP_ENTRY_KEYS = {"name": _run_name, "overrides": (_object, {})}
 SWEEP_KEYS = {"base": _object, "sweep": _list_of(_table(SWEEP_ENTRY_KEYS), nonempty=True)}
 
 
-def check_tolerance(entry: dict, trace: FrequencyTrace, tol_scale: float) -> float:
-    """The entry's ``tol`` times ``tol_scale``, or the trace's provenance-aware default."""
-    tol = entry.get("tol")
-    return default_tolerance(trace, tol_scale) if tol is None else float(tol) * tol_scale
+def _values(spec: dict) -> int:
+    """The doubles of a read config's trajectory: (steps + 1) x nodes x components."""
+    geometry, initial = spec["geometry"], spec["initial"]
+    nodes = math.prod(geometry[key] for key in ("nodes", "nx", "ny", "order") if key in geometry)
+    # an expression list is never empty; eigenmode data have one component
+    components = len(initial.get("expression", ())) or initial.get("components", 1)
+    return (spec["time"]["steps"] + 1) * nodes * components
 
 
 def run_trace_checks(entries, traj, trace, op, tol_scale: float) -> list:
-    """Run config check entries on one traced flow, in order."""
-    entries = [_read_check(entry, "check") for entry in entries]
-    return [
-        TRACE_CHECKS[entry["name"]][0](
-            traj, trace, op, check_tolerance(entry, trace, tol_scale), entry
-        )
-        for entry in entries
-    ]
+    """Run check entries, as :func:`read_check` returns them, on one traced flow, in order.
+
+    Returns ``(tol, report)`` per entry, ``tol`` being the entry's ``tol``
+    times ``tol_scale``, or the trace's provenance-aware default.
+    """
+    out = []
+    for entry in entries:
+        tol = entry["tol"]
+        tol = default_tolerance(trace, tol_scale) if tol is None else tol * tol_scale
+        out.append((tol, TRACE_CHECKS[entry["name"]][0](traj, trace, op, tol, entry)))
+    return out
 
 
 def build_geometry(spec: dict) -> WeightedGeometry:
@@ -312,8 +324,9 @@ def build_perturbation(
     )
 
 
-def build_gauge(spec) -> GaugeSpec:
-    return GaugeSpec(rate=_time_expression(_expression(spec, "gauge")))
+def build_gauge(spec):
+    """The gauge rate lambda(t) as a float-valued callable of time."""
+    return _time_expression(_expression(spec, "gauge"))
 
 
 @dataclass(frozen=True)
@@ -334,6 +347,12 @@ class ExperimentConfig:
         spec = _read(raw, CONFIG_KEYS, "config")
         if spec["perturbation"] is not None and spec["integrator"] != "implicit-step":
             raise ConfigError("config: perturbations require the implicit-step integrator")
+        values = _values(spec)
+        if values > MAX_VALUES:
+            raise ConfigError(
+                f"config: the trajectory would hold {values} values ((steps + 1) x nodes x "
+                f"components); the limit is {MAX_VALUES}"
+            )
         return ExperimentConfig(**{**spec, "checks": tuple(spec["checks"])})
 
     @staticmethod
@@ -365,6 +384,11 @@ def sweep_configs(raw) -> dict[str, ExperimentConfig]:
             runs[name] = ExperimentConfig.from_dict(merged)
         except ConfigError as exc:
             raise ConfigError(f"sweep entry {name!r}: {exc}") from None
+        if runs[name].output is not None:
+            raise ConfigError(
+                f"sweep entry {name!r}: config.output: a sweep writes each entry to "
+                f"<out>/{name}/, so 'output' is not allowed"
+            )
     return runs
 
 

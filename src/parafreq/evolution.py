@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.integrate
@@ -144,16 +144,6 @@ class PerturbationSpec:
         return (self.b is None or not np.any(self.b)) and (
             self.c is None or not np.any(self.c)
         )
-
-
-@dataclass(frozen=True)
-class GaugeSpec:
-    """Scalar zeroth-order coefficient lambda(t), a function of time only."""
-
-    rate: Callable[[float], float] | np.ndarray | float
-
-    def sample(self, times: np.ndarray) -> np.ndarray:
-        return _sample_time_function(self.rate, times, (), "lambda")
 
 
 def _check_initial(op: DriftOperator, u0: Field) -> None:
@@ -367,15 +357,17 @@ def evolve_perturbed(
     )
 
 
-def gauge_transform(traj: Trajectory, gauge: GaugeSpec) -> Trajectory:
+def gauge_transform(traj: Trajectory, rate) -> Trajectory:
     """Multiply by ``exp(-integral_a^t lambda)`` (trapezoid in time).
 
-    If the source solves the gauged equation ``u_t = L u + lambda(t) u``, the
-    result solves the pure drift heat equation; the frequency U is invariant
-    either way because the scalar factor cancels in D/I.
+    ``rate`` is lambda(t): a callable of time, an array over the grid, or a
+    constant.  If the source solves the gauged equation
+    ``u_t = L u + lambda(t) u``, the result solves the pure drift heat
+    equation; the frequency U is invariant either way because the scalar
+    factor cancels in D/I.
     """
     times = traj.grid.times
-    rates = gauge.sample(times)
+    rates = _sample_time_function(rate, times, (), "lambda")
     integral = scipy.integrate.cumulative_trapezoid(rates, times, initial=0.0)
     factors = np.exp(-integral)
     return Trajectory(

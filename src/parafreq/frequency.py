@@ -25,7 +25,7 @@ import scipy.integrate
 from .core import PROVENANCE_IMPLICIT, Trajectory
 from .errors import DegenerateTraceError, InvalidInputError
 from .evolution import _sample_time_function
-from .operators import DriftOperator, assemble
+from .operators import DriftOperator
 from .reports import CheckReport, passing
 
 
@@ -55,8 +55,8 @@ class FrequencyTrace:
         return self.times.size
 
 
-def frequency_trace(traj: Trajectory, op: DriftOperator | None = None) -> FrequencyTrace:
-    """Build the frequency trace of a trajectory.
+def frequency_trace(traj: Trajectory, op: DriftOperator) -> FrequencyTrace:
+    """Build the frequency trace of a trajectory on the operator ``op`` it evolved under.
 
     ``aux['d_expression_gap']`` is the worst gap between two expressions of D,
     relative to ``energy + I``.  With modal data it compares the closed-form
@@ -66,8 +66,6 @@ def frequency_trace(traj: Trajectory, op: DriftOperator | None = None) -> Freque
     :class:`DegenerateTraceError` when I(t) vanishes at any sample (the
     backward-uniqueness regime).
     """
-    if op is None:
-        op = assemble(traj.geometry)
     if traj.modal is not None:
         I, D, d_gap = _modal_trace(traj, op)
     else:
@@ -224,18 +222,17 @@ def check_hadamard_bound(trace: FrequencyTrace, tol: float | None = None) -> Che
 
 
 def check_rigidity(
-    traj: Trajectory, tol: float | None = None, op: DriftOperator | None = None,
-    trace: FrequencyTrace | None = None,
+    traj: Trajectory, tol: float | None, op: DriftOperator, trace: FrequencyTrace | None = None
 ) -> CheckReport:
     """Classify a trajectory as an eigenmode flow and verify the equality case.
 
     When U is constant to within tol the flow must be a separated eigenmode:
     ``u(t) = exp(lambda t) u(a)`` and ``L u(a) = lambda u(a)`` with
     ``lambda = U(a)``.  Non-constant U is reported as non-rigid (and passes).
-    ``trace`` is ``frequency_trace(traj, op)``, traced here when not given.
+    ``op`` is the operator the flow evolved under; ``trace`` is
+    ``frequency_trace(traj, op)``, traced here when not given, and ``tol``
+    the provenance-aware default when None.
     """
-    if op is None:
-        op = assemble(traj.geometry)
     if trace is None:
         trace = frequency_trace(traj, op)
     if tol is None:

@@ -16,9 +16,8 @@ def random_smooth_values(
     geometry: WeightedGeometry,
     rng: np.random.Generator,
     max_mode: int = 4,
-    amplitude: float = 1.0,
 ) -> np.ndarray:
-    """Random band-limited per-node data with unit-order amplitude."""
+    """Random band-limited per-node data with maximum modulus 1."""
     if geometry.kind == CIRCLE:
         x = geometry.coords[:, 0]
         length = geometry.node_count * geometry.stencil.spacings[0]
@@ -48,7 +47,7 @@ def random_smooth_values(
     else:  # pragma: no cover - kinds are closed
         raise ValueError(f"unknown geometry kind {geometry.kind!r}")
     scale = np.max(np.abs(out))
-    return amplitude * out / (scale if scale > 0 else 1.0)
+    return out / (scale if scale > 0 else 1.0)
 
 
 def random_smooth_field(
@@ -75,13 +74,12 @@ def random_weight(
     lengths: tuple[float, ...],
     rng: np.random.Generator,
     amplitude: float = 0.4,
-    max_mode: int = 3,
 ) -> np.ndarray:
-    """Random smooth weight exponent on a periodic coordinate box."""
+    """Random smooth weight exponent on a periodic coordinate box, modes 1 to 3 per axis."""
     out = np.zeros(geometry_coords.shape[0])
     for axis, length in enumerate(lengths):
         coord = geometry_coords[:, axis]
-        for k in range(1, max_mode + 1):
+        for k in range(1, 4):
             freq = 2.0 * np.pi * k / length
             out += rng.standard_normal() * np.cos(freq * coord)
             out += rng.standard_normal() * np.sin(freq * coord)

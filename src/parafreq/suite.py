@@ -15,19 +15,18 @@ from functools import cached_property
 import numpy as np
 
 from .caloric import (
+    CovSolution,
     check_cov_residual,
-    cov_transform,
     make_oracle,
     poon_reports,
     sample_grid,
     trajectory_from_cov,
 )
-from .config import check_tolerance, run_trace_checks
+from .config import read_check, run_trace_checks
 from .core import (
     Field, TimeGrid, Trajectory, make_circle, make_gauss_line, make_torus, periodic_coords,
 )
 from .evolution import (
-    GaugeSpec,
     PerturbationSpec,
     _in_blocks,
     evolve_cn,
@@ -53,7 +52,7 @@ TWO_PI = 2.0 * np.pi
 
 RANDOM_FIELDS_PER_GEOMETRY = 50
 RANDOM_PERTURBATIONS = 50
-SELF_ADJOINT_TRIALS = 50
+RICHARDSON_FIELDS = 10
 EIGENMODES_CHECKED = 5
 
 
@@ -111,7 +110,7 @@ def self_adjoint_reports(ctx: SuiteContext, corrupt_operator: bool = False) -> l
             broken = op.matrix.toarray()
             broken[0, 1] += 1e-3
             op = DriftOperator(geometry=op.geometry, matrix=broken)
-        rep = check_self_adjoint(op, SELF_ADJOINT_TRIALS, seed=ctx.seed + 17)
+        rep = check_self_adjoint(op, seed=ctx.seed + 17)
         reports.append(rep.renamed(f"self-adjoint/{name}"))
     return reports
 
@@ -169,19 +168,16 @@ def _lane_reports(lane, flows, op, where: str, tol_scale: float) -> list[CheckRe
     ``tol`` times ``tol_scale``, or the largest per-flow default.  No flow is
     held past its own checks, so a stepped block is freed before the next one.
     """
-    entries = [entry for _, entry, _ in lane]
+    entries = [read_check(entry, "check") for _, entry, _ in lane]
 
     def checked(traj):
-        trace = frequency_trace(traj, op)
-        reports = run_trace_checks(entries, traj, trace, op, tol_scale)
-        return [(rep.margin, check_tolerance(entry, trace, tol_scale))
-                for entry, rep in zip(entries, reports)]
+        return run_trace_checks(entries, traj, frequency_trace(traj, op), op, tol_scale)
 
     margins = [np.inf] * len(lane)
     tols = [-np.inf] * len(lane)
     for results in map(checked, flows):
-        for k, (margin, tol) in enumerate(results):
-            margins[k] = min(margins[k], margin)
+        for k, (tol, rep) in enumerate(results):
+            margins[k] = min(margins[k], rep.margin)
             tols[k] = max(tols[k], tol)
     return [
         passing(f"{label}/{where}", margin, tol, **aux)
@@ -223,11 +219,11 @@ def monotonicity_reports(ctx: SuiteContext) -> list[CheckReport]:
     return reports
 
 
-def richardson_reports(ctx: SuiteContext, fields: int = 10) -> list[CheckReport]:
+def richardson_reports(ctx: SuiteContext) -> list[CheckReport]:
     """Observed O(dt^2) shrinkage of the stepped-lane U trace under dt/2."""
     op = ctx.operators["circle"]
     rng = _rng(ctx.seed, 5)
-    starts = [random_smooth_field(op.geometry, rng) for _ in range(fields)]
+    starts = [random_smooth_field(op.geometry, rng) for _ in range(RICHARDSON_FIELDS)]
 
     def u_gap(u0, stepped):
         exact = frequency_trace(evolve_exact(op, u0, stepped.grid), op)
@@ -433,7 +429,7 @@ def caloric_reports(ctx: SuiteContext) -> list[CheckReport]:
     points = sample_grid(1)
     worst = 0.0
     for oracle in oracle_set.values():
-        rep = check_cov_residual(cov_transform(oracle), points, 1e-10)
+        rep = check_cov_residual(CovSolution(oracle), points, 1e-10)
         worst = max(worst, rep.aux["max_gap"])
     reports.append(
         passing("cov-residual/oracle-set", 1e-10 - worst, 1e-10, max_gap=worst,
@@ -445,7 +441,7 @@ def caloric_reports(ctx: SuiteContext) -> list[CheckReport]:
     # caloric flows become drift eigenmode flows on the gauss line
     sgrid = TimeGrid(0.3, 2.3, 80)
     flows = (
-        trajectory_from_cov(cov_transform(oracle_set[key]), ctx.gauss, sgrid)
+        trajectory_from_cov(CovSolution(oracle_set[key]), ctx.gauss, sgrid)
         for key in ("linear", "caloric-quadratic", "cubic")
     )
     return reports + _lane_reports(CALORIC_LANE, flows, ctx.operators["gauss-line"],
@@ -460,10 +456,8 @@ def gauge_reports(ctx: SuiteContext) -> list[CheckReport]:
     traj = evolve_exact(op, u0, grid)
     base = frequency_trace(traj, op)
     coeffs = rng.standard_normal(3)
-    gauge = GaugeSpec(
-        rate=lambda t: coeffs[0] + coeffs[1] * np.sin(3.0 * t) + coeffs[2] * t
-    )
-    transformed = frequency_trace(gauge_transform(traj, gauge), op)
+    rate = lambda t: coeffs[0] + coeffs[1] * np.sin(3.0 * t) + coeffs[2] * t
+    transformed = frequency_trace(gauge_transform(traj, rate), op)
     gap = float(np.max(np.abs(transformed.U - base.U)))
     return [passing("gauge/u-invariance", 1e-12 - gap, 1e-12, max_gap=gap)]
 

@@ -1,6 +1,7 @@
 import json
 import re
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,8 @@ import scipy.sparse.linalg
 from parafreq.caloric import poon_reports
 from parafreq import cli
 from parafreq.cli import main
-from parafreq.config import TRACE_CHECKS
+from parafreq.config import MAX_VALUES, TRACE_CHECKS
+from parafreq.operators import MAX_DENSE_NODES
 
 TWO_PI = 2.0 * np.pi
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -297,6 +299,58 @@ class TestUnknownKeys:
         assert report["checks"][0]["aux"]["rate"] == 0.0
 
 
+def sized_config(key, value):
+    """A 64-node, 50-step implicit-step config with ``key`` set to ``value``."""
+    raw = dict(eigenmode_config(), integrator="implicit-step",
+               initial={"kind": "expression", "expression": "sin(x)"})
+    if key == "nx":
+        raw["geometry"] = {"kind": "torus2d", "nx": value, "ny": 64, "lx": TWO_PI, "ly": TWO_PI}
+    elif key == "order":
+        raw["geometry"] = {"kind": "gauss-line", "order": value}
+    elif key == "steps":
+        raw["time"] = dict(raw["time"], steps=value)
+    else:
+        raw["geometry"] = dict(raw["geometry"], nodes=value)
+    return raw
+
+
+class TestSizeCap:
+    @pytest.mark.parametrize(
+        ("key", "value"),
+        [
+            ("nodes", 10**30), ("nx", 10**30), ("steps", 10**30), ("order", 10**30),
+            # each within its key's bound, the trajectory just beyond the cap
+            ("nodes", MAX_VALUES // 51 + 1), ("nx", MAX_VALUES // (64 * 51) + 1),
+            ("steps", MAX_VALUES // 64), ("order", MAX_DENSE_NODES + 1),
+        ],
+    )
+    def test_oversized_config_exits_1_allocating_nothing_large(
+        self, tmp_path, capsys, key, value
+    ):
+        config = write_config(tmp_path / "c.json", sized_config(key, value))
+        tracemalloc.start()
+        try:
+            code = main(["--out", str(tmp_path / "out"), "simulate", "--config", config])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("config error:")
+        assert "Traceback" not in captured.out + captured.err
+        assert peak < 2**20
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_oversized_later_sweep_entry_runs_no_entry(self, tmp_path, capsys):
+        raw = sweep_of(eigenmode_config(), {"name": "a"},
+                       {"name": "b", "overrides": {"time.steps": MAX_VALUES}})
+        config = write_config(tmp_path / "c.json", raw)
+        code = main(["--out", str(tmp_path / "out"), "sweep", "--config", config])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: sweep entry 'b'")
+        assert list((tmp_path / "out").iterdir()) == []
+
+
 class TestNumericalFailures:
     def run(self, tmp_path, capsys, raw):
         config = write_config(tmp_path / "c.json", raw)
@@ -466,6 +520,23 @@ class TestSweep:
         assert code == 1
         assert err.startswith("config error: sweep entry 'b'")
         assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("where", ["base", "override"])
+    def test_sweep_rejects_output(self, tmp_path, capsys, monkeypatch, where):
+        monkeypatch.chdir(tmp_path)
+        base = eigenmode_config()
+        entry = {"name": "a"}
+        if where == "base":
+            base["output"] = "elsewhere"
+        else:
+            entry["overrides"] = {"output": "elsewhere"}
+        config = write_config(tmp_path / "c.json", sweep_of(base, entry))
+        code = main(["--out", str(tmp_path / "out"), "sweep", "--config", config])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error: sweep entry 'a'") and "'output'" in err
+        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "elsewhere").exists()
 
     def test_sweep_requires_entries(self, tmp_path):
         config = write_config(tmp_path / "c.json", {"base": eigenmode_config()})

@@ -11,6 +11,7 @@ from parafreq.config import (
     CONFIG_KEYS,
     GEOMETRY_KEYS,
     INITIAL_KEYS,
+    MAX_VALUES,
     PERTURBATION_KEYS,
     SWEEP_ENTRY_KEYS,
     SWEEP_KEYS,
@@ -25,6 +26,7 @@ from parafreq.config import (
     sweep_configs,
 )
 from parafreq.errors import ConfigError, ExpressionError, ParafreqError
+from parafreq.evolution import _sample_time_function
 from parafreq.expressions import compile_expression, evaluate_on_nodes
 
 TWO_PI = 2.0 * np.pi
@@ -200,6 +202,19 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "initial",
+        [{"kind": "random", "seed": 1, "components": 2},
+         {"kind": "expression", "expression": ["sin(x)", "cos(x)"]}],
+    )
+    def test_size_cap_counts_samples_nodes_and_components(self, initial):
+        raw = dict(self.base(), initial=initial)
+        raw["time"]["steps"] = MAX_VALUES // (32 * 2) - 1
+        ExperimentConfig.from_dict(raw)
+        raw["time"]["steps"] += 1
+        with pytest.raises(ConfigError, match=f"the limit is {MAX_VALUES}"):
+            ExperimentConfig.from_dict(raw)
+
     def test_perturbation_built_from_expressions(self, flat_circle):
         grid = TimeGrid(0.0, 1.0, 10)
         pert = build_perturbation(
@@ -314,7 +329,7 @@ def _build(raw):
     if config.perturbation is not None:
         build_perturbation(config.perturbation, geometry, grid)
     if config.gauge is not None:
-        build_gauge(config.gauge).sample(grid.times)
+        _sample_time_function(build_gauge(config.gauge), grid.times, (), "lambda")
 
 
 class TestConfigFuzz:

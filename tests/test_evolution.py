@@ -8,7 +8,6 @@ import scipy.sparse.linalg
 
 from parafreq import (
     Field,
-    GaugeSpec,
     PerturbationSpec,
     TimeGrid,
     assemble,
@@ -560,7 +559,7 @@ class TestGauge:
         geom = flat_circle_op.geometry
         u0 = Field(geom, np.sin(geom.coords[:, 0]))
         traj = evolve_exact(flat_circle_op, u0, TimeGrid(0.0, 1.0, 20))
-        same = gauge_transform(traj, GaugeSpec(rate=0.0))
+        same = gauge_transform(traj, 0.0)
         for a, b in zip(traj.fields, same.fields):
             assert np.array_equal(a.values, b.values)
 
@@ -570,10 +569,9 @@ class TestGauge:
         u0 = Field(geom, np.stack([np.sin(x), np.cos(2.0 * x)], axis=1))
         grid = TimeGrid(0.0, 1.0, 20)
         traj = evolve_exact(weighted_circle_op, u0, grid)
-        gauge = GaugeSpec(rate=lambda t: 0.3 - 0.5 * t)
-        scaled = gauge_transform(traj, gauge)
+        scaled = gauge_transform(traj, lambda t: 0.3 - 0.5 * t)
         integral = scipy.integrate.cumulative_trapezoid(
-            gauge.sample(grid.times), grid.times, initial=0.0
+            0.3 - 0.5 * grid.times, grid.times, initial=0.0
         )
         for factor, before, after in zip(np.exp(-integral), traj.fields, scaled.fields):
             assert np.array_equal(after.values, factor * before.values)
@@ -583,7 +581,7 @@ class TestGauge:
         u0 = Field(geom, np.sin(geom.coords[:, 0]))
         grid = TimeGrid(0.0, 1.0, 20)
         traj = evolve_exact(flat_circle_op, u0, grid)
-        scaled = gauge_transform(traj, GaugeSpec(rate=0.7))
+        scaled = gauge_transform(traj, 0.7)
         for k, t in enumerate(grid.times):
             base = weighted_inner(traj.fields[k], traj.fields[k])
             now = weighted_inner(scaled.fields[k], scaled.fields[k])
@@ -599,7 +597,7 @@ class TestGauge:
         )
         u0 = Field(geom, np.sin(geom.coords[:, 0]))
         gauged = evolve_perturbed(flat_circle_op, u0, grid, pert)
-        removed = gauge_transform(gauged, GaugeSpec(rate=c0))
+        removed = gauge_transform(gauged, c0)
         pure = evolve_cn(flat_circle_op, u0, grid)
         gap = mu_distance(removed.fields[-1], pure.fields[-1])
         assert gap < 1e-4 * weighted_norm(pure.fields[-1])

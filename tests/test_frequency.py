@@ -3,6 +3,7 @@ import pytest
 
 from parafreq import (
     PROVENANCE_SPECTRAL,
+    DriftOperator,
     Field,
     PerturbationSpec,
     TimeGrid,
@@ -117,7 +118,7 @@ class TestClosedFormSpectralTrace:
         assert closed.aux["d_expression_gap"] <= 1e-12
         assert sampled.aux["d_expression_gap"] <= 1e-12
 
-    def test_trace_leaves_values_unmaterialized(self, conformal_torus_op, two_mode):
+    def test_trace_leaves_values_unmaterialized(self, conformal_torus_op, flat_circle_op, two_mode):
         geom = conformal_torus_op.geometry
         u0 = Field(geom, np.cos(geom.coords[:, 0]) + np.sin(2.0 * geom.coords[:, 1]))
         traj = evolve_exact(conformal_torus_op, u0, TimeGrid(0.0, 1.0, 200))
@@ -125,7 +126,7 @@ class TestClosedFormSpectralTrace:
         assert "values" not in vars(traj) and "fields" not in vars(traj)
         # a non-rigid flow needs no residual, so rigidity does not build values either
         two_mode_traj, _ = two_mode
-        check_rigidity(two_mode_traj, 1e-9)
+        check_rigidity(two_mode_traj, 1e-9, flat_circle_op)
         assert "values" not in vars(two_mode_traj)
 
     def test_d_gap_detects_inconsistent_modal_data(self, weighted_circle_op):
@@ -209,14 +210,14 @@ class TestMonotonicityChecks:
         assert rep.passed
         assert rep.aux["min_second_difference"] > 0.0
 
-    def test_reversed_trace_fails(self, two_mode):
+    def test_reversed_trace_fails(self, flat_circle_op, two_mode):
         traj, _ = two_mode
         reversed_traj = Trajectory(
             grid=traj.grid,
             fields=tuple(reversed(traj.fields)),
             provenance=traj.provenance,
         )
-        trace = frequency_trace(reversed_traj)
+        trace = frequency_trace(reversed_traj, flat_circle_op)
         assert not check_u_monotone(trace, 1e-10).passed
 
     def test_dlogi_identity_richardson(self, flat_circle_op):
@@ -291,6 +292,23 @@ class TestHadamardBound:
         assert abs(rep.aux["min_scaled"] - trace.I.min()) < 1e-12
 
 
+class TestOperatorArgument:
+    def test_trace_and_rigidity_need_the_operator(self, two_mode):
+        traj, _ = two_mode
+        with pytest.raises(TypeError):
+            frequency_trace(traj)
+        with pytest.raises(TypeError):
+            check_rigidity(traj, 1e-9)
+
+    def test_rigidity_checks_against_the_given_operator(self, flat_circle_op):
+        pair = eigenpairs(flat_circle_op, 2)[1]
+        traj = evolve_exact(flat_circle_op, pair.eigenfield, TimeGrid(0.0, 1.0, 50))
+        assert check_rigidity(traj, 1e-9, flat_circle_op).passed
+        scaled = DriftOperator(geometry=flat_circle_op.geometry, matrix=1.01 * flat_circle_op.matrix)
+        rep = check_rigidity(traj, 1e-9, scaled, frequency_trace(traj, flat_circle_op))
+        assert not rep.passed and rep.aux["eigen_residual"] > 1e-3
+
+
 class TestRigidity:
     def test_eigenmode_flagged(self, flat_circle_op):
         pair = eigenpairs(flat_circle_op, 2)[1]
@@ -307,9 +325,9 @@ class TestRigidity:
         monkeypatch.setattr(frequency, "frequency_trace", None)  # a second trace would fail
         assert check_rigidity(traj, 1e-9, flat_circle_op, trace).to_dict() == expected
 
-    def test_two_mode_not_rigid(self, two_mode):
+    def test_two_mode_not_rigid(self, flat_circle_op, two_mode):
         traj, _ = two_mode
-        rep = check_rigidity(traj, 1e-9)
+        rep = check_rigidity(traj, 1e-9, flat_circle_op)
         assert rep.passed and not rep.aux["is_eigenmode"]
         assert abs(rep.aux["u_variation"] - 1.491) < 5e-3
 

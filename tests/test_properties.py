@@ -7,19 +7,22 @@ from hypothesis.extra import numpy as hnp
 
 from parafreq import (
     Field,
-    GaugeSpec,
     TimeGrid,
     assemble,
     check_hadamard_bound,
     check_log_convexity,
     check_u_monotone,
     dirichlet_energy,
+    energy_pairing,
+    evolve_cn,
     evolve_exact,
     frequency_trace,
     gauge_transform,
     make_circle,
+    make_torus,
     weighted_inner,
 )
+from parafreq.core import periodic_coords
 from parafreq.expressions import compile_expression
 from parafreq.sampling import random_smooth_field, random_weight
 
@@ -102,9 +105,85 @@ class TestFlowProperties:
         u0 = random_smooth_field(small_geometry, rng)
         traj = evolve_exact(small_operator, u0, TimeGrid(0.0, 1.0, 20))
         base = frequency_trace(traj, small_operator)
-        gauged = gauge_transform(traj, GaugeSpec(rate=lambda t: c0 + c1 * np.sin(t)))
+        gauged = gauge_transform(traj, lambda t: c0 + c1 * np.sin(t))
         moved = frequency_trace(gauged, small_operator)
         assert np.max(np.abs(moved.U - base.U)) < 1e-12 * (1.0 + np.max(np.abs(base.U)))
+
+
+_EVOLVE = {"spectral": evolve_exact, "stepped": evolve_cn}
+_SCALES = st.one_of(st.floats(-1e3, -1e-3), st.floats(1e-3, 1e3))
+
+
+def _relative_gap(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b)) / (1.0 + np.max(np.abs(b))))
+
+
+class TestMetamorphicProperties:
+    """U is a ratio of quadratic forms of an autonomous linear flow."""
+
+    @given(seed=st.integers(0, 2**31 - 1), c=_SCALES, integrator=st.sampled_from(list(_EVOLVE)))
+    @settings(max_examples=25, deadline=None)
+    def test_u_invariant_under_scaling_of_the_data(self, seed, c, integrator):
+        evolve = _EVOLVE[integrator]
+        u0 = random_smooth_field(small_geometry, np.random.default_rng(seed))
+        grid = TimeGrid(0.0, 1.0, 20)
+        base = frequency_trace(evolve(small_operator, u0, grid), small_operator)
+        scaled_u0 = Field(small_geometry, c * u0.values)
+        scaled = frequency_trace(evolve(small_operator, scaled_u0, grid), small_operator)
+        assert _relative_gap(scaled.U, base.U) < 1e-12
+
+    @given(
+        seed=st.integers(0, 2**31 - 1), shift=st.floats(-50.0, 50.0),
+        integrator=st.sampled_from(list(_EVOLVE)),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_u_invariant_under_a_shift_of_the_time_window(self, seed, shift, integrator):
+        evolve = _EVOLVE[integrator]
+        u0 = random_smooth_field(small_geometry, np.random.default_rng(seed))
+        base = frequency_trace(evolve(small_operator, u0, TimeGrid(0.0, 1.0, 20)), small_operator)
+        window = TimeGrid(shift, shift + 1.0, 20)
+        moved = frequency_trace(evolve(small_operator, u0, window), small_operator)
+        assert _relative_gap(moved.U, base.U) < 1e-10
+
+    @given(seed=st.integers(0, 2**31 - 1), start=st.integers(1, 18))
+    @settings(max_examples=25, deadline=None)
+    def test_restarted_spectral_flow_continues_u(self, seed, start):
+        u0 = random_smooth_field(small_geometry, np.random.default_rng(seed))
+        grid = TimeGrid(0.0, 1.0, 20)
+        traj = evolve_exact(small_operator, u0, grid)
+        base = frequency_trace(traj, small_operator)
+        restart = Field(small_geometry, traj.values[start])
+        tail = TimeGrid(grid.times[start], 1.0, 20 - start)
+        moved = frequency_trace(evolve_exact(small_operator, restart, tail), small_operator)
+        assert _relative_gap(moved.U, base.U[start:]) < 1e-10
+
+
+def _weighted_geometry(kind: str, rng: np.random.Generator):
+    """A small circle or torus with random smooth phi (and psi on the torus)."""
+    if kind == "circle":
+        phi = random_weight(periodic_coords((N_SMALL,), (TWO_PI,)), (TWO_PI,), rng)
+        return make_circle(N_SMALL, TWO_PI, phi)
+    coords = periodic_coords((8, 6), (TWO_PI, 3.0))
+    phi = random_weight(coords, (TWO_PI, 3.0), rng)
+    psi = random_weight(coords, (TWO_PI, 3.0), rng, amplitude=0.3)
+    return make_torus(8, 6, TWO_PI, 3.0, phi, psi)
+
+
+class TestSummationByParts:
+    @given(seed=st.integers(0, 2**31 - 1), kind=st.sampled_from(["circle", "torus"]))
+    @settings(max_examples=50, deadline=None)
+    def test_pairing_with_l_is_minus_the_energy_pairing(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        geom = _weighted_geometry(kind, rng)
+        op = assemble(geom)
+        u = Field(geom, random_smooth_field(geom, rng).values)
+        v = Field(geom, rng.standard_normal(geom.node_count))
+        lv = op.apply(v)
+        lhs = weighted_inner(u, lv)
+        # round-off scale: the sum of the pairing's terms in absolute value
+        scale = float(np.sum(np.abs(geom.mu[:, None] * u.values * lv.values)))
+        assert abs(lhs + energy_pairing(u, v)) <= 1e-13 * scale
+        assert abs(lhs - weighted_inner(op.apply(u), v)) <= 1e-13 * scale
 
 
 class TestExpressionProperties:

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from parafreq import PerturbationSpec, TimeGrid, make_circle
-from parafreq import frequency, suite
+from parafreq import Field, PerturbationSpec, TimeGrid, evolve_exact, make_circle
+from parafreq import config, frequency, suite
 from parafreq.reports import write_report
 from parafreq.suite import (
     EIGENMODES_CHECKED,
@@ -40,12 +40,27 @@ def test_rigidity_traces_each_flow_once(monkeypatch):
     # five eigenmode flows on each of three geometries, plus the two-mode control
     traced = []
     trace = suite.frequency_trace
-    counting = lambda traj, op=None: traced.append(traj) or trace(traj, op)
+    counting = lambda traj, op: traced.append(traj) or trace(traj, op)
     monkeypatch.setattr(suite, "frequency_trace", counting)
     monkeypatch.setattr(frequency, "frequency_trace", counting)
     reports = rigidity_reports(SuiteContext(seed=0))
     assert all(r.passed for r in reports)
     assert len(traced) == len({id(traj) for traj in traced}) == 3 * EIGENMODES_CHECKED + 1
+
+
+def test_lane_reads_each_entry_once_for_all_its_flows(monkeypatch):
+    reads = []
+    read = config._read
+    monkeypatch.setattr(config, "_read", lambda raw, *rest: reads.append(raw) or read(raw, *rest))
+    op = SuiteContext(seed=0).operators["flat-circle"]
+    x = op.geometry.coords[:, 0]
+    flows = [
+        evolve_exact(op, Field(op.geometry, np.sin(x) + k * np.cos(2.0 * x)), TimeGrid(0.0, 1.0, 20))
+        for k in range(3)
+    ]
+    reports = suite._lane_reports(suite.SPECTRAL_LANE, flows, op, "flat-circle", 1.0)
+    assert all(r.passed for r in reports)
+    assert reads == [entry for _, entry, _ in suite.SPECTRAL_LANE]
 
 
 def test_spectrum_reports_pass():
