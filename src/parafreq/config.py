@@ -25,7 +25,7 @@ from .core import (
 )
 from .errors import ConfigError
 from .evolution import PerturbationSpec
-from .expressions import compile_expression, evaluate_on_nodes
+from .expressions import COORDINATES, compile_expression, evaluate_on_grid
 from .frequency import (
     check_general_frequency,
     check_general_lower_bound,
@@ -141,15 +141,12 @@ def _finite_real(value, context: str) -> float:
 
 
 def _expression(value, context: str) -> str:
-    """An expression string, parsed now over the names x, y and t, or a finite number.
+    """An expression string, or a finite number as its exact ``repr``, so one path evaluates both.
 
-    A number becomes its exact ``repr``, so one path evaluates both.  A name
-    the geometry lacks (``y`` on a circle) is reported by the builder.
+    :func:`_check_on_geometry` parses it over the names its key allows on the
+    geometry (no ``y`` on a circle, no ``t`` in a weight).
     """
-    if not isinstance(value, str):
-        value = repr(_finite_real(value, context))
-    compile_expression(value, ("x", "y", "t"))
-    return value
+    return value if isinstance(value, str) else repr(_finite_real(value, context))
 
 
 _expression_list = _list_of(_expression, nonempty=True)
@@ -236,13 +233,70 @@ SWEEP_ENTRY_KEYS = {"name": _run_name, "overrides": (_object, {})}
 SWEEP_KEYS = {"base": _object, "sweep": _list_of(_table(SWEEP_ENTRY_KEYS), nonempty=True)}
 
 
+def _axis_nodes(geometry: dict) -> list:
+    """The node count along each axis of a read geometry spec."""
+    return [geometry[key] for key in ("nodes", "nx", "ny", "order") if key in geometry]
+
+
 def _values(spec: dict) -> int:
     """The doubles of a read config's trajectory: (steps + 1) x nodes x components."""
-    geometry, initial = spec["geometry"], spec["initial"]
-    nodes = math.prod(geometry[key] for key in ("nodes", "nx", "ny", "order") if key in geometry)
+    initial = spec["initial"]
     # an expression list is never empty; eigenmode data have one component
     components = len(initial.get("expression", ())) or initial.get("components", 1)
-    return (spec["time"]["steps"] + 1) * nodes * components
+    return (spec["time"]["steps"] + 1) * math.prod(_axis_nodes(spec["geometry"])) * components
+
+
+def _check_b_length(b: list, dim: int) -> None:
+    if len(b) != dim:
+        raise ConfigError(
+            f"perturbation.b: expected {dim} component expression(s), got {b!r}"
+        )
+
+
+def _check_on_geometry(spec: dict) -> None:
+    """The checks of a read config that need its geometry's kind and sizes, not its arrays.
+
+    Each expression is parsed over the names its key allows: the coordinates
+    in ``phi``, ``psi`` and initial data, the coordinates and ``t`` in ``b``
+    and ``c``, and ``t`` alone in ``bound`` and ``gauge``.  ``b`` has one
+    expression per coordinate, an ``eigenmode`` index is below the node
+    count, and ``max_mode`` is at most the smallest axis node count (higher
+    modes only alias).
+    """
+    geometry, initial = spec["geometry"], spec["initial"]
+    perturbation = spec["perturbation"] or {}
+    space = COORDINATES[: 2 if geometry["kind"] == TORUS else 1]
+    expressions = [
+        ("geometry.phi", geometry.get("phi"), space),
+        ("geometry.psi", geometry.get("psi"), space),
+        *((f"initial.expression[{i}]", text, space)
+          for i, text in enumerate(initial.get("expression", ()))),
+        *((f"perturbation.b[{i}]", text, space + ("t",))
+          for i, text in enumerate(perturbation.get("b") or ())),
+        ("perturbation.c", perturbation.get("c"), space + ("t",)),
+        ("perturbation.bound", perturbation.get("bound"), ("t",)),
+        ("gauge", spec["gauge"], ("t",)),
+    ]
+    for context, text, names in expressions:
+        if text is not None:
+            try:
+                compile_expression(text, names)
+            except ConfigError as exc:
+                raise ConfigError(f"{context}: {exc}") from None
+    if perturbation.get("b") is not None:
+        _check_b_length(perturbation["b"], len(space))
+    nodes = math.prod(_axis_nodes(geometry))
+    if initial["kind"] == "eigenmode" and initial["index"] >= nodes:
+        raise ConfigError(
+            f"initial.index: expected an integer below the node count {nodes}, "
+            f"got {initial['index']}"
+        )
+    axis_nodes = min(_axis_nodes(geometry))
+    if initial["kind"] == "random" and initial["max_mode"] > axis_nodes:
+        raise ConfigError(
+            f"initial.max_mode: expected at most {axis_nodes}, the smallest axis node "
+            f"count, got {initial['max_mode']}"
+        )
 
 
 def run_trace_checks(entries, traj, trace, op, tol_scale: float) -> list:
@@ -265,9 +319,9 @@ def build_geometry(spec: dict) -> WeightedGeometry:
         return make_gauss_line(spec["order"])
     if spec["kind"] == CIRCLE:
         coords = periodic_coords((spec["nodes"],), (spec["length"],))
-        return make_circle(spec["nodes"], spec["length"], evaluate_on_nodes(spec["phi"], coords))
+        return make_circle(spec["nodes"], spec["length"], evaluate_on_grid(spec["phi"], coords))
     coords = periodic_coords((spec["nx"], spec["ny"]), (spec["lx"], spec["ly"]))
-    phi, psi = (evaluate_on_nodes(spec[key], coords) for key in ("phi", "psi"))
+    phi, psi = (evaluate_on_grid(spec[key], coords) for key in ("phi", "psi"))
     return make_torus(spec["nx"], spec["ny"], spec["lx"], spec["ly"], phi, psi)
 
 
@@ -278,7 +332,7 @@ def build_time(spec: dict) -> TimeGrid:
 def build_initial(spec: dict, geometry: WeightedGeometry, op: DriftOperator) -> Field:
     spec = _read_initial(spec, "initial")
     if spec["kind"] == "expression":
-        values = [evaluate_on_nodes(e, geometry.coords) for e in spec["expression"]]
+        values = [evaluate_on_grid(e, geometry.coords) for e in spec["expression"]]
         return Field(geometry, np.column_stack(values))
     if spec["kind"] == "eigenmode":
         return eigenpairs(op, spec["index"] + 1)[spec["index"]].eigenfield
@@ -286,14 +340,6 @@ def build_initial(spec: dict, geometry: WeightedGeometry, op: DriftOperator) -> 
     return random_smooth_field(
         geometry, rng, spec["max_mode"], spec["components"], spec["zero_mean"]
     )
-
-
-def _space_time_expression(text: str, coords: np.ndarray):
-    """A checked expression over the coordinates and t, as ``t -> per-node values``."""
-    names = ("x", "y")[: coords.shape[1]] + ("t",)
-    fn = compile_expression(text, names)
-    env = {name: coords[:, i] for i, name in enumerate(names[:-1])}
-    return lambda t: np.broadcast_to(fn(**env, t=t), (coords.shape[0],)).astype(float)
 
 
 def _time_expression(text: str):
@@ -305,22 +351,27 @@ def _time_expression(text: str):
 def build_perturbation(
     spec: dict, geometry: WeightedGeometry, grid: TimeGrid
 ) -> PerturbationSpec:
+    """Sample a perturbation's expressions on the grid; construction certifies it.
+
+    Each ``b`` component and ``c`` is evaluated once over the whole (samples,
+    nodes) grid, in bounded chunks of time rows, straight into the arrays the
+    spec keeps, and ``bound`` once over the sample times.
+    """
     spec = _read(spec, PERTURBATION_KEYS, "perturbation")
+    times, coords = grid.times, geometry.coords
     b = c = bound = None
     if spec["b"] is not None:
-        if len(spec["b"]) != geometry.dim:
-            raise ConfigError(
-                f"perturbation.b: expected {geometry.dim} component expression(s), "
-                f"got {spec['b']!r}"
-            )
-        samplers = [_space_time_expression(part, geometry.coords) for part in spec["b"]]
-        b = lambda t: np.column_stack([s(t) for s in samplers])
+        _check_b_length(spec["b"], geometry.dim)
+        b = np.empty((times.size, geometry.node_count, geometry.dim))
+        for i, part in enumerate(spec["b"]):
+            evaluate_on_grid(part, coords, times, out=b[:, :, i])
     if spec["c"] is not None:
-        c = _space_time_expression(spec["c"], geometry.coords)
+        c = evaluate_on_grid(spec["c"], coords, times)
     if spec["bound"] is not None:
-        bound = _time_expression(spec["bound"])
-    return PerturbationSpec.build(
-        geometry, grid, b=b, c=c, bound=bound, gradient_only=spec["gradient_only"]
+        bound = np.empty(times.size)
+        bound[:] = compile_expression(spec["bound"], ("t",))(t=times)
+    return PerturbationSpec(
+        geometry=geometry, grid=grid, b=b, c=c, bound=bound, gradient_only=spec["gradient_only"]
     )
 
 
@@ -353,6 +404,7 @@ class ExperimentConfig:
                 f"config: the trajectory would hold {values} values ((steps + 1) x nodes x "
                 f"components); the limit is {MAX_VALUES}"
             )
+        _check_on_geometry(spec)
         return ExperimentConfig(**{**spec, "checks": tuple(spec["checks"])})
 
     @staticmethod

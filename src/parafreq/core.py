@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy.sparse
@@ -28,6 +28,16 @@ PROVENANCE_ANALYTIC = "analytic-oracle"
 
 # samples per chunk of WeightedGeometry.energy_batch
 _ENERGY_CHUNK = 32
+# doubles of one temporary in the passes over (samples, nodes) arrays that go
+# a chunk of rows at a time (2**20, 8 MiB): sampling an expression on the
+# space-time grid and certifying a perturbation
+CHUNK_VALUES = 2**20
+
+
+def row_chunks(rows: int, row_values: int) -> Iterator[slice]:
+    """Slices covering ``rows`` rows, each of at most ``CHUNK_VALUES`` values (at least one row)."""
+    step = max(1, CHUNK_VALUES // max(row_values, 1))
+    return (slice(start, min(start + step, rows)) for start in range(0, rows, step))
 
 
 def _as_node_array(values, nodes: int, name: str) -> np.ndarray:

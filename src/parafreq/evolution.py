@@ -40,6 +40,7 @@ from .core import (
     TimeGrid,
     Trajectory,
     WeightedGeometry,
+    row_chunks,
     weighted_inner,
 )
 from .errors import (
@@ -94,9 +95,13 @@ class PerturbationSpec:
         times = self.grid.times
         if self.gradient_only and self.c is not None and np.any(self.c != 0.0):
             raise InvalidInputError("gradient_only perturbations require c == 0")
-        zero = np.zeros(times.size)
-        b_sup = zero if self.b is None else np.sqrt((self.b**2).sum(axis=2)).max(axis=1)
-        c_sup = zero if self.c is None else np.abs(self.c).max(axis=1)
+        # sup norms per sample, a chunk of samples at a time so temporaries stay bounded
+        b_sup, c_sup = np.zeros(times.size), np.zeros(times.size)
+        for rows in row_chunks(times.size, self.geometry.node_count * self.geometry.dim):
+            if self.b is not None:
+                b_sup[rows] = np.sqrt((self.b[rows] ** 2).sum(axis=2)).max(axis=1)
+            if self.c is not None:
+                c_sup[rows] = np.abs(self.c[rows]).max(axis=1)
         if self.bound is None:
             object.__setattr__(self, "bound", np.maximum(b_sup, c_sup))
         else:
@@ -127,7 +132,10 @@ class PerturbationSpec:
         ``b`` maps t to per-node coefficient vectors (nodes, dim), ``c`` maps
         t to per-node scalars; either may be an array over the whole grid, a
         constant, or None.  ``bound`` is C(t); when omitted the tight sup-norm
-        certificate is used.
+        certificate is used.  A callable is called once per sample and an
+        array is copied; a caller that already holds the (samples, ...)
+        arrays, as ``config.build_perturbation`` does, constructs the spec
+        from them directly.
         """
         times = grid.times
         nodes, dim = geometry.node_count, geometry.dim

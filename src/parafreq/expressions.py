@@ -4,6 +4,8 @@ Supported: ``+ - * /``, parentheses, ``**`` powers, ``sin``, ``cos``,
 ``exp``, numeric literals, ``pi``, and the coordinate names declared by the
 caller (``x``, ``y``, ``t``).  Parsing rides on the Python ``ast`` module with
 a strict whitelist; anything else is rejected with the offending position.
+:func:`evaluate_on_grid` samples an expression on a geometry's nodes, or on
+the nodes at every time of a grid.
 """
 
 from __future__ import annotations
@@ -12,7 +14,11 @@ import ast
 
 import numpy as np
 
+from .core import row_chunks
 from .errors import ExpressionError
+
+# the coordinate names, in axis order
+COORDINATES = ("x", "y")
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _CONSTANTS = {"pi": np.pi}
@@ -106,13 +112,25 @@ def compile_expression(text: str, variables: tuple[str, ...]):
     return compiled
 
 
-def evaluate_on_nodes(text: str, coords: np.ndarray, t: float | None = None) -> np.ndarray:
-    """Evaluate an expression on geometry nodes (x, optionally y, optionally t)."""
-    names = ("x", "y")[: coords.shape[1]]
-    variables = names + (("t",) if t is not None else ())
-    fn = compile_expression(text, variables)
-    env = {name: coords[:, i] for i, name in enumerate(names)}
-    if t is not None:
-        env["t"] = t
-    values = fn(**env)
-    return np.broadcast_to(values, (coords.shape[0],)).astype(float)
+def evaluate_on_grid(
+    text: str, coords: np.ndarray, times: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Evaluate an expression on the nodes, or on the whole (samples, nodes) space-time grid.
+
+    The names are the coordinates (``x``, then ``y``), plus ``t`` when
+    ``times`` is given.  The coordinates go in as (1, nodes) rows and the
+    times as a (samples, 1) column, so a subexpression of the coordinates
+    alone is computed once per chunk of time rows, not once per sample; a
+    chunk holds at most ``core.CHUNK_VALUES`` values.  Returns the (nodes,)
+    values without ``times``, and otherwise ``out``, the (samples, nodes)
+    values (allocated when not given).
+    """
+    names = COORDINATES[: coords.shape[1]]
+    fn = compile_expression(text, names if times is None else names + ("t",))
+    env = {name: coords[None, :, i] for i, name in enumerate(names)}
+    rows = 1 if times is None else times.size
+    if out is None:
+        out = np.empty((rows, coords.shape[0]))
+    for chunk in row_chunks(rows, coords.shape[0]):
+        out[chunk] = fn(**env) if times is None else fn(**env, t=times[chunk, None])
+    return out[0] if times is None else out

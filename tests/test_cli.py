@@ -122,6 +122,20 @@ class TestSimulate:
         config = write_config(tmp_path / "c.json", raw)
         assert main(["--out", str(tmp_path / "out"), "simulate", "--config", config]) == 0
 
+    def test_non_finite_perturbation_at_one_sample_exits_1(self, tmp_path, capsys):
+        raw = gradient_only_config()
+        raw["geometry"]["nodes"] = 16
+        raw["time"]["steps"] = 10
+        # infinite only at node x = 0 and sample t = 0.5
+        raw["perturbation"] = {"c": "1/(x+(t-0.5)**2)"}
+        config = write_config(tmp_path / "c.json", raw)
+        code = main(["--out", str(tmp_path / "out"), "simulate", "--config", config])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:")
+        assert "expression produced non-finite values" in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_trajectory_csv_schema(self, tmp_path):
         config = write_config(tmp_path / "c.json", eigenmode_config())
         main(["--out", str(tmp_path / "out"), "simulate", "--config", config])
@@ -312,6 +326,36 @@ def sized_config(key, value):
     else:
         raw["geometry"] = dict(raw["geometry"], nodes=value)
     return raw
+
+
+class TestLoadChecks:
+    def test_huge_max_mode_exits_1_at_once(self, tmp_path, capsys):
+        raw = with_initial(kind="random", seed=1, max_mode=10**6)
+        raw["geometry"] = {"kind": "torus2d", "nx": 8, "ny": 8, "lx": TWO_PI, "ly": TWO_PI}
+        raw["time"]["steps"] = 2
+        config = write_config(tmp_path / "c.json", raw)
+        start = time.perf_counter()
+        code = main(["--out", str(tmp_path / "out"), "simulate", "--config", config])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error: initial.max_mode")
+        assert elapsed < 0.25
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        ("geometry", "cap"),
+        [
+            ({"kind": "circle", "nodes": 8, "length": TWO_PI}, 8),
+            ({"kind": "torus2d", "nx": 8, "ny": 6, "lx": TWO_PI, "ly": TWO_PI}, 6),
+            ({"kind": "gauss-line", "order": 6}, 6),
+        ],
+    )
+    def test_max_mode_at_its_cap_runs(self, tmp_path, geometry, cap):
+        raw = dict(with_initial(kind="random", seed=1, max_mode=cap), geometry=geometry, checks=[])
+        raw["time"]["steps"] = 2
+        config = write_config(tmp_path / "c.json", raw)
+        assert main(["--out", str(tmp_path / "out"), "simulate", "--config", config]) == 0
 
 
 class TestSizeCap:
@@ -510,7 +554,8 @@ class TestSweep:
     @pytest.mark.parametrize(
         "override",
         [{"geometry.nodes": "sixty"}, {"initial.index": -1}, {"checks": [{"name": "entropy"}]},
-         {"time.steps": 0}, {"gauge": "sin(t"}],
+         {"time.steps": 0}, {"gauge": "sin(t"}, {"geometry.phi": "cos(y)"},
+         {"initial.index": 64}],
     )
     def test_bad_later_entry_runs_no_entry(self, tmp_path, capsys, override):
         raw = sweep_of(eigenmode_config(), {"name": "a"}, {"name": "b", "overrides": override})

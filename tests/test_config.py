@@ -1,11 +1,15 @@
+import functools
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from parafreq import TimeGrid, assemble, eigenpairs, weighted_inner
+from parafreq import (
+    PerturbationSpec, TimeGrid, assemble, core, eigenpairs, make_circle, weighted_inner,
+)
 from parafreq.config import (
     CHECK_KEYS,
     CONFIG_KEYS,
@@ -27,7 +31,7 @@ from parafreq.config import (
 )
 from parafreq.errors import ConfigError, ExpressionError, ParafreqError
 from parafreq.evolution import _sample_time_function
-from parafreq.expressions import compile_expression, evaluate_on_nodes
+from parafreq.expressions import compile_expression, evaluate_on_grid
 
 TWO_PI = 2.0 * np.pi
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -102,10 +106,12 @@ class TestExpressions:
         with pytest.raises(ExpressionError):
             fn(x=np.array([0.0, 1.0]))
 
-    def test_evaluate_on_nodes_with_time(self):
+    def test_evaluate_on_grid_with_time(self):
         coords = np.linspace(0.0, 1.0, 5)[:, None]
-        values = evaluate_on_nodes("x*t", coords, t=2.0)
-        assert np.max(np.abs(values - 2.0 * coords[:, 0])) < 1e-15
+        times = np.array([0.0, 0.5, 2.0])
+        values = evaluate_on_grid("x*t", coords, times)
+        assert values.shape == (3, 5)
+        assert np.max(np.abs(values - times[:, None] * coords[:, 0])) < 1e-15
 
 
 class TestGeometryConfig:
@@ -361,3 +367,185 @@ class TestConfigFuzz:
             sweep_configs({"base": base, "sweep": entries})
         except ConfigError:
             pass
+
+
+# whole-grid sampling of perturbations: random expressions over the names a
+# key allows, each compared bit for bit with a reference that evaluates one
+# sample at a time through the callable path of PerturbationSpec.build
+
+
+@functools.cache  # one strategy per set of names: building a recursive one is slow
+def _expression_over(names: tuple) -> st.SearchStrategy:
+    """Random expressions whose names are among ``names`` (plain numbers when empty)."""
+    leaves = st.floats(-3.0, 3.0).map(repr) | st.integers(0, 3).map(str)
+    if names:
+        leaves = st.sampled_from(names) | leaves
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda p: f"({p[0]}{p[1]}{p[2]})"),
+            st.tuples(st.sampled_from(["sin", "cos", "exp"]), inner).map(lambda p: f"{p[0]}({p[1]})"),
+            inner.map(lambda e: f"-{e}"),
+            inner.map(lambda e: f"({e})**2"),
+        ),
+        max_leaves=8,
+    )
+
+
+def _space_time_expression(space: tuple) -> st.SearchStrategy:
+    """An expression in the coordinates only, in t only, in both, or a plain number."""
+    return st.sampled_from([space, ("t",), space + ("t",), ()]).flatmap(_expression_over)
+
+
+_SAMPLED_GEOMETRIES = st.one_of(
+    st.builds(lambda n: {"kind": "circle", "nodes": n, "length": TWO_PI}, st.integers(4, 12)),
+    st.builds(
+        lambda nx, ny: {"kind": "torus2d", "nx": nx, "ny": ny, "lx": TWO_PI, "ly": 3.0},
+        st.integers(4, 8), st.integers(4, 8),
+    ),
+    st.builds(lambda n: {"kind": "gauss-line", "order": n}, st.integers(4, 10)),
+)
+
+
+def _per_sample(text: str, coords: np.ndarray):
+    """``t -> per-node values`` of an expression, evaluated one sample at a time."""
+    names = ("x", "y")[: coords.shape[1]]
+    fn = compile_expression(text, names + ("t",))
+    env = {name: coords[:, i] for i, name in enumerate(names)}
+    return lambda t: np.broadcast_to(fn(**env, t=t), (coords.shape[0],)).astype(float)
+
+
+def _per_sample_perturbation(spec: dict, geometry, grid) -> PerturbationSpec:
+    """The perturbation of ``spec`` as sampled one time at a time."""
+    b = c = bound = None
+    if spec.get("b") is not None:
+        parts = [_per_sample(part, geometry.coords) for part in spec["b"]]
+        b = lambda t: np.column_stack([part(t) for part in parts])
+    if spec.get("c") is not None:
+        c = _per_sample(spec["c"], geometry.coords)
+    if spec.get("bound") is not None:
+        fn = compile_expression(spec["bound"], ("t",))
+        bound = lambda t: float(fn(t=t))
+    return PerturbationSpec.build(geometry, grid, b=b, c=c, bound=bound)
+
+
+def _outcome(build):
+    """The arrays of a built spec as bytes, or the type of the error building it raised."""
+    try:
+        pert = build()
+    except ParafreqError as exc:
+        return type(exc)
+    return [None if arr is None else arr.tobytes() for arr in (pert.b, pert.c, pert.bound)]
+
+
+class TestWholeGridSampling:
+    @given(
+        data=st.data(), geometry_spec=_SAMPLED_GEOMETRIES, steps=st.integers(1, 12),
+        with_bound=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_whole_grid_matches_per_sample_bit_for_bit(
+        self, data, geometry_spec, steps, with_bound
+    ):
+        geometry = build_geometry(geometry_spec)
+        grid = TimeGrid(-0.5, 1.5, steps)
+        space = ("x", "y")[: geometry.dim]
+        spec = {
+            "b": [data.draw(_space_time_expression(space)) for _ in space],
+            "c": data.draw(_space_time_expression(space)),
+        }
+        if with_bound:  # a square, so only a certificate failure can reject it
+            spec["bound"] = f"({data.draw(_expression_over(('t',)) | _expression_over(()))})**2"
+        expected = _outcome(lambda: _per_sample_perturbation(spec, geometry, grid))
+        assert _outcome(lambda: build_perturbation(spec, geometry, grid)) == expected
+
+    def test_grid_just_over_one_chunk_matches_a_single_chunk(self, monkeypatch):
+        geometry = make_circle(1024, TWO_PI)
+        grid = TimeGrid(0.0, 1.0, core.CHUNK_VALUES // 1024)
+        assert grid.times.size * geometry.node_count > core.CHUNK_VALUES
+        assert len(list(core.row_chunks(grid.times.size, geometry.node_count))) == 2
+        spec = {"b": ["0.3*sin(3*x+t)*exp(-t)"], "c": "0.2*cos(x)*sin(5*t)+0.1"}
+        chunked = _outcome(lambda: build_perturbation(spec, geometry, grid))
+        monkeypatch.setattr(core, "CHUNK_VALUES", 2 * core.CHUNK_VALUES)
+        assert len(list(core.row_chunks(grid.times.size, geometry.node_count))) == 1
+        assert _outcome(lambda: build_perturbation(spec, geometry, grid)) == chunked
+
+    def test_peak_memory_is_the_arrays_plus_a_few_chunks(self):
+        geometry = make_circle(4096, TWO_PI)
+        grid = TimeGrid(0.0, 1.0, 2**22 // 4096)
+        text = "0.1*sin(3*x+cos(t))*(1+0.5*sin(2*t))+0.05*cos(x*t)*exp(-t)-0.02*(x-t)**2"
+        spec = {"b": [text], "c": text}
+        tracemalloc.start()
+        try:
+            pert = build_perturbation(spec, geometry, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = pert.b.nbytes + pert.c.nbytes + pert.bound.nbytes
+        assert pert.c.size >= 2**22
+        assert peak < arrays + 4 * 8 * core.CHUNK_VALUES
+
+
+class TestLoadChecks:
+    """What needs only the geometry spec is checked when the config is loaded."""
+
+    def base(self, **changes):
+        raw = {
+            "geometry": {"kind": "circle", "nodes": 16, "length": TWO_PI},
+            "initial": {"kind": "expression", "expression": "sin(x)"},
+            "time": {"a": 0.0, "b": 1.0, "steps": 10},
+            "integrator": "implicit-step",
+        }
+        return {**raw, **changes}
+
+    @pytest.mark.parametrize(
+        ("changes", "context"),
+        [
+            ({"geometry": {"kind": "circle", "nodes": 16, "length": 1.0, "phi": "sin(y)"}},
+             "geometry.phi"),
+            ({"geometry": {"kind": "circle", "nodes": 16, "length": 1.0, "phi": "t"}},
+             "geometry.phi"),
+            ({"geometry": {"kind": "torus2d", "nx": 4, "ny": 4, "lx": 1.0, "ly": 1.0,
+                           "psi": "x*t"}}, "geometry.psi"),
+            ({"initial": {"kind": "expression", "expression": ["sin(x)", "cos(t)"]}},
+             "initial.expression[1]"),
+            ({"perturbation": {"b": ["sin(y)"]}}, "perturbation.b[0]"),
+            ({"perturbation": {"c": "y*t"}}, "perturbation.c"),
+            ({"perturbation": {"bound": "1+x"}}, "perturbation.bound"),
+            ({"gauge": "sin(x)"}, "gauge"),
+            ({"perturbation": {"b": ["x", "t"]}}, "perturbation.b"),
+            ({"geometry": {"kind": "torus2d", "nx": 4, "ny": 5, "lx": 1.0, "ly": 1.0},
+              "perturbation": {"b": "x"}}, "perturbation.b"),
+            ({"initial": {"kind": "eigenmode", "index": 16}}, "initial.index"),
+            ({"geometry": {"kind": "gauss-line", "order": 6},
+              "initial": {"kind": "eigenmode", "index": 6}}, "initial.index"),
+            ({"initial": {"kind": "random", "seed": 1, "max_mode": 17}}, "initial.max_mode"),
+            ({"geometry": {"kind": "torus2d", "nx": 12, "ny": 5, "lx": 1.0, "ly": 1.0},
+              "initial": {"kind": "random", "seed": 1, "max_mode": 6}}, "initial.max_mode"),
+            ({"geometry": {"kind": "gauss-line", "order": 6},
+              "initial": {"kind": "random", "seed": 1, "max_mode": 7}}, "initial.max_mode"),
+        ],
+    )
+    def test_rejected_at_load_naming_the_key(self, changes, context):
+        with pytest.raises(ConfigError, match=f"^{re.escape(context)}: "):
+            ExperimentConfig.from_dict(self.base(**changes))
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"geometry": {"kind": "torus2d", "nx": 4, "ny": 5, "lx": 1.0, "ly": 1.0,
+                          "phi": "x*y", "psi": "pi*y"},
+             "initial": {"kind": "expression", "expression": ["x", "y"]},
+             "perturbation": {"b": ["x*t", "y"], "c": "t+y", "bound": "10+t"},
+             "gauge": "0.1*t"},
+            {"initial": {"kind": "eigenmode", "index": 15}},
+        ],
+    )
+    def test_names_and_sizes_the_geometry_allows_load_and_build(self, changes):
+        config = ExperimentConfig.from_dict(self.base(**changes))
+        geometry = build_geometry(config.geometry)
+        op = assemble(geometry)
+        grid = build_time(config.time)
+        build_initial(config.initial, geometry, op)
+        if config.perturbation is not None:
+            build_perturbation(config.perturbation, geometry, grid)
