@@ -40,6 +40,15 @@ def row_chunks(rows: int, row_values: int) -> Iterator[slice]:
     return (slice(start, min(start + step, rows)) for start in range(0, rows, step))
 
 
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of samples ``y`` over the 1-D grid ``x``, starting at 0.0.
+
+    The same formula, and so the same bits, as
+    ``scipy.integrate.cumulative_trapezoid(y, x, initial=0.0)``.
+    """
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
 def _as_node_array(values, nodes: int, name: str) -> np.ndarray:
     arr = np.broadcast_to(np.asarray(values, dtype=float), (nodes,)).copy()
     if not np.all(np.isfinite(arr)):

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
-import scipy.integrate
 
 from .core import (
     PROVENANCE_IMPLICIT,
@@ -40,6 +39,7 @@ from .core import (
     TimeGrid,
     Trajectory,
     WeightedGeometry,
+    cumulative_trapezoid,
     row_chunks,
     weighted_inner,
 )
@@ -376,7 +376,7 @@ def gauge_transform(traj: Trajectory, rate) -> Trajectory:
     """
     times = traj.grid.times
     rates = _sample_time_function(rate, times, (), "lambda")
-    integral = scipy.integrate.cumulative_trapezoid(rates, times, initial=0.0)
+    integral = cumulative_trapezoid(rates, times)
     factors = np.exp(-integral)
     return Trajectory(
         grid=traj.grid,

@@ -2,8 +2,10 @@
 
 Supported: ``+ - * /``, parentheses, ``**`` powers, ``sin``, ``cos``,
 ``exp``, numeric literals, ``pi``, and the coordinate names declared by the
-caller (``x``, ``y``, ``t``).  Parsing rides on the Python ``ast`` module with
-a strict whitelist; anything else is rejected with the offending position.
+caller (``x``, ``y``, ``t``).  Every numeric literal is a float64; one too
+large for a float is an error.  Parsing rides on the Python ``ast`` module
+with a strict whitelist; anything else is rejected with the offending
+position.
 :func:`evaluate_on_grid` samples an expression on a geometry's nodes, or on
 the nodes at every time of a grid.
 """
@@ -77,6 +79,15 @@ def compile_expression(text: str, variables: tuple[str, ...]):
             if not isinstance(node.value, (int, float)):
                 raise ExpressionError(
                     "only numeric literals are allowed", text, node.col_offset
+                )
+            # a float64, so that 2**-1 and 2**64 follow float arithmetic, not int64's
+            try:
+                node.value = float(node.value)
+            except OverflowError:  # an integer beyond the float range
+                node.value = np.inf
+            if not np.isfinite(node.value):
+                raise ExpressionError(
+                    "numeric literal is too large for a float", text, node.col_offset
                 )
         else:
             raise ExpressionError(

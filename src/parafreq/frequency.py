@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.integrate
 
-from .core import PROVENANCE_IMPLICIT, Trajectory
+from .core import PROVENANCE_IMPLICIT, Trajectory, cumulative_trapezoid
 from .errors import DegenerateTraceError, InvalidInputError
 from .evolution import _sample_time_function
 from .operators import DriftOperator
@@ -366,7 +365,7 @@ def check_gradient_only(
         rate_margin = float(gaps[k])
         rate_loc = float(trace.times[1 + k])
 
-    cum_c2 = scipy.integrate.cumulative_trapezoid(bound**2, trace.times, initial=0.0)
+    cum_c2 = cumulative_trapezoid(bound**2, trace.times)
     envelope = trace.U[0] * np.exp(0.5 * cum_c2)
     env_margins = trace.U - envelope
     k_env = int(np.argmin(env_margins))

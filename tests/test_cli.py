@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -356,6 +359,67 @@ class TestLoadChecks:
         raw["time"]["steps"] = 2
         config = write_config(tmp_path / "c.json", raw)
         assert main(["--out", str(tmp_path / "out"), "simulate", "--config", config]) == 0
+
+
+class TestIntegerLiterals:
+    def test_negative_integer_power_runs(self, tmp_path):
+        # as an int64 power, 2**-1 would end in a ValueError traceback
+        raw = eigenmode_config()
+        raw["geometry"]["phi"] = "2**-1*cos(x)"
+        raw["checks"] = [{"name": "u-monotone", "tol": 1e-10}]
+        config = write_config(tmp_path / "c.json", raw)
+        assert main(["--out", str(tmp_path / "out"), "simulate", "--config", config]) == 0
+
+    @pytest.mark.parametrize("key", ["phi", "gauge"])
+    def test_literal_too_large_for_a_float_exits_1_at_load(self, tmp_path, capsys, key):
+        raw = eigenmode_config()
+        text = "1" + "0" * 400 + "*cos(x)"
+        if key == "gauge":
+            raw["gauge"] = text.replace("x", "t")
+        else:
+            raw["geometry"][key] = text
+        config = write_config(tmp_path / "c.json", raw)
+        code = main(["--out", str(tmp_path / "out"), "simulate", "--config", config])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("config error:")
+        assert "numeric literal is too large for a float" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "out").exists()
+
+
+class TestStartUp:
+    def test_runs_load_no_scipy_integrate_or_optimize(self, tmp_path):
+        # both running trapezoid integrals run: the gauge of a spectral flow and
+        # the gradient-only envelope of a perturbed one
+        gauged = dict(eigenmode_config(), gauge="0.5 + 0.2*sin(t)",
+                      checks=[{"name": "u-monotone", "tol": 1e-10}])
+        gauged["geometry"]["nodes"] = 16
+        gauged["time"]["steps"] = 10
+        perturbed = dict(gradient_only_config(), checks=[{"name": "gradient-only", "bound": 0.5}])
+        perturbed["geometry"]["nodes"] = 16
+        perturbed["time"]["steps"] = 20
+        args = []
+        for name, raw in (("gauged", gauged), ("perturbed", perturbed)):
+            args += [str(tmp_path / name), write_config(tmp_path / f"{name}.json", raw)]
+        script = (
+            "import json, sys\n"
+            "from parafreq.cli import main\n"
+            "pairs = zip(sys.argv[1::2], sys.argv[2::2])\n"
+            "codes = [main(['--out', out, 'simulate', '--config', c]) for out, c in pairs]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        codes, modules = json.loads(proc.stdout)
+        assert codes == [0, 0]
+        assert "scipy.sparse.linalg" in modules
+        assert "scipy.integrate" not in modules and "scipy.optimize" not in modules
+        report = json.loads((tmp_path / "perturbed" / "report.json").read_text())
+        (check,) = report["checks"]
+        assert check["check"] == "gradient-only" and check["aux"]["envelope_margin"] is not None
 
 
 class TestSizeCap:

@@ -106,6 +106,47 @@ class TestExpressions:
         with pytest.raises(ExpressionError):
             fn(x=np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize(
+        ("text", "expected"),
+        [("2**-1*x", lambda x: 0.5 * x), ("x*2**64", lambda x: x * 2.0**64),
+         ("x*10**30", lambda x: x * 1e30), ("(2**3 - 3**2)*x", lambda x: -x),
+         ("x*2**-1074", lambda x: x * 2.0**-1074)],
+    )
+    def test_integer_literals_are_floats(self, text, expected):
+        # int64 arithmetic would raise on 2**-1 and wrap 2**64 to 0
+        x = np.array([1.0, -3.0, 0.25])
+        assert np.array_equal(compile_expression(text, ("x",))(x=x), expected(x))
+
+    @pytest.mark.parametrize("literal", ["1e400", "9" * 400, "2" + "0" * 309])
+    def test_literal_too_large_for_a_float_rejected_at_compile(self, literal):
+        with pytest.raises(ExpressionError, match="too large for a float") as err:
+            compile_expression(f"x*{literal}", ("x",))
+        assert err.value.position == 2
+
+    def test_integer_power_overflow_is_non_finite(self):
+        fn = compile_expression("10**400*x", ("x",))
+        with pytest.raises(ExpressionError, match="non-finite"):
+            fn(x=np.array([1.0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        base=st.integers(-(10**320), 10**320) | st.integers(-12, 12),
+        exponent=st.integers(-(10**4), 10**4) | st.integers(-70, 70),
+    )
+    def test_integer_powers_match_float_arithmetic(self, base, exponent):
+        x = np.array([1.0, -0.5])
+        try:
+            with np.errstate(all="ignore"):
+                expected = np.power(float(base), float(exponent)) * x
+        except OverflowError:  # the base itself is no float
+            expected = None
+        try:
+            value = compile_expression(f"({base})**({exponent})*x", ("x",))(x=x)
+        except ExpressionError:
+            assert expected is None or not np.all(np.isfinite(expected))
+        else:
+            assert np.all(np.isfinite(value)) and np.array_equal(value, expected)
+
     def test_evaluate_on_grid_with_time(self):
         coords = np.linspace(0.0, 1.0, 5)[:, None]
         times = np.array([0.0, 0.5, 2.0])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.special
 
 from parafreq import (
@@ -13,7 +14,7 @@ from parafreq import (
     make_torus,
     weighted_inner,
 )
-from parafreq.core import periodic_coords
+from parafreq.core import cumulative_trapezoid, periodic_coords
 from parafreq.errors import IncompatibleFieldsError, InvalidInputError
 
 TWO_PI = 2.0 * np.pi
@@ -314,3 +315,35 @@ class TestTrajectory:
             Trajectory(
                 grid=TimeGrid(0.0, 1.0, 4), fields=tuple(fields), provenance=PROVENANCE_IMPLICIT
             )
+
+
+class TestCumulativeTrapezoid:
+    """The numpy running trapezoid gives scipy's bits, so dropping scipy.integrate moves no output."""
+
+    @staticmethod
+    def assert_matches_scipy(y, x):
+        ours = cumulative_trapezoid(y, x)
+        assert ours[0] == 0.0
+        assert np.array_equal(ours, scipy.integrate.cumulative_trapezoid(y, x, initial=0.0))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_non_uniform_grid(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 400))
+        x = np.cumsum(rng.exponential(size=n)) * 10.0 ** rng.uniform(-3, 3) + rng.normal()
+        self.assert_matches_scipy(rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3), x)
+
+    @pytest.mark.parametrize(("a", "b", "steps"), [(0.0, 1.0, 20), (0.0, 1.0, 100),
+                                                   (0.0, 1.0, 200), (0.25, 3.0, 400)])
+    def test_time_grids_of_the_gauge_and_the_gradient_only_envelope(self, a, b, steps):
+        times = TimeGrid(a, b, steps).times
+        # gauge_transform integrates a rate; check_gradient_only integrates bound**2
+        self.assert_matches_scipy(0.5 + 0.2 * np.sin(times), times)
+        self.assert_matches_scipy(0.3 - 0.5 * times, times)
+        self.assert_matches_scipy(np.full(times.size, 0.5) ** 2, times)
+        self.assert_matches_scipy((0.4 + 0.1 * np.cos(3.0 * times)) ** 2, times)
+
+    def test_two_samples(self):
+        ours = cumulative_trapezoid(np.array([1.0, 3.0]), np.array([0.5, 1.5]))
+        assert ours.tolist() == [0.0, 2.0]
+        self.assert_matches_scipy(np.array([-0.7, 0.1]), np.array([0.0, 1e-3]))
