@@ -26,18 +26,30 @@ PROVENANCE_SPECTRAL = "spectral-exact"
 PROVENANCE_IMPLICIT = "implicit-step"
 PROVENANCE_ANALYTIC = "analytic-oracle"
 
-# samples per chunk of WeightedGeometry.energy_batch
-_ENERGY_CHUNK = 32
-# doubles of one temporary in the passes over (samples, nodes) arrays that go
-# a chunk of rows at a time (2**20, 8 MiB): sampling an expression on the
+# doubles of one temporary in the passes over (samples, nodes, ...) arrays that
+# go a chunk of rows at a time (2**16, 512 KiB): the per-sample passes over a
+# trajectory (its finite check, the energies that give D, the <u, L u>_mu
+# cross-check, the rigidity residual), sampling an expression on the
 # space-time grid and certifying a perturbation
-CHUNK_VALUES = 2**20
+CHUNK_VALUES = 2**16
 
 
 def row_chunks(rows: int, row_values: int) -> Iterator[slice]:
     """Slices covering ``rows`` rows, each of at most ``CHUNK_VALUES`` values (at least one row)."""
     step = max(1, CHUNK_VALUES // max(row_values, 1))
     return (slice(start, min(start + step, rows)) for start in range(0, rows, step))
+
+
+def per_row(fn: Callable[[slice], np.ndarray], rows: int, row_values: int) -> np.ndarray:
+    """One value per row: ``fn(chunk)`` gives the values of each :func:`row_chunks` slice.
+
+    ``fn``'s temporaries are freed before the next chunk's are made, so a pass
+    holds one chunk's worth of them at a time.
+    """
+    out = np.empty(rows)
+    for chunk in row_chunks(rows, row_values):
+        out[chunk] = fn(chunk)
+    return out
 
 
 def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -170,21 +182,29 @@ class WeightedGeometry:
     def energy_batch(self, stack: np.ndarray) -> np.ndarray:
         """Dirichlet energies of a (samples, nodes, N) stack of field values.
 
-        Periodic kinds difference ``_ENERGY_CHUNK`` samples at a time, so the
-        edge-difference temporaries stay small; each sample's sum is the same.
+        Runs a chunk of samples at a time (:func:`row_chunks` of the edge
+        differences, or of the values on the Gauss line), so no temporary
+        outgrows a few ``CHUNK_VALUES``.  Each sample's sum is the same bits
+        whatever the chunk: a periodic energy is summed over components per
+        edge, then edge by edge in order (``add.accumulate``), since the order
+        of an einsum's full reduction depends on the shape of its operands.
         """
         if self.basis is not None:
-            coeffs = np.einsum(
-                "nk,snc->skc", self.basis.basis, self.mu[None, :, None] * stack
-            )
-            return np.einsum("k,skc->s", -self.basis.rates, coeffs**2)
+            def modal(rows):
+                weighted = self.mu[None, :, None] * stack[rows]
+                coeffs = np.einsum("nk,snc->skc", self.basis.basis, weighted)
+                return np.einsum("k,skc->s", -self.basis.rates, coeffs**2)
+
+            return per_row(modal, stack.shape[0], stack[0].size)
         st = self.stencil
-        out = np.empty(stack.shape[0])
-        for start in range(0, stack.shape[0], _ENERGY_CHUNK):
-            part = stack[start:start + _ENERGY_CHUNK]
-            du = part[:, st.edge_j, :] - part[:, st.edge_i, :]
-            out[start:start + _ENERGY_CHUNK] = np.einsum("sec,e,sec->s", du, st.edge_coef, du)
-        return out
+
+        def by_edge(rows):
+            du = np.take(stack[rows], st.edge_j, axis=1)
+            du -= np.take(stack[rows], st.edge_i, axis=1)
+            per_edge = np.einsum("sec,e,sec->se", du, st.edge_coef, du)
+            return np.add.accumulate(per_edge, axis=1, out=per_edge)[:, -1]
+
+        return per_row(by_edge, stack.shape[0], st.edge_i.size * stack.shape[2])
 
     @cached_property
     def length_scale(self) -> float:
@@ -351,7 +371,8 @@ class Trajectory:
             raise InvalidInputError(
                 f"trajectory values must have shape {expected + ('N',)}; got {values.shape}"
             )
-        if not np.all(np.isfinite(values)):
+        rows = row_chunks(values.shape[0], values[0].size)
+        if not all(np.isfinite(values[chunk]).all() for chunk in rows):
             raise InvalidInputError("trajectory values must be finite")
         values.setflags(write=False)
         return values

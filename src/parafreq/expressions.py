@@ -76,7 +76,8 @@ def compile_expression(text: str, variables: tuple[str, ...]):
                     node.col_offset,
                 )
         elif isinstance(node, ast.Constant):
-            if not isinstance(node.value, (int, float)):
+            # bool is an int subclass, so True and False need their own test
+            if not isinstance(node.value, (int, float)) or isinstance(node.value, bool):
                 raise ExpressionError(
                     "only numeric literals are allowed", text, node.col_offset
                 )

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .core import PROVENANCE_IMPLICIT, Trajectory, cumulative_trapezoid
+from .core import PROVENANCE_IMPLICIT, Trajectory, cumulative_trapezoid, per_row
 from .errors import DegenerateTraceError, InvalidInputError
 from .evolution import _sample_time_function
 from .operators import DriftOperator
@@ -104,14 +104,22 @@ def _modal_trace(traj: Trajectory, op: DriftOperator) -> tuple[np.ndarray, np.nd
 
 
 def _sampled_trace(traj: Trajectory, op: DriftOperator) -> tuple[np.ndarray, np.ndarray, float]:
-    """I and D of every materialized sample, and the two-expression D gap."""
+    """I and D of every materialized sample, and the two-expression D gap.
+
+    ``<u, L u>_mu`` applies L to a chunk of samples at a time
+    (:func:`core.per_row`), so no temporary grows with the trajectory.
+    """
     mu = traj.geometry.mu
     stack = traj.values
     I = _nonvanishing(np.einsum("snc,n,snc->s", stack, mu, stack), traj.grid.times)
     energy = traj.geometry.energy_batch(stack)
-    by_node = stack.transpose(1, 0, 2)
-    applied = (op.matrix @ by_node.reshape(mu.size, -1)).reshape(by_node.shape)
-    d_op = np.einsum("nsc,n,nsc->s", by_node, mu, applied)
+
+    def pairing(rows):
+        by_node = stack[rows].transpose(1, 0, 2)
+        applied = (op.matrix @ by_node.reshape(mu.size, -1)).reshape(by_node.shape)
+        return np.einsum("nsc,n,nsc->s", by_node, mu, applied)
+
+    d_op = per_row(pairing, stack.shape[0], stack[0].size)
     d_gap = float(np.max(np.abs(d_op + energy) / (energy + np.abs(I))))
     return I, -energy, d_gap
 
@@ -245,8 +253,13 @@ def check_rigidity(
         mu = traj.geometry.mu
         norm0 = float(np.sqrt(np.sum(mu[:, None] * u0 * u0)))
         factors = np.exp(lam * (trace.times - trace.times[0]))
-        diff = values - factors[:, None, None] * u0
-        sep_res = float(np.sqrt(np.max(np.einsum("snc,n,snc->s", diff, mu, diff)))) / norm0
+
+        def separation(rows):
+            diff = values[rows] - factors[rows, None, None] * u0
+            return np.einsum("snc,n,snc->s", diff, mu, diff)
+
+        sep_sq = per_row(separation, values.shape[0], u0.size)
+        sep_res = float(np.sqrt(np.max(sep_sq))) / norm0
         eig_diff = op.matrix @ u0 - lam * u0
         eig_res = float(np.sqrt(np.sum(mu[:, None] * eig_diff * eig_diff))) / norm0
         margin = tol - max(sep_res, eig_res)

@@ -1,9 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from parafreq import assemble, make_circle, make_gauss_line, make_torus
 
 TWO_PI = 2.0 * np.pi
+
+
+def peak_allocated(fn):
+    """Call ``fn()`` under tracemalloc: its result, and the peak bytes allocated during the call."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,6 @@ import re
 import subprocess
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +16,8 @@ from parafreq import cli
 from parafreq.cli import main
 from parafreq.config import MAX_VALUES, TRACE_CHECKS
 from parafreq.operators import MAX_DENSE_NODES
+
+from conftest import peak_allocated
 
 TWO_PI = 2.0 * np.pi
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -387,6 +388,17 @@ class TestIntegerLiterals:
         assert "Traceback" not in captured.out + captured.err
         assert not (tmp_path / "out").exists()
 
+    def test_boolean_literal_exits_1_at_load(self, tmp_path, capsys):
+        raw = eigenmode_config()
+        raw["geometry"]["phi"] = "True*cos(x)"
+        config = write_config(tmp_path / "c.json", raw)
+        code = main(["--out", str(tmp_path / "out"), "simulate", "--config", config])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("config error:")
+        assert "only numeric literals are allowed" in captured.err
+        assert not (tmp_path / "out").exists()
+
 
 class TestStartUp:
     def test_runs_load_no_scipy_integrate_or_optimize(self, tmp_path):
@@ -436,12 +448,9 @@ class TestSizeCap:
         self, tmp_path, capsys, key, value
     ):
         config = write_config(tmp_path / "c.json", sized_config(key, value))
-        tracemalloc.start()
-        try:
-            code = main(["--out", str(tmp_path / "out"), "simulate", "--config", config])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = peak_allocated(
+            lambda: main(["--out", str(tmp_path / "out"), "simulate", "--config", config])
+        )
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("config error:")

@@ -1,6 +1,5 @@
 import functools
 import re
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +31,8 @@ from parafreq.config import (
 from parafreq.errors import ConfigError, ExpressionError, ParafreqError
 from parafreq.evolution import _sample_time_function
 from parafreq.expressions import compile_expression, evaluate_on_grid
+
+from conftest import peak_allocated
 
 TWO_PI = 2.0 * np.pi
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -122,6 +123,12 @@ class TestExpressions:
         with pytest.raises(ExpressionError, match="too large for a float") as err:
             compile_expression(f"x*{literal}", ("x",))
         assert err.value.position == 2
+
+    @pytest.mark.parametrize("text", ["True*x", "x+False", "-True", "sin(False)"])
+    def test_boolean_literal_rejected(self, text):
+        with pytest.raises(ExpressionError, match="only numeric literals are allowed") as err:
+            compile_expression(text, ("x",))
+        assert err.value.position == text.index("True" if "True" in text else "False")
 
     def test_integer_power_overflow_is_non_finite(self):
         fn = compile_expression("10**400*x", ("x",))
@@ -516,12 +523,7 @@ class TestWholeGridSampling:
         grid = TimeGrid(0.0, 1.0, 2**22 // 4096)
         text = "0.1*sin(3*x+cos(t))*(1+0.5*sin(2*t))+0.05*cos(x*t)*exp(-t)-0.02*(x-t)**2"
         spec = {"b": [text], "c": text}
-        tracemalloc.start()
-        try:
-            pert = build_perturbation(spec, geometry, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        pert, peak = peak_allocated(lambda: build_perturbation(spec, geometry, grid))
         arrays = pert.b.nbytes + pert.c.nbytes + pert.bound.nbytes
         assert pert.c.size >= 2**22
         assert peak < arrays + 4 * 8 * core.CHUNK_VALUES

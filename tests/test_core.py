@@ -14,6 +14,7 @@ from parafreq import (
     make_torus,
     weighted_inner,
 )
+from parafreq import core
 from parafreq.core import cumulative_trapezoid, periodic_coords
 from parafreq.errors import IncompatibleFieldsError, InvalidInputError
 
@@ -197,11 +198,12 @@ class TestDirichletEnergy:
         assert abs(torus_total(16) - torus_total(32)) < (TWO_PI / 16) ** 2
 
     @pytest.mark.parametrize("geometry", ["weighted_circle", "conformal_torus"])
-    def test_energy_batch_chunks_keep_each_sample_bit_for_bit(self, request, geometry):
-        # 75 samples: two full chunks and a partial one, against the one-shot sum
+    def test_energy_batch_chunks_keep_each_sample_bit_for_bit(self, request, geometry, monkeypatch):
+        # 75 samples: two full chunks of 32 and a partial one, against the one-shot sum
         geom = request.getfixturevalue(geometry)
         stack = np.random.default_rng(34).standard_normal((75, geom.node_count, 2))
         st = geom.stencil
+        monkeypatch.setattr(core, "CHUNK_VALUES", 32 * st.edge_i.size * 2)
         du = stack[:, st.edge_j, :] - stack[:, st.edge_i, :]
         expected = np.einsum("sec,e,sec->s", du, st.edge_coef, du)
         assert np.array_equal(geom.energy_batch(stack), expected)

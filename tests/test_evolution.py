@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +29,8 @@ from parafreq.errors import (
 )
 from parafreq.evolution import _in_blocks, _step_together
 from parafreq.sampling import random_smooth_field
+
+from conftest import peak_allocated
 
 TWO_PI = 2.0 * np.pi
 
@@ -230,14 +231,13 @@ class TestImplicitStepping:
         grid = TimeGrid(0.0, 0.01, 4)
         pert = PerturbationSpec.build(geom, grid, b=[0.2, 0.1], c=0.1)
         dense_bytes = 8 * geom.node_count**2
-        tracemalloc.start()
-        try:
+
+        def trace_both():
             op = assemble(geom)
             frequency_trace(evolve_cn(op, u0, grid), op)
             frequency_trace(evolve_perturbed(op, u0, grid, pert), op)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak = peak_allocated(trace_both)
         assert peak < dense_bytes / 16
 
 
@@ -524,14 +524,11 @@ class TestBlockStepping:
         starts = [random_smooth_field(op.geometry, rng) for _ in range(50)]
         member_bytes = (grid.steps + 1) * op.geometry.node_count * 8
         evolve_cn(op, starts[0], grid)  # factor I - dt/2 L before the traced window
-        tracemalloc.start()
-        try:
-            # map holds no trajectory past its call, so each block is dropped before the next
-            finals = list(map(lambda traj: traj.values[-1].copy(),
-                              _in_blocks(evolve_cn(op, u0, grid) for u0 in starts)))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # map holds no trajectory past its call, so each block is dropped before the next
+        finals, peak = peak_allocated(lambda: list(map(
+            lambda traj: traj.values[-1].copy(),
+            _in_blocks(evolve_cn(op, u0, grid) for u0 in starts),
+        )))
         assert len(finals) == 50
         assert evolution._BLOCK_BYTES // member_bytes == 5
         assert peak < 1.25 * evolution._BLOCK_BYTES  # two blocks would take 16.5 MB

@@ -8,6 +8,7 @@ from parafreq import (
     PerturbationSpec,
     TimeGrid,
     Trajectory,
+    assemble,
     check_general_frequency,
     check_general_lower_bound,
     check_gradient_only,
@@ -21,13 +22,16 @@ from parafreq import (
     evolve_exact,
     evolve_perturbed,
     frequency_trace,
+    make_circle,
     vanishing_order_surrogate,
     weighted_inner,
 )
-from parafreq import frequency
+from parafreq import core, frequency
 from parafreq.core import ModalExpansion
 from parafreq.frequency import derivative_tolerance
 from parafreq.errors import DegenerateTraceError, InvalidInputError
+
+from conftest import peak_allocated
 
 TWO_PI = 2.0 * np.pi
 
@@ -355,6 +359,58 @@ class TestRigidity:
         rep = check_rigidity(traj, 1e-9, weighted_circle_op)
         assert rep.passed and rep.aux["is_eigenmode"]
         assert abs(rep.aux["lambda_estimate"]) < 1e-10
+
+
+class TestChunkedPasses:
+    """Per-sample passes over a trajectory go a chunk of ``core.row_chunks`` at a time."""
+
+    @pytest.mark.parametrize("components", [1, 3])
+    @pytest.mark.parametrize(
+        "operator", ["weighted_circle_op", "conformal_torus_op", "gauss_line_op"]
+    )
+    def test_traces_and_rigidity_do_not_depend_on_the_chunk(
+        self, request, monkeypatch, operator, components
+    ):
+        op = request.getfixturevalue(operator)
+        geom = op.geometry
+        grid = TimeGrid(0.0, 0.5, 40)
+        rough = Field(geom, np.random.default_rng(21).standard_normal((geom.node_count, components)))
+        mode = eigenpairs(op, 3)[2].eigenfield.values
+        eigen = Field(geom, mode * np.array([1.0, -2.0, 0.5])[:components])
+
+        def outputs():
+            traces = [frequency_trace(evolve_cn(op, u0, grid), op) for u0 in (rough, eigen)]
+            reports = [check_rigidity(traj, None, op).to_dict()
+                       for traj in (evolve_cn(op, eigen, grid), evolve_exact(op, eigen, grid))]
+            assert all(report["aux"]["is_eigenmode"] for report in reports)
+            return [(t.I.tobytes(), t.D.tobytes(), t.U.tobytes(), t.aux) for t in traces], reports
+
+        monkeypatch.setattr(core, "CHUNK_VALUES", 1)
+        assert len(list(core.row_chunks(grid.steps + 1, geom.node_count))) == grid.steps + 1
+        one_row = outputs()
+        monkeypatch.setattr(core, "CHUNK_VALUES", 2**62)
+        assert len(list(core.row_chunks(grid.steps + 1, 2 * geom.node_count * components))) == 1
+        assert outputs() == one_row
+
+    @staticmethod
+    def _stepped_circle_flow(u0):
+        op = assemble(make_circle(4096, TWO_PI))
+        grid = TimeGrid(0.0, 0.01, 2**22 // 4096 - 1)
+        # factors I - dt/2 L now; the steps run on the first read of values
+        return op, evolve_cn(op, Field(op.geometry, u0(op.geometry.coords[:, 0])), grid)
+
+    def test_stepped_trace_adds_a_few_chunks_to_its_values(self):
+        op, traj = self._stepped_circle_flow(lambda x: np.sin(x) + 0.5 * np.cos(3.0 * x))
+        _, peak = peak_allocated(lambda: frequency_trace(traj, op))
+        assert traj.values.size >= 2**22
+        assert peak < traj.values.nbytes + 4 * 8 * core.CHUNK_VALUES
+
+    def test_eigenmode_rigidity_adds_a_few_chunks_to_its_values(self):
+        op, traj = self._stepped_circle_flow(lambda x: np.sin(3.0 * x))
+        report, peak = peak_allocated(lambda: check_rigidity(traj, None, op))
+        assert report.aux["is_eigenmode"]
+        assert traj.values.size >= 2**22
+        assert peak < traj.values.nbytes + 4 * 8 * core.CHUNK_VALUES
 
 
 @pytest.fixture(scope="module")

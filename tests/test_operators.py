@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,6 +16,8 @@ from parafreq import (
 )
 from parafreq.errors import IncompatibleFieldsError, InvalidInputError
 from parafreq.operators import MAX_DENSE_NODES
+
+from conftest import peak_allocated
 
 TWO_PI = 2.0 * np.pi
 
@@ -271,12 +271,7 @@ class TestSpectrum:
         # an out-of-place solve holds a fourth n x n array
         op = assemble(make_conformal_torus(32))
         n = op.geometry.node_count
-        tracemalloc.start()
-        try:
-            op.eigensystem
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_allocated(lambda: op.eigensystem)
         assert peak < 3.25 * 8 * n * n
 
     def test_eigensystem_is_read_only(self, conformal_torus_op):
