@@ -38,7 +38,6 @@ from .frequency import (
     check_u_monotone,
     default_tolerance,
     frequency_trace,
-    vanishing_order_surrogate,
 )
 from .caloric import (
     CovSolution,

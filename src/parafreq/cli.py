@@ -61,7 +61,7 @@ def run_simulate(config: ExperimentConfig, out_dir: Path, seed, tol_scale: float
     else:
         traj = evolve_exact(op, u0, grid)
     if config.gauge is not None:
-        traj = gauge_transform(traj, build_gauge(config.gauge))
+        traj = gauge_transform(traj, build_gauge(config.gauge, grid))
     trace = frequency_trace(traj, op)
     reports = [rep for _, rep in run_trace_checks(config.checks, traj, trace, op, tol_scale)]
     write_trajectory_csv(out_dir / "trajectory.csv", traj)

@@ -35,7 +35,6 @@ from .frequency import (
     check_rigidity,
     check_u_monotone,
     default_tolerance,
-    vanishing_order_surrogate,
 )
 from .operators import MAX_DENSE_NODES, DriftOperator, eigenpairs
 from .sampling import random_smooth_field
@@ -188,9 +187,12 @@ TRACE_CHECKS = {
         lambda traj, trace, op, tol, entry: check_gradient_only(trace, entry["bound"], tol),
         _BOUND,
     ),
+    # the every-sample growth bound under its backward-uniqueness name
     "vanishing-order": (
-        lambda traj, trace, op, tol, entry: vanishing_order_surrogate(trace, entry["rate"], tol),
-        {**_TOL, "rate": (_finite_real, 0.0)},
+        lambda traj, trace, op, tol, entry: (
+            check_hadamard_bound(trace, tol).renamed("vanishing-order")
+        ),
+        _TOL,
     ),
 }
 
@@ -342,10 +344,11 @@ def build_initial(spec: dict, geometry: WeightedGeometry, op: DriftOperator) -> 
     )
 
 
-def _time_expression(text: str):
-    """A checked expression in t alone, as a float-valued callable."""
-    fn = compile_expression(text, ("t",))
-    return lambda t: float(fn(t=t))
+def _over_times(text: str, times: np.ndarray) -> np.ndarray:
+    """An expression in t alone, evaluated once over the sample times."""
+    out = np.empty(times.size)
+    out[:] = compile_expression(text, ("t",))(t=times)
+    return out
 
 
 def build_perturbation(
@@ -368,16 +371,15 @@ def build_perturbation(
     if spec["c"] is not None:
         c = evaluate_on_grid(spec["c"], coords, times)
     if spec["bound"] is not None:
-        bound = np.empty(times.size)
-        bound[:] = compile_expression(spec["bound"], ("t",))(t=times)
+        bound = _over_times(spec["bound"], times)
     return PerturbationSpec(
         geometry=geometry, grid=grid, b=b, c=c, bound=bound, gradient_only=spec["gradient_only"]
     )
 
 
-def build_gauge(spec):
-    """The gauge rate lambda(t) as a float-valued callable of time."""
-    return _time_expression(_expression(spec, "gauge"))
+def build_gauge(spec, grid: TimeGrid) -> np.ndarray:
+    """The gauge rate lambda(t) at the sample times of ``grid``."""
+    return _over_times(_expression(spec, "gauge"), grid.times)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ integrator builds it when the flow is created.  The spectral path keeps its
 modal data and builds the array with one GEMM only when a caller reads it.
 The stepped paths check their inputs, factor ``I - dt/2 L`` (once per
 operator and step size) and keep their initial data and perturbation; the
-steps run on first read of ``values``.  :func:`_step_together` steps many
+steps run on first read of ``values``.  :func:`_in_blocks` steps many
 pending flows that share an operator and a grid as one block of columns:
 each step is one sparse product and one multi-right-hand-side solve for the
 whole block.  SuperLU and the CSR products treat columns independently, so a
@@ -286,39 +286,21 @@ def step_block(members: list[_PendingSteps]) -> None:
         member.values = values
 
 
-def _step_together(trajs: Iterable[Trajectory]) -> None:
-    """Step every pending flow of ``trajs`` in blocks.
-
-    Flows that share an operator, a grid, a step kind (plain or perturbed)
-    and N form one group, cut into blocks of ``block_size`` members.  Spectral
-    trajectories and flows already stepped are left alone.
-    """
-    groups: dict[tuple, list[_PendingSteps]] = {}
-    for traj in trajs:
-        pending = traj.stepping
-        if isinstance(pending, _PendingSteps) and pending.values is None:
-            key = (id(pending.op), pending.grid, pending.pert is not None, pending.u0.shape[1])
-            groups.setdefault(key, []).append(pending)
-    for members in groups.values():
-        size = members[0].block_size()
-        for start in range(0, len(members), size):
-            step_block(members[start:start + size])
-
-
 def _in_blocks(flows: Iterable[Trajectory]) -> Iterator[Trajectory]:
     """The trajectories of ``flows``, stepped together one block at a time.
 
     ``flows`` may be a lazy iterable (a generator of ``evolve_cn`` calls, say):
     a block's flows are created only when the block is taken, so random draws
     keep their order, and once the caller drops each trajectory before asking
-    for the next, only one block's values are alive at a time.
+    for the next, only one block's values are alive at a time.  The flows are
+    pending stepped flows that share an operator, a grid, a step kind (plain
+    or perturbed) and N, so each block of ``block_size`` of them goes to
+    :func:`step_block` whole.
     """
     flows = iter(flows)
     for first in flows:
-        pending = first.stepping
-        size = pending.block_size() if isinstance(pending, _PendingSteps) else 1
-        block = [first, *itertools.islice(flows, size - 1)]
-        _step_together(block)
+        block = [first, *itertools.islice(flows, first.stepping.block_size() - 1)]
+        step_block([traj.stepping for traj in block])
         yield from block
 
 
@@ -336,7 +318,7 @@ def evolve_cn(op: DriftOperator, u0: Field, grid: TimeGrid) -> Trajectory:
     """Unconditionally stable implicit trapezoid stepping, O(dt^2) accurate.
 
     The steps run on first read of ``values``, or with a block in
-    :func:`_step_together`.
+    :func:`_in_blocks`.
     """
     _check_initial(op, u0)
     return _stepped(op, u0, grid, None)

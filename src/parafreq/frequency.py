@@ -11,7 +11,7 @@ A spectral trajectory is traced in closed form from its modal data: with
 ``D(t) = sum_k lambda_k w_k exp(2 lambda_k (t - a))``, so its field values are
 never built.  Every other trajectory is traced from its value stack; a
 stepped trajectory's stack is built when the trace first reads it, by
-running its steps, unless a block stepping (``evolution._step_together``)
+running its steps, unless a block stepping (``evolution._in_blocks``)
 has already filled it.
 """
 
@@ -176,14 +176,12 @@ def check_u_monotone(trace: FrequencyTrace, tol: float | None = None) -> CheckRe
     )
 
 
-def check_log_convexity(
-    trace: FrequencyTrace, tol: float | None = None, deriv_tol: float | None = None
-) -> CheckReport:
+def check_log_convexity(trace: FrequencyTrace, tol: float | None = None) -> CheckReport:
     """Second differences of log I must be >= -tol * dt^2.
 
-    Also measures the drift-flow identity ``(log I)' = 2 U`` on interior
-    samples; it gates only when ``deriv_tol`` is given (the finite-difference
-    gap is O(dt^2) with a flow-dependent constant).
+    Also reports the drift-flow identity ``(log I)' = 2 U`` on interior
+    samples, ungated: the finite-difference gap is O(dt^2) with a
+    flow-dependent constant.
     """
     if trace.samples < 3:
         raise InvalidInputError("log-convexity needs at least 3 samples")
@@ -191,40 +189,37 @@ def check_log_convexity(
         tol = default_tolerance(trace) / trace.dt**2
     log_i = np.log(trace.I)
     second = log_i[2:] - 2.0 * log_i[1:-1] + log_i[:-2]
-    floor = tol * trace.dt**2
     worst = int(np.argmin(second))
-    identity_gap = float(np.max(np.abs(trace.dlogI[1:-1] - 2.0 * trace.U[1:-1])))
-    margin = float(second[worst])
-    ok = margin >= -floor
-    if deriv_tol is not None:
-        ok = ok and identity_gap <= deriv_tol
-    return CheckReport(
-        name="log-convexity",
-        passed=ok,
-        margin=margin,
-        tolerance=floor,
-        location=float(trace.times[worst + 1]),
-        aux={
-            "min_second_difference": float(second.min()),
-            "dlogI_vs_2U_gap": identity_gap,
-            "deriv_tol": deriv_tol,
-        },
+    return passing(
+        "log-convexity",
+        float(second[worst]),
+        tol * trace.dt**2,
+        location=trace.times[worst + 1],
+        min_second_difference=float(second.min()),
+        dlogI_vs_2U_gap=float(np.max(np.abs(trace.dlogI[1:-1] - 2.0 * trace.U[1:-1]))),
     )
 
 
 def check_hadamard_bound(trace: FrequencyTrace, tol: float | None = None) -> CheckReport:
-    """Three-circles-type growth bound ``log I(b) - log I(a) >= 2 U(a) (b-a)``."""
+    """Hadamard-type growth bound ``log I(t) - log I(a) >= 2 U(a) (t - a)`` at every sample.
+
+    The bound gives backward uniqueness.  The margin is the worst over the
+    samples after ``t = a``, where it is 0 by construction;
+    ``aux['final_margin']`` is the margin at ``t = b``.
+    """
     if tol is None:
         tol = default_tolerance(trace)
-    span = trace.times[-1] - trace.times[0]
-    margin = float(np.log(trace.I[-1]) - np.log(trace.I[0]) - 2.0 * trace.U[0] * span)
+    predicted = 2.0 * trace.U[0] * (trace.times - trace.times[0])
+    margins = np.log(trace.I) - np.log(trace.I[0]) - predicted
+    worst = 1 + int(np.argmin(margins[1:]))
     return passing(
         "hadamard-bound",
-        margin,
+        float(margins[worst]),
         tol,
-        location=trace.times[-1],
+        location=trace.times[worst],
         log_ratio=float(np.log(trace.I[-1] / trace.I[0])),
-        predicted=float(2.0 * trace.U[0] * span),
+        predicted=float(predicted[-1]),
+        final_margin=float(margins[-1]),
     )
 
 
@@ -352,8 +347,9 @@ def check_gradient_only(
 
     Requires a gradient-only trace with U(a) < 0.  Verifies
     ``[log(-U)]' <= C^2 / 2`` on interior samples where U < 0,
-    ``U(t) >= U(a) exp(0.5 * int_a^t C^2)``, and the closed-form lower bound
-    on I(b) (with sup C standing in for a time-varying C).
+    ``U(t) >= U(a) exp(0.5 * int_a^t C^2)`` on samples after ``t = a``, and
+    the closed-form lower bound on I(b) (with sup C standing in for a
+    time-varying C).  ``location`` is that of the worst of the three.
     """
     if not trace.gradient_only:
         raise InvalidInputError("trace does not come from a gradient-only perturbation")
@@ -380,8 +376,8 @@ def check_gradient_only(
 
     cum_c2 = cumulative_trapezoid(bound**2, trace.times)
     envelope = trace.U[0] * np.exp(0.5 * cum_c2)
-    env_margins = trace.U - envelope
-    k_env = int(np.argmin(env_margins))
+    env_margins = trace.U - envelope  # 0 at t = a by construction
+    k_env = 1 + int(np.argmin(env_margins[1:]))
 
     span = trace.times[-1] - trace.times[0]
     sup_c = float(bound.max())
@@ -392,49 +388,15 @@ def check_gradient_only(
     )
     final_margin = float(np.log(trace.I[-1]) - np.log(trace.I[0]) - final_rhs)
 
-    margin = min(rate_margin, float(env_margins[k_env]), final_margin)
-    location = {
-        rate_margin: rate_loc,
-        float(env_margins[k_env]): float(trace.times[k_env]),
-        final_margin: float(trace.times[-1]),
-    }[margin]
+    margins = (rate_margin, float(env_margins[k_env]), final_margin)
+    worst = int(np.argmin(margins))
     return passing(
         "gradient-only",
-        float(margin),
+        margins[worst],
         tol,
-        location=location,
+        location=(rate_loc, trace.times[k_env], trace.times[-1])[worst],
         rate_margin=rate_margin if np.isfinite(rate_margin) else None,
         envelope_margin=float(env_margins[k_env]),
         final_bound_margin=final_margin,
         not_applicable_from=None if cutoff == trace.samples else float(trace.times[cutoff]),
-    )
-
-
-def vanishing_order_surrogate(
-    trace: FrequencyTrace, c: float, tol: float | None = None
-) -> CheckReport:
-    """Finite-horizon vanishing-order report for ``exp(c t) I(t)``.
-
-    Reports the extremes of the scaled trace and whether it stays above the
-    growth-bound prediction ``exp(c t) I(a) exp(2 U(a) (t - a))`` at every
-    sample.  No infinite-time claim is made.
-    """
-    if tol is None:
-        tol = default_tolerance(trace)
-    scaled_log = c * trace.times + np.log(trace.I)
-    pred_log = (
-        c * trace.times
-        + np.log(trace.I[0])
-        + 2.0 * trace.U[0] * (trace.times - trace.times[0])
-    )
-    margins = scaled_log - pred_log
-    worst = int(np.argmin(margins))
-    return passing(
-        "vanishing-order",
-        float(margins[worst]),
-        tol,
-        location=trace.times[worst],
-        min_scaled=float(np.exp(scaled_log.min())),
-        max_scaled=float(np.exp(scaled_log.max())),
-        rate=c,
     )

@@ -343,14 +343,15 @@ def perturbed_reports(ctx: SuiteContext) -> list[CheckReport]:
     )
     traj = evolve_perturbed(op, Field(geometry, np.sin(x)), grid, pert)
     trace = frequency_trace(traj, op)
+    tol = derivative_tolerance(trace, ctx.tol_scale)
     reports.append(
-        check_general_frequency(trace, beta).renamed("general-frequency/advection")
+        check_general_frequency(trace, beta, tol).renamed("general-frequency/advection")
     )
     reports.append(
-        check_gradient_only(trace, beta).renamed("gradient-only/advection")
+        check_gradient_only(trace, beta, tol).renamed("gradient-only/advection")
     )
     reports.append(
-        check_general_lower_bound(trace, beta).renamed("general-lower-bound/advection")
+        check_general_lower_bound(trace, beta, tol).renamed("general-lower-bound/advection")
     )
 
     # random certified perturbations, half gradient-only, drawn and stepped a block at a time

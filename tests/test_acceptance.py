@@ -241,3 +241,12 @@ def test_traced_check_all_counts_the_benchmark_flows(traced_check_all):
     got = (counts["evolution.flows"], counts["evolution.node_steps"])
     workload = CheckAll()
     assert got == (workload.flows(None), workload.node_steps(None)) == (311, 27327008)
+
+
+def test_growth_bounds_are_gated_after_the_anchor(traced_check_all):
+    # the growth bound and the gradient-only envelope hold with equality at t = a,
+    # so a margin of exactly 0 would come from gating that sample
+    reports, _, _ = traced_check_all
+    gated = [r for r in reports if r.name.startswith(("backward-bound/", "gradient-only/"))]
+    assert len(gated) == 6
+    assert all(r.margin != 0.0 for r in gated), [(r.name, r.margin) for r in gated]

@@ -197,7 +197,7 @@ class TestCheckTable:
     )
     def test_vanishing_order_scales_its_tolerance(self, tmp_path, tol, expected):
         raw = eigenmode_config()
-        raw["checks"] = [{"name": "vanishing-order", "rate": 1.0, "tol": tol}]
+        raw["checks"] = [{"name": "vanishing-order", "tol": tol}]
         config = write_config(tmp_path / "c.json", raw)
         argv = ["--out", str(tmp_path / "out"), "--tol-scale", "5", "simulate", "--config", config]
         main(argv)
@@ -212,7 +212,7 @@ class TestCheckTable:
             {"name": "u-monotone", "tol": float("nan")},
             {"name": "general-frequency", "bound": "0.1*t"},
             {"name": "general-frequency", "bound": [1, 2]},
-            {"name": "vanishing-order", "rate": "abc"},
+            {"name": "vanishing-order", "tol": "abc"},
             {"name": ["u-monotone"]},
         ],
     )
@@ -291,6 +291,8 @@ class TestUnknownKeys:
                 "b": ["0.5"], "gradient-only": True}), "gradient-only"),
             ("sweep", sweep_of(eigenmode_config(), {
                 "name": "a", "override": {"initial.index": 2}}), "override"),
+            ("simulate", dict(eigenmode_config(), checks=[
+                {"name": "vanishing-order", "rate": 1.0}]), "rate"),
         ],
     )
     def test_unknown_key_exits_1_naming_it(self, tmp_path, capsys, command, raw, key):
@@ -308,13 +310,13 @@ class TestUnknownKeys:
         raw["initial"] = {"kind": "eigenmode", "index": None}
         raw["geometry"]["phi"] = None
         raw.update(integrator=None, gauge=None, perturbation=None, output=None)
-        raw["checks"] = [{"name": "vanishing-order", "tol": None, "rate": None}]
+        raw["checks"] = [{"name": "vanishing-order", "tol": None}]
         config = write_config(tmp_path / "c.json", raw)
         assert main(["--out", str(tmp_path / "out"), "simulate", "--config", config]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["integrator"] == "spectral-exact"
         assert report["checks"][0]["tolerance"] == 1e-9
-        assert report["checks"][0]["aux"]["rate"] == 0.0
+        assert report["checks"][0]["check"] == "vanishing-order"
 
 
 def sized_config(key, value):

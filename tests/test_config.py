@@ -348,7 +348,7 @@ _INITIAL = st.one_of(
     ),
 )
 _CHECK = st.sampled_from(list(TRACE_CHECKS)).flatmap(
-    lambda name: _obj({"name": st.just(name)}, {"tol": _FLOATS, "bound": _FLOATS, "rate": _FLOATS})
+    lambda name: _obj({"name": st.just(name)}, {"tol": _FLOATS, "bound": _FLOATS})
 )
 DOCUMENTS = _obj(
     {
@@ -383,7 +383,7 @@ def _build(raw):
     if config.perturbation is not None:
         build_perturbation(config.perturbation, geometry, grid)
     if config.gauge is not None:
-        _sample_time_function(build_gauge(config.gauge), grid.times, (), "lambda")
+        build_gauge(config.gauge, grid)
 
 
 class TestConfigFuzz:
@@ -417,9 +417,10 @@ class TestConfigFuzz:
             pass
 
 
-# whole-grid sampling of perturbations: random expressions over the names a
-# key allows, each compared bit for bit with a reference that evaluates one
-# sample at a time through the callable path of PerturbationSpec.build
+# whole-grid sampling of perturbations and gauges: random expressions over the
+# names a key allows, each compared bit for bit with a reference that evaluates
+# one sample at a time through the callable path of PerturbationSpec.build or
+# of gauge_transform
 
 
 @functools.cache  # one strategy per set of names: building a recursive one is slow
@@ -477,13 +478,21 @@ def _per_sample_perturbation(spec: dict, geometry, grid) -> PerturbationSpec:
     return PerturbationSpec.build(geometry, grid, b=b, c=c, bound=bound)
 
 
+def _per_sample_gauge(text: str, grid):
+    """The gauge rate of ``text`` as sampled one time at a time."""
+    fn = compile_expression(text, ("t",))
+    return _sample_time_function(lambda t: float(fn(t=t)), grid.times, (), "lambda")
+
+
 def _outcome(build):
-    """The arrays of a built spec as bytes, or the type of the error building it raised."""
+    """What ``build`` returns (a spec's arrays, or one array) as bytes, or the type of its error."""
     try:
-        pert = build()
+        built = build()
     except ParafreqError as exc:
         return type(exc)
-    return [None if arr is None else arr.tobytes() for arr in (pert.b, pert.c, pert.bound)]
+    if isinstance(built, np.ndarray):
+        return built.tobytes()
+    return [None if arr is None else arr.tobytes() for arr in (built.b, built.c, built.bound)]
 
 
 class TestWholeGridSampling:
@@ -506,6 +515,9 @@ class TestWholeGridSampling:
             spec["bound"] = f"({data.draw(_expression_over(('t',)) | _expression_over(()))})**2"
         expected = _outcome(lambda: _per_sample_perturbation(spec, geometry, grid))
         assert _outcome(lambda: build_perturbation(spec, geometry, grid)) == expected
+        gauge = data.draw(_expression_over(("t",)) | _expression_over(()))
+        expected = _outcome(lambda: _per_sample_gauge(gauge, grid))
+        assert _outcome(lambda: build_gauge(gauge, grid)) == expected
 
     def test_grid_just_over_one_chunk_matches_a_single_chunk(self, monkeypatch):
         geometry = make_circle(1024, TWO_PI)

@@ -27,7 +27,7 @@ from parafreq.errors import (
     DegenerateInputError,
     InvalidInputError,
 )
-from parafreq.evolution import _in_blocks, _step_together
+from parafreq.evolution import _in_blocks
 from parafreq.sampling import random_smooth_field
 
 from conftest import peak_allocated
@@ -492,7 +492,7 @@ class TestBlockStepping:
         for components in counts:
             budget = 3 * (sample_bytes * components + pert_bytes) + 1
             monkeypatch.setattr(evolution, "_BLOCK_BYTES", budget)
-            _step_together([t for t in trajs if t.stepping.u0.shape[1] == components])
+            list(_in_blocks(t for t in trajs if t.stepping.u0.shape[1] == components))
         for traj, (u0, pert) in zip(trajs, flows):
             assert "values" not in vars(traj)  # stepped, but not read yet
             alone = self.evolve(op, grid, u0, pert).values
@@ -503,19 +503,6 @@ class TestBlockStepping:
             blocks[id(traj.values.base)] = blocks.get(id(traj.values.base), 0) + 1
         expected = [min(3, k - i) for k in counts.values() for i in range(0, k, 3)]
         assert sorted(blocks.values()) == sorted(expected)
-
-    def test_spectral_and_read_flows_are_left_alone(self, weighted_circle_op):
-        geom = weighted_circle_op.geometry
-        grid = TimeGrid(0.0, 0.5, 25)
-        u0 = Field(geom, np.sin(geom.coords[:, 0]))
-        exact = evolve_exact(weighted_circle_op, u0, grid)
-        read = evolve_cn(weighted_circle_op, u0, grid)
-        before = read.values
-        pending = evolve_cn(weighted_circle_op, u0, grid)
-        _step_together([exact, read, pending])
-        assert "values" not in vars(exact)
-        assert read.values is before
-        assert np.array_equal(pending.values, before)
 
     def test_realizing_fifty_torus_flows_holds_one_block(self):
         op = assemble(make_torus(32, 32, TWO_PI, TWO_PI))
@@ -547,7 +534,7 @@ class TestBlockStepping:
         grid = TimeGrid(0.0, 0.5, 25)
         u0 = Field(geom, np.sin(geom.coords[:, 0]))
         evolve_cn(weighted_circle_op, u0, grid).values
-        _step_together([evolve_cn(weighted_circle_op, u0, grid) for _ in range(3)])
+        list(_in_blocks(evolve_cn(weighted_circle_op, u0, grid) for _ in range(3)))
         assert blocks == [1, 3]
 
 

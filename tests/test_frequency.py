@@ -23,12 +23,12 @@ from parafreq import (
     evolve_perturbed,
     frequency_trace,
     make_circle,
-    vanishing_order_surrogate,
     weighted_inner,
 )
 from parafreq import core, frequency
+from parafreq.config import TRACE_CHECKS, read_check
 from parafreq.core import ModalExpansion
-from parafreq.frequency import derivative_tolerance
+from parafreq.frequency import FrequencyTrace, derivative_tolerance
 from parafreq.errors import DegenerateTraceError, InvalidInputError
 
 from conftest import peak_allocated
@@ -94,6 +94,21 @@ class TestTraceValues:
         traj = Trajectory(grid=grid, fields=(zero, zero, zero), provenance="analytic-oracle")
         with pytest.raises(DegenerateTraceError):
             frequency_trace(traj, flat_circle_op)
+
+
+def hand_trace(times, I, U, gradient_only=False):
+    """A spectral-provenance trace built from given I and U samples."""
+    dt = float(times[1] - times[0])
+    return FrequencyTrace(
+        times=times, I=I, D=U * I, U=U,
+        dlogI=np.gradient(np.log(I), dt, edge_order=2), dU=np.gradient(U, dt, edge_order=2),
+        provenance=PROVENANCE_SPECTRAL, dt=dt, length_scale=0.1, gradient_only=gradient_only,
+    )
+
+
+def run_config_check(name, traj, trace, op, tol):
+    """One check entry of a config, run as ``simulate`` runs it."""
+    return TRACE_CHECKS[name][0](traj, trace, op, tol, read_check({"name": name}, "check"))
 
 
 def materialized(traj):
@@ -236,10 +251,11 @@ class TestMonotonicityChecks:
             gaps.append(rep.aux["dlogI_vs_2U_gap"])
         assert gaps[0] / gaps[1] > 3.5
 
-    def test_deriv_tolerance_gates_when_given(self, two_mode):
+    def test_identity_gap_is_reported_not_gated(self, two_mode):
         _, trace = two_mode
-        rep = check_log_convexity(trace, 1e-8 / trace.dt**2, deriv_tol=1e-15)
-        assert not rep.passed
+        rep = check_log_convexity(trace, 1e-8 / trace.dt**2)
+        assert rep.passed
+        assert rep.aux["dlogI_vs_2U_gap"] > 1e-15
 
     def test_single_eigenmode_log_affine(self, flat_circle_op):
         pair = eigenpairs(flat_circle_op, 2)[1]
@@ -267,33 +283,45 @@ class TestHadamardBound:
             np.log((np.exp(2.0 * r1) + np.exp(2.0 * r2)) / 2.0) - (r1 + r2)
         )
         assert rep.passed
-        assert abs(rep.margin - expected) < 1e-9
+        assert abs(rep.aux["final_margin"] - expected) < 1e-9
         # continuum value: log I(1) - log I(0) + 5
-        assert abs(rep.margin - 2.309) < 5e-3
+        assert abs(rep.aux["final_margin"] - 2.309) < 5e-3
+
+    def test_margin_is_the_worst_sample_after_a(self, two_mode):
+        _, trace = two_mode
+        rep = check_hadamard_bound(trace, 1e-9)
+        t = trace.times
+        margins = np.log(trace.I) - np.log(trace.I[0]) - 2.0 * trace.U[0] * (t - t[0])
+        assert margins[0] == 0.0
+        assert rep.margin == margins[1:].min() > 0.0
+        assert rep.location == t[1 + np.argmin(margins[1:])]
+        assert rep.aux["final_margin"] == margins[-1]
+
+    def test_interior_dip_fails_though_b_recovers(self):
+        # log I falls 0.35 below the growth line at t = 0.5 and ends 0.1 above it
+        times = np.linspace(0.0, 1.0, 11)
+        log_i = -2.0 * times - 0.4 * np.sin(np.pi * times) + 0.1 * times
+        rep = check_hadamard_bound(hand_trace(times, np.exp(log_i), np.full(11, -1.0)), 1e-9)
+        assert rep.aux["final_margin"] > 0.09  # a check at t = b alone would pass
+        assert not rep.passed
+        assert rep.location == 0.5
+        assert abs(rep.margin + 0.35) < 1e-12
 
     def test_vanishing_order_eigenmode(self, flat_circle_op):
         pair = eigenpairs(flat_circle_op, 2)[1]
         traj = evolve_exact(flat_circle_op, pair.eigenfield, TimeGrid(0.0, 1.0, 50))
         trace = frequency_trace(traj, flat_circle_op)
-        # c = -2 lambda: scaled trace is constant
-        rep = vanishing_order_surrogate(trace, -2.0 * pair.eigenvalue)
-        assert rep.passed
-        assert abs(rep.aux["max_scaled"] - rep.aux["min_scaled"]) < 1e-8
-        # c = -lambda: decreasing but above the growth-bound prediction
-        rep = vanishing_order_surrogate(trace, -pair.eigenvalue)
-        assert rep.passed
+        rep = run_config_check("vanishing-order", traj, trace, flat_circle_op, 1e-10)
+        assert rep.name == "vanishing-order" and rep.passed
+        # an eigenmode sits on the growth line: I(t) = I(a) exp(2 lambda (t - a))
         assert abs(rep.margin) < 1e-10
 
-    def test_vanishing_order_tolerance(self, two_mode):
-        _, trace = two_mode
-        assert vanishing_order_surrogate(trace, 0.0).tolerance == default_tolerance(trace)
-        assert vanishing_order_surrogate(trace, 0.0, 1e-3).tolerance == 1e-3
-
-    def test_vanishing_order_zero_rate_reports_i(self, two_mode):
-        _, trace = two_mode
-        rep = vanishing_order_surrogate(trace, 0.0)
-        assert abs(rep.aux["max_scaled"] - trace.I.max()) < 1e-12
-        assert abs(rep.aux["min_scaled"] - trace.I.min()) < 1e-12
+    def test_vanishing_order_tolerance(self, flat_circle_op, two_mode):
+        traj, trace = two_mode
+        for tol in (1e-9, 1e-3):
+            alias = run_config_check("vanishing-order", traj, trace, flat_circle_op, tol)
+            assert alias == check_hadamard_bound(trace, tol).renamed("vanishing-order")
+            assert alias.tolerance == tol
 
 
 class TestOperatorArgument:
@@ -434,11 +462,11 @@ class TestPerturbedChecks:
         assert rep.passed
         lower = check_general_lower_bound(trace, 0.0)
         assert lower.passed
-        hadamard = check_hadamard_bound(trace, 1e-9)
-        assert abs(lower.aux["statement_margin"] - hadamard.margin) < 1e-12
+        final = check_hadamard_bound(trace, 1e-9).aux["final_margin"]
+        assert abs(lower.aux["statement_margin"] - final) < 1e-12
         # the proof-final display as printed loses the factor 2 on U at C=0;
         # its margin is reported, never gated, and the gap is exactly U(a)*(b-a)
-        gap = lower.aux["proof_margin"] - hadamard.margin
+        gap = lower.aux["proof_margin"] - final
         assert abs(gap - trace.U[0] * (trace.times[-1] - trace.times[0])) < 1e-12
 
     def test_advection_frequency_constant(self, advection):
@@ -454,6 +482,22 @@ class TestPerturbedChecks:
         rep = check_gradient_only(advection, 0.5)
         assert rep.passed
         assert rep.aux["rate_margin"] > 0.12  # C^2/2 = 0.125 with [log(-U)]' ~ 0
+        # the envelope is 0 at t = a by construction, so it is taken after a
+        assert rep.margin == rep.aux["envelope_margin"] > 0.0
+        assert rep.location == advection.times[1]
+
+    def test_gradient_only_location_is_that_of_the_worst_part(self):
+        times = np.linspace(0.0, 1.0, 11)
+        # with C == 3, U 10% below the envelope exp(4.5 t) midway makes the envelope the worst part
+        U = -(1.0 + 0.1 * np.sin(np.pi * times)) * np.exp(4.5 * times)
+        rep = check_gradient_only(hand_trace(times, np.exp(-2.0 * times), U, True), 3.0)
+        assert rep.margin == rep.aux["envelope_margin"] < rep.aux["rate_margin"] < 0.0
+        assert rep.location == times[8]
+        # I far below its closed-form bound at b makes the final bound the worst part
+        I = np.exp(-4.0 * times)
+        rep = check_gradient_only(hand_trace(times, I, np.full(11, -1.0), True), 0.0)
+        assert rep.margin == rep.aux["final_bound_margin"] < 0.0
+        assert rep.location == times[-1]
 
     def test_advection_proof_chain(self, advection):
         rep = check_general_lower_bound(advection, 0.5)
@@ -477,7 +521,7 @@ class TestPerturbedChecks:
         trace = frequency_trace(traj, flat_circle_op)
         rep = check_gradient_only(trace, 0.0)
         assert rep.passed
-        assert abs(rep.aux["envelope_margin"] - (trace.U.min() - trace.U[0])) < 1e-12
+        assert abs(rep.aux["envelope_margin"] - (trace.U[1:].min() - trace.U[0])) < 1e-12
 
     def test_gradient_only_needs_negative_start(self, weighted_circle_op):
         one = Field.constant(weighted_circle_op.geometry)

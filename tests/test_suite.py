@@ -145,3 +145,17 @@ def test_random_perturbation_matches_callback_reference(with_potential):
         else:
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+def test_tol_scale_scales_every_perturbed_line(monkeypatch):
+    # the advection lines and the random suite alike carry the scaled derivative budget
+    monkeypatch.setattr(suite, "RANDOM_PERTURBATIONS", 2)
+    base, scaled = (
+        {r.name: r.tolerance for r in suite.perturbed_reports(SuiteContext(seed=0, tol_scale=s))}
+        for s in (1.0, 3.0)
+    )
+    assert [name for name in base if name.endswith("/advection")] == [
+        "general-frequency/advection", "gradient-only/advection", "general-lower-bound/advection"
+    ]
+    for name, tol in base.items():
+        assert scaled[name] == pytest.approx(3.0 * tol, rel=1e-15)
