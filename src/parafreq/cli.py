@@ -165,6 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # checked here, not by an argparse type: argparse exits 2, the check-failure code
+        if args.seed < 0:
+            raise ConfigError(f"--seed: expected an integer >= 0, got {args.seed}")
+        if not 0.0 <= args.tol_scale < np.inf:
+            raise ConfigError(f"--tol-scale: expected a finite number >= 0, got {args.tol_scale}")
         if args.command == "simulate":
             config = ExperimentConfig.load(args.config)
             return run_simulate(config, _out_dir(args, config), args.seed, args.tol_scale)

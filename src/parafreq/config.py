@@ -219,7 +219,6 @@ INITIAL_KEYS = {
 }
 PERTURBATION_KEYS = {
     "b": (_expressions, None), "c": (_expression, None), "bound": (_expression, None),
-    "gradient_only": (_boolean, False),
 }
 CHECK_KEYS = {name: keys for name, (_, keys) in TRACE_CHECKS.items()}
 _read_geometry = _variant(GEOMETRY_KEYS, "kind")
@@ -372,9 +371,7 @@ def build_perturbation(
         c = evaluate_on_grid(spec["c"], coords, times)
     if spec["bound"] is not None:
         bound = _over_times(spec["bound"], times)
-    return PerturbationSpec(
-        geometry=geometry, grid=grid, b=b, c=c, bound=bound, gradient_only=spec["gradient_only"]
-    )
+    return PerturbationSpec(geometry, grid, b=b, c=c, bound=bound)
 
 
 def build_gauge(spec, grid: TimeGrid) -> np.ndarray:

@@ -26,7 +26,7 @@ copies.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -56,52 +56,62 @@ _CERT_SLACK = 1e-12
 _BLOCK_BYTES = 8 * 2**20
 
 
-def _sample_time_function(fn, times: np.ndarray, shape: tuple, name: str) -> np.ndarray:
-    """Sample a callable/array/scalar onto the grid; result has ``(K+1,) + shape``.
+def _over_samples(value, shape: tuple, name: str) -> np.ndarray:
+    """``value``, a constant or an array, as a float64 array of ``shape`` (samples first).
 
-    An array is broadcast against ``(K+1,) + shape``: one row per sample, or
-    one value for all of them.
+    A float64 array of that shape is returned as it is; anything else is
+    broadcast into a new array.  A value that is not numeric or does not
+    broadcast is an :class:`InvalidInputError`.
     """
-    out = np.empty((times.size,) + shape)
-    if callable(fn):
-        for k, t in enumerate(times):
-            out[k] = np.broadcast_to(np.asarray(fn(t), dtype=float), shape)
-    else:
-        out[:] = np.asarray(fn, dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise InvalidInputError(f"{name} must be finite at every sample")
-    return out
+    try:
+        arr = np.asarray(value, dtype=float)
+        return arr if arr.shape == shape else np.broadcast_to(arr, shape).copy()
+    except (TypeError, ValueError):
+        raise InvalidInputError(
+            f"{name} must be a constant or an array that broadcasts to {shape}"
+        ) from None
 
 
 @dataclass(frozen=True)
 class PerturbationSpec:
     """Drift/potential perturbation ``b . grad u + c u`` with certified bound.
 
-    Arrays are sampled per time: ``b`` (samples, nodes, dim), ``c`` (samples,
-    nodes), ``bound`` (samples,).  Construction checks the sufficient sup-norm
-    condition ``|b|, |c| <= C(t)`` at every sampled (node, time) pair, fills
-    in the tight certificate when ``bound`` is None, requires ``c == 0`` when
-    gradient_only, and makes the arrays read-only so the certificate holds.
+    ``b``, ``c`` and ``bound`` are each None, a constant, or an array that
+    broadcasts to (samples, nodes, dim), (samples, nodes) and (samples,); the
+    spec keeps them as read-only arrays of those shapes, a full-shaped
+    float64 array without a copy.  Construction checks that they are finite
+    and the sufficient sup-norm condition ``|b|, |c| <= C(t)`` at every
+    sampled (node, time) pair, and fills in the tight certificate when
+    ``bound`` is None.  ``gradient_only`` is read off ``c``: None or zero.
     """
 
     geometry: WeightedGeometry
     grid: TimeGrid
-    b: np.ndarray | None
-    c: np.ndarray | None
-    bound: np.ndarray | None
-    gradient_only: bool = False
+    b: np.ndarray | None = None
+    c: np.ndarray | None = None
+    bound: np.ndarray | None = None
+    gradient_only: bool = field(init=False)
 
     def __post_init__(self):
         times = self.grid.times
-        if self.gradient_only and self.c is not None and np.any(self.c != 0.0):
-            raise InvalidInputError("gradient_only perturbations require c == 0")
-        # sup norms per sample, a chunk of samples at a time so temporaries stay bounded
+        nodes, dim = self.geometry.node_count, self.geometry.dim
+        shapes = {"b": (times.size, nodes, dim), "c": (times.size, nodes), "bound": times.shape}
+        for name, shape in shapes.items():
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _over_samples(getattr(self, name), shape, name))
+        # sup norms per sample, a chunk of samples at a time so temporaries stay
+        # bounded; a non-finite b or c gives a non-finite sup
         b_sup, c_sup = np.zeros(times.size), np.zeros(times.size)
-        for rows in row_chunks(times.size, self.geometry.node_count * self.geometry.dim):
+        for rows in row_chunks(times.size, nodes * dim):
             if self.b is not None:
                 b_sup[rows] = np.sqrt((self.b[rows] ** 2).sum(axis=2)).max(axis=1)
             if self.c is not None:
                 c_sup[rows] = np.abs(self.c[rows]).max(axis=1)
+        for name, sup in (("b", b_sup), ("c", c_sup), ("bound", self.bound)):
+            if sup is not None and not np.all(np.isfinite(sup)):
+                raise InvalidInputError(f"sup|{name}| must be finite at every sample")
+        # max |c| is 0 at every sample exactly when c is 0 everywhere
+        object.__setattr__(self, "gradient_only", not c_sup.any())
         if self.bound is None:
             object.__setattr__(self, "bound", np.maximum(b_sup, c_sup))
         else:
@@ -117,36 +127,6 @@ class PerturbationSpec:
         for arr in (self.b, self.c, self.bound):
             if arr is not None:
                 arr.setflags(write=False)
-
-    @staticmethod
-    def build(
-        geometry: WeightedGeometry,
-        grid: TimeGrid,
-        b=None,
-        c=None,
-        bound=None,
-        gradient_only: bool = False,
-    ) -> "PerturbationSpec":
-        """Sample a perturbation on a grid; construction certifies it.
-
-        ``b`` maps t to per-node coefficient vectors (nodes, dim), ``c`` maps
-        t to per-node scalars; either may be an array over the whole grid, a
-        constant, or None.  ``bound`` is C(t); when omitted the tight sup-norm
-        certificate is used.  A callable is called once per sample and an
-        array is copied; a caller that already holds the (samples, ...)
-        arrays, as ``config.build_perturbation`` does, constructs the spec
-        from them directly.
-        """
-        times = grid.times
-        nodes, dim = geometry.node_count, geometry.dim
-        return PerturbationSpec(
-            geometry=geometry,
-            grid=grid,
-            b=None if b is None else _sample_time_function(b, times, (nodes, dim), "b"),
-            c=None if c is None else _sample_time_function(c, times, (nodes,), "c"),
-            bound=None if bound is None else _sample_time_function(bound, times, (), "bound"),
-            gradient_only=gradient_only,
-        )
 
     def is_zero(self) -> bool:
         return (self.b is None or not np.any(self.b)) and (
@@ -350,14 +330,18 @@ def evolve_perturbed(
 def gauge_transform(traj: Trajectory, rate) -> Trajectory:
     """Multiply by ``exp(-integral_a^t lambda)`` (trapezoid in time).
 
-    ``rate`` is lambda(t): a callable of time, an array over the grid, or a
-    constant.  If the source solves the gauged equation
-    ``u_t = L u + lambda(t) u``, the result solves the pure drift heat
-    equation; the frequency U is invariant either way because the scalar
-    factor cancels in D/I.
+    ``rate`` is lambda(t): a constant or an array over the grid's samples.
+    If the source solves the gauged equation ``u_t = L u + lambda(t) u``,
+    the result solves the pure drift heat equation; the frequency U is
+    invariant either way because the scalar factor cancels in D/I.  The
+    result carries no certified bound and is not gradient-only: gauging a
+    perturbed flow adds ``-lambda`` to its potential, which the source's
+    certificate does not bound.
     """
     times = traj.grid.times
-    rates = _sample_time_function(rate, times, (), "lambda")
+    rates = _over_samples(rate, times.shape, "lambda")
+    if not np.all(np.isfinite(rates)):
+        raise InvalidInputError("lambda must be finite at every sample")
     integral = cumulative_trapezoid(rates, times)
     factors = np.exp(-integral)
     return Trajectory(
@@ -365,6 +349,4 @@ def gauge_transform(traj: Trajectory, rate) -> Trajectory:
         geometry=traj.geometry,
         values=factors[:, None, None] * traj.values,
         provenance=traj.provenance,
-        gradient_only=traj.gradient_only,
-        certified_bound=traj.certified_bound,
     )

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import PROVENANCE_IMPLICIT, Trajectory, cumulative_trapezoid, per_row
 from .errors import DegenerateTraceError, InvalidInputError
-from .evolution import _sample_time_function
+from .evolution import _over_samples
 from .operators import DriftOperator
 from .reports import CheckReport, passing
 
@@ -63,8 +63,11 @@ def frequency_trace(traj: Trajectory, op: DriftOperator) -> FrequencyTrace:
     (one sparse apply); otherwise D is the negated Dirichlet energy of every
     sample, compared with ``<u, L u>_mu`` there.  Raises
     :class:`DegenerateTraceError` when I(t) vanishes at any sample (the
-    backward-uniqueness regime).
+    backward-uniqueness regime), and :class:`InvalidInputError` when ``op``
+    does not act on the flow's geometry.
     """
+    if op.geometry is not traj.geometry:
+        raise InvalidInputError("the operator does not act on the flow's geometry")
     if traj.modal is not None:
         I, D, d_gap = _modal_trace(traj, op)
     else:
@@ -153,12 +156,15 @@ def derivative_tolerance(trace: FrequencyTrace, scale: float = 1.0) -> float:
 
 
 def _sample_bound(C, trace: FrequencyTrace) -> np.ndarray:
-    """Resolve a bound argument (callable/array/scalar/None) onto the grid."""
+    """Resolve a bound argument (constant/array over the samples/None) onto the samples."""
     if C is None:
         if trace.certified_bound is None:
             raise InvalidInputError("no bound C(t): pass one or use a certified trace")
         return np.asarray(trace.certified_bound, dtype=float)
-    return _sample_time_function(C, trace.times, (), "bound")
+    bound = _over_samples(C, trace.times.shape, "bound")
+    if not np.all(np.isfinite(bound)):
+        raise InvalidInputError("bound must be finite at every sample")
+    return bound
 
 
 def check_u_monotone(trace: FrequencyTrace, tol: float | None = None) -> CheckReport:
@@ -231,10 +237,13 @@ def check_rigidity(
     When U is constant to within tol the flow must be a separated eigenmode:
     ``u(t) = exp(lambda t) u(a)`` and ``L u(a) = lambda u(a)`` with
     ``lambda = U(a)``.  Non-constant U is reported as non-rigid (and passes).
-    ``op`` is the operator the flow evolved under; ``trace`` is
+    ``op`` is the operator the flow evolved under (one on another geometry
+    is an :class:`InvalidInputError`); ``trace`` is
     ``frequency_trace(traj, op)``, traced here when not given, and ``tol``
     the provenance-aware default when None.
     """
+    if op.geometry is not traj.geometry:
+        raise InvalidInputError("the operator does not act on the flow's geometry")
     if trace is None:
         trace = frequency_trace(traj, op)
     if tol is None:

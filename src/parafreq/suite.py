@@ -316,14 +316,7 @@ def _random_perturbation(
 
     b_profile = profile()
     c_profile = profile() if with_potential else None
-    return PerturbationSpec.build(
-        geometry,
-        grid,
-        b=b_profile[:, :, None],
-        c=c_profile,
-        bound=None,
-        gradient_only=not with_potential,
-    )
+    return PerturbationSpec(geometry, grid, b=b_profile[:, :, None], c=c_profile)
 
 
 def perturbed_reports(ctx: SuiteContext) -> list[CheckReport]:
@@ -336,11 +329,7 @@ def perturbed_reports(ctx: SuiteContext) -> list[CheckReport]:
 
     # constant advection of a single mode: U stays at the mode rate
     beta = 0.5
-    pert = PerturbationSpec.build(
-        geometry, grid,
-        b=lambda t: np.full((geometry.node_count, 1), beta),
-        bound=beta, gradient_only=True,
-    )
+    pert = PerturbationSpec(geometry, grid, b=beta, bound=beta)
     traj = evolve_perturbed(op, Field(geometry, np.sin(x)), grid, pert)
     trace = frequency_trace(traj, op)
     tol = derivative_tolerance(trace, ctx.tol_scale)
@@ -400,7 +389,7 @@ def perturbed_reports(ctx: SuiteContext) -> list[CheckReport]:
     )
 
     # zero perturbation must reproduce the plain stepped flow bit for bit
-    zero = PerturbationSpec.build(geometry, grid, bound=0.0)
+    zero = PerturbationSpec(geometry, grid, bound=0.0)
     u0 = random_smooth_field(geometry, _rng(ctx.seed, 7))
     traj_zero = evolve_perturbed(op, u0, grid, zero)
     traj_cn = evolve_cn(op, u0, grid)
@@ -457,7 +446,7 @@ def gauge_reports(ctx: SuiteContext) -> list[CheckReport]:
     traj = evolve_exact(op, u0, grid)
     base = frequency_trace(traj, op)
     coeffs = rng.standard_normal(3)
-    rate = lambda t: coeffs[0] + coeffs[1] * np.sin(3.0 * t) + coeffs[2] * t
+    rate = coeffs[0] + coeffs[1] * np.sin(3.0 * grid.times) + coeffs[2] * grid.times
     transformed = frequency_trace(gauge_transform(traj, rate), op)
     gap = float(np.max(np.abs(transformed.U - base.U)))
     return [passing("gauge/u-invariance", 1e-12 - gap, 1e-12, max_gap=gap)]

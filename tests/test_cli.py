@@ -47,7 +47,7 @@ def gradient_only_config():
         "initial": {"kind": "expression", "expression": "sin(x)"},
         "time": {"a": 0.0, "b": 1.0, "steps": 100},
         "integrator": "implicit-step",
-        "perturbation": {"b": ["0.5"], "bound": 0.5, "gradient_only": True},
+        "perturbation": {"b": ["0.5"], "bound": 0.5},
     }
 
 
@@ -152,6 +152,32 @@ class TestSimulate:
         config = write_config(tmp_path / "c.json", json.loads(block))
         assert main(["--out", str(tmp_path / "out"), "simulate", "--config", config]) == 0
 
+    def test_gauged_perturbed_flow_needs_an_explicit_bound(self, tmp_path, capsys):
+        # gauging by lambda adds -lambda to the potential, which the perturbation's
+        # certificate does not bound, so the gauged flow carries none
+        raw = {
+            "geometry": {"kind": "circle", "nodes": 128, "length": TWO_PI},
+            "initial": {"kind": "expression", "expression": "sin(x)+0.5*cos(2*x)"},
+            "time": {"a": 0.0, "b": 1.0, "steps": 200},
+            "integrator": "implicit-step",
+            "perturbation": {"b": "0.2*sin(x)"},
+            "checks": [{"name": "general-lower-bound"}, {"name": "gradient-only"}],
+        }
+
+        def run(name, raw):
+            config = write_config(tmp_path / f"{name}.json", raw)
+            code = main(["--out", str(tmp_path / name), "simulate", "--config", config])
+            return code, capsys.readouterr().err
+
+        # b alone is gradient-only, and certified by its sup norm
+        assert run("plain", raw) == (0, "")
+        code, err = run("gauged", dict(raw, gauge="3.0"))
+        assert code == 1
+        assert err.startswith("error: no bound C(t)")
+        # 3.2 bounds |b| <= 0.2 and |c - lambda| = 3
+        explicit = dict(raw, gauge="3.0", checks=[{"name": "general-lower-bound", "bound": 3.2}])
+        assert run("explicit", explicit) == (0, "")
+
     def test_spectral_run_beyond_dense_limit_exits_1(self, tmp_path, capsys):
         raw = eigenmode_config()
         raw["geometry"] = {"kind": "torus2d", "nx": 128, "ny": 128, "lx": TWO_PI, "ly": TWO_PI}
@@ -170,6 +196,36 @@ class TestSimulate:
         main(["--out", str(tmp_path / "b"), "--seed", "3", "simulate", "--config", config])
         for name in ("report.json", "trace.csv", "trajectory.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_readme_python_examples_run():
+    # the blocks run in order in one namespace of their own, as in a session
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="simulate's default tolerance on a spectral trace is 1e-9, below the O(dt^2) "
+    "centered-difference error of (log I)' that the stepwise bound gates",
+)
+def test_spectral_lower_bound_at_the_default_tolerance(tmp_path):
+    # with C = 0 the gate is (log I)' >= 2U, an identity for drift flows; the Python
+    # API's derivative_tolerance passes the same trace
+    raw = {
+        "geometry": {"kind": "circle", "nodes": 128, "length": TWO_PI, "phi": "0.3*cos(x)"},
+        "initial": {"kind": "expression", "expression": "sin(x)+sin(2*x)+0.5*cos(3*x)"},
+        "time": {"a": 0.0, "b": 1.0, "steps": 50},
+        "integrator": "spectral-exact",
+        "checks": [{"name": "general-lower-bound", "bound": 0}],
+    }
+    config = write_config(tmp_path / "c.json", raw)
+    code = main(["--out", str(tmp_path / "out"), "simulate", "--config", config])
+    check = json.loads((tmp_path / "out" / "report.json").read_text())["checks"][0]
+    assert code == 0, f"margin {check['margin']:.3g} at tol {check['tolerance']:.3g}"
 
 
 BOUND_CHECKS = ("general-frequency", "general-lower-bound", "gradient-only")
@@ -252,7 +308,7 @@ class TestConfigFaults:
             ("sweep", sweep_entry(overrides={"geometry.nodes.x": 1})),
             ("simulate", with_initial(kind="random", seed=1, zero_mean="no")),
             ("simulate", with_initial(kind="random", seed=1, zero_mean=1)),
-            ("simulate", dict(gradient_only_config(), perturbation={"b": ["0.5"], "gradient_only": "no"})),
+            ("simulate", dict(gradient_only_config(), perturbation={"b": ["0.5"], "c": True})),
             ("simulate", dict(gradient_only_config(), perturbation={"b": {"x": 1}})),
         ],
     )
@@ -264,6 +320,21 @@ class TestConfigFaults:
         assert code == 1
         assert captured.err.startswith("config error:")
         assert "Traceback" not in captured.out + captured.err
+
+
+class TestGlobalOptions:
+    @pytest.mark.parametrize(
+        ("option", "value", "command"),
+        [("--seed", "-1", ["check", "all"]), ("--tol-scale", "nan", ["poon"]),
+         ("--tol-scale", "inf", ["poon"]), ("--tol-scale", "-1", ["poon"])],
+    )
+    def test_out_of_range_exits_1(self, tmp_path, capsys, option, value, command):
+        code = main(["--out", str(tmp_path / "out"), option, value, *command])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"config error: {option}: ")
+        assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "out").exists()
 
 
 def sweep_of(base, *entries):
@@ -293,6 +364,8 @@ class TestUnknownKeys:
                 "name": "a", "override": {"initial.index": 2}}), "override"),
             ("simulate", dict(eigenmode_config(), checks=[
                 {"name": "vanishing-order", "rate": 1.0}]), "rate"),
+            ("simulate", dict(gradient_only_config(), perturbation={
+                "b": ["0.5"], "gradient_only": True}), "gradient_only"),
         ],
     )
     def test_unknown_key_exits_1_naming_it(self, tmp_path, capsys, command, raw, key):

@@ -29,7 +29,6 @@ from parafreq.config import (
     sweep_configs,
 )
 from parafreq.errors import ConfigError, ExpressionError, ParafreqError
-from parafreq.evolution import _sample_time_function
 from parafreq.expressions import compile_expression, evaluate_on_grid
 
 from conftest import peak_allocated
@@ -362,8 +361,7 @@ DOCUMENTS = _obj(
     {
         "integrator": st.sampled_from(["spectral-exact", "implicit-step"]),
         "perturbation": _obj(
-            {}, {"b": _EXPR_LIST, "c": _EXPR_OR_NUMBER, "bound": _EXPR_OR_NUMBER,
-                 "gradient_only": st.booleans()},
+            {}, {"b": _EXPR_LIST, "c": _EXPR_OR_NUMBER, "bound": _EXPR_OR_NUMBER},
         ),
         "gauge": _EXPR_OR_NUMBER,
         "checks": st.lists(_CHECK, max_size=3),
@@ -419,8 +417,7 @@ class TestConfigFuzz:
 
 # whole-grid sampling of perturbations and gauges: random expressions over the
 # names a key allows, each compared bit for bit with a reference that evaluates
-# one sample at a time through the callable path of PerturbationSpec.build or
-# of gauge_transform
+# one sample at a time
 
 
 @functools.cache  # one strategy per set of names: building a recursive one is slow
@@ -464,24 +461,29 @@ def _per_sample(text: str, coords: np.ndarray):
     return lambda t: np.broadcast_to(fn(**env, t=t), (coords.shape[0],)).astype(float)
 
 
+def _over_times(fn, times: np.ndarray) -> np.ndarray:
+    """``fn(t)`` stacked over ``times``, one sample at a time."""
+    return np.stack([fn(t) for t in times])
+
+
 def _per_sample_perturbation(spec: dict, geometry, grid) -> PerturbationSpec:
     """The perturbation of ``spec`` as sampled one time at a time."""
     b = c = bound = None
     if spec.get("b") is not None:
         parts = [_per_sample(part, geometry.coords) for part in spec["b"]]
-        b = lambda t: np.column_stack([part(t) for part in parts])
+        b = _over_times(lambda t: np.column_stack([part(t) for part in parts]), grid.times)
     if spec.get("c") is not None:
-        c = _per_sample(spec["c"], geometry.coords)
+        c = _over_times(_per_sample(spec["c"], geometry.coords), grid.times)
     if spec.get("bound") is not None:
         fn = compile_expression(spec["bound"], ("t",))
-        bound = lambda t: float(fn(t=t))
-    return PerturbationSpec.build(geometry, grid, b=b, c=c, bound=bound)
+        bound = _over_times(lambda t: float(fn(t=t)), grid.times)
+    return PerturbationSpec(geometry, grid, b=b, c=c, bound=bound)
 
 
 def _per_sample_gauge(text: str, grid):
     """The gauge rate of ``text`` as sampled one time at a time."""
     fn = compile_expression(text, ("t",))
-    return _sample_time_function(lambda t: float(fn(t=t)), grid.times, (), "lambda")
+    return _over_times(lambda t: float(fn(t=t)), grid.times)
 
 
 def _outcome(build):

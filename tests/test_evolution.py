@@ -168,7 +168,7 @@ class TestImplicitStepping:
         grid = TimeGrid(0.0, 1.0, 20)
         first = evolve_cn(op, u0, grid)
         second = evolve_cn(op, u0, grid)
-        zero = evolve_perturbed(op, u0, grid, PerturbationSpec.build(op.geometry, grid, bound=0.0))
+        zero = evolve_perturbed(op, u0, grid, PerturbationSpec(op.geometry, grid, bound=0.0))
         assert len(calls) == 1
         assert np.array_equal(first.values, second.values)
         assert np.array_equal(first.values, zero.values)
@@ -229,7 +229,7 @@ class TestImplicitStepping:
         geom = make_torus(64, 64, TWO_PI, TWO_PI, 0.3 * np.cos(base.coords[:, 0]))
         u0 = Field(geom, np.sin(geom.coords[:, 0]) * np.cos(geom.coords[:, 1]))
         grid = TimeGrid(0.0, 0.01, 4)
-        pert = PerturbationSpec.build(geom, grid, b=[0.2, 0.1], c=0.1)
+        pert = PerturbationSpec(geom, grid, b=[0.2, 0.1], c=0.1)
         dense_bytes = 8 * geom.node_count**2
 
         def trace_both():
@@ -245,7 +245,7 @@ class TestPerturbedFlow:
     def test_zero_perturbation_bit_matches_plain_stepping(self, weighted_circle_op):
         geom = weighted_circle_op.geometry
         grid = TimeGrid(0.0, 1.0, 30)
-        pert = PerturbationSpec.build(geom, grid, bound=0.0)
+        pert = PerturbationSpec(geom, grid, bound=0.0)
         rng = np.random.default_rng(15)
         u0 = Field(geom, rng.standard_normal(geom.node_count))
         a = evolve_perturbed(weighted_circle_op, u0, grid, pert)
@@ -258,7 +258,7 @@ class TestPerturbedFlow:
         # the steps, and so the finite check, run when the values are first read
         geom = flat_circle_op.geometry
         grid = TimeGrid(0.0, 1.0, 4)
-        pert = PerturbationSpec.build(geom, grid, c=1e300)
+        pert = PerturbationSpec(geom, grid, c=1e300)
         u0 = Field(geom, np.sin(geom.coords[:, 0]))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(InvalidInputError, match="values must be finite"):
@@ -269,10 +269,7 @@ class TestPerturbedFlow:
         geom = flat_circle_op.geometry
         grid = TimeGrid(0.0, 1.0, 400)
         beta = 0.5
-        pert = PerturbationSpec.build(
-            geom, grid, b=lambda t: np.full((geom.node_count, 1), beta),
-            bound=beta, gradient_only=True,
-        )
+        pert = PerturbationSpec(geom, grid, b=beta, bound=beta)
         u0 = Field(geom, np.sin(geom.coords[:, 0]))
         traj = evolve_perturbed(flat_circle_op, u0, grid, pert)
         h = TWO_PI / 128
@@ -286,10 +283,7 @@ class TestPerturbedFlow:
         geom = flat_circle_op.geometry
         grid = TimeGrid(0.0, 1.0, 400)
         beta = 0.5
-        pert = PerturbationSpec.build(
-            geom, grid, b=lambda t: np.full((geom.node_count, 1), beta),
-            bound=beta, gradient_only=True,
-        )
+        pert = PerturbationSpec(geom, grid, b=beta, bound=beta)
         x = geom.coords[:, 0]
         traj = evolve_perturbed(flat_circle_op, Field(geom, np.sin(x)), grid, pert)
         h = TWO_PI / 128
@@ -303,9 +297,7 @@ class TestPerturbedFlow:
         geom = weighted_circle_op.geometry
         grid = TimeGrid(0.0, 1.0, 200)
         c0 = 0.4
-        pert = PerturbationSpec.build(
-            geom, grid, c=lambda t: np.full(geom.node_count, c0), bound=c0
-        )
+        pert = PerturbationSpec(geom, grid, c=c0, bound=c0)
         rng = np.random.default_rng(16)
         u0 = Field(geom, np.sin(geom.coords[:, 0]) + 0.2 * rng.standard_normal())
         perturbed = evolve_perturbed(weighted_circle_op, u0, grid, pert)
@@ -323,26 +315,17 @@ class TestPerturbedFlow:
         geom = flat_circle_op.geometry
         grid = TimeGrid(0.0, 1.0, 10)
         with pytest.raises(CertificationFailureError):
-            PerturbationSpec.build(
-                geom, grid,
-                b=lambda t: np.full((geom.node_count, 1), 0.5),
-                bound=0.3,
-            )
+            PerturbationSpec(geom, grid, b=0.5, bound=0.3)
 
     def test_certified_at_construction(self, flat_circle_op):
         geom = flat_circle_op.geometry
         grid = TimeGrid(0.0, 1.0, 10)
-        spec = PerturbationSpec.build(
-            geom, grid, b=lambda t: np.full((geom.node_count, 1), 0.2), bound=0.3
-        )
+        spec = PerturbationSpec(geom, grid, b=0.2, bound=0.3)
         big = np.full((grid.times.size, geom.node_count, 1), 0.5)
         with pytest.raises(CertificationFailureError):
             PerturbationSpec(geom, grid, b=big, c=None, bound=np.full(grid.times.size, 0.3))
         with pytest.raises(CertificationFailureError):
             dataclasses.replace(spec, b=big)
-        with pytest.raises(InvalidInputError):
-            dataclasses.replace(spec, c=np.full((grid.times.size, geom.node_count), 0.1),
-                                gradient_only=True)
 
     def test_omitted_bound_is_the_tight_certificate(self, flat_circle_op):
         geom = flat_circle_op.geometry
@@ -352,21 +335,53 @@ class TestPerturbedFlow:
         spec = PerturbationSpec(geom, grid, b=b, c=c, bound=None)
         assert np.array_equal(spec.bound, np.maximum(np.abs(b).max(axis=(1, 2)), 0.25))
         assert not any(arr.flags.writeable for arr in (spec.b, spec.c, spec.bound))
-        assert np.array_equal(PerturbationSpec.build(geom, grid, b=b, c=c).bound, spec.bound)
+        # full-shaped float64 arrays are kept, not copied, and their callers' arrays go read-only
+        assert np.shares_memory(spec.b, b) and np.shares_memory(spec.c, c)
+        assert not (b.flags.writeable or c.flags.writeable)
 
-    def test_gradient_only_requires_zero_potential(self, flat_circle_op):
+    def test_constants_and_arrays_broadcast_to_the_same_spec(self, flat_circle_op):
         geom = flat_circle_op.geometry
         grid = TimeGrid(0.0, 1.0, 10)
-        with pytest.raises(InvalidInputError):
-            PerturbationSpec.build(
-                geom, grid,
-                c=lambda t: np.full(geom.node_count, 0.2),
-                bound=0.2, gradient_only=True,
-            )
+        samples, nodes = grid.times.size, geom.node_count
+        full = PerturbationSpec(
+            geom, grid, b=np.full((samples, nodes, 1), 0.2), c=np.full((samples, nodes), 0.1),
+            bound=np.full(samples, 0.3),
+        )
+        for b, c, bound in ((0.2, 0.1, 0.3), ([0.2], np.full(nodes, 0.1), np.float64(0.3)),
+                            (np.full((nodes, 1), 0.2), np.full((samples, 1), 0.1), [0.3])):
+            spec = PerturbationSpec(geom, grid, b=b, c=c, bound=bound)
+            for got, want in ((spec.b, full.b), (spec.c, full.c), (spec.bound, full.bound)):
+                assert got.shape == want.shape and np.array_equal(got, want)
+                assert not got.flags.writeable
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"b": np.nan}, {"c": np.inf}, {"b": 0.1, "bound": np.inf}, {"bound": np.nan},
+            {"b": 1e200},  # finite, but its sup norm overflows
+            {"b": np.zeros(5)}, {"c": np.zeros((11, 3))}, {"bound": np.zeros(12)},
+            {"b": lambda t: 0.1}, {"c": "high"},
+        ],
+    )
+    def test_non_finite_mis_shaped_or_callable_fields_rejected(self, flat_circle_op, fields):
+        grid = TimeGrid(0.0, 1.0, 10)
+        with np.errstate(over="ignore"), pytest.raises(InvalidInputError):
+            PerturbationSpec(flat_circle_op.geometry, grid, **fields)
+
+    def test_gradient_only_is_read_off_c(self, flat_circle_op):
+        geom = flat_circle_op.geometry
+        grid = TimeGrid(0.0, 1.0, 10)
+        spike = np.zeros((grid.times.size, geom.node_count))
+        spike[7, 3] = 1e-300
+        assert PerturbationSpec(geom, grid, b=0.2).gradient_only
+        assert PerturbationSpec(geom, grid, b=0.2, c=0.0).gradient_only
+        assert PerturbationSpec(geom, grid, bound=0.0).gradient_only
+        assert not PerturbationSpec(geom, grid, c=spike).gradient_only
+        assert not PerturbationSpec(geom, grid, b=0.2, c=-0.1).gradient_only
 
     def test_grid_mismatch_rejected(self, flat_circle_op):
         geom = flat_circle_op.geometry
-        pert = PerturbationSpec.build(geom, TimeGrid(0.0, 1.0, 10), bound=0.0)
+        pert = PerturbationSpec(geom, TimeGrid(0.0, 1.0, 10), bound=0.0)
         u0 = Field(geom, np.sin(geom.coords[:, 0]))
         with pytest.raises(InvalidInputError):
             evolve_perturbed(flat_circle_op, u0, TimeGrid(0.0, 1.0, 20), pert)
@@ -374,9 +389,7 @@ class TestPerturbedFlow:
     def test_conformal_geometry_rejected(self, conformal_torus_op):
         geom = conformal_torus_op.geometry
         grid = TimeGrid(0.0, 1.0, 10)
-        pert = PerturbationSpec.build(
-            geom, grid, c=lambda t: np.full(geom.node_count, 0.1), bound=0.1
-        )
+        pert = PerturbationSpec(geom, grid, c=0.1, bound=0.1)
         rng = np.random.default_rng(17)
         u0 = Field(geom, rng.standard_normal(geom.node_count))
         with pytest.raises(InvalidInputError):
@@ -385,9 +398,7 @@ class TestPerturbedFlow:
     def test_certified_bound_recorded(self, flat_circle_op):
         geom = flat_circle_op.geometry
         grid = TimeGrid(0.0, 1.0, 10)
-        pert = PerturbationSpec.build(
-            geom, grid, b=lambda t: np.full((geom.node_count, 1), 0.2), bound=0.25
-        )
+        pert = PerturbationSpec(geom, grid, b=0.2, bound=0.25)
         u0 = Field(geom, np.sin(geom.coords[:, 0]))
         traj = evolve_perturbed(flat_circle_op, u0, grid, pert)
         assert traj.certified_bound is not None
@@ -396,9 +407,7 @@ class TestPerturbedFlow:
     def test_tight_bound_autocertification(self, flat_circle_op):
         geom = flat_circle_op.geometry
         grid = TimeGrid(0.0, 1.0, 10)
-        pert = PerturbationSpec.build(
-            geom, grid, b=lambda t: np.full((geom.node_count, 1), 0.2 * np.cos(t))
-        )
+        pert = PerturbationSpec(geom, grid, b=0.2 * np.cos(grid.times)[:, None, None])
         assert np.allclose(pert.bound, 0.2 * np.abs(np.cos(grid.times)))
 
 
@@ -449,13 +458,14 @@ class TestBlockStepping:
             op = request.getfixturevalue("flat_circle_op")
         geom = op.geometry
         dim, x = geom.dim, geom.coords[:, 0]
-        b = lambda t: 0.3 * np.cos(x + t)[:, None] * np.ones(dim)
-        c = lambda t: 0.2 * np.sin(2.0 * x - t)
+        t = grid.times[:, None]
+        b = 0.3 * np.cos(x + t)[:, :, None] * np.ones(dim)
+        c = 0.2 * np.sin(2.0 * x - t)
         perts = [  # gradient-only, drift and potential, potential only, zero
-            PerturbationSpec.build(geom, grid, b=b, gradient_only=True),
-            PerturbationSpec.build(geom, grid, b=b, c=c),
-            PerturbationSpec.build(geom, grid, c=c),
-            PerturbationSpec.build(geom, grid, bound=0.0),
+            PerturbationSpec(geom, grid, b=b),
+            PerturbationSpec(geom, grid, b=b, c=c),
+            PerturbationSpec(geom, grid, c=c),
+            PerturbationSpec(geom, grid, bound=0.0),
         ]
         # N alternates 1, 2; each N's flows take the perturbations in turn, so no
         # block's members read the same in reverse
@@ -553,7 +563,7 @@ class TestGauge:
         u0 = Field(geom, np.stack([np.sin(x), np.cos(2.0 * x)], axis=1))
         grid = TimeGrid(0.0, 1.0, 20)
         traj = evolve_exact(weighted_circle_op, u0, grid)
-        scaled = gauge_transform(traj, lambda t: 0.3 - 0.5 * t)
+        scaled = gauge_transform(traj, 0.3 - 0.5 * grid.times)
         integral = scipy.integrate.cumulative_trapezoid(
             0.3 - 0.5 * grid.times, grid.times, initial=0.0
         )
@@ -576,12 +586,29 @@ class TestGauge:
         geom = flat_circle_op.geometry
         grid = TimeGrid(0.0, 1.0, 200)
         c0 = 0.3
-        pert = PerturbationSpec.build(
-            geom, grid, c=lambda t: np.full(geom.node_count, c0), bound=c0
-        )
+        pert = PerturbationSpec(geom, grid, c=c0, bound=c0)
         u0 = Field(geom, np.sin(geom.coords[:, 0]))
         gauged = evolve_perturbed(flat_circle_op, u0, grid, pert)
         removed = gauge_transform(gauged, c0)
         pure = evolve_cn(flat_circle_op, u0, grid)
         gap = mu_distance(removed.fields[-1], pure.fields[-1])
         assert gap < 1e-4 * weighted_norm(pure.fields[-1])
+
+    def test_gauge_drops_the_certificate(self, flat_circle_op):
+        # v = exp(-int lambda) u solves v_t = L v + b . grad v + (c - lambda) v,
+        # which the source's C(t) does not bound
+        geom = flat_circle_op.geometry
+        grid = TimeGrid(0.0, 1.0, 20)
+        pert = PerturbationSpec(geom, grid, b=0.2 * np.sin(geom.coords))
+        traj = evolve_perturbed(flat_circle_op, Field(geom, np.sin(geom.coords[:, 0])), grid, pert)
+        assert traj.gradient_only and traj.certified_bound is not None
+        gauged = gauge_transform(traj, 3.0)
+        assert not gauged.gradient_only and gauged.certified_bound is None
+
+    @pytest.mark.parametrize("rate", [np.inf, np.nan, np.zeros(20), lambda t: 0.0])
+    def test_non_finite_mis_shaped_or_callable_rate_rejected(self, flat_circle_op, rate):
+        geom = flat_circle_op.geometry
+        traj = evolve_exact(flat_circle_op, Field(geom, np.sin(geom.coords[:, 0])),
+                            TimeGrid(0.0, 1.0, 20))
+        with pytest.raises(InvalidInputError):
+            gauge_transform(traj, rate)

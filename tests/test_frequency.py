@@ -340,6 +340,21 @@ class TestOperatorArgument:
         rep = check_rigidity(traj, 1e-9, scaled, frequency_trace(traj, flat_circle_op))
         assert not rep.passed and rep.aux["eigen_residual"] > 1e-3
 
+    def test_operator_on_another_geometry_is_rejected(self):
+        # a flat circle-64 flow against a weighted circle-64 operator
+        flat = assemble(make_circle(64, TWO_PI))
+        x = flat.geometry.coords[:, 0]
+        weighted = assemble(make_circle(64, TWO_PI, 0.3 * np.cos(x)))
+        pair = eigenpairs(flat, 2)[1]
+        traj = evolve_exact(flat, pair.eigenfield, TimeGrid(0.0, 1.0, 50))
+        trace = frequency_trace(traj, flat)
+        with pytest.raises(InvalidInputError, match="geometry"):
+            frequency_trace(traj, weighted)
+        with pytest.raises(InvalidInputError, match="geometry"):
+            check_rigidity(traj, 1e-9, weighted)
+        with pytest.raises(InvalidInputError, match="geometry"):
+            check_rigidity(traj, 1e-9, weighted, trace)
+
 
 class TestRigidity:
     def test_eigenmode_flagged(self, flat_circle_op):
@@ -445,10 +460,7 @@ class TestChunkedPasses:
 def advection(flat_circle_op):
     geom = flat_circle_op.geometry
     grid = TimeGrid(0.0, 1.0, 200)
-    pert = PerturbationSpec.build(
-        geom, grid, b=lambda t: np.full((geom.node_count, 1), 0.5),
-        bound=0.5, gradient_only=True,
-    )
+    pert = PerturbationSpec(geom, grid, b=0.5, bound=0.5)
     u0 = Field(geom, np.sin(geom.coords[:, 0]))
     traj = evolve_perturbed(flat_circle_op, u0, grid, pert)
     return frequency_trace(traj, flat_circle_op)
@@ -514,7 +526,7 @@ class TestPerturbedChecks:
         # with C == 0 the envelope collapses to U(t) >= U(a)
         geom = flat_circle_op.geometry
         grid = TimeGrid(0.0, 1.0, 100)
-        pert = PerturbationSpec.build(geom, grid, bound=0.0, gradient_only=True)
+        pert = PerturbationSpec(geom, grid, bound=0.0)
         x = geom.coords[:, 0]
         u0 = Field(geom, np.sin(x) + np.sin(2.0 * x))
         traj = evolve_perturbed(flat_circle_op, u0, grid, pert)
@@ -527,7 +539,7 @@ class TestPerturbedChecks:
         one = Field.constant(weighted_circle_op.geometry)
         geom = weighted_circle_op.geometry
         grid = TimeGrid(0.0, 1.0, 20)
-        pert = PerturbationSpec.build(geom, grid, bound=0.0, gradient_only=True)
+        pert = PerturbationSpec(geom, grid, bound=0.0)
         traj = evolve_perturbed(weighted_circle_op, one, grid, pert)
         trace = frequency_trace(traj, weighted_circle_op)
         with pytest.raises(InvalidInputError):
@@ -548,9 +560,12 @@ class TestPerturbedChecks:
 
     def test_bound_forms_agree(self, advection):
         constant = check_general_frequency(advection, 0.5)
-        forms = (lambda t: 0.5, np.full(advection.samples, 0.5), np.float64(0.5), [0.5])
+        forms = (np.full(advection.samples, 0.5), np.float64(0.5), [0.5])
         for form in forms:
             assert check_general_frequency(advection, form).to_dict() == constant.to_dict()
         assert check_general_frequency(advection).margin == constant.margin  # certificate
-        with pytest.raises(InvalidInputError):
-            check_general_frequency(advection, lambda t: np.inf)
+        bad_forms = (np.inf, np.full(advection.samples, np.nan),
+                     np.full(advection.samples + 1, 0.5), lambda t: 0.5)
+        for bad in bad_forms:
+            with pytest.raises(InvalidInputError):
+                check_general_frequency(advection, bad)

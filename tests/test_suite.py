@@ -101,16 +101,16 @@ def test_failing_report_still_serializes(tmp_path):
     assert np.isfinite(payload["checks"][0]["margin"])
 
 
-def callback_perturbation(geometry, grid, rng, amplitude, with_potential):
-    """Per-sample callbacks: the reference for the array-built random perturbation."""
+def per_sample_perturbation(geometry, grid, rng, amplitude, with_potential):
+    """The random perturbation built one sample at a time: the reference for the whole-grid one."""
     x = geometry.coords[:, 0]
     freq = TWO_PI / (geometry.node_count * geometry.stencil.spacings[0])
 
     def profile():
         coeffs = rng.standard_normal(6)
         phase = rng.uniform(0.0, TWO_PI, 2)
-
-        def fn(t):
+        out = np.empty((grid.times.size, geometry.node_count))
+        for k, t in enumerate(grid.times):
             spatial = (
                 coeffs[0]
                 + coeffs[1] * np.cos(freq * x + phase[0])
@@ -118,27 +118,25 @@ def callback_perturbation(geometry, grid, rng, amplitude, with_potential):
             )
             envelope = 1.0 + 0.5 * np.sin(coeffs[3] + 2.0 * t)
             peak = np.max(np.abs(spatial)) * 1.5
-            return amplitude * spatial * envelope / (peak if peak > 0 else 1.0)
-
-        return fn
+            out[k] = amplitude * spatial * envelope / (peak if peak > 0 else 1.0)
+        return out
 
     b_profile = profile()
     c_profile = profile() if with_potential else None
-    return PerturbationSpec.build(
-        geometry, grid, b=lambda t: b_profile(t)[:, None], c=c_profile,
-        gradient_only=not with_potential,
-    )
+    return PerturbationSpec(geometry, grid, b=b_profile[:, :, None], c=c_profile)
 
 
 @pytest.mark.parametrize("with_potential", [False, True])
-def test_random_perturbation_matches_callback_reference(with_potential):
+def test_random_perturbation_matches_per_sample_reference(with_potential):
     geometry = make_circle(128, TWO_PI)
     grid = TimeGrid(0.0, 1.0, 200)
     spec = _random_perturbation(
         geometry, grid, np.random.default_rng([3, 6]), 0.3, with_potential
     )
-    ref = callback_perturbation(geometry, grid, np.random.default_rng([3, 6]), 0.3, with_potential)
-    assert spec.gradient_only is ref.gradient_only
+    ref = per_sample_perturbation(
+        geometry, grid, np.random.default_rng([3, 6]), 0.3, with_potential
+    )
+    assert spec.gradient_only is ref.gradient_only is (not with_potential)
     for got, want in ((spec.b, ref.b), (spec.c, ref.c), (spec.bound, ref.bound)):
         if want is None:
             assert got is None
