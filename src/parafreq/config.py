@@ -158,8 +158,9 @@ def _expressions(value, context: str) -> list:
 
 def _time(raw, context: str) -> dict:
     spec = _read(raw, TIME_KEYS, context)
-    if not (spec["a"] < spec["b"] and np.isfinite(spec["b"] - spec["a"])):
-        raise ConfigError(f"{context}: requires a < b with a finite b - a")
+    # dt^2 enters the tolerances, and must stay a finite double
+    if not (spec["a"] < spec["b"] and spec["b"] - spec["a"] < 1e154):
+        raise ConfigError(f"{context}: requires a < b with b - a below 1e154")
     return spec
 
 
@@ -207,7 +208,8 @@ GEOMETRY_KEYS = {
     },
     GAUSS_LINE: {"order": _integer(4, MAX_DENSE_NODES)},
 }
-TIME_KEYS = {"a": _finite_real, "b": _finite_real, "steps": _integer(1, MAX_VALUES)}
+# a frequency trace needs three samples
+TIME_KEYS = {"a": _finite_real, "b": _finite_real, "steps": _integer(2, MAX_VALUES)}
 INITIAL_KEYS = {
     "expression": {"expression": _expressions},
     "eigenmode": {"index": (_integer(0), 0)},
@@ -304,12 +306,14 @@ def run_trace_checks(entries, traj, trace, op, tol_scale: float) -> list:
     """Run check entries, as :func:`read_check` returns them, on one traced flow, in order.
 
     Returns ``(tol, report)`` per entry, ``tol`` being the entry's ``tol``
-    times ``tol_scale``, or the trace's provenance-aware default.
+    times ``tol_scale``, or the trace's default; one not finite is an error.
     """
     out = []
     for entry in entries:
         tol = entry["tol"]
         tol = default_tolerance(trace, tol_scale) if tol is None else tol * tol_scale
+        if not np.isfinite(tol):
+            raise ConfigError(f"check {entry['name']!r}: tol times --tol-scale is not finite")
         out.append((tol, TRACE_CHECKS[entry["name"]][0](traj, trace, op, tol, entry)))
     return out
 

@@ -1,18 +1,17 @@
 """Frequency traces I, D, U of a flow and the monotonicity/rigidity checks.
 
-Trace derivatives use second-order centered differences on the uniform time
-grid (one-sided second-order stencils at the endpoints); inequality checks
-gate on interior samples only.  Spectrally exact trajectories satisfy the
-inequalities to near round-off; implicit-step trajectories carry the
-discretization budget ``10 * (dt^2 + h^2) * (1 + |U(a)|)``.
-
 A spectral trajectory is traced in closed form from its modal data: with
 ``w_k = |c_k|^2``, ``I(t) = sum_k w_k exp(2 lambda_k (t - a))`` and
 ``D(t) = sum_k lambda_k w_k exp(2 lambda_k (t - a))``, so its field values are
-never built.  Every other trajectory is traced from its value stack; a
-stepped trajectory's stack is built when the trace first reads it, by
-running its steps, unless a block stepping (``evolution._in_blocks``)
-has already filled it.
+never built, and its derivatives ``(log I)' = 2 U`` and ``U'`` are exact.
+Every other trajectory is traced from its value stack and differenced in
+time (second-order centered, one-sided at the endpoints); a stepped
+trajectory's stack is built when the trace first reads it, by running its
+steps, unless a block stepping (``evolution._in_blocks``) has already filled
+it.  Checks read derivatives from the trace only and gate them on interior
+samples.  One rule, :func:`default_tolerance`, gives every check its default:
+round-off for exact traces, ``10 * (dt^2 + h^2) * (1 + |U(a)|)`` for
+implicit-step ones.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .reports import CheckReport, passing
 
 @dataclass(frozen=True)
 class FrequencyTrace:
-    """Sampled I(t), D(t), U(t) = D/I with finite-difference derivatives."""
+    """Sampled I(t), D(t), U(t) = D/I with the derivatives (log I)' and U'."""
 
     times: np.ndarray
     I: np.ndarray
@@ -64,18 +63,21 @@ def frequency_trace(traj: Trajectory, op: DriftOperator) -> FrequencyTrace:
     sample, compared with ``<u, L u>_mu`` there.  Raises
     :class:`DegenerateTraceError` when I(t) vanishes at any sample (the
     backward-uniqueness regime), and :class:`InvalidInputError` when ``op``
-    does not act on the flow's geometry.
+    does not act on the flow's geometry or there are fewer than 3 samples.
     """
     if op.geometry is not traj.geometry:
         raise InvalidInputError("the operator does not act on the flow's geometry")
+    if traj.grid.steps < 2:
+        raise InvalidInputError("a frequency trace needs at least 3 time samples")
+    dt = traj.grid.dt
     if traj.modal is not None:
-        I, D, d_gap = _modal_trace(traj, op)
+        I, D, U, dU, d_gap = _modal_trace(traj, op)
+        dlogI = 2.0 * U
     else:
         I, D, d_gap = _sampled_trace(traj, op)
-    U = D / I
-    dt = traj.grid.dt
-    dlogI = np.gradient(np.log(I), dt, edge_order=2)
-    dU = np.gradient(U, dt, edge_order=2)
+        U = D / I
+        dlogI = np.gradient(np.log(I), dt, edge_order=2)
+        dU = np.gradient(U, dt, edge_order=2)
     return FrequencyTrace(
         times=traj.grid.times,
         I=I,
@@ -92,18 +94,24 @@ def frequency_trace(traj: Trajectory, op: DriftOperator) -> FrequencyTrace:
     )
 
 
-def _modal_trace(traj: Trajectory, op: DriftOperator) -> tuple[np.ndarray, np.ndarray, float]:
-    """Closed-form I and D of a spectral flow, and the D(a) cross-check."""
+def _modal_trace(traj: Trajectory, op: DriftOperator):
+    """Closed-form I, D, U and U' of a spectral flow, and the D(a) cross-check.
+
+    ``U' = 2 sum_k p_k (lambda_k - U)^2``, ``p_k = w_k exp(2 lambda_k (t - a)) / I``, is
+    a variance, >= 0; ``2 (D_2 / I - U^2)`` would cancel on rough data.
+    """
     modal = traj.modal
     weights = np.sum(modal.coeffs**2, axis=1)
     growth = np.exp(np.outer(2.0 * (traj.grid.times - traj.grid.a), modal.rates))
     I = _nonvanishing(growth @ weights, traj.grid.times)
     D = growth @ (modal.rates * weights)
+    U = D / I
+    dU = 2.0 * (((modal.rates - U[:, None]) ** 2 * growth) @ weights) / I
     u0 = modal.initial
     energy = traj.geometry.energy_pairing(u0, u0)
     d_op = float(np.sum(traj.geometry.mu[:, None] * u0 * (op.matrix @ u0)))
     d_gap = max(abs(D[0] + energy), abs(D[0] - d_op)) / (energy + abs(I[0]))
-    return I, D, float(d_gap)
+    return I, D, U, dU, float(d_gap)
 
 
 def _sampled_trace(traj: Trajectory, op: DriftOperator) -> tuple[np.ndarray, np.ndarray, float]:
@@ -137,22 +145,18 @@ def _nonvanishing(I: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def default_tolerance(trace: FrequencyTrace, scale: float = 1.0) -> float:
-    """Provenance-aware tolerance: budgeted for stepped flows, tight otherwise."""
-    if trace.provenance == PROVENANCE_IMPLICIT:
-        return derivative_tolerance(trace, scale)
-    return 1e-9 * scale
+    """The default tolerance of every check: budgeted for stepped flows, tight otherwise.
 
-
-def derivative_tolerance(trace: FrequencyTrace, scale: float = 1.0) -> float:
-    """Budget for checks that difference the trace in time.
-
-    Centered differences carry an O(dt^2) error even on spectrally exact
-    trajectories; stepped trajectories add the spatial-coupling h^2 term.
+    Raises :class:`InvalidInputError` when it is not finite.
     """
-    base = trace.dt**2
+    tol = 1e-9 * scale
     if trace.provenance == PROVENANCE_IMPLICIT:
-        base += trace.length_scale**2
-    return 10.0 * scale * base * (1.0 + abs(float(trace.U[0])))
+        with np.errstate(over="ignore"):
+            base = np.float64(trace.dt) ** 2 + trace.length_scale**2
+            tol = 10.0 * scale * base * (1.0 + abs(trace.U[0]))
+    if not np.isfinite(tol):
+        raise InvalidInputError(f"the default tolerance {tol} is not finite")
+    return float(tol)
 
 
 def _sample_bound(C, trace: FrequencyTrace) -> np.ndarray:
@@ -186,11 +190,9 @@ def check_log_convexity(trace: FrequencyTrace, tol: float | None = None) -> Chec
     """Second differences of log I must be >= -tol * dt^2.
 
     Also reports the drift-flow identity ``(log I)' = 2 U`` on interior
-    samples, ungated: the finite-difference gap is O(dt^2) with a
-    flow-dependent constant.
+    samples, ungated: 0 on a modal trace, and on a differenced one an
+    O(dt^2) gap with a flow-dependent constant.
     """
-    if trace.samples < 3:
-        raise InvalidInputError("log-convexity needs at least 3 samples")
     if tol is None:
         tol = default_tolerance(trace) / trace.dt**2
     log_i = np.log(trace.I)
@@ -288,16 +290,15 @@ def check_general_frequency(
     """Perturbed-flow frequency inequalities.
 
     At every interior sample: ``U' >= C^2 (U - 1)`` and
-    ``[log(1 - U)]' <= C^2``.
+    ``[log(1 - U)]' = -U' / (1 - U) <= C^2``.
     """
     if tol is None:
-        tol = derivative_tolerance(trace)
+        tol = default_tolerance(trace)
     bound = _sample_bound(C, trace)
     sl = slice(1, -1)
     c2 = bound[sl] ** 2
     m1 = trace.dU[sl] - c2 * (trace.U[sl] - 1.0)
-    dlog1mu = np.gradient(np.log(1.0 - trace.U), trace.dt, edge_order=2)
-    m2 = c2 - dlog1mu[sl]
+    m2 = c2 + trace.dU[sl] / (1.0 - trace.U[sl])
     margins = np.minimum(m1, m2)
     worst = int(np.argmin(margins))
     return passing(
@@ -322,7 +323,7 @@ def check_general_lower_bound(
     reported in aux without gating.
     """
     if tol is None:
-        tol = derivative_tolerance(trace)
+        tol = default_tolerance(trace)
     bound = _sample_bound(C, trace)
     sl = slice(1, -1)
     stepwise = trace.dlogI[sl] - (
@@ -355,33 +356,25 @@ def check_gradient_only(
     """Sharper bounds for gradient-only perturbations (c == 0).
 
     Requires a gradient-only trace with U(a) < 0.  Verifies
-    ``[log(-U)]' <= C^2 / 2`` on interior samples where U < 0,
+    ``[log(-U)]' = U' / U <= C^2 / 2`` on interior samples where U < 0,
     ``U(t) >= U(a) exp(0.5 * int_a^t C^2)`` on samples after ``t = a``, and
     the closed-form lower bound on I(b) (with sup C standing in for a
-    time-varying C).  ``location`` is that of the worst of the three.
+    time-varying C).  ``location`` is that of the worst of the three, and
+    ``aux['not_applicable_from']`` the first sample where U >= 0, if any.
     """
     if not trace.gradient_only:
         raise InvalidInputError("trace does not come from a gradient-only perturbation")
     if trace.U[0] >= 0.0:
         raise InvalidInputError("gradient-only bounds need U(a) < 0")
     if tol is None:
-        tol = derivative_tolerance(trace)
+        tol = default_tolerance(trace)
     bound = _sample_bound(C, trace)
     negative = trace.U < 0.0
-    cutoff = int(np.argmax(~negative)) if not negative.all() else trace.samples
-    applicable = slice(0, cutoff)
-
-    rate_margin = np.inf
-    rate_loc = float(trace.times[0])
-    if cutoff >= 3:
-        dlognegu = np.gradient(
-            np.log(-trace.U[applicable]), trace.dt, edge_order=2
-        )
-        interior = slice(1, cutoff - 1)
-        gaps = 0.5 * bound[applicable][interior] ** 2 - dlognegu[interior]
-        k = int(np.argmin(gaps))
-        rate_margin = float(gaps[k])
-        rate_loc = float(trace.times[1 + k])
+    log_rate = np.divide(trace.dU, trace.U, out=np.zeros(trace.samples), where=negative)
+    gaps = np.where(negative, 0.5 * bound**2 - log_rate, np.inf)[1:-1]
+    k = int(np.argmin(gaps))
+    rate_margin = float(gaps[k])
+    rate_loc = float(trace.times[1 + k])
 
     cum_c2 = cumulative_trapezoid(bound**2, trace.times)
     envelope = trace.U[0] * np.exp(0.5 * cum_c2)
@@ -407,5 +400,5 @@ def check_gradient_only(
         rate_margin=rate_margin if np.isfinite(rate_margin) else None,
         envelope_margin=float(env_margins[k_env]),
         final_bound_margin=final_margin,
-        not_applicable_from=None if cutoff == trace.samples else float(trace.times[cutoff]),
+        not_applicable_from=None if negative.all() else float(trace.times[np.argmin(negative)]),
     )

@@ -41,7 +41,7 @@ from .frequency import (
     check_hadamard_bound,
     check_rigidity,
     check_u_monotone,
-    derivative_tolerance,
+    default_tolerance,
     frequency_trace,
 )
 from .operators import DriftOperator, assemble, check_self_adjoint, eigenpairs
@@ -332,7 +332,7 @@ def perturbed_reports(ctx: SuiteContext) -> list[CheckReport]:
     pert = PerturbationSpec(geometry, grid, b=beta, bound=beta)
     traj = evolve_perturbed(op, Field(geometry, np.sin(x)), grid, pert)
     trace = frequency_trace(traj, op)
-    tol = derivative_tolerance(trace, ctx.tol_scale)
+    tol = default_tolerance(trace, ctx.tol_scale)
     reports.append(
         check_general_frequency(trace, beta, tol).renamed("general-frequency/advection")
     )
@@ -356,7 +356,7 @@ def perturbed_reports(ctx: SuiteContext) -> list[CheckReport]:
 
     def checked(traj):
         trace = frequency_trace(traj, op)
-        tol = derivative_tolerance(trace, ctx.tol_scale)
+        tol = default_tolerance(trace, ctx.tol_scale)
         lower = check_general_lower_bound(trace, None, tol)
         gradient = check_gradient_only(trace, None, tol).margin if traj.gradient_only else np.inf
         return (tol, check_general_frequency(trace, None, tol).margin, lower, gradient)

@@ -14,7 +14,23 @@ import scipy.sparse.linalg
 from parafreq.caloric import poon_reports
 from parafreq import cli
 from parafreq.cli import main
-from parafreq.config import MAX_VALUES, TRACE_CHECKS
+from parafreq import (
+    assemble,
+    check_general_frequency,
+    check_general_lower_bound,
+    check_gradient_only,
+    check_hadamard_bound,
+    check_log_convexity,
+    check_rigidity,
+    check_u_monotone,
+    evolve_exact,
+    evolve_perturbed,
+    frequency_trace,
+)
+from parafreq.config import (
+    MAX_VALUES, TRACE_CHECKS, build_geometry, build_initial, build_perturbation, build_time,
+)
+from parafreq.errors import InvalidInputError
 from parafreq.operators import MAX_DENSE_NODES
 
 from conftest import peak_allocated
@@ -207,25 +223,114 @@ def test_readme_python_examples_run():
         exec(compile(block, str(README), "exec"), namespace)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="simulate's default tolerance on a spectral trace is 1e-9, below the O(dt^2) "
-    "centered-difference error of (log I)' that the stepwise bound gates",
-)
-def test_spectral_lower_bound_at_the_default_tolerance(tmp_path):
-    # with C = 0 the gate is (log I)' >= 2U, an identity for drift flows; the Python
-    # API's derivative_tolerance passes the same trace
-    raw = {
+def spectral_config():
+    return {
         "geometry": {"kind": "circle", "nodes": 128, "length": TWO_PI, "phi": "0.3*cos(x)"},
         "initial": {"kind": "expression", "expression": "sin(x)+sin(2*x)+0.5*cos(3*x)"},
         "time": {"a": 0.0, "b": 1.0, "steps": 50},
         "integrator": "spectral-exact",
-        "checks": [{"name": "general-lower-bound", "bound": 0}],
     }
+
+
+def test_spectral_lower_bound_at_the_default_tolerance(tmp_path):
+    # with C = 0 the gate is (log I)' >= 2U, an identity for drift flows that a
+    # modal trace carries exactly, so it holds at the 1e-9 default
+    raw = spectral_config()
+    raw["checks"] = [{"name": "general-lower-bound", "bound": 0}]
     config = write_config(tmp_path / "c.json", raw)
     code = main(["--out", str(tmp_path / "out"), "simulate", "--config", config])
     check = json.loads((tmp_path / "out" / "report.json").read_text())["checks"][0]
     assert code == 0, f"margin {check['margin']:.3g} at tol {check['tolerance']:.3g}"
+    assert check["margin"] == 0.0
+
+
+# each config check as the Python API runs it, with tol=None
+API_CHECKS = {
+    "u-monotone": lambda traj, trace, op, C: check_u_monotone(trace),
+    "log-convexity": lambda traj, trace, op, C: check_log_convexity(trace),
+    "hadamard-bound": lambda traj, trace, op, C: check_hadamard_bound(trace),
+    "rigidity": lambda traj, trace, op, C: check_rigidity(traj, None, op, trace),
+    "general-frequency": lambda traj, trace, op, C: check_general_frequency(trace, C),
+    "general-lower-bound": lambda traj, trace, op, C: check_general_lower_bound(trace, C),
+    "gradient-only": lambda traj, trace, op, C: check_gradient_only(trace, C),
+    "vanishing-order": lambda traj, trace, op, C: check_hadamard_bound(trace),
+}
+
+
+class TestOneToleranceRule:
+    @pytest.mark.parametrize("integrator", ["spectral-exact", "implicit-step"])
+    def test_simulate_and_the_api_default_alike(self, tmp_path, integrator):
+        assert set(API_CHECKS) == set(TRACE_CHECKS)
+        if integrator == "spectral-exact":
+            # a spectral flow is no gradient-only perturbation: both reject that check
+            raw, bound, names = spectral_config(), 0.0, set(TRACE_CHECKS) - {"gradient-only"}
+        else:
+            raw, bound, names = gradient_only_config(), None, set(TRACE_CHECKS)
+        raw["checks"] = [
+            {"name": name, "bound": bound} if "bound" in TRACE_CHECKS[name][1] else {"name": name}
+            for name in sorted(names)
+        ]
+        config = write_config(tmp_path / "c.json", raw)
+        main(["--out", str(tmp_path / "out"), "simulate", "--config", config])
+        written = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
+
+        geometry = build_geometry(raw["geometry"])
+        op = assemble(geometry)
+        grid = build_time(raw["time"])
+        u0 = build_initial(raw["initial"], geometry, op)
+        if integrator == "spectral-exact":
+            traj = evolve_exact(op, u0, grid)
+        else:
+            traj = evolve_perturbed(op, u0, grid, build_perturbation(raw["perturbation"], geometry, grid))
+        trace = frequency_trace(traj, op)
+        assert len(written) == len(names)
+        for name, check in zip(sorted(names), written):
+            assert check["tolerance"] == API_CHECKS[name](traj, trace, op, bound).tolerance, name
+        if integrator == "spectral-exact":
+            with pytest.raises(InvalidInputError):
+                API_CHECKS["gradient-only"](traj, trace, op, bound)
+
+    @pytest.mark.parametrize("integrator", ["spectral-exact", "implicit-step"])
+    def test_one_step_exits_1_at_load(self, tmp_path, capsys, integrator):
+        # a trace needs three samples; one step used to end in a numpy traceback
+        raw = gradient_only_config()
+        del raw["perturbation"]
+        raw["integrator"] = integrator
+        raw["time"]["steps"] = 1
+        raw["checks"] = [{"name": "u-monotone"}]
+        config = write_config(tmp_path / "c.json", raw)
+        code = main(["--out", str(tmp_path / "out"), "simulate", "--config", config])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: config.time.steps:")
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        ("b", "steps", "message"),
+        [
+            # dt = 2e299 used to overflow dt^2 in the stepped budget with a traceback
+            (1e300, 5, "config error: config.time: requires a < b with b - a below 1e154"),
+            # dt^2 = 2e307 is finite, 10 times it is not
+            (9e153, 2, "error: the default tolerance inf is not finite"),
+        ],
+    )
+    def test_overflowing_default_tolerance_exits_1(self, tmp_path, capsys, b, steps, message):
+        raw = gradient_only_config()
+        del raw["perturbation"]
+        raw["time"] = {"a": 0.0, "b": b, "steps": steps}
+        raw["checks"] = [{"name": "u-monotone"}]
+        config = write_config(tmp_path / "c.json", raw)
+        code = main(["--out", str(tmp_path / "out"), "simulate", "--config", config])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(message)
+
+    def test_overflowing_scaled_tolerance_exits_1(self, tmp_path, capsys):
+        raw = eigenmode_config()
+        raw["checks"] = [{"name": "u-monotone", "tol": 1e308}]
+        config = write_config(tmp_path / "c.json", raw)
+        argv = ["--out", str(tmp_path / "out"), "--tol-scale", "10", "simulate", "--config", config]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("config error: check 'u-monotone'")
+        assert not (tmp_path / "out" / "report.json").exists()
 
 
 BOUND_CHECKS = ("general-frequency", "general-lower-bound", "gradient-only")

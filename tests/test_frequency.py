@@ -28,7 +28,7 @@ from parafreq import (
 from parafreq import core, frequency
 from parafreq.config import TRACE_CHECKS, read_check
 from parafreq.core import ModalExpansion
-from parafreq.frequency import FrequencyTrace, derivative_tolerance
+from parafreq.frequency import FrequencyTrace
 from parafreq.errors import DegenerateTraceError, InvalidInputError
 
 from conftest import peak_allocated
@@ -93,6 +93,13 @@ class TestTraceValues:
         zero = Field.constant(geom, 0.0)
         traj = Trajectory(grid=grid, fields=(zero, zero, zero), provenance="analytic-oracle")
         with pytest.raises(DegenerateTraceError):
+            frequency_trace(traj, flat_circle_op)
+
+    @pytest.mark.parametrize("evolve", [evolve_exact, evolve_cn])
+    def test_fewer_than_three_samples_rejected(self, flat_circle_op, evolve):
+        geom = flat_circle_op.geometry
+        traj = evolve(flat_circle_op, Field(geom, np.sin(geom.coords[:, 0])), TimeGrid(0.0, 1.0, 1))
+        with pytest.raises(InvalidInputError, match="3 time samples"):
             frequency_trace(traj, flat_circle_op)
 
 
@@ -240,22 +247,26 @@ class TestMonotonicityChecks:
         assert not check_u_monotone(trace, 1e-10).passed
 
     def test_dlogi_identity_richardson(self, flat_circle_op):
+        # the values of a spectral flow are differenced in time: the gap falls as dt^2
         geom = flat_circle_op.geometry
         x = geom.coords[:, 0]
         u0 = Field(geom, np.sin(x) + np.sin(2.0 * x))
         gaps = []
         for steps in (100, 200):
-            traj = evolve_exact(flat_circle_op, u0, TimeGrid(0.0, 1.0, steps))
+            traj = materialized(evolve_exact(flat_circle_op, u0, TimeGrid(0.0, 1.0, steps)))
             trace = frequency_trace(traj, flat_circle_op)
             rep = check_log_convexity(trace, 1e-8 / trace.dt**2)
             gaps.append(rep.aux["dlogI_vs_2U_gap"])
         assert gaps[0] / gaps[1] > 3.5
 
-    def test_identity_gap_is_reported_not_gated(self, two_mode):
-        _, trace = two_mode
+    def test_identity_gap_is_reported_not_gated(self, flat_circle_op, two_mode):
+        traj, modal_trace = two_mode
+        trace = frequency_trace(materialized(traj), flat_circle_op)
         rep = check_log_convexity(trace, 1e-8 / trace.dt**2)
         assert rep.passed
         assert rep.aux["dlogI_vs_2U_gap"] > 1e-15
+        # the modal trace carries (log I)' = 2U exactly
+        assert check_log_convexity(modal_trace, 1e-8 / trace.dt**2).aux["dlogI_vs_2U_gap"] == 0.0
 
     def test_single_eigenmode_log_affine(self, flat_circle_op):
         pair = eigenpairs(flat_circle_op, 2)[1]
@@ -468,12 +479,13 @@ def advection(flat_circle_op):
 
 class TestPerturbedChecks:
     def test_zero_bound_reduces_to_monotonicity(self, two_mode):
-        # derivative-based gates carry the O(dt^2) differencing budget
+        # a modal trace's derivatives are exact, so the gates hold at the 1e-9 default
         _, trace = two_mode
         rep = check_general_frequency(trace, 0.0)
-        assert rep.passed
+        assert rep.passed and rep.tolerance == 1e-9
         lower = check_general_lower_bound(trace, 0.0)
-        assert lower.passed
+        assert lower.passed and lower.tolerance == 1e-9
+        assert lower.margin == 0.0  # (log I)' - 2U
         final = check_hadamard_bound(trace, 1e-9).aux["final_margin"]
         assert abs(lower.aux["statement_margin"] - final) < 1e-12
         # the proof-final display as printed loses the factor 2 on U at C=0;
@@ -555,8 +567,12 @@ class TestPerturbedChecks:
         h = TWO_PI / 128
         expected = 10.0 * (0.01**2 + h**2) * (1.0 + abs(trace.U[0]))
         assert abs(default_tolerance(trace) - expected) < 1e-12
-        for scale in (1.0, 3.7):
-            assert default_tolerance(trace, scale) == derivative_tolerance(trace, scale)
+        with pytest.raises(InvalidInputError, match="not finite"):
+            default_tolerance(trace, np.inf)
+        # the one rule is every check's default, perturbed checks included
+        for check in (check_general_frequency, check_general_lower_bound):
+            assert check(trace, 0.0).tolerance == default_tolerance(trace)
+            assert check(spectral_trace, 0.0).tolerance == 1e-9
 
     def test_bound_forms_agree(self, advection):
         constant = check_general_frequency(advection, 0.5)

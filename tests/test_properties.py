@@ -22,7 +22,7 @@ from parafreq import (
     make_torus,
     weighted_inner,
 )
-from parafreq.core import periodic_coords
+from parafreq.core import Trajectory, periodic_coords
 from parafreq.expressions import compile_expression
 from parafreq.sampling import random_smooth_field, random_weight
 
@@ -109,6 +109,50 @@ class TestFlowProperties:
         gauged = gauge_transform(traj, c0 + c1 * np.sin(grid.times))
         moved = frequency_trace(gauged, small_operator)
         assert np.max(np.abs(moved.U - base.U)) < 1e-12 * (1.0 + np.max(np.abs(base.U)))
+
+
+N_ROUGH = 512
+_rough_x = periodic_coords((N_ROUGH,), (TWO_PI,))[:, 0]
+rough_operator = assemble(make_circle(N_ROUGH, TWO_PI, 0.3 * np.sin(_rough_x)))
+
+
+class TestExactDerivatives:
+    """A modal trace carries (log I)' = 2U and U' = 2 sum_k p_k (lambda_k - U)^2 exactly."""
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        # None: nodal white noise; otherwise coefficients decaying as (1 + k)^-decay
+        decay=st.one_of(st.none(), st.floats(0.0, 1.5)),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_modal_derivatives_are_exact_and_differences_converge_to_them(self, seed, decay):
+        rng = np.random.default_rng(seed)
+        geom = rough_operator.geometry
+        rates, vectors = rough_operator.eigensystem
+        if decay is None:
+            u0 = rng.standard_normal(N_ROUGH)
+        else:
+            slowest_first = np.argsort(np.argsort(-rates))
+            u0 = vectors @ (rng.standard_normal(N_ROUGH) * (1.0 + slowest_first) ** -decay)
+        # a window of half the fastest decay time, so that every mode is resolved in time
+        span = 0.5 / np.max(np.abs(rates))
+        errors = []
+        for steps in (16, 32):
+            traj = evolve_exact(rough_operator, Field(geom, u0), TimeGrid(0.0, span, steps))
+            exact = frequency_trace(traj, rough_operator)
+            assert np.all(exact.dU >= 0.0)
+            assert np.array_equal(exact.dlogI, 2.0 * exact.U)
+            sampled = frequency_trace(
+                Trajectory(grid=traj.grid, geometry=geom, values=traj.values,
+                           provenance=traj.provenance),
+                rough_operator,
+            )
+            errors.append([
+                np.max(np.abs(d - e)[1:-1]) / np.max(np.abs(e))
+                for d, e in ((sampled.dlogI, exact.dlogI), (sampled.dU, exact.dU))
+            ])
+        ratios = np.divide(*errors)
+        assert np.all(ratios > 3.5), ratios
 
 
 _EVOLVE = {"spectral": evolve_exact, "stepped": evolve_cn}
