@@ -36,15 +36,11 @@ from .frequency import (
     check_u_monotone,
     default_tolerance,
 )
-from .operators import MAX_DENSE_NODES, DriftOperator, eigenpairs
+from .operators import MAX_DENSE_NODES, MAX_VALUES, DriftOperator, eigenpairs
 from .sampling import random_smooth_field
 
 INTEGRATORS = ("spectral-exact", "implicit-step")
 _MAX = float(np.finfo(float).max)
-# The most doubles one array of a run may hold (2**24, 128 MiB, the size of the
-# largest dense eigenvector matrix): the trajectory's (steps + 1) x nodes x
-# components values, and the Gauss line's order x order basis.
-MAX_VALUES = MAX_DENSE_NODES**2
 
 
 def _parser(ok, what: str):

@@ -32,6 +32,10 @@ PROVENANCE_ANALYTIC = "analytic-oracle"
 # cross-check, the rigidity residual), sampling an expression on the
 # space-time grid and certifying a perturbation
 CHUNK_VALUES = 2**16
+# doubles of one GEMM block of ModalExpansion.sample (2**16): a constant of its
+# own, not CHUNK_VALUES, since a GEMM's last bits depend on its width and a
+# trajectory's values must not depend on the chunk of the passes over them
+SAMPLE_BLOCK_VALUES = 2**16
 
 
 def row_chunks(rows: int, row_values: int) -> Iterator[slice]:
@@ -268,12 +272,26 @@ class TimeGrid:
         return t
 
 
+# named privately: bench/tracing.py wraps every package function with a public name,
+# and this one belongs inside its callers' spans
+def _modal_sums(rates: np.ndarray, weights: np.ndarray, offsets: np.ndarray) -> tuple:
+    """``growth = exp(2 rates s)`` at the ``offsets`` s, ``I = growth @ w`` and ``D = growth @ (rates w)``.
+
+    I and D of a modal expansion with mode weights ``w = |c_k|^2``.
+    """
+    growth = np.exp(np.outer(2.0 * offsets, rates))
+    return growth, growth @ weights, growth @ (rates * weights)
+
+
 @dataclass(frozen=True)
 class ModalExpansion:
-    """Eigen-expansion of a spectral flow, ``u(a + s) = V (exp(rates * s) * coeffs)``.
+    """Modal expansion of a spectral flow, ``u(a + s) = V (exp(rates * s) * coeffs)``.
 
-    ``vectors`` holds the mu-orthonormal eigenvectors ``V`` as columns,
-    ``coeffs = V^T M u(a)`` has shape (nodes, N), and ``initial`` is ``u(a)``.
+    ``vectors`` holds k modes ``V`` as columns, ``coeffs`` (k, N) their
+    coefficients, and ``initial`` is ``u(a)``, (nodes, N).  The modes are
+    either every mu-orthonormal eigenvector, with ``coeffs = V^T M u(a)``, or
+    the Ritz vectors of one Krylov space per component: mu-orthonormal within
+    a component, each with a coefficient in its own component's column only.
     """
 
     rates: np.ndarray
@@ -286,12 +304,22 @@ class ModalExpansion:
             arr.setflags(write=False)
 
     def sample(self, offsets: np.ndarray) -> np.ndarray:
-        """Values at the times ``a + offsets``, shape (samples, nodes, N)."""
-        decay = np.exp(np.outer(self.rates, offsets))
-        modal = decay[:, :, None] * self.coeffs[:, None, :]
-        # every sample at once, (n, n) @ (n, samples * N): one GEMM, not one GEMV each
-        values = (self.vectors @ modal.reshape(self.rates.size, -1)).reshape(modal.shape)
-        return values.transpose(1, 0, 2).copy()
+        """Values at the times ``a + offsets``, shape (samples, nodes, N).
+
+        Built into one array a block of samples at a time, each block one
+        GEMM of the (nodes, modes) vectors with its (modes, samples * N) modal
+        data, of at most ``SAMPLE_BLOCK_VALUES`` doubles (at least one sample).
+        """
+        nodes, comps = self.initial.shape
+        values = np.empty((offsets.size, nodes, comps))
+        step = max(1, SAMPLE_BLOCK_VALUES // (max(nodes, self.rates.size) * comps))
+        for start in range(0, offsets.size, step):
+            rows = slice(start, start + step)
+            decay = np.exp(np.outer(self.rates, offsets[rows]))
+            modal = decay[:, :, None] * self.coeffs[:, None, :]
+            chunk = self.vectors @ modal.reshape(self.rates.size, -1)
+            values[rows] = chunk.reshape(nodes, -1, comps).transpose(1, 0, 2)
+        return values
 
 
 @dataclass(frozen=True, init=False, eq=False)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .core import PROVENANCE_IMPLICIT, Trajectory, cumulative_trapezoid, per_row
+from .core import PROVENANCE_IMPLICIT, Trajectory, _modal_sums, cumulative_trapezoid, per_row
 from .errors import DegenerateTraceError, InvalidInputError
 from .evolution import _over_samples
 from .operators import DriftOperator
@@ -102,9 +102,8 @@ def _modal_trace(traj: Trajectory, op: DriftOperator):
     """
     modal = traj.modal
     weights = np.sum(modal.coeffs**2, axis=1)
-    growth = np.exp(np.outer(2.0 * (traj.grid.times - traj.grid.a), modal.rates))
-    I = _nonvanishing(growth @ weights, traj.grid.times)
-    D = growth @ (modal.rates * weights)
+    growth, I, D = _modal_sums(modal.rates, weights, traj.grid.times - traj.grid.a)
+    I = _nonvanishing(I, traj.grid.times)
     U = D / I
     dU = 2.0 * (((modal.rates - U[:, None]) ** 2 * growth) @ weights) / I
     u0 = modal.initial
@@ -189,19 +188,27 @@ def check_u_monotone(trace: FrequencyTrace, tol: float | None = None) -> CheckRe
 def check_log_convexity(trace: FrequencyTrace, tol: float | None = None) -> CheckReport:
     """Second differences of log I must be >= -tol * dt^2.
 
+    ``tol * dt^2`` is computed in float64; a value that is not finite raises
+    :class:`InvalidInputError`.
+
     Also reports the drift-flow identity ``(log I)' = 2 U`` on interior
     samples, ungated: 0 on a modal trace, and on a differenced one an
     O(dt^2) gap with a flow-dependent constant.
     """
+    with np.errstate(over="ignore"):
+        dt2 = np.float64(trace.dt) ** 2
     if tol is None:
-        tol = default_tolerance(trace) / trace.dt**2
+        tol = default_tolerance(trace) / dt2
+    gate = tol * dt2
+    if not np.isfinite(gate):
+        raise InvalidInputError(f"the log-convexity tolerance {gate} is not finite")
     log_i = np.log(trace.I)
     second = log_i[2:] - 2.0 * log_i[1:-1] + log_i[:-2]
     worst = int(np.argmin(second))
     return passing(
         "log-convexity",
         float(second[worst]),
-        tol * trace.dt**2,
+        float(gate),
         location=trace.times[worst + 1],
         min_second_difference=float(second.min()),
         dlogI_vs_2U_gap=float(np.max(np.abs(trace.dlogI[1:-1] - 2.0 * trace.U[1:-1]))),

@@ -9,7 +9,12 @@ The operator is stored sparse (CSR): a periodic stencil has 3 (circle) or 5
 (torus) nonzeros per row.  Only the eigensystem is dense, and it is refused
 above :data:`MAX_DENSE_NODES` nodes.  It comes from LAPACK's divide-and-conquer
 ``dsyevd``, which overwrites the dense symmetrized matrix with the eigenvectors;
-with its workspace the solve peaks at about 3 n^2 doubles.
+with its workspace the solve peaks at about 3 n^2 doubles.  It is computed
+only when read: by ``eigen``, ``eigenmode`` data and the check suite.  A
+spectral flow on an operator that has not computed it builds Krylov modes
+from the sparse LU factor of :meth:`DriftOperator.trapezoid_factors` instead,
+unless its data needs so many that the eigensolve is cheaper
+(``evolution.evolve_exact``).
 """
 
 from __future__ import annotations
@@ -29,6 +34,11 @@ from .reports import CheckReport
 # Largest node count for the dense eigensolve (a torus of 64^2): beyond it the
 # n x n eigenvector matrices alone would take more than 130 MB each.
 MAX_DENSE_NODES = 4096
+# The most doubles one array of a run may hold (2**24, 128 MiB, the size of the
+# largest dense eigenvector matrix): the trajectory's (steps + 1) x nodes x
+# components values, the Gauss line's order x order basis and a Krylov flow's
+# basis.
+MAX_VALUES = MAX_DENSE_NODES**2
 # random field pairs of each self-adjointness audit
 SELF_ADJOINT_TRIALS = 50
 

@@ -90,12 +90,21 @@ class SuiteContext:
 
     @cached_property
     def operators(self) -> dict:
-        return {
+        """The four operators, each holding its dense eigensystem.
+
+        The eigensystem is read here only to compute and cache it: every
+        spectral flow of the suite then projects on it (``evolve_exact``)
+        instead of building Krylov modes per flow.
+        """
+        ops = {
             "flat-circle": assemble(self.flat_circle),
             "circle": assemble(self.circle),
             "torus": assemble(self.torus),
             "gauss-line": assemble(self.gauss),
         }
+        for op in ops.values():
+            op.eigensystem  # computed and cached; the value is not used here
+        return ops
 
     @cached_property
     def window(self) -> TimeGrid:

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from parafreq import assemble, make_circle, make_gauss_line, make_torus
+from parafreq import assemble, evolution, make_circle, make_gauss_line, make_torus
 
 TWO_PI = 2.0 * np.pi
 
@@ -19,6 +19,23 @@ def peak_allocated(fn):
     return result, peak
 
 
+def dense_operator(geometry):
+    """An operator that holds its dense eigensystem.
+
+    Spectral flows on it project on the eigensystem whatever ran before, so
+    the shared operators below keep every test on the same path.
+    """
+    op = assemble(geometry)
+    op.eigensystem
+    return op
+
+
+@pytest.fixture
+def krylov_only(monkeypatch):
+    """Krylov flows that never give way to the dense eigensystem: they grow to every node if they must."""
+    monkeypatch.setattr(evolution, "_KRYLOV_SHARE", 1.0)
+
+
 @pytest.fixture(scope="session")
 def flat_circle():
     return make_circle(128, TWO_PI)
@@ -26,7 +43,7 @@ def flat_circle():
 
 @pytest.fixture(scope="session")
 def flat_circle_op(flat_circle):
-    return assemble(flat_circle)
+    return dense_operator(flat_circle)
 
 
 @pytest.fixture(scope="session")
@@ -37,7 +54,7 @@ def weighted_circle():
 
 @pytest.fixture(scope="session")
 def weighted_circle_op(weighted_circle):
-    return assemble(weighted_circle)
+    return dense_operator(weighted_circle)
 
 
 @pytest.fixture(scope="session")
@@ -51,7 +68,7 @@ def conformal_torus():
 
 @pytest.fixture(scope="session")
 def conformal_torus_op(conformal_torus):
-    return assemble(conformal_torus)
+    return dense_operator(conformal_torus)
 
 
 @pytest.fixture(scope="session")
@@ -61,4 +78,4 @@ def gauss_line():
 
 @pytest.fixture(scope="session")
 def gauss_line_op(gauss_line):
-    return assemble(gauss_line)
+    return dense_operator(gauss_line)

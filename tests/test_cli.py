@@ -12,7 +12,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from parafreq.caloric import poon_reports
-from parafreq import cli
+from parafreq import cli, evolution
 from parafreq.cli import main
 from parafreq import (
     assemble,
@@ -194,17 +194,50 @@ class TestSimulate:
         explicit = dict(raw, gauge="3.0", checks=[{"name": "general-lower-bound", "bound": 3.2}])
         assert run("explicit", explicit) == (0, "")
 
-    def test_spectral_run_beyond_dense_limit_exits_1(self, tmp_path, capsys):
+    def test_spectral_run_beyond_dense_limit_runs_on_krylov_modes(self, tmp_path):
+        # a 128^2 torus has 4x the dense limit's nodes; its flow needs only a few modes
         raw = eigenmode_config()
         raw["geometry"] = {"kind": "torus2d", "nx": 128, "ny": 128, "lx": TWO_PI, "ly": TWO_PI}
-        raw["initial"] = {"kind": "expression", "expression": "sin(x)*cos(y)"}
+        raw["initial"] = {"kind": "expression", "expression": "exp(cos(x))*sin(y)+0.5*cos(2*x+y)"}
         raw["time"]["steps"] = 2
+        raw["checks"] = [{"name": "u-monotone", "tol": 1e-10}, {"name": "hadamard-bound"}]
         config = write_config(tmp_path / "c.json", raw)
         start = time.perf_counter()
         code = main(["--out", str(tmp_path / "out"), "simulate", "--config", config])
-        assert code == 1
+        assert code == 0
         assert time.perf_counter() - start < 5.0
-        assert "dense eigensolve" in capsys.readouterr().err
+        assert (tmp_path / "out" / "trace.csv").is_file()
+
+    def test_unconverged_krylov_flow_exits_1(self, tmp_path, capsys, monkeypatch):
+        # negative control: a cap of 16 modes, and random data up to mode 64 on 128 nodes
+        monkeypatch.setattr(evolution, "MAX_VALUES", 16 * 128)
+        raw = spectral_config()
+        raw["initial"] = {"kind": "random", "seed": 5, "max_mode": 64}
+        raw["checks"] = [{"name": "u-monotone"}]
+        config = write_config(tmp_path / "c.json", raw)
+        code = main(["--out", str(tmp_path / "out"), "simulate", "--config", config])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: the Krylov flow did not converge within 16 modes")
+        assert not (tmp_path / "out" / "trace.csv").exists()
+
+    def test_spectral_modes_follow_the_initial_data(self, tmp_path, monkeypatch):
+        ops = []
+        monkeypatch.setattr(
+            cli, "assemble", lambda geometry: ops.append(assemble(geometry)) or ops[-1]
+        )
+        for name, raw in (("expression", spectral_config()), ("eigenmode", eigenmode_config())):
+            config = write_config(tmp_path / f"{name}.json", raw)
+            assert main(["--out", str(tmp_path / name), "simulate", "--config", config]) == 0
+        # expression data never computes the eigensystem; eigenmode data does, and its flow uses it
+        assert "eigensystem" not in vars(ops[0])
+        assert "eigensystem" in vars(ops[1])
+        raw = eigenmode_config()
+        geometry = build_geometry(raw["geometry"])
+        op = assemble(geometry)
+        u0 = build_initial(raw["initial"], geometry, op)
+        traj = evolve_exact(op, u0, build_time(raw["time"]))
+        assert traj.modal.vectors is op.eigensystem[1]
 
     def test_determinism(self, tmp_path):
         config = write_config(tmp_path / "c.json", eigenmode_config())

@@ -21,11 +21,12 @@ from parafreq import (
     weighted_inner,
     weighted_norm,
 )
-from parafreq import evolution
+from parafreq import core, evolution
 from parafreq.errors import (
     CertificationFailureError,
     DegenerateInputError,
     InvalidInputError,
+    NumericalFailureError,
 )
 from parafreq.evolution import _in_blocks
 from parafreq.sampling import random_smooth_field
@@ -93,16 +94,20 @@ class TestSpectralEvolution:
         with pytest.raises(DegenerateInputError):
             evolve_exact(flat_circle_op, zero, TimeGrid(0.0, 1.0, 4))
 
-    def test_componentwise_decoupling(self, weighted_circle_op):
+    @pytest.mark.parametrize("path", ["dense", "krylov"])
+    def test_componentwise_decoupling(self, request, weighted_circle_op, path):
         geom = weighted_circle_op.geometry
+        if path == "dense":
+            op = weighted_circle_op
+        else:
+            request.getfixturevalue("krylov_only")
+            op = assemble(geom)
         rng = np.random.default_rng(13)
         values = rng.standard_normal((geom.node_count, 2))
         grid = TimeGrid(0.0, 0.3, 12)
-        both = evolve_exact(weighted_circle_op, Field(geom, values), grid)
-        parts = [
-            evolve_exact(weighted_circle_op, Field(geom, values[:, j]), grid)
-            for j in range(2)
-        ]
+        both = evolve_exact(op, Field(geom, values), grid)
+        parts = [evolve_exact(op, Field(geom, values[:, j]), grid) for j in range(2)]
+        assert ("eigensystem" in vars(op)) == (path == "dense")
         for k in range(len(grid.times)):
             for j in range(2):
                 gap = np.max(
@@ -136,13 +141,13 @@ class TestSpectralEvolution:
 
     def test_values_are_built_from_modal_data_on_first_access(self, weighted_circle_op):
         geom = weighted_circle_op.geometry
+        vals, vecs = weighted_circle_op.eigensystem  # the dense path: the eigensystem is computed
         u0 = Field(geom, np.random.default_rng(18).standard_normal((geom.node_count, 2)))
         grid = TimeGrid(0.0, 0.4, 8)
         traj = evolve_exact(weighted_circle_op, u0, grid)
         modal = traj.modal
         assert "values" not in vars(traj)
         assert modal.initial is u0.values
-        vals, vecs = weighted_circle_op.eigensystem
         assert modal.rates is vals and modal.vectors is vecs
         assert np.array_equal(modal.coeffs, vecs.T @ (geom.mu[:, None] * u0.values))
         values = traj.values
@@ -151,6 +156,117 @@ class TestSpectralEvolution:
         assert np.array_equal(values, modal.sample(grid.times - grid.a))
         for k, fld in enumerate(traj.fields):
             assert np.array_equal(fld.values, values[k])
+
+
+class TestKrylovFlows:
+    """Spectral flows on an operator without its dense eigensystem."""
+
+    def test_krylov_values_are_built_from_modal_data_on_first_access(self, weighted_circle, krylov_only):
+        op = assemble(weighted_circle)
+        geom, mu = op.geometry, weighted_circle.mu
+        u0 = Field(geom, np.random.default_rng(18).standard_normal((geom.node_count, 2)))
+        grid = TimeGrid(0.0, 0.4, 8)
+        traj = evolve_exact(op, u0, grid)
+        modal = traj.modal
+        assert "eigensystem" not in vars(op)
+        assert "values" not in vars(traj)
+        assert modal.initial is u0.values
+        k = modal.rates.size
+        assert modal.vectors.shape == (geom.node_count, k) and modal.coeffs.shape == (k, 2)
+        assert np.all(modal.rates <= 1e-12)
+        # one Lanczos run per component: each mode carries one column's coefficient
+        assert np.all(np.count_nonzero(modal.coeffs, axis=1) <= 1)
+        for j in range(2):
+            alone = evolve_exact(op, Field(geom, u0.values[:, j]), grid).modal
+            vectors = alone.vectors
+            gram = vectors.T @ (mu[:, None] * vectors)
+            assert np.max(np.abs(gram - np.eye(alone.rates.size))) <= 1e-13
+            projection = vectors.T @ (mu * u0.values[:, j])
+            assert np.max(np.abs(alone.coeffs[:, 0] - projection)) <= 1e-12
+        values = traj.values
+        assert traj.values is values
+        assert not values.flags.writeable
+        assert np.array_equal(values, modal.sample(grid.times - grid.a))
+        assert np.max(np.abs(values[0] - u0.values)) <= 1e-12 * np.max(np.abs(u0.values))
+
+    def test_a_flow_without_the_eigensystem_leaves_it_uncomputed(self, weighted_circle):
+        op = assemble(weighted_circle)
+        u0 = Field(op.geometry, np.sin(op.geometry.coords[:, 0]) + 0.2)
+        traj = evolve_exact(op, u0, TimeGrid(0.0, 1.0, 20))
+        frequency_trace(traj, op)
+        traj.values
+        assert "eigensystem" not in vars(op)
+        # the Krylov basis reuses the trapezoid factor of the grid's step
+        assert list(op._trapezoid) == [0.05]
+
+    def test_an_eigenvector_ends_the_run_at_one_mode(self, flat_circle):
+        op = assemble(flat_circle)
+        x = flat_circle.coords[:, 0]
+        h = TWO_PI / 128
+        traj = evolve_exact(op, Field(flat_circle, np.sin(x)), TimeGrid(0.0, 1.0, 20))
+        assert traj.modal.rates.size == 1
+        assert abs(traj.modal.rates[0] + 4.0 * np.sin(h / 2.0) ** 2 / h**2) <= 1e-12
+
+    def test_dense_and_krylov_flows_agree(self, conformal_torus, krylov_only):
+        dense, krylov = assemble(conformal_torus), assemble(conformal_torus)
+        dense.eigensystem
+        nodes = conformal_torus.node_count
+        u0 = Field(conformal_torus, np.random.default_rng(22).standard_normal(nodes))
+        grid = TimeGrid(0.0, 0.5, 20)
+        a, b = (frequency_trace(evolve_exact(op, u0, grid), op) for op in (dense, krylov))
+        assert np.max(np.abs(b.I / a.I - 1.0)) <= 1e-9
+        assert np.max(np.abs(b.U / a.U - 1.0)) <= 1e-9
+        assert np.max(np.abs(evolve_exact(krylov, u0, grid).values
+                             - evolve_exact(dense, u0, grid).values)) <= 1e-9
+
+    def test_data_that_needs_many_modes_takes_the_dense_path(self, weighted_circle):
+        op = assemble(weighted_circle)
+        nodes = weighted_circle.node_count
+        rough = Field(weighted_circle, np.random.default_rng(23).standard_normal(nodes))
+        grid = TimeGrid(0.0, 1.0, 50)
+        traj = evolve_exact(op, rough, grid)
+        # nodal noise needs more than a quarter of the modes: the eigensystem is computed and used
+        vals, vecs = op.eigensystem
+        assert traj.modal.rates is vals and traj.modal.vectors is vecs
+        # an operator that holds it projects every later flow on it, smooth data too
+        smooth = Field(weighted_circle, np.cos(weighted_circle.coords[:, 0]))
+        assert evolve_exact(op, smooth, grid).modal.vectors is vecs
+        fresh = assemble(weighted_circle)
+        assert evolve_exact(fresh, smooth, grid).modal.rates.size <= nodes // 4
+        assert "eigensystem" not in vars(fresh)
+
+    def test_no_convergence_within_the_cap_is_a_numerical_failure(
+        self, weighted_circle, monkeypatch
+    ):
+        op = assemble(weighted_circle)
+        nodes = weighted_circle.node_count
+        rough = Field(weighted_circle, np.random.default_rng(23).standard_normal(nodes))
+        grid = TimeGrid(0.0, 1.0, 50)
+        # a cap of 16 modes: nodal noise on 128 nodes needs more
+        monkeypatch.setattr(evolution, "MAX_VALUES", 16 * weighted_circle.node_count)
+        with pytest.raises(NumericalFailureError, match="did not converge within 16 modes"):
+            evolve_exact(op, rough, grid)
+        # smooth data converges within the same cap
+        smooth = Field(weighted_circle, np.cos(weighted_circle.coords[:, 0]))
+        assert evolve_exact(op, smooth, grid).modal.rates.size <= 16
+
+    def test_sampling_k_modes_is_chunked_in_bounded_memory(self, weighted_circle, krylov_only):
+        op = assemble(weighted_circle)
+        geom = op.geometry
+        x = geom.coords[:, 0]
+        u0 = Field(geom, np.stack([np.exp(np.cos(x)), np.sin(2.0 * x) + 0.3, np.cos(x)], axis=1))
+        grid = TimeGrid(0.0, 1.0, 2000)
+        modal = evolve_exact(op, u0, grid).modal
+        # a non-square basis: k modes on n nodes
+        assert "eigensystem" not in vars(op) and modal.rates.size != geom.node_count
+        offsets = grid.times - grid.a
+        values, peak = peak_allocated(lambda: modal.sample(offsets))
+        assert values.shape == (grid.steps + 1, geom.node_count, 3)
+        # the values, plus a few blocks of at most SAMPLE_BLOCK_VALUES doubles
+        assert peak <= values.nbytes + 4 * 8 * core.SAMPLE_BLOCK_VALUES
+        decay = np.exp(np.outer(modal.rates, offsets))
+        whole = np.einsum("nk,ks,kc->snc", modal.vectors, decay, modal.coeffs)
+        assert np.max(np.abs(values - whole)) <= 1e-13 * np.max(np.abs(u0.values))
 
 
 class TestImplicitStepping:

@@ -126,16 +126,21 @@ def materialized(traj):
 
 
 class TestClosedFormSpectralTrace:
+    @pytest.mark.parametrize("path", ["dense", "krylov"])
     @pytest.mark.parametrize("components", [1, 2])
     @pytest.mark.parametrize(
         "operator", ["weighted_circle_op", "conformal_torus_op", "gauss_line_op"]
     )
-    def test_matches_materialized_trace(self, request, operator, components):
+    def test_matches_materialized_trace(self, request, operator, components, path):
         op = request.getfixturevalue(operator)
         geom = op.geometry
+        if path == "krylov":
+            request.getfixturevalue("krylov_only")
+            op = assemble(geom)
         rng = np.random.default_rng(22)
         u0 = Field(geom, rng.standard_normal((geom.node_count, components)))
         traj = evolve_exact(op, u0, TimeGrid(0.0, 1.0, 40))
+        assert ("eigensystem" in vars(op)) == (path == "dense")
         closed = frequency_trace(traj, op)
         sampled = frequency_trace(materialized(traj), op)
         assert np.max(np.abs(closed.I - sampled.I) / sampled.I) <= 1e-13
@@ -267,6 +272,16 @@ class TestMonotonicityChecks:
         assert rep.aux["dlogI_vs_2U_gap"] > 1e-15
         # the modal trace carries (log I)' = 2U exactly
         assert check_log_convexity(modal_trace, 1e-8 / trace.dt**2).aux["dlogI_vs_2U_gap"] == 0.0
+
+    def test_huge_window_tolerance_is_an_input_error(self):
+        # tol * dt^2 overflows a float here: an InvalidInputError, not an OverflowError
+        op = assemble(make_circle(64, TWO_PI))
+        u0 = Field(op.geometry, np.sin(op.geometry.coords[:, 0]))
+        trace = frequency_trace(evolve_cn(op, u0, TimeGrid(0.0, 1e300, 5)), op)
+        with pytest.raises(InvalidInputError, match="log-convexity tolerance inf is not finite"):
+            check_log_convexity(trace, 1e-8)
+        with pytest.raises(InvalidInputError, match="not finite"):
+            check_log_convexity(trace)
 
     def test_single_eigenmode_log_affine(self, flat_circle_op):
         pair = eigenpairs(flat_circle_op, 2)[1]

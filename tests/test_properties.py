@@ -1,5 +1,7 @@
 """Property-based invariants with hypothesis-generated data."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,7 @@ from parafreq import (
     make_torus,
     weighted_inner,
 )
+from parafreq import evolution
 from parafreq.core import Trajectory, periodic_coords
 from parafreq.expressions import compile_expression
 from parafreq.sampling import random_smooth_field, random_weight
@@ -153,6 +156,60 @@ class TestExactDerivatives:
             ])
         ratios = np.divide(*errors)
         assert np.all(ratios > 3.5), ratios
+
+
+def _krylov_geometries():
+    x = periodic_coords((128,), (TWO_PI,))[:, 0]
+    yield make_circle(128, TWO_PI, 0.4 * np.cos(x))
+    x = periodic_coords((512,), (TWO_PI,))[:, 0]
+    yield make_circle(512, TWO_PI, 0.3 * np.sin(2.0 * x))
+    x, y = periodic_coords((16, 16), (TWO_PI, TWO_PI)).T
+    yield make_torus(16, 16, TWO_PI, TWO_PI, 0.4 * np.sin(x) * np.cos(y), 0.3 * np.cos(x + y))
+
+
+# (an operator left without its eigensystem, one that holds it) per geometry
+_KRYLOV_PAIRS = [(assemble(geom), assemble(geom)) for geom in _krylov_geometries()]
+for _, _dense in _KRYLOV_PAIRS:
+    _dense.eigensystem
+
+
+class TestKrylovFlows:
+    """A flow on an operator without its eigensystem builds only the modes its data needs."""
+
+    @given(
+        pair=st.sampled_from(_KRYLOV_PAIRS),
+        rough=st.booleans(),
+        components=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_krylov_flows_match_the_dense_path(self, pair, rough, components, seed):
+        krylov, dense = pair
+        geom = krylov.geometry
+        rng = np.random.default_rng(seed)
+        if rough:  # nodal white noise
+            u0 = Field(geom, rng.standard_normal((geom.node_count, components)))
+        else:
+            u0 = random_smooth_field(geom, rng, components=components)
+        grid = TimeGrid(0.0, 1.0, 40)
+        # Krylov runs that never give way to the dense eigensystem, which nodal noise would
+        with mock.patch.object(evolution, "_KRYLOV_SHARE", 1.0):
+            traj = evolve_exact(krylov, u0, grid)
+            alone = [evolve_exact(krylov, Field(geom, u0.values[:, j]), grid).values[:, :, 0]
+                     for j in range(components)]
+        assert "eigensystem" not in vars(krylov)
+        trace = frequency_trace(traj, krylov)
+        values = traj.values
+        own_i = np.einsum("snc,n,snc->s", values, geom.mu, values)
+        assert np.max(np.abs(own_i / trace.I - 1.0)) <= 1e-12
+        assert trace.aux["d_expression_gap"] <= 1e-12
+        reference = frequency_trace(evolve_exact(dense, u0, grid), dense)
+        assert np.max(np.abs(trace.I / reference.I - 1.0)) <= 1e-9
+        assert np.max(np.abs(trace.U / reference.U - 1.0)) <= 1e-9
+        # each component evolves alone
+        scale = np.max(np.abs(u0.values))
+        for j in range(components):
+            assert np.max(np.abs(values[:, :, j] - alone[j])) <= 1e-12 * scale
 
 
 _EVOLVE = {"spectral": evolve_exact, "stepped": evolve_cn}
