@@ -23,8 +23,8 @@ from .core import (
     CIRCLE, GAUSS_LINE, TORUS, Field, TimeGrid, WeightedGeometry, make_circle,
     make_gauss_line, make_torus, periodic_coords,
 )
-from .errors import ConfigError
-from .evolution import PerturbationSpec
+from .errors import ConfigError, InvalidInputError
+from .evolution import PerturbationSpec, _certificate
 from .expressions import COORDINATES, compile_expression, evaluate_on_grid
 from .frequency import (
     check_general_frequency,
@@ -135,6 +135,14 @@ def _finite_real(value, context: str) -> float:
     return float(value)
 
 
+def _bound(value, context: str) -> float:
+    """A check's constant C, held to the rule of a perturbation's certificate."""
+    try:
+        return _certificate(_finite_real(value, context))
+    except InvalidInputError as exc:
+        raise ConfigError(f"{context}: {exc}") from None
+
+
 def _expression(value, context: str) -> str:
     """An expression string, or a finite number as its exact ``repr``, so one path evaluates both.
 
@@ -154,14 +162,15 @@ def _expressions(value, context: str) -> list:
 
 def _time(raw, context: str) -> dict:
     spec = _read(raw, TIME_KEYS, context)
-    # dt^2 enters the tolerances, and must stay a finite double
-    if not (spec["a"] < spec["b"] and spec["b"] - spec["a"] < 1e154):
-        raise ConfigError(f"{context}: requires a < b with b - a below 1e154")
+    # dt^2 enters the tolerances, and must stay a finite double above 0
+    dt = (spec["b"] - spec["a"]) / spec["steps"]
+    if not (spec["a"] < spec["b"] and spec["b"] - spec["a"] < 1e154 and dt * dt > 0.0):
+        raise ConfigError(f"{context}: requires a < b with b - a below 1e154 and dt^2 above 0")
     return spec
 
 
 _TOL = {"tol": (_finite_real, None)}
-_BOUND = {**_TOL, "bound": (_finite_real, None)}
+_BOUND = {**_TOL, "bound": (_bound, None)}
 
 # config check name -> (check(traj, trace, op, tol, entry), the keys of its entry);
 # ``tol`` is resolved by run_trace_checks, and ``entry`` is read through the keys

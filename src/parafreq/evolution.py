@@ -21,16 +21,13 @@ modal data and builds the array from it, a chunk of samples per GEMM, only
 when a caller reads it.
 The stepped paths check their inputs, factor ``I - dt/2 L`` (once per
 operator and step size) and keep their initial data and perturbation; the
-steps run on first read of ``values``.  :func:`_in_blocks` steps many
-pending flows that share an operator and a grid as one block of columns:
-each step is one sparse product and one multi-right-hand-side solve for the
-whole block.  SuperLU and the CSR products treat columns independently, so a
-flow's values are the same bits whether it is stepped alone (a block of one)
-or with others.  A block is laid out member-major, (members, samples, nodes,
-N), so each flow's values are a contiguous view of it, and its size comes
-from the fixed byte budget ``_BLOCK_BYTES``, which counts the values and,
-for perturbed flows, the perturbation samples and their column-stacked
-copies.
+steps run on first read of ``values``.  Each stage is one solve,
+``u <- (I - dt/2 L)^{-1} (2u + dt p) - u``, the trapezoid step with the
+perturbation term ``p`` and no forward operator.  :func:`_in_blocks` steps
+many pending flows that share an operator and a grid as one block of
+columns, one multi-right-hand-side solve per stage (:func:`step_block`).
+SuperLU treats columns independently, so a flow's values are the same bits
+whether it is stepped alone (a block of one) or with others.
 """
 
 from __future__ import annotations
@@ -97,6 +94,13 @@ def _over_samples(value, shape: tuple, name: str) -> np.ndarray:
         ) from None
 
 
+def _certificate(bound):
+    """``bound`` if it is a certificate C(t), finite and >= 0 (to ``_CERT_SLACK``), else an error."""
+    if not np.all(np.isfinite(bound)) or np.any(bound < -_CERT_SLACK):
+        raise InvalidInputError("bound C(t) must be finite and nonnegative at every sample")
+    return bound
+
+
 @dataclass(frozen=True)
 class PerturbationSpec:
     """Drift/potential perturbation ``b . grad u + c u`` with certified bound.
@@ -132,16 +136,15 @@ class PerturbationSpec:
                 b_sup[rows] = np.sqrt((self.b[rows] ** 2).sum(axis=2)).max(axis=1)
             if self.c is not None:
                 c_sup[rows] = np.abs(self.c[rows]).max(axis=1)
-        for name, sup in (("b", b_sup), ("c", c_sup), ("bound", self.bound)):
-            if sup is not None and not np.all(np.isfinite(sup)):
+        for name, sup in (("b", b_sup), ("c", c_sup)):
+            if not np.all(np.isfinite(sup)):
                 raise InvalidInputError(f"sup|{name}| must be finite at every sample")
         # max |c| is 0 at every sample exactly when c is 0 everywhere
         object.__setattr__(self, "gradient_only", not c_sup.any())
         if self.bound is None:
             object.__setattr__(self, "bound", np.maximum(b_sup, c_sup))
         else:
-            if np.any(self.bound < -_CERT_SLACK):
-                raise InvalidInputError("bound C(t) must be nonnegative")
+            _certificate(self.bound)
             bad = (b_sup > self.bound + _CERT_SLACK) | (c_sup > self.bound + _CERT_SLACK)
             if np.any(bad):
                 k = int(np.argmax(bad))
@@ -213,7 +216,7 @@ def _lanczos(op: DriftOperator, u: np.ndarray, grid: TimeGrid):
 
     Shift-and-invert Lanczos in the mu inner product on
     ``A = (I - gamma L)^{-1}``, ``gamma = dt/2``, from ``q_0 = u / |u|_mu``.
-    Each ``A q`` is one solve with the LU factor of ``op.trapezoid_factors(dt)``
+    Each ``A q`` is one solve with the LU factor of ``op.trapezoid_factor(dt)``
     and one step of iterative refinement (SuperLU alone loses digits when mu
     spans many decades, as on the Gauss line); each new direction is
     orthogonalized against the whole basis twice.  The basis size doubles from
@@ -228,7 +231,7 @@ def _lanczos(op: DriftOperator, u: np.ndarray, grid: TimeGrid):
     gives way (returns None) before the basis passes ``_KRYLOV_SHARE`` of the
     nodes, where the dense eigensolve costs less than the next size.
     """
-    solver, _ = op.trapezoid_factors(grid.dt)
+    solver = op.trapezoid_factor(grid.dt)
     gamma, mu, nodes = 0.5 * grid.dt, op.geometry.mu, u.size
     cap = min(nodes, MAX_VALUES // nodes)
     norm = np.sqrt(np.sum(mu * u * u))
@@ -361,6 +364,7 @@ class _BlockTerm:
 def step_block(members: list[_PendingSteps]) -> None:
     """Trapezoidal steps of one block, implicit in L, midpoint-averaged in the perturbation.
 
+    Every stage (a plain step, a predictor, a corrector) is ``solve(2u + dt p) - u``.
     The members share one operator, grid, step kind and N.  The state is a
     (nodes, M * N) matrix, a column per member and component; each member's
     values become a contiguous view of one (M, samples, nodes, N) array.
@@ -369,7 +373,7 @@ def step_block(members: list[_PendingSteps]) -> None:
     op, grid = first.op, first.grid
     nodes, comps = first.u0.shape
     dt = grid.dt
-    solver, forward = op.trapezoid_factors(dt)
+    solver = op.trapezoid_factor(dt)
     term = None if first.pert is None else _BlockTerm(op.geometry, [m.pert for m in members])
     block = np.empty((len(members), grid.steps + 1, nodes, comps))
     for member, values in zip(members, block):
@@ -377,14 +381,13 @@ def step_block(members: list[_PendingSteps]) -> None:
     state = (nodes, len(members), comps)
     u = block[:, 0].transpose(1, 0, 2).reshape(nodes, -1)
     for k in range(grid.steps):
-        rhs = forward @ u
         if term is None:
-            u = solver.solve(rhs)
+            u = solver.solve(2.0 * u) - u
         else:
-            p_old = term(k, u.reshape(state)).reshape(rhs.shape)
-            predictor = solver.solve(rhs + dt * p_old)
-            p_new = term(k + 1, predictor.reshape(state)).reshape(rhs.shape)
-            u = solver.solve(rhs + dt * (0.5 * (p_old + p_new)))
+            p_old = term(k, u.reshape(state)).reshape(u.shape)
+            predictor = solver.solve(2.0 * u + dt * p_old) - u
+            p_new = term(k + 1, predictor.reshape(state)).reshape(u.shape)
+            u = solver.solve(2.0 * u + dt * (0.5 * (p_old + p_new))) - u
         block[:, k + 1] = u.reshape(state).transpose(1, 0, 2)
     for member, values in zip(members, block):
         member.values = values
@@ -411,7 +414,7 @@ def _in_blocks(flows: Iterable[Trajectory]) -> Iterator[Trajectory]:
 def _stepped(op: DriftOperator, u0: Field, grid: TimeGrid, pert: PerturbationSpec | None,
              **tags) -> Trajectory:
     """A deferred stepped trajectory; the factorization is made now, so its failure is raised here."""
-    op.trapezoid_factors(grid.dt)
+    op.trapezoid_factor(grid.dt)
     return Trajectory(
         grid=grid, geometry=op.geometry, provenance=PROVENANCE_IMPLICIT,
         stepping=_PendingSteps(op, grid, u0.values, pert), **tags,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import PROVENANCE_IMPLICIT, Trajectory, _modal_sums, cumulative_trapezoid, per_row
 from .errors import DegenerateTraceError, InvalidInputError
-from .evolution import _over_samples
+from .evolution import _certificate, _over_samples
 from .operators import DriftOperator
 from .reports import CheckReport, passing
 
@@ -159,15 +159,11 @@ def default_tolerance(trace: FrequencyTrace, scale: float = 1.0) -> float:
 
 
 def _sample_bound(C, trace: FrequencyTrace) -> np.ndarray:
-    """Resolve a bound argument (constant/array over the samples/None) onto the samples."""
-    if C is None:
-        if trace.certified_bound is None:
-            raise InvalidInputError("no bound C(t): pass one or use a certified trace")
-        return np.asarray(trace.certified_bound, dtype=float)
-    bound = _over_samples(C, trace.times.shape, "bound")
-    if not np.all(np.isfinite(bound)):
-        raise InvalidInputError("bound must be finite at every sample")
-    return bound
+    """Resolve a bound argument (constant/array over the samples/None), held to the certificate rule."""
+    if C is None and trace.certified_bound is None:
+        raise InvalidInputError("no bound C(t): pass one or use a certified trace")
+    C = trace.certified_bound if C is None else C
+    return _certificate(_over_samples(C, trace.times.shape, "bound"))
 
 
 def check_u_monotone(trace: FrequencyTrace, tol: float | None = None) -> CheckReport:

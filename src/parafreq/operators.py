@@ -12,7 +12,7 @@ above :data:`MAX_DENSE_NODES` nodes.  It comes from LAPACK's divide-and-conquer
 with its workspace the solve peaks at about 3 n^2 doubles.  It is computed
 only when read: by ``eigen``, ``eigenmode`` data and the check suite.  A
 spectral flow on an operator that has not computed it builds Krylov modes
-from the sparse LU factor of :meth:`DriftOperator.trapezoid_factors` instead,
+from the sparse LU factor of :meth:`DriftOperator.trapezoid_factor` instead,
 unless its data needs so many that the eigensolve is cheaper
 (``evolution.evolve_exact``).
 """
@@ -56,8 +56,8 @@ class DriftOperator:
     """Sparse CSR realization of the discrete drift operator.
 
     ``matrix`` may be given dense or sparse; it is stored as a read-only CSR
-    array.  The LU factors of implicit trapezoid steps are cached per step
-    size for the operator's lifetime (:meth:`trapezoid_factors`).
+    array.  The LU factor of implicit trapezoid steps is cached per step
+    size for the operator's lifetime (:meth:`trapezoid_factor`).
     """
 
     geometry: WeightedGeometry
@@ -75,25 +75,22 @@ class DriftOperator:
             raise IncompatibleFieldsError("field does not live on the operator geometry")
         return Field(self.geometry, self.matrix @ u.values)
 
-    def trapezoid_factors(self, dt: float):
-        """``(splu(I - dt/2 L), I + dt/2 L)`` for trapezoidal steps of size ``dt``.
+    def trapezoid_factor(self, dt: float) -> scipy.sparse.linalg.SuperLU:
+        """``splu(I - dt/2 L)``: a trapezoid step of size ``dt`` is ``2 (I - dt/2 L)^{-1} - I``.
 
         Factored once per step size, so every flow stepped on one operator
         and grid shares one LU factorization.
         """
-        factors = self._trapezoid.get(dt)
-        if factors is None:
+        if dt not in self._trapezoid:
             eye = scipy.sparse.eye_array(self.geometry.node_count, format="csr")
-            half_step = 0.5 * dt * self.matrix
             try:
                 # I - dt/2 L has a symmetric pattern: minimum degree on A^T + A fills in less than COLAMD
-                solver = scipy.sparse.linalg.splu(
-                    (eye - half_step).tocsc(), permc_spec="MMD_AT_PLUS_A"
+                self._trapezoid[dt] = scipy.sparse.linalg.splu(
+                    (eye - 0.5 * dt * self.matrix).tocsc(), permc_spec="MMD_AT_PLUS_A"
                 )
             except RuntimeError as exc:
                 raise NumericalFailureError(f"implicit factorization failed: {exc}") from exc
-            factors = self._trapezoid[dt] = (solver, eye + half_step)
-        return factors
+        return self._trapezoid[dt]
 
     @property
     def symmetrized(self) -> np.ndarray:

@@ -356,6 +356,25 @@ class TestOneToleranceRule:
         assert code == 1
         assert capsys.readouterr().err.startswith(message)
 
+    @pytest.mark.parametrize("integrator", ["spectral-exact", "implicit-step"])
+    def test_underflowing_dt_squared_exits_1_at_load(self, tmp_path, capsys, integrator):
+        # dt = 5e-303 squares to 0, and log-convexity's tol / dt^2 used to raise ZeroDivisionError
+        raw = {
+            "geometry": {"kind": "circle", "nodes": 16, "length": TWO_PI},
+            "initial": {"kind": "expression", "expression": "sin(x) + 0.3"},
+            "time": {"a": 0, "b": 1e-300, "steps": 200},
+            "integrator": integrator,
+            "checks": [{"name": "log-convexity"}],
+        }
+        config = write_config(tmp_path / "c.json", raw)
+        code = main(["--out", str(tmp_path / "out"), "simulate", "--config", config])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            "config error: config.time: requires a < b with b - a below 1e154 and dt^2 above 0\n"
+        )
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_overflowing_scaled_tolerance_exits_1(self, tmp_path, capsys):
         raw = eigenmode_config()
         raw["checks"] = [{"name": "u-monotone", "tol": 1e308}]
@@ -406,6 +425,8 @@ class TestCheckTable:
             {"name": "u-monotone", "tol": float("nan")},
             {"name": "general-frequency", "bound": "0.1*t"},
             {"name": "general-frequency", "bound": [1, 2]},
+            {"name": "general-frequency", "bound": -1},
+            {"name": "gradient-only", "bound": -1e-9},
             {"name": "vanishing-order", "tol": "abc"},
             {"name": ["u-monotone"]},
         ],

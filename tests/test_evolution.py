@@ -31,7 +31,7 @@ from parafreq.errors import (
 from parafreq.evolution import _in_blocks
 from parafreq.sampling import random_smooth_field
 
-from conftest import peak_allocated
+from conftest import dense_operator, peak_allocated
 
 TWO_PI = 2.0 * np.pi
 
@@ -269,6 +269,12 @@ class TestKrylovFlows:
         assert np.max(np.abs(values - whole)) <= 1e-13 * np.max(np.abs(u0.values))
 
 
+@pytest.fixture(scope="module")
+def weighted_circle_512_op():
+    base = make_circle(512, TWO_PI)
+    return dense_operator(make_circle(512, TWO_PI, np.cos(base.coords[:, 0])))
+
+
 class TestImplicitStepping:
     def test_one_factorization_per_operator_and_step(self, monkeypatch):
         calls = []
@@ -332,6 +338,29 @@ class TestImplicitStepping:
             stepped = evolve_cn(weighted_circle_op, u0, grid)
             gaps.append(mu_distance(exact.fields[-1], stepped.fields[-1]))
         assert gaps[0] / gaps[1] > 3.5
+
+    @pytest.mark.parametrize("data", ["noise", "smooth"])
+    @pytest.mark.parametrize("grid, stiff", [(TimeGrid(0.0, 1.0, 20), True),
+                                             (TimeGrid(0.0, 2e-3, 40), False)])
+    def test_stepped_I_is_the_modal_closed_form(self, weighted_circle_512_op, data, grid, stiff):
+        # the step multiplies mode j by r(dt lambda_j) = (1 + dt lambda_j / 2) / (1 - dt lambda_j / 2),
+        # so I_k = sum_j w_j r_j^(2k) with w_j the squared mu-projection of u0
+        op = weighted_circle_512_op
+        geom = op.geometry
+        vals, vecs = op.eigensystem
+        z = grid.dt * vals
+        assert (abs(z[-1]) > 2.0) == stiff
+        x = geom.coords[:, 0]
+        if data == "noise":
+            u0 = np.random.default_rng(24).standard_normal(geom.node_count)
+        else:
+            u0 = np.sin(x) + 0.5 * np.cos(3.0 * x) + 0.2
+        weights = (vecs.T @ (geom.mu * u0)) ** 2
+        factor = (1.0 + 0.5 * z) / (1.0 - 0.5 * z)
+        steps = np.arange(grid.steps + 1)[:, None]
+        closed = (weights * factor ** (2 * steps)).sum(axis=1)
+        trace = frequency_trace(evolve_cn(op, Field(geom, u0), grid), op)
+        assert np.max(np.abs(trace.I / closed - 1.0)) <= 1e-11
 
     def test_provenance_tags(self, flat_circle_op):
         u0 = Field(flat_circle_op.geometry, np.sin(flat_circle_op.geometry.coords[:, 0]))
@@ -531,9 +560,21 @@ class TestBlockStepping:
     """Flows stepped together as one block of columns keep the bits of one-flow stepping."""
 
     @staticmethod
-    def recurrence(op, u0, grid, pert=None):
-        """The one-flow trapezoid recurrence written out, as stepped before blocks existed."""
-        solver, forward = op.trapezoid_factors(grid.dt)
+    def recurrence(op, u0, grid, pert=None, textbook=False):
+        """The trapezoid recurrence of one flow written out, with no blocks.
+
+        Each stage is ``solve(2u + dt p) - u`` with the LU factor of
+        ``I - dt/2 L``; with ``textbook`` it is ``solve((I + dt/2 L) u + dt p)``
+        instead, with the forward operator built here.
+        """
+        solver = op.trapezoid_factor(grid.dt)
+        forward = scipy.sparse.eye_array(op.geometry.node_count) + 0.5 * grid.dt * op.matrix
+
+        def stage(u, dt_p=None):
+            if textbook:
+                rhs = forward @ u
+                return solver.solve(rhs if dt_p is None else rhs + dt_p)
+            return solver.solve(2.0 * u if dt_p is None else 2.0 * u + dt_p) - u
 
         def term(k, u):
             out = np.zeros_like(u)
@@ -546,19 +587,18 @@ class TestBlockStepping:
         u = u0.values
         values = [u]
         for k in range(grid.steps):
-            rhs = forward @ u
             if pert is None:
-                u = solver.solve(rhs)
+                u = stage(u)
             else:
                 p_old = term(k, u)
-                predictor = solver.solve(rhs + grid.dt * p_old)
-                u = solver.solve(rhs + grid.dt * (0.5 * (p_old + term(k + 1, predictor))))
+                predictor = stage(u, grid.dt * p_old)
+                u = stage(u, grid.dt * (0.5 * (p_old + term(k + 1, predictor))))
             values.append(u)
         return np.stack(values)
 
     @staticmethod
     def flows(kind, request):
-        """(op, grid, [(u0, pert or None)]) of seven flows of one test case."""
+        """(op, grid, [(u0, pert or None)]) of seven flows of one test case (one for stiff-noise)."""
         rng = np.random.default_rng(41)
         grid = TimeGrid(0.0, 0.5, 25)
         if kind == "circle-two-components":
@@ -568,6 +608,13 @@ class TestBlockStepping:
         if kind == "conformal-torus":
             op = request.getfixturevalue("conformal_torus_op")
             return op, grid, [(random_smooth_field(op.geometry, rng), None) for _ in range(7)]
+        if kind == "stiff-noise":
+            # nodal noise weighs the stiffest modes (dt |lambda| up to 33 here) as
+            # much as the smooth ones; their trapezoid factor is near -1
+            op = request.getfixturevalue("weighted_circle_op")
+            assert grid.dt * abs(op.eigensystem[0][-1]) > 2.0
+            nodes = op.geometry.node_count
+            return op, grid, [(Field(op.geometry, rng.standard_normal(nodes)), None)]
         if kind == "flat-torus-perturbed":
             op = assemble(make_torus(16, 16, TWO_PI, TWO_PI))
         else:
@@ -603,6 +650,14 @@ class TestBlockStepping:
         for u0, pert in flows[:4]:
             expected = self.recurrence(op, u0, grid, pert)
             assert np.array_equal(self.evolve(op, grid, u0, pert).values, expected)
+
+    @pytest.mark.parametrize("kind", [*CASES, "stiff-noise"])
+    def test_one_solve_stages_match_the_textbook_step(self, request, kind):
+        op, grid, flows = self.flows(kind, request)
+        for u0, pert in flows[:4]:
+            expected = self.recurrence(op, u0, grid, pert, textbook=True)
+            got = self.evolve(op, grid, u0, pert).values
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("kind", CASES)
     def test_block_matches_one_flow_stepping(self, request, monkeypatch, kind):

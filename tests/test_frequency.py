@@ -149,14 +149,17 @@ class TestClosedFormSpectralTrace:
         assert closed.aux["d_expression_gap"] <= 1e-12
         assert sampled.aux["d_expression_gap"] <= 1e-12
 
-    def test_trace_leaves_values_unmaterialized(self, conformal_torus_op, flat_circle_op, two_mode):
+    def test_trace_leaves_values_unmaterialized(self, conformal_torus_op, flat_circle_op):
         geom = conformal_torus_op.geometry
         u0 = Field(geom, np.cos(geom.coords[:, 0]) + np.sin(2.0 * geom.coords[:, 1]))
         traj = evolve_exact(conformal_torus_op, u0, TimeGrid(0.0, 1.0, 200))
         frequency_trace(traj, conformal_torus_op)
         assert "values" not in vars(traj) and "fields" not in vars(traj)
-        # a non-rigid flow needs no residual, so rigidity does not build values either
-        two_mode_traj, _ = two_mode
+        # a non-rigid flow needs no residual, so rigidity does not build values either;
+        # the flow is its own, since the shared two_mode flow may have built its values
+        x = flat_circle_op.geometry.coords[:, 0]
+        u0 = Field(flat_circle_op.geometry, np.sin(x) + np.sin(2.0 * x))
+        two_mode_traj = evolve_exact(flat_circle_op, u0, TimeGrid(0.0, 1.0, 200))
         check_rigidity(two_mode_traj, 1e-9, flat_circle_op)
         assert "values" not in vars(two_mode_traj)
 
@@ -600,3 +603,16 @@ class TestPerturbedChecks:
         for bad in bad_forms:
             with pytest.raises(InvalidInputError):
                 check_general_frequency(advection, bad)
+
+    @pytest.mark.parametrize(
+        "check", [check_general_frequency, check_general_lower_bound, check_gradient_only]
+    )
+    def test_negative_bound_rejected(self, advection, check):
+        # only C^2 enters some gates, so a negative C used to pass them
+        dip = np.full(advection.samples, 0.5)
+        dip[7] = -0.5
+        for bad in (-5.0, dip):
+            with pytest.raises(InvalidInputError, match="nonnegative"):
+                check(advection, bad)
+        # the certificate's slack: a C of -1e-13 is C = 0 up to round-off, and accepted
+        assert check(advection, -1e-13).passed == check(advection, 0.0).passed
