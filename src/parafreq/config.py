@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    CIRCLE, GAUSS_LINE, TORUS, Field, TimeGrid, WeightedGeometry, make_circle,
+    CIRCLE, GAUSS_LINE, MAX_GAUSS_ORDER, TORUS, Field, TimeGrid, WeightedGeometry, make_circle,
     make_gauss_line, make_torus, periodic_coords,
 )
 from .errors import ConfigError, InvalidInputError
@@ -36,7 +36,7 @@ from .frequency import (
     check_u_monotone,
     default_tolerance,
 )
-from .operators import MAX_DENSE_NODES, MAX_VALUES, DriftOperator, eigenpairs
+from .operators import MAX_VALUES, DriftOperator, eigenpairs
 from .sampling import random_smooth_field
 
 INTEGRATORS = ("spectral-exact", "implicit-step")
@@ -211,7 +211,7 @@ GEOMETRY_KEYS = {
         "nx": _nodes, "ny": _nodes, "lx": _finite_real, "ly": _finite_real,
         "phi": (_expression, "0.0"), "psi": (_expression, "0.0"),
     },
-    GAUSS_LINE: {"order": _integer(4, MAX_DENSE_NODES)},
+    GAUSS_LINE: {"order": _integer(4, MAX_GAUSS_ORDER)},
 }
 # a frequency trace needs three samples
 TIME_KEYS = {"a": _finite_real, "b": _finite_real, "steps": _integer(2, MAX_VALUES)}

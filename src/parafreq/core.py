@@ -1,10 +1,11 @@
 """Weighted model geometries, grid fields, and the weighted measure structure.
 
 Everything downstream (operators, flows, frequency traces) consumes the
-quadrature measure ``mu`` and the gradient structure defined here.  Periodic
-kinds carry an edge list with midpoint-interpolated weights so that the
-summation-by-parts identity holds exactly; the Gauss line carries a
-collocation basis in which the drift operator is diagonal.
+quadrature measure ``mu`` and the one Dirichlet form of every kind,
+``E(u, v) = sum_e C_e (G u)_e (G v)_e``: edge differences and midpoint-weighted
+edge weights on periodic grids, the modal projection ``B^T M`` and negated
+rates on the Gauss line.  The operator is ``L = -M^{-1} G^T C G``, so summation
+by parts ``E(u, v) = -<u, L v>_mu`` holds by construction.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ PROVENANCE_SPECTRAL = "spectral-exact"
 PROVENANCE_IMPLICIT = "implicit-step"
 PROVENANCE_ANALYTIC = "analytic-oracle"
 
+# Largest Gauss-line order: numpy's hermgauss overflows from order 371 on
+# (numpy 2.4.6); at 370 the smallest mu is 4.7e-308 and the largest basis entry
+# 1.3e153, and the operator is still self-adjoint to round-off.
+MAX_GAUSS_ORDER = 370
 # doubles of one temporary in the passes over (samples, nodes, ...) arrays that
 # go a chunk of rows at a time (2**16, 512 KiB): the per-sample passes over a
 # trajectory (its finite check, the energies that give D, the <u, L u>_mu
@@ -72,21 +77,20 @@ def _as_node_array(values, nodes: int, name: str) -> np.ndarray:
     return arr
 
 
+def _frozen_csr(matrix) -> scipy.sparse.csr_array:
+    """``matrix`` (dense or sparse) as a float CSR array with read-only data and index arrays."""
+    matrix = scipy.sparse.csr_array(matrix, dtype=float)
+    for arr in (matrix.data, matrix.indices, matrix.indptr):
+        arr.setflags(write=False)
+    return matrix
+
+
 @dataclass(frozen=True)
 class _PeriodicStencil:
-    """Edge structure of a periodic grid.
-
-    ``edge_coef[e]`` multiplies ``(u[j] - u[i])**2`` in the Dirichlet energy;
-    it already contains the cell volume, the midpoint weight ``exp(-phi_mid)``
-    and the ``1/h**2`` factor.  ``shape``/``spacings`` drive the centered
-    nodal gradient.
-    """
+    """Box shape and per-axis spacings of a periodic grid, for the centered nodal gradient."""
 
     shape: tuple[int, ...]
     spacings: tuple[float, ...]
-    edge_i: np.ndarray
-    edge_j: np.ndarray
-    edge_coef: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -94,13 +98,13 @@ class _SpectralBasis:
     """Collocation basis on the Gauss line.
 
     Columns of ``basis`` are mu-orthonormal polynomial eigenfunctions of the
-    drift operator; ``rates[k] = -k/2`` are the matching eigenvalues and
-    ``deriv`` differentiates in coefficient space.
+    drift operator, column k at rate ``-k/2``.  ``gradient`` (read-only CSR)
+    is ``basis`` times the derivative in coefficient space, so the nodal
+    gradient is ``gradient @ (G u)``.
     """
 
     basis: np.ndarray
-    rates: np.ndarray
-    deriv: np.ndarray
+    gradient: scipy.sparse.csr_array
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,10 @@ class WeightedGeometry:
 
     ``mu`` is the positive quadrature measure representing
     ``exp(-phi) dvol_g`` (with the conformal volume ``exp(2*psi) dx dy`` baked
-    in for the torus).  Instances are immutable after construction.
+    in for the torus).  ``differences`` ``G`` (read-only CSR, terms x nodes)
+    and ``weights`` ``C`` are its Dirichlet form, and the drift operator is
+    ``L = -M^{-1} G^T C G``; ``stencil`` or ``basis`` serve the nodal
+    gradient.  Instances are immutable after construction.
     """
 
     kind: str
@@ -118,11 +125,13 @@ class WeightedGeometry:
     psi: np.ndarray
     mu: np.ndarray
     dim: int
+    differences: scipy.sparse.csr_array
+    weights: np.ndarray
     stencil: _PeriodicStencil | None = None
     basis: _SpectralBasis | None = None
 
     def __post_init__(self):
-        for arr in (self.coords, self.phi, self.psi, self.mu):
+        for arr in (self.coords, self.phi, self.psi, self.mu, self.weights):
             arr.setflags(write=False)
         if not np.all(np.isfinite(self.mu) & (self.mu > 0.0)):
             raise InvalidInputError("measure entries must be finite and strictly positive")
@@ -137,17 +146,14 @@ class WeightedGeometry:
         Periodic kinds average the two adjacent edge-midpoint differences
         (equivalently, a centered difference, applied as a cached sparse
         matrix per axis); the Gauss line differentiates in the collocation
-        basis.
+        basis, ``basis.gradient @ (G u)``.  Both are sparse products, so
+        each column's bits do not depend on the others.
         """
-        values = np.asarray(values, dtype=float)
-        if values.ndim == 1:
-            values = values[:, None]
-        n_comp = values.shape[1]
+        values = np.asarray(values, dtype=float).reshape(self.node_count, -1)
         if self.basis is not None:
-            coef = self.basis.basis.T @ (self.mu[:, None] * values)
-            out = (self.basis.basis @ (self.basis.deriv @ coef))[:, None, :]
+            out = (self.basis.gradient @ (self.differences @ values))[:, None, :]
         else:
-            out = np.empty((self.node_count, self.dim, n_comp))
+            out = np.empty((self.node_count, self.dim, values.shape[1]))
             steps = zip(self._centered_differences, self.stencil.spacings)
             for axis, (diff, h) in enumerate(steps):
                 out[:, axis, :] = (diff @ values) / (2.0 * h)
@@ -156,59 +162,38 @@ class WeightedGeometry:
     @cached_property
     def _centered_differences(self) -> tuple[scipy.sparse.csr_array, ...]:
         """Per-axis CSR matrices of ``u[next] - u[prev]`` on the periodic grid."""
-        n = self.node_count
-        flat = np.arange(n).reshape(self.stencil.shape)
-        rows = np.tile(flat.ravel(), 2)
-        signs = np.repeat([1.0, -1.0], n)
-        mats = []
-        for axis in range(self.dim):
-            cols = np.concatenate([np.roll(flat, -1, axis).ravel(), np.roll(flat, 1, axis).ravel()])
-            mats.append(scipy.sparse.csr_array((signs, (rows, cols)), shape=(n, n)))
-        return tuple(mats)
+        flat = np.arange(self.node_count).reshape(self.stencil.shape)
+        eye = scipy.sparse.eye_array(self.node_count, format="csr")
+        return tuple(eye[np.roll(flat, -1, axis).ravel()] - eye[np.roll(flat, 1, axis).ravel()]
+                     for axis in range(self.dim))
 
     def energy_pairing(self, u_values: np.ndarray, v_values: np.ndarray) -> float:
-        """Discrete weighted Dirichlet pairing; equals ``-<u, L v>_mu`` exactly."""
-        u_values = np.asarray(u_values, dtype=float)
-        v_values = np.asarray(v_values, dtype=float)
-        if u_values.ndim == 1:
-            u_values = u_values[:, None]
-        if v_values.ndim == 1:
-            v_values = v_values[:, None]
-        if self.basis is not None:
-            a = self.basis.basis.T @ (self.mu[:, None] * u_values)
-            b = self.basis.basis.T @ (self.mu[:, None] * v_values)
-            return float(np.sum((-self.basis.rates)[:, None] * a * b))
-        st = self.stencil
-        du = u_values[st.edge_j] - u_values[st.edge_i]
-        dv = v_values[st.edge_j] - v_values[st.edge_i]
-        return float(np.sum(st.edge_coef[:, None] * du * dv))
+        """Dirichlet pairing ``sum_e C_e (G u)_e (G v)_e``; equals ``-<u, L v>_mu`` exactly."""
+        du = self.differences @ np.asarray(u_values, dtype=float).reshape(self.node_count, -1)
+        dv = self.differences @ np.asarray(v_values, dtype=float).reshape(self.node_count, -1)
+        return float(np.sum(self.weights[:, None] * du * dv))
 
     def energy_batch(self, stack: np.ndarray) -> np.ndarray:
         """Dirichlet energies of a (samples, nodes, N) stack of field values.
 
-        Runs a chunk of samples at a time (:func:`row_chunks` of the edge
-        differences, or of the values on the Gauss line), so no temporary
-        outgrows a few ``CHUNK_VALUES``.  Each sample's sum is the same bits
-        whatever the chunk: a periodic energy is summed over components per
-        edge, then edge by edge in order (``add.accumulate``), since the order
-        of an einsum's full reduction depends on the shape of its operands.
+        Runs a chunk of samples at a time (:func:`row_chunks` of ``G u``), so
+        no temporary outgrows a few ``CHUNK_VALUES``.  Each sample's sum is the
+        same bits whatever the chunk: ``G`` acts on each column alone, and an
+        energy is summed over components per term, then term by term in order
+        (``add.accumulate``), since the order of an einsum's full reduction
+        depends on the shape of its operands.
         """
-        if self.basis is not None:
-            def modal(rows):
-                weighted = self.mu[None, :, None] * stack[rows]
-                coeffs = np.einsum("nk,snc->skc", self.basis.basis, weighted)
-                return np.einsum("k,skc->s", -self.basis.rates, coeffs**2)
+        samples, nodes, comps = stack.shape
+        terms = self.differences.shape[0]
 
-            return per_row(modal, stack.shape[0], stack[0].size)
-        st = self.stencil
+        def by_term(rows):
+            # contiguous: scipy's product is several times slower on a strided operand
+            columns = np.ascontiguousarray(stack[rows].transpose(1, 0, 2)).reshape(nodes, -1)
+            diff = (self.differences @ columns).reshape(terms, -1, comps).transpose(1, 0, 2)
+            per_term = np.einsum("sec,e,sec->se", diff, self.weights, diff)
+            return np.add.accumulate(per_term, axis=1, out=per_term)[:, -1]
 
-        def by_edge(rows):
-            du = np.take(stack[rows], st.edge_j, axis=1)
-            du -= np.take(stack[rows], st.edge_i, axis=1)
-            per_edge = np.einsum("sec,e,sec->se", du, st.edge_coef, du)
-            return np.add.accumulate(per_edge, axis=1, out=per_edge)[:, -1]
-
-        return per_row(by_edge, stack.shape[0], st.edge_i.size * stack.shape[2])
+        return per_row(by_term, samples, terms * comps)
 
     @cached_property
     def length_scale(self) -> float:
@@ -432,7 +417,8 @@ def _periodic_grid(kind: str, shape, lengths, phi, psi) -> WeightedGeometry:
     """Uniform periodic grid on a box of the given side lengths.
 
     The measure is ``mu = prod(h) * exp(2*psi - phi)``.  Each node has one
-    edge per axis to its periodic successor; the edge along an axis carries
+    edge per axis to its periodic successor, one row of ``G`` with -1 at the
+    node and +1 at the successor; the edge along an axis has the weight
     ``exp(-phi_mid) / (h_axis / prod(other h))``, with phi interpolated
     linearly to the midpoint.
     """
@@ -444,15 +430,18 @@ def _periodic_grid(kind: str, shape, lengths, phi, psi) -> WeightedGeometry:
     flat = np.arange(nodes).reshape(shape)
     edge_i = np.tile(flat.ravel(), len(shape))
     edge_j = np.concatenate([np.roll(flat, -1, axis).ravel() for axis in range(len(shape))])
-    phi_mid = 0.5 * (phi_arr[edge_i] + phi_arr[edge_j])
-    ratio = np.repeat([step / np.prod(h[:a] + h[a + 1:]) for a, step in enumerate(h)], nodes)
-    stencil = _PeriodicStencil(
-        shape=shape, spacings=h, edge_i=edge_i, edge_j=edge_j,
-        edge_coef=np.exp(-phi_mid) / ratio,
-    )
+    # spacings or weights beyond the float range give a measure that is not finite
+    # and positive, which the geometry rejects, or weights the assembly rejects
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        phi_mid = 0.5 * (phi_arr[edge_i] + phi_arr[edge_j])
+        ratio = np.repeat([step / np.prod(h[:a] + h[a + 1:]) for a, step in enumerate(h)], nodes)
+        mu = np.prod(h) * np.exp(2.0 * psi_arr - phi_arr)
+        weights = np.exp(-phi_mid) / ratio
+    eye = scipy.sparse.eye_array(nodes, format="csr")
     return WeightedGeometry(
-        kind=kind, coords=coords, phi=phi_arr, psi=psi_arr,
-        mu=np.prod(h) * np.exp(2.0 * psi_arr - phi_arr), dim=len(shape), stencil=stencil,
+        kind=kind, coords=coords, phi=phi_arr, psi=psi_arr, mu=mu, dim=len(shape),
+        differences=_frozen_csr(eye[edge_j] - eye[edge_i]), weights=weights,
+        stencil=_PeriodicStencil(shape=shape, spacings=h),
     )
 
 
@@ -504,18 +493,19 @@ def make_gauss_line(order: int) -> WeightedGeometry:
     """Gauss-quadrature line for the weight ``exp(-x^2/4) dx``.
 
     ``order`` collocation nodes integrate polynomials up to degree
-    ``2*order - 1`` exactly.  The weight exponent is ``phi = x^2/4``.
+    ``2*order - 1`` exactly.  The weight exponent is ``phi = x^2/4``.  The
+    Dirichlet form is modal: ``G = B^T M`` gives the coefficients in the
+    eigenbasis ``B`` and ``C_k = k/2`` negates the rates.
     """
-    if order < 4:
-        raise InvalidInputError("gauss line needs order >= 4")
+    if not 4 <= order <= MAX_GAUSS_ORDER:
+        raise InvalidInputError(f"gauss line needs 4 <= order <= {MAX_GAUSS_ORDER}")
     y, w = np.polynomial.hermite.hermgauss(order)
     x = 2.0 * y
     mu = 2.0 * w
     basis = _gauss_basis(x, order)
-    rates = -0.5 * np.arange(order, dtype=float)
-    deriv = np.zeros((order, order))
-    for k in range(1, order):
-        deriv[k - 1, k] = np.sqrt(k / 2.0)
+    # d/dx of column k is sqrt(k/2) times column k - 1
+    gradient = np.zeros((order, order))
+    gradient[:, 1:] = basis[:, :-1] * np.sqrt(np.arange(1, order) / 2.0)
     return WeightedGeometry(
         kind=GAUSS_LINE,
         coords=x[:, None],
@@ -523,7 +513,9 @@ def make_gauss_line(order: int) -> WeightedGeometry:
         psi=np.zeros(order),
         mu=mu,
         dim=1,
-        basis=_SpectralBasis(basis=basis, rates=rates, deriv=deriv),
+        differences=_frozen_csr(basis.T * mu),
+        weights=0.5 * np.arange(order, dtype=float),
+        basis=_SpectralBasis(basis=basis, gradient=_frozen_csr(gradient)),
     )
 
 
@@ -547,9 +539,9 @@ def weighted_norm(u: Field) -> float:
 def dirichlet_energy(u: Field) -> float:
     """Nonnegative weighted Dirichlet energy of a field.
 
-    Uses the same edge-midpoint differences (or spectral pairing) as the
-    operator assembly, so ``<u, L u>_mu == -dirichlet_energy(u)`` exactly in
-    exact arithmetic.
+    Uses the same differences ``G`` and weights ``C`` as the operator
+    assembly, so ``<u, L u>_mu == -dirichlet_energy(u)`` exactly in exact
+    arithmetic.
     """
     return u.geometry.energy_pairing(u.values, u.values)
 

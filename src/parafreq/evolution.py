@@ -129,11 +129,13 @@ class PerturbationSpec:
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _over_samples(getattr(self, name), shape, name))
         # sup norms per sample, a chunk of samples at a time so temporaries stay
-        # bounded; a non-finite b or c gives a non-finite sup
+        # bounded; a non-finite b or c gives a non-finite sup, and so does a
+        # finite b whose |b|^2 overflows
         b_sup, c_sup = np.zeros(times.size), np.zeros(times.size)
         for rows in row_chunks(times.size, nodes * dim):
             if self.b is not None:
-                b_sup[rows] = np.sqrt((self.b[rows] ** 2).sum(axis=2)).max(axis=1)
+                with np.errstate(over="ignore"):
+                    b_sup[rows] = np.sqrt((self.b[rows] ** 2).sum(axis=2)).max(axis=1)
             if self.c is not None:
                 c_sup[rows] = np.abs(self.c[rows]).max(axis=1)
         for name, sup in (("b", b_sup), ("c", c_sup)):
@@ -304,14 +306,8 @@ class _PendingSteps:
         return self.values
 
     def block_size(self) -> int:
-        """Members per block: as many as fit in ``_BLOCK_BYTES``, at least one.
-
-        A Gauss-line block holds one member, because its gradient is a GEMM
-        whose rounding may depend on the number of columns.
-        """
+        """Members per block: as many as fit in ``_BLOCK_BYTES``, at least one."""
         geometry = self.op.geometry
-        if geometry.basis is not None:
-            return 1
         sample_bytes = (self.grid.steps + 1) * geometry.node_count * 8
         member = sample_bytes * self.u0.shape[1]
         if self.pert is not None:
@@ -380,15 +376,17 @@ def step_block(members: list[_PendingSteps]) -> None:
         values[0] = member.u0
     state = (nodes, len(members), comps)
     u = block[:, 0].transpose(1, 0, 2).reshape(nodes, -1)
-    for k in range(grid.steps):
-        if term is None:
-            u = solver.solve(2.0 * u) - u
-        else:
-            p_old = term(k, u.reshape(state)).reshape(u.shape)
-            predictor = solver.solve(2.0 * u + dt * p_old) - u
-            p_new = term(k + 1, predictor.reshape(state)).reshape(u.shape)
-            u = solver.solve(2.0 * u + dt * (0.5 * (p_old + p_new))) - u
-        block[:, k + 1] = u.reshape(state).transpose(1, 0, 2)
+    # a flow that leaves the float range fails the finite check when its values are read
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(grid.steps):
+            if term is None:
+                u = solver.solve(2.0 * u) - u
+            else:
+                p_old = term(k, u.reshape(state)).reshape(u.shape)
+                predictor = solver.solve(2.0 * u + dt * p_old) - u
+                p_new = term(k + 1, predictor.reshape(state)).reshape(u.shape)
+                u = solver.solve(2.0 * u + dt * (0.5 * (p_old + p_new))) - u
+            block[:, k + 1] = u.reshape(state).transpose(1, 0, 2)
     for member, values in zip(members, block):
         member.values = values
 

@@ -184,8 +184,8 @@ def check_u_monotone(trace: FrequencyTrace, tol: float | None = None) -> CheckRe
 def check_log_convexity(trace: FrequencyTrace, tol: float | None = None) -> CheckReport:
     """Second differences of log I must be >= -tol * dt^2.
 
-    ``tol * dt^2`` is computed in float64; a value that is not finite raises
-    :class:`InvalidInputError`.
+    ``tol * dt^2`` is computed in float64; a ``dt^2`` that underflows to 0,
+    or a gate that is not finite, raises :class:`InvalidInputError`.
 
     Also reports the drift-flow identity ``(log I)' = 2 U`` on interior
     samples, ungated: 0 on a modal trace, and on a differenced one an
@@ -193,9 +193,13 @@ def check_log_convexity(trace: FrequencyTrace, tol: float | None = None) -> Chec
     """
     with np.errstate(over="ignore"):
         dt2 = np.float64(trace.dt) ** 2
-    if tol is None:
-        tol = default_tolerance(trace) / dt2
-    gate = tol * dt2
+        if not dt2 > 0.0:
+            raise InvalidInputError(
+                f"dt = {trace.dt} is too small for log-convexity: dt^2 underflows to 0"
+            )
+        if tol is None:
+            tol = default_tolerance(trace) / dt2
+        gate = tol * dt2
     if not np.isfinite(gate):
         raise InvalidInputError(f"the log-convexity tolerance {gate} is not finite")
     log_i = np.log(trace.I)

@@ -1,9 +1,10 @@
 """Divergence-form assembly of the discrete drift operator and its spectrum.
 
-The operator is mu-self-adjoint by construction: on periodic grids it is
-``L = -M^{-1} G^T C G`` for the edge-difference matrix ``G`` and the positive
-edge weights ``C``; on the Gauss line it is diagonal in the collocation
-basis.  Self-adjointness is structural, never a post-hoc symmetrization.
+The operator is mu-self-adjoint by construction: on every geometry it is
+``L = -M^{-1} G^T C G`` for the geometry's Dirichlet form, its differences
+``G`` and weights ``C`` (the edge-difference matrix and edge weights of a
+periodic grid, the modal projection and negated rates of the Gauss line).
+Self-adjointness is structural, never a post-hoc symmetrization.
 
 The operator is stored sparse (CSR): a periodic stencil has 3 (circle) or 5
 (torus) nonzeros per row.  Only the eigensystem is dense, and it is refused
@@ -27,7 +28,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .core import Field, WeightedGeometry, energy_pairing, weighted_inner
+from .core import Field, WeightedGeometry, _frozen_csr, energy_pairing, weighted_inner
 from .errors import IncompatibleFieldsError, InvalidInputError, NumericalFailureError
 from .reports import CheckReport
 
@@ -36,8 +37,7 @@ from .reports import CheckReport
 MAX_DENSE_NODES = 4096
 # The most doubles one array of a run may hold (2**24, 128 MiB, the size of the
 # largest dense eigenvector matrix): the trajectory's (steps + 1) x nodes x
-# components values, the Gauss line's order x order basis and a Krylov flow's
-# basis.
+# components values and a Krylov flow's basis.
 MAX_VALUES = MAX_DENSE_NODES**2
 # random field pairs of each self-adjointness audit
 SELF_ADJOINT_TRIALS = 50
@@ -65,10 +65,7 @@ class DriftOperator:
     _trapezoid: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        matrix = scipy.sparse.csr_array(self.matrix, dtype=float)
-        for arr in (matrix.data, matrix.indices, matrix.indptr):
-            arr.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "matrix", _frozen_csr(self.matrix))
 
     def apply(self, u: Field) -> Field:
         if u.geometry is not self.geometry:
@@ -129,29 +126,19 @@ class DriftOperator:
 
 
 def assemble(geometry: WeightedGeometry) -> DriftOperator:
-    """Assemble the drift operator for a geometry.
+    """Assemble the drift operator ``L = -M^{-1} G^T C G`` of a geometry's Dirichlet form.
 
-    Periodic kinds get the second-order divergence-form stencil with
-    edge-midpoint weights (the conformal prefactor enters through division by
-    ``mu``), summed straight from the edge list into CSR; the Gauss line gets
-    the diagonal collocation representation.  An operator with a non-finite
-    entry raises :class:`InvalidInputError`.
+    ``G^T C G`` is one sparse product of the differences ``G`` and weights
+    ``C`` (on a periodic grid, the second-order divergence-form stencil with
+    edge-midpoint weights); each row is then divided by ``mu``, which is where
+    the conformal prefactor enters.  An operator with a non-finite entry
+    raises :class:`InvalidInputError`.
     """
-    if geometry.basis is not None:
-        basis = geometry.basis.basis
-        weighted = geometry.mu[:, None] * basis
-        matrix = basis @ (geometry.basis.rates[:, None] * weighted.T)
-    else:
-        n = geometry.node_count
-        st = geometry.stencil
-        coef = st.edge_coef
-        rows = np.concatenate([st.edge_i, st.edge_j, st.edge_i, st.edge_j])
-        cols = np.concatenate([st.edge_i, st.edge_j, st.edge_j, st.edge_i])
-        entries = np.concatenate([coef, coef, -coef, -coef])
-        matrix = scipy.sparse.coo_array((entries, (rows, cols)), shape=(n, n)).tocsr()
-        row_of = np.repeat(np.arange(n), np.diff(matrix.indptr))
-        with np.errstate(over="ignore", invalid="ignore"):
-            matrix.data = -matrix.data / geometry.mu[row_of]
+    G, C = geometry.differences, geometry.weights
+    matrix = scipy.sparse.csr_array(G.T @ (C[:, None] * G))
+    row_of = np.repeat(np.arange(geometry.node_count), np.diff(matrix.indptr))
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix.data = -matrix.data / geometry.mu[row_of]
     op = DriftOperator(geometry=geometry, matrix=matrix)
     if not np.all(np.isfinite(op.matrix.data)):
         raise InvalidInputError("the drift operator has non-finite entries: the grid "

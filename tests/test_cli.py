@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from parafreq import (
 from parafreq.config import (
     MAX_VALUES, TRACE_CHECKS, build_geometry, build_initial, build_perturbation, build_time,
 )
+from parafreq.core import MAX_GAUSS_ORDER
 from parafreq.errors import InvalidInputError
 from parafreq.operators import MAX_DENSE_NODES
 
@@ -673,9 +675,10 @@ class TestSizeCap:
         ("key", "value"),
         [
             ("nodes", 10**30), ("nx", 10**30), ("steps", 10**30), ("order", 10**30),
+            ("order", MAX_DENSE_NODES + 1),
             # each within its key's bound, the trajectory just beyond the cap
             ("nodes", MAX_VALUES // 51 + 1), ("nx", MAX_VALUES // (64 * 51) + 1),
-            ("steps", MAX_VALUES // 64), ("order", MAX_DENSE_NODES + 1),
+            ("steps", MAX_VALUES // 64),
         ],
     )
     def test_oversized_config_exits_1_allocating_nothing_large(
@@ -691,6 +694,18 @@ class TestSizeCap:
         assert "Traceback" not in captured.out + captured.err
         assert peak < 2**20
         assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_gauss_order_beyond_hermgauss_exits_1_without_warnings(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.json", sized_config("order", MAX_GAUSS_ORDER + 1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--out", str(tmp_path / "out"), "simulate", "--config", config])
+        err = capsys.readouterr().err
+        assert code == 1
+        # one line, and no numpy RuntimeWarning from hermgauss before it
+        assert err == (f"config error: config.geometry.order: expected an integer >= 4 "
+                       f"and <= {MAX_GAUSS_ORDER}, got {MAX_GAUSS_ORDER + 1}\n")
+        assert caught == []
 
     def test_oversized_later_sweep_entry_runs_no_entry(self, tmp_path, capsys):
         raw = sweep_of(eigenmode_config(), {"name": "a"},

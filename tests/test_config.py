@@ -387,7 +387,6 @@ def _build(raw):
 class TestConfigFuzz:
     @given(raw=DOCUMENTS)
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_documents_load_and_build_or_raise_package_errors(self, raw):
         try:
             _build(raw)

@@ -15,7 +15,7 @@ from parafreq import (
     weighted_inner,
 )
 from parafreq import core
-from parafreq.core import cumulative_trapezoid, periodic_coords
+from parafreq.core import MAX_GAUSS_ORDER, cumulative_trapezoid, periodic_coords
 from parafreq.errors import IncompatibleFieldsError, InvalidInputError
 
 TWO_PI = 2.0 * np.pi
@@ -123,6 +123,14 @@ class TestGaussLine:
         with pytest.raises(InvalidInputError):
             make_gauss_line(3)
 
+    def test_order_beyond_hermgauss_rejected_before_it_runs(self, monkeypatch):
+        def overflow(order):
+            raise AssertionError("hermgauss ran")
+
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", overflow)
+        with pytest.raises(InvalidInputError, match=f"order <= {MAX_GAUSS_ORDER}"):
+            make_gauss_line(MAX_GAUSS_ORDER + 1)
+
 
 class TestWeightedInner:
     def test_constants_on_flat_circle(self, flat_circle):
@@ -197,15 +205,18 @@ class TestDirichletEnergy:
 
         assert abs(torus_total(16) - torus_total(32)) < (TWO_PI / 16) ** 2
 
-    @pytest.mark.parametrize("geometry", ["weighted_circle", "conformal_torus"])
+    @pytest.mark.parametrize("geometry", ["weighted_circle", "conformal_torus", "gauss_line"])
     def test_energy_batch_chunks_keep_each_sample_bit_for_bit(self, request, geometry, monkeypatch):
         # 75 samples: two full chunks of 32 and a partial one, against the one-shot sum
         geom = request.getfixturevalue(geometry)
         stack = np.random.default_rng(34).standard_normal((75, geom.node_count, 2))
-        st = geom.stencil
-        monkeypatch.setattr(core, "CHUNK_VALUES", 32 * st.edge_i.size * 2)
-        du = stack[:, st.edge_j, :] - stack[:, st.edge_i, :]
-        expected = np.einsum("sec,e,sec->s", du, st.edge_coef, du)
+        G, C = geom.differences, geom.weights
+        monkeypatch.setattr(core, "CHUNK_VALUES", 32 * G.shape[0] * 2)
+        # G applied to the whole stack at once; term-major in memory, so the einsum
+        # sums each sample's terms in order
+        du = (G @ stack.transpose(1, 0, 2).reshape(geom.node_count, -1)).reshape(-1, 75, 2)
+        du = du.transpose(1, 0, 2)
+        expected = np.einsum("sec,e,sec->s", du, C, du)
         assert np.array_equal(geom.energy_batch(stack), expected)
 
 
@@ -229,6 +240,15 @@ class TestFieldAndGrids:
     def test_geometry_arrays_are_frozen(self, flat_circle):
         with pytest.raises(ValueError):
             flat_circle.mu[0] = 2.0
+
+    @pytest.mark.parametrize("geometry", ["conformal_torus", "gauss_line"])
+    def test_dirichlet_form_is_frozen(self, request, geometry):
+        geom = request.getfixturevalue(geometry)
+        matrices = [geom.differences] + ([geom.basis.gradient] if geom.basis else [])
+        arrays = [geom.weights] + [a for m in matrices for a in (m.data, m.indices, m.indptr)]
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
 
 def roll_gradient(geom, values):

@@ -405,9 +405,8 @@ class TestPerturbedFlow:
         grid = TimeGrid(0.0, 1.0, 4)
         pert = PerturbationSpec(geom, grid, c=1e300)
         u0 = Field(geom, np.sin(geom.coords[:, 0]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(InvalidInputError, match="values must be finite"):
-                evolve_perturbed(flat_circle_op, u0, grid, pert).values
+        with pytest.raises(InvalidInputError, match="values must be finite"):
+            evolve_perturbed(flat_circle_op, u0, grid, pert).values
 
     def test_advection_preserves_flat_norm(self, flat_circle_op):
         # traveling wave: I(t) = pi * exp(2 rate t) for u0 = sin(kx)
@@ -510,7 +509,7 @@ class TestPerturbedFlow:
     )
     def test_non_finite_mis_shaped_or_callable_fields_rejected(self, flat_circle_op, fields):
         grid = TimeGrid(0.0, 1.0, 10)
-        with np.errstate(over="ignore"), pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError):
             PerturbationSpec(flat_circle_op.geometry, grid, **fields)
 
     def test_gradient_only_is_read_off_c(self, flat_circle_op):
@@ -617,6 +616,8 @@ class TestBlockStepping:
             return op, grid, [(Field(op.geometry, rng.standard_normal(nodes)), None)]
         if kind == "flat-torus-perturbed":
             op = assemble(make_torus(16, 16, TWO_PI, TWO_PI))
+        elif kind == "gauss-line-perturbed":
+            op = request.getfixturevalue("gauss_line_op")
         else:
             op = request.getfixturevalue("flat_circle_op")
         geom = op.geometry
@@ -643,8 +644,12 @@ class TestBlockStepping:
 
     CASES = ["circle-two-components", "conformal-torus", "flat-circle-perturbed",
              "flat-torus-perturbed"]
+    # the Gauss line's gradient is two sparse products, so its blocks keep the bits too;
+    # it is left out of the textbook-step test, whose nodal gate its end nodes would set:
+    # 5.7e-10 relative where mu is 1.5e-22, against 7e-14 in the mu-norm
+    BLOCK_CASES = [*CASES, "gauss-line-perturbed"]
 
-    @pytest.mark.parametrize("kind", CASES)
+    @pytest.mark.parametrize("kind", BLOCK_CASES)
     def test_block_of_one_is_the_one_flow_recurrence(self, request, kind):
         op, grid, flows = self.flows(kind, request)
         for u0, pert in flows[:4]:
@@ -659,7 +664,7 @@ class TestBlockStepping:
             got = self.evolve(op, grid, u0, pert).values
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
-    @pytest.mark.parametrize("kind", CASES)
+    @pytest.mark.parametrize("kind", BLOCK_CASES)
     def test_block_matches_one_flow_stepping(self, request, monkeypatch, kind):
         op, grid, flows = self.flows(kind, request)
         # a budget of three members each, so the seven flows of a group fill 3 + 3 + 1

@@ -286,6 +286,15 @@ class TestMonotonicityChecks:
         with pytest.raises(InvalidInputError, match="not finite"):
             check_log_convexity(trace)
 
+    @pytest.mark.parametrize("tol", [None, 1.0])
+    def test_underflowing_dt_squared_is_an_input_error(self, tol):
+        # dt = 5e-303: dt^2 is 0, so no gate tol * dt^2 exists, the default or a given one
+        op = assemble(make_circle(16, TWO_PI))
+        u0 = Field(op.geometry, np.sin(op.geometry.coords[:, 0]))
+        trace = frequency_trace(evolve_cn(op, u0, TimeGrid(0.0, 1e-300, 200)), op)
+        with pytest.raises(InvalidInputError, match=r"dt = 5e-303 .* dt\^2 underflows to 0"):
+            check_log_convexity(trace, tol)
+
     def test_single_eigenmode_log_affine(self, flat_circle_op):
         pair = eigenpairs(flat_circle_op, 2)[1]
         traj = evolve_exact(flat_circle_op, pair.eigenfield, TimeGrid(0.0, 1.0, 100))

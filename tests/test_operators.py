@@ -15,6 +15,7 @@ from parafreq import (
     weighted_inner,
 )
 from parafreq.errors import IncompatibleFieldsError, InvalidInputError
+from parafreq.core import MAX_GAUSS_ORDER
 from parafreq.operators import MAX_DENSE_NODES
 
 from conftest import peak_allocated
@@ -36,15 +37,28 @@ def make_conformal_torus(side: int):
 
 
 def dense_edge_assembly(geometry):
-    """Reference: scatter the edge list into a dense matrix, then divide by mu."""
+    """Reference: scatter the edge list into a dense matrix, then divide by mu.
+
+    Edge e runs from the node at -1 to the node at +1 in row e of the
+    periodic differences ``G``, and has the weight ``C[e]``.
+    """
     n = geometry.node_count
-    st = geometry.stencil
+    G, coef = geometry.differences, geometry.weights
+    cols, signs = G.indices.reshape(-1, 2), G.data.reshape(-1, 2)
+    edge_i, edge_j = cols[signs == -1.0], cols[signs == 1.0]
     stiff = np.zeros((n, n))
-    np.add.at(stiff, (st.edge_i, st.edge_i), st.edge_coef)
-    np.add.at(stiff, (st.edge_j, st.edge_j), st.edge_coef)
-    np.add.at(stiff, (st.edge_i, st.edge_j), -st.edge_coef)
-    np.add.at(stiff, (st.edge_j, st.edge_i), -st.edge_coef)
+    np.add.at(stiff, (edge_i, edge_i), coef)
+    np.add.at(stiff, (edge_j, edge_j), coef)
+    np.add.at(stiff, (edge_i, edge_j), -coef)
+    np.add.at(stiff, (edge_j, edge_i), -coef)
     return -stiff / geometry.mu[:, None]
+
+
+def collocation_assembly(geometry):
+    """Reference: the Gauss line's ``B diag(-k/2) B^T M``, diagonal in its eigenbasis ``B``."""
+    basis = geometry.basis.basis
+    rates = -0.5 * np.arange(basis.shape[1])
+    return basis @ (rates[:, None] * (geometry.mu[:, None] * basis).T)
 
 
 class TestAssembly:
@@ -53,6 +67,16 @@ class TestAssembly:
             reference = dense_edge_assembly(op.geometry)
             gap = np.max(np.abs(op.matrix.toarray() - reference))
             assert gap <= 1e-15 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("order", [32, 64, MAX_GAUSS_ORDER])
+    def test_gauss_line_matches_collocation_assembly(self, order):
+        # compared mu-symmetrized: nodal entries span up to 300 decades of the tail mu
+        geometry = make_gauss_line(order)
+        op = assemble(geometry)
+        root = np.sqrt(geometry.mu)
+        reference = root[:, None] * collocation_assembly(geometry) / root[None, :]
+        assert np.max(np.abs(op.symmetrized - reference)) <= 1e-14 * np.max(np.abs(reference))
+        assert check_self_adjoint(op).passed
 
     def test_stencil_sparsity(self, weighted_circle_op, conformal_torus_op):
         assert weighted_circle_op.matrix.nnz <= 3 * weighted_circle_op.geometry.node_count
