@@ -158,12 +158,26 @@ class TestSimulate:
         assert "expression produced non-finite values" in err
         assert not (tmp_path / "out" / "report.json").exists()
 
-    def test_trajectory_csv_schema(self, tmp_path):
+    def test_trajectory_csv_schema(self, tmp_path, monkeypatch):
+        written = {}
+        for name in ("write_trajectory_csv", "write_trace_csv"):
+            def keep(path, data, name=name, write=getattr(cli, name)):
+                written[name] = data
+                write(path, data)
+            monkeypatch.setattr(cli, name, keep)
         config = write_config(tmp_path / "c.json", eigenmode_config())
         main(["--out", str(tmp_path / "out"), "simulate", "--config", config])
         lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
         assert lines[0] == "t,node,component,value"
         assert len(lines) == 1 + 51 * 64
+        # every value reads back to the exact bits of the flow's
+        rows = np.loadtxt(tmp_path / "out" / "trajectory.csv", delimiter=",", skiprows=1)
+        values = written["write_trajectory_csv"].values.transpose(0, 2, 1).ravel()
+        assert (rows[:, 3].view(np.uint64) == values.view(np.uint64)).all()
+        trace = written["write_trace_csv"]
+        table = np.loadtxt(tmp_path / "out" / "trace.csv", delimiter=",", skiprows=1)
+        expected = np.column_stack([trace.times, trace.I, trace.D, trace.U])
+        assert (table.view(np.uint64) == expected.view(np.uint64)).all()
 
     def test_readme_config_example_passes(self, tmp_path):
         block = re.search(r"```json\n(.*?)```", README.read_text(), re.DOTALL).group(1)
