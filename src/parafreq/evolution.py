@@ -9,23 +9,27 @@ gauge is removed by an exact scalar factor.
 The spectral path is a modal expansion.  On an operator that holds its
 dense eigensystem it is the projection on every eigenvector; otherwise it
 holds only the modes the initial data needs, the Ritz pairs of
-shift-and-invert Lanczos on ``(I - dt/2 L)^{-1}`` in the mu inner product
-(:func:`_lanczos`), which reuses the LU factor of the implicit steps and
-grows its Krylov basis until I and U at every sample have converged.  Data
-that needs more than a quarter of the modes, where the dense eigensolve is
-the cheaper, computes the eigensystem and projects on it.
+shift-and-invert Lanczos on ``(I - gamma L)^{-1}`` in the mu inner product
+(:func:`_lanczos`), which grows its Krylov basis until I and U at every
+sample have converged.  The shift is an eighth of the time window,
+``gamma = (b - a)/8``, so the modes a flow needs depend on its data and its
+window, not on the step.  Where mu spans more than eight decades (the Gauss
+line) each solve is iteratively refined; elsewhere it is one plain SuperLU
+solve.  Data that needs more than a quarter of the modes, where the dense
+eigensolve is the cheaper, computes the eigensystem and projects on it.
 
 Every trajectory is one read-only (samples, nodes, N) array, and neither
 integrator builds it when the flow is created.  The spectral path keeps its
 modal data and builds the array from it, a chunk of samples per GEMM, only
 when a caller reads it.
 The stepped paths check their inputs, factor ``I - dt/2 L`` (once per
-operator and step size) and keep their initial data and perturbation; the
-steps run on first read of ``values``.  Each stage is one solve,
-``u <- (I - dt/2 L)^{-1} (2u + dt p) - u``, the trapezoid step with the
-perturbation term ``p`` and no forward operator.  :func:`_in_blocks` steps
-many pending flows that share an operator and a grid as one block of
-columns, one multi-right-hand-side solve per stage (:func:`step_block`).
+operator and step size, :meth:`DriftOperator.shifted_factor`) and keep their
+initial data and perturbation; the steps run on first read of ``values``.
+Each stage is one solve, ``u <- (I - dt/2 L)^{-1} (2u + dt p) - u``, the
+trapezoid step with the perturbation term ``p`` and no forward operator.
+:func:`_in_blocks` steps many pending flows that share an operator and a
+grid as one block of columns, one multi-right-hand-side solve per stage
+(:func:`step_block`).
 SuperLU treats columns independently, so a flow's values are the same bits
 whether it is stepped alone (a block of one) or with others.
 """
@@ -71,10 +75,26 @@ _BLOCK_BYTES = 8 * 2**20
 _KRYLOV_START = 8
 _KRYLOV_RTOL = 1e-12
 _BREAKDOWN = 1e-12
+# the shift as a share of the time window, gamma = (b - a) * _SHIFT_SHARE: on
+# the benchmark's [0, 1] flows (seeds 0 and 41) a quarter or an eighth needs 32
+# modes on circle 2048 and 64 on torus 48^2, half what the step's dt/2 needs;
+# half the window or all of it needs 128 on torus 48^2 at seed 41
+_SHIFT_SHARE = 0.125
+# iterative refinement of the Krylov solves: only where mu spans more than
+# _REFINE_SPAN (max over min), since there a plain SuperLU solve loses digits
+# (the Gauss line: mu spans 47 decades at order 64, where unrefined Krylov
+# rates land 1e-2 off -k/2 and one correction leaves them 4e-9 off); each
+# solve is corrected until a correction is at most _REFINE_RTOL of the solution
+# in the mu-norm, at most _REFINE_STEPS times (order 370 over [0, 0.01] takes 15)
+_REFINE_SPAN = 1e8
+_REFINE_RTOL = 1e-12
+_REFINE_STEPS = 32
 # the largest share of the nodes a Krylov basis grows to when the dense
-# eigensystem is allowed: with one BLAS thread, nodal noise on a weighted
-# 2048-node circle over [0, 0.01] in 2000 steps took 0.62 s to 512 modes, 2.2 s
-# to 1024 and 8.0 s to all 2048, against 1.7 s for the dense eigensolve
+# eigensystem is allowed: with one BLAS thread, a run on nodal noise on a
+# weighted 2048-node circle over [0, 0.01] in 2000 steps, its convergence test
+# off, took 0.39 s to 512 modes, 1.4 s to 1024 and 5.6 s to all 2048, against
+# 1.15 s for the dense eigensolve (on 1024 nodes: 0.04 s to 256 modes, 0.18 s
+# to 512, eigh 0.17 s); with the test on, that flow converges at 512 modes
 _KRYLOV_SHARE = 0.25
 
 
@@ -217,15 +237,18 @@ def _lanczos(op: DriftOperator, u: np.ndarray, grid: TimeGrid):
     """Rates, mu-orthonormal vectors and coefficients of the Krylov modes of one component ``u``.
 
     Shift-and-invert Lanczos in the mu inner product on
-    ``A = (I - gamma L)^{-1}``, ``gamma = dt/2``, from ``q_0 = u / |u|_mu``.
-    Each ``A q`` is one solve with the LU factor of ``op.trapezoid_factor(dt)``
-    and one step of iterative refinement (SuperLU alone loses digits when mu
-    spans many decades, as on the Gauss line); each new direction is
-    orthogonalized against the whole basis twice.  The basis size doubles from
-    ``_KRYLOV_START``; at each size the tridiagonal ``T = Y diag(sigma) Y^T``
-    gives the rates ``theta = (1 - 1/sigma) / gamma``, the vectors ``Q Y`` and
-    the coefficients ``|u|_mu Y[0, :]``.  The run ends when I and U at the
-    grid's samples agree with those of the previous size to ``_KRYLOV_RTOL``
+    ``A = (I - gamma L)^{-1}``, ``gamma = (b - a) * _SHIFT_SHARE``, from
+    ``q_0 = u / |u|_mu``.  Each ``A q`` is one solve with the LU factor of
+    ``op.shifted_factor(gamma)``, shared by every Krylov flow over a window of
+    that length on the operator.  Where mu spans more than ``_REFINE_SPAN``
+    (max over min), as on the Gauss line, SuperLU alone loses digits and each
+    solve is iteratively refined (:func:`_refined`); circles and tori skip it.
+    Each new direction is orthogonalized against the whole basis twice.  The
+    basis size doubles from ``_KRYLOV_START``; at each size the tridiagonal
+    ``T = Y diag(sigma) Y^T`` gives the rates
+    ``theta = (1 - 1/sigma) / gamma``, the vectors ``Q Y`` and the
+    coefficients ``|u|_mu Y[0, :]``.  The run ends when I and U at the grid's
+    samples agree with those of the previous size to ``_KRYLOV_RTOL``
     relative, or at an invariant subspace (a new direction that keeps at most
     ``_BREAKDOWN`` of ``A q``, or a basis of every node), where the expansion
     is exact.  Past ``min(nodes, MAX_VALUES // nodes)`` vectors it raises
@@ -233,8 +256,9 @@ def _lanczos(op: DriftOperator, u: np.ndarray, grid: TimeGrid):
     gives way (returns None) before the basis passes ``_KRYLOV_SHARE`` of the
     nodes, where the dense eigensolve costs less than the next size.
     """
-    solver = op.trapezoid_factor(grid.dt)
-    gamma, mu, nodes = 0.5 * grid.dt, op.geometry.mu, u.size
+    gamma, mu, nodes = (grid.b - grid.a) * _SHIFT_SHARE, op.geometry.mu, u.size
+    solver = op.shifted_factor(gamma)
+    refine = mu.max() > _REFINE_SPAN * mu.min()
     cap = min(nodes, MAX_VALUES // nodes)
     norm = np.sqrt(np.sum(mu * u * u))
     if norm == 0.0:
@@ -246,8 +270,7 @@ def _lanczos(op: DriftOperator, u: np.ndarray, grid: TimeGrid):
     previous = None
     while True:
         m = len(alpha)
-        w = solver.solve(basis[m])
-        w += solver.solve(basis[m] - w + gamma * (op.matrix @ w))
+        w = _refined(solver, op, gamma, basis[m]) if refine else solver.solve(basis[m])
         scale = np.sqrt(np.sum(mu * w * w))
         diagonal = 0.0
         for _ in range(2):
@@ -279,6 +302,22 @@ def _lanczos(op: DriftOperator, u: np.ndarray, grid: TimeGrid):
             basis = np.concatenate([basis, np.empty((size - basis.shape[0], nodes))])
         beta.append(b)
         basis[m + 1] = w / b
+
+
+def _refined(solver, op: DriftOperator, gamma: float, q: np.ndarray) -> np.ndarray:
+    """``(I - gamma L)^{-1} q`` by iterative refinement of ``solver``'s solves.
+
+    Corrections stop once one is at most ``_REFINE_RTOL`` of the solution in
+    the mu-norm, or after ``_REFINE_STEPS`` of them.
+    """
+    mu = op.geometry.mu
+    w = solver.solve(q)
+    for _ in range(_REFINE_STEPS):
+        dw = solver.solve(q - w + gamma * (op.matrix @ w))
+        w += dw
+        if np.sum(mu * dw * dw) <= _REFINE_RTOL**2 * np.sum(mu * w * w):
+            break
+    return w
 
 
 def _agree(old: tuple, new: tuple) -> bool:
@@ -369,7 +408,7 @@ def step_block(members: list[_PendingSteps]) -> None:
     op, grid = first.op, first.grid
     nodes, comps = first.u0.shape
     dt = grid.dt
-    solver = op.trapezoid_factor(dt)
+    solver = op.shifted_factor(0.5 * dt)
     term = None if first.pert is None else _BlockTerm(op.geometry, [m.pert for m in members])
     block = np.empty((len(members), grid.steps + 1, nodes, comps))
     for member, values in zip(members, block):
@@ -412,7 +451,7 @@ def _in_blocks(flows: Iterable[Trajectory]) -> Iterator[Trajectory]:
 def _stepped(op: DriftOperator, u0: Field, grid: TimeGrid, pert: PerturbationSpec | None,
              **tags) -> Trajectory:
     """A deferred stepped trajectory; the factorization is made now, so its failure is raised here."""
-    op.trapezoid_factor(grid.dt)
+    op.shifted_factor(0.5 * grid.dt)
     return Trajectory(
         grid=grid, geometry=op.geometry, provenance=PROVENANCE_IMPLICIT,
         stepping=_PendingSteps(op, grid, u0.values, pert), **tags,

@@ -13,9 +13,11 @@ above :data:`MAX_DENSE_NODES` nodes.  It comes from LAPACK's divide-and-conquer
 with its workspace the solve peaks at about 3 n^2 doubles.  It is computed
 only when read: by ``eigen``, ``eigenmode`` data and the check suite.  A
 spectral flow on an operator that has not computed it builds Krylov modes
-from the sparse LU factor of :meth:`DriftOperator.trapezoid_factor` instead,
-unless its data needs so many that the eigensolve is cheaper
-(``evolution.evolve_exact``).
+instead, unless its data needs so many that the eigensolve is cheaper
+(``evolution.evolve_exact``).  Both those modes and the implicit steps
+solve with a sparse LU factor of ``I - gamma L``
+(:meth:`DriftOperator.shifted_factor`): a step of size ``dt`` takes
+``gamma = dt/2``, a Krylov flow a shift taken from its time window.
 """
 
 from __future__ import annotations
@@ -56,13 +58,13 @@ class DriftOperator:
     """Sparse CSR realization of the discrete drift operator.
 
     ``matrix`` may be given dense or sparse; it is stored as a read-only CSR
-    array.  The LU factor of implicit trapezoid steps is cached per step
-    size for the operator's lifetime (:meth:`trapezoid_factor`).
+    array.  The LU factor of ``I - gamma L`` is cached per shift ``gamma``
+    for the operator's lifetime (:meth:`shifted_factor`).
     """
 
     geometry: WeightedGeometry
     matrix: scipy.sparse.csr_array
-    _trapezoid: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen_csr(self.matrix))
@@ -72,22 +74,26 @@ class DriftOperator:
             raise IncompatibleFieldsError("field does not live on the operator geometry")
         return Field(self.geometry, self.matrix @ u.values)
 
-    def trapezoid_factor(self, dt: float) -> scipy.sparse.linalg.SuperLU:
-        """``splu(I - dt/2 L)``: a trapezoid step of size ``dt`` is ``2 (I - dt/2 L)^{-1} - I``.
+    def shifted_factor(self, gamma: float) -> scipy.sparse.linalg.SuperLU:
+        """``splu(I - gamma L)``, factored once per shift ``gamma``.
 
-        Factored once per step size, so every flow stepped on one operator
-        and grid shares one LU factorization.
+        A trapezoid step of size ``dt`` is ``2 (I - dt/2 L)^{-1} - I``, so every
+        flow stepped on one operator and grid shares the factor of
+        ``gamma = dt/2``.  A Krylov flow asks for the shift of its time window
+        (``evolution._lanczos``), so a caller that both steps and runs Krylov
+        flows on one operator pays two factorizations, unless the two shifts
+        coincide.
         """
-        if dt not in self._trapezoid:
+        if gamma not in self._factors:
             eye = scipy.sparse.eye_array(self.geometry.node_count, format="csr")
             try:
-                # I - dt/2 L has a symmetric pattern: minimum degree on A^T + A fills in less than COLAMD
-                self._trapezoid[dt] = scipy.sparse.linalg.splu(
-                    (eye - 0.5 * dt * self.matrix).tocsc(), permc_spec="MMD_AT_PLUS_A"
+                # I - gamma L has a symmetric pattern: minimum degree on A^T + A fills in less than COLAMD
+                self._factors[gamma] = scipy.sparse.linalg.splu(
+                    (eye - gamma * self.matrix).tocsc(), permc_spec="MMD_AT_PLUS_A"
                 )
             except RuntimeError as exc:
                 raise NumericalFailureError(f"implicit factorization failed: {exc}") from exc
-        return self._trapezoid[dt]
+        return self._factors[gamma]
 
     @property
     def symmetrized(self) -> np.ndarray:

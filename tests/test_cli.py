@@ -224,6 +224,19 @@ class TestSimulate:
         assert time.perf_counter() - start < 5.0
         assert (tmp_path / "out" / "trace.csv").is_file()
 
+    def test_small_window_beyond_dense_limit_runs_on_krylov_modes(self, tmp_path, monkeypatch):
+        # a cap of 32 modes: the window's shift needs 16 here, the step's shift dt/2 needed 64
+        monkeypatch.setattr(evolution, "MAX_VALUES", 32 * 8192)
+        raw = spectral_config()
+        raw["geometry"] = {"kind": "circle", "nodes": 8192, "length": TWO_PI, "phi": "cos(x)"}
+        raw["initial"] = {"kind": "expression", "expression": "exp(cos(x))+sin(3*x)"}
+        raw["time"] = {"a": 0.0, "b": 0.01, "steps": 200}
+        raw["checks"] = [{"name": "u-monotone", "tol": 1e-10}, {"name": "hadamard-bound"}]
+        config = write_config(tmp_path / "c.json", raw)
+        code = main(["--out", str(tmp_path / "out"), "simulate", "--config", config])
+        assert code == 0
+        assert (tmp_path / "out" / "trace.csv").is_file()
+
     def test_unconverged_krylov_flow_exits_1(self, tmp_path, capsys, monkeypatch):
         # negative control: a cap of 16 modes, and random data up to mode 64 on 128 nodes
         monkeypatch.setattr(evolution, "MAX_VALUES", 16 * 128)

@@ -17,6 +17,7 @@ from parafreq import (
     gauge_transform,
     eigenpairs,
     make_circle,
+    make_gauss_line,
     make_torus,
     weighted_inner,
     weighted_norm,
@@ -196,8 +197,11 @@ class TestKrylovFlows:
         frequency_trace(traj, op)
         traj.values
         assert "eigensystem" not in vars(op)
-        # the Krylov basis reuses the trapezoid factor of the grid's step
-        assert list(op._trapezoid) == [0.05]
+        # the Krylov basis solves with the factor of its window's shift (b - a)/8
+        assert list(op._factors) == [0.125]
+        # a stepped flow on the same operator factors its own shift dt/2
+        evolve_cn(op, u0, TimeGrid(0.0, 1.0, 20)).values
+        assert list(op._factors) == [0.125, 0.025]
 
     def test_an_eigenvector_ends_the_run_at_one_mode(self, flat_circle):
         op = assemble(flat_circle)
@@ -249,6 +253,83 @@ class TestKrylovFlows:
         # smooth data converges within the same cap
         smooth = Field(weighted_circle, np.cos(weighted_circle.coords[:, 0]))
         assert evolve_exact(op, smooth, grid).modal.rates.size <= 16
+
+    def test_gauss_line_rates_are_exact_under_refinement(self, krylov_only):
+        # mu spans 47 decades at order 64, so every solve is refined; unrefined,
+        # the rates land 1e-2 off -k/2, and after one correction 4e-9 off
+        gauss = make_gauss_line(64)
+        assert gauss.mu.max() > evolution._REFINE_SPAN * gauss.mu.min()
+        op = assemble(gauss)
+        u0 = Field(gauss, np.random.default_rng(22).standard_normal(64))
+        rates = evolve_exact(op, u0, TimeGrid(0.0, 2.0, 40)).modal.rates
+        # a basis of every node: the Ritz rates are the spectrum 0, -1/2, ..., -63/2
+        assert rates.size == 64
+        assert np.max(np.abs(np.sort(rates)[::-1] + 0.5 * np.arange(64))) <= 1e-12
+
+    def test_high_order_gauss_line_keeps_the_expressions_of_D(self, krylov_only):
+        # at order 256 a solve takes up to 7 corrections here: a fixed one leaves the gap
+        # at 2e-6, two at 2e-8
+        gauss = make_gauss_line(256)
+        op = assemble(gauss)
+        u0 = Field(gauss, np.random.default_rng(22).standard_normal(256))
+        trace = frequency_trace(evolve_exact(op, u0, TimeGrid(0.0, 1.0, 40)), op)
+        assert "eigensystem" not in vars(op)
+        assert trace.aux["d_expression_gap"] <= 1e-12
+
+    @pytest.mark.parametrize("data", ["noise", "smooth"])
+    @pytest.mark.parametrize("geometry", ["weighted_circle", "conformal_torus"])
+    def test_plain_solves_match_the_dense_path(self, request, monkeypatch, krylov_only,
+                                               geometry, data):
+        geom = request.getfixturevalue(geometry)
+        x = geom.coords[:, 0]
+        if data == "noise":
+            u0 = Field(geom, np.random.default_rng(24).standard_normal(geom.node_count))
+        else:
+            u0 = Field(geom, np.exp(np.cos(x)) + np.sin(3.0 * x))
+        grid = TimeGrid(0.0, 1.0, 40)
+        dense = dense_operator(geom)
+        expected = frequency_trace(evolve_exact(dense, u0, grid), dense)
+
+        def refined(*args):
+            raise AssertionError("a solve on a circle or torus was refined")
+
+        monkeypatch.setattr(evolution, "_refined", refined)
+        op = assemble(geom)
+        trace = frequency_trace(evolve_exact(op, u0, grid), op)
+        assert "eigensystem" not in vars(op)
+        assert np.max(np.abs(trace.I / expected.I - 1.0)) <= 1e-12
+        u_scale = 1.0 + np.max(np.abs(expected.U))
+        assert np.max(np.abs(trace.U - expected.U)) <= 1e-12 * u_scale
+
+    @pytest.mark.parametrize("window", [(0.01, 2000), (10.0, 4)])
+    def test_small_and_long_windows_stay_on_krylov_modes(self, window):
+        # under the step's shift dt/2 the small window needed every mode and took the
+        # dense path; over the long one both shifts are 1.25 and the solves unrefined
+        base = make_circle(1024, TWO_PI)
+        geom = make_circle(1024, TWO_PI, np.cos(base.coords[:, 0]))
+        x = geom.coords[:, 0]
+        u0 = Field(geom, np.exp(np.cos(x)) + np.sin(3.0 * x))
+        grid = TimeGrid(0.0, *window)
+        op = assemble(geom)
+        traj = evolve_exact(op, u0, grid)
+        trace = frequency_trace(traj, op)
+        assert "eigensystem" not in vars(op)
+        assert traj.modal.rates.size <= 32
+        assert trace.aux["d_expression_gap"] <= 1e-12
+        dense = dense_operator(geom)
+        expected = frequency_trace(evolve_exact(dense, u0, grid), dense)
+        assert np.max(np.abs(trace.I / expected.I - 1.0)) <= 1e-9
+        u_scale = 1.0 + np.max(np.abs(expected.U))
+        assert np.max(np.abs(trace.U - expected.U)) <= 1e-9 * u_scale
+
+    def test_an_invariant_space_ends_the_run_whatever_the_step(self):
+        # three eigenmodes span an invariant space; under the step's shift dt/2 the
+        # breakdown test missed it at 4095 steps and the run grew to 64 modes
+        geom = make_circle(256, TWO_PI)
+        x = geom.coords[:, 0]
+        u0 = Field(geom, np.sin(x) + np.cos(3.0 * x) + 0.1 * np.sin(17.0 * x))
+        traj = evolve_exact(assemble(geom), u0, TimeGrid(0.0, 1.0, 4095))
+        assert traj.modal.rates.size == 3
 
     def test_sampling_k_modes_is_chunked_in_bounded_memory(self, weighted_circle, krylov_only):
         op = assemble(weighted_circle)
@@ -566,7 +647,7 @@ class TestBlockStepping:
         ``I - dt/2 L``; with ``textbook`` it is ``solve((I + dt/2 L) u + dt p)``
         instead, with the forward operator built here.
         """
-        solver = op.trapezoid_factor(grid.dt)
+        solver = op.shifted_factor(0.5 * grid.dt)
         forward = scipy.sparse.eye_array(op.geometry.node_count) + 0.5 * grid.dt * op.matrix
 
         def stage(u, dt_p=None):
