@@ -10,7 +10,7 @@ by parts ``E(u, v) = -<u, L v>_mu`` holds by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator
 
@@ -41,6 +41,10 @@ CHUNK_VALUES = 2**16
 # own, not CHUNK_VALUES, since a GEMM's last bits depend on its width and a
 # trajectory's values must not depend on the chunk of the passes over them
 SAMPLE_BLOCK_VALUES = 2**16
+# WeightedGeometry.energy_batch: chunks of fewer samples sum their per-term
+# energies by accumulating; on 2048 and 4608 terms a reduction over the terms
+# has a fixed cost of about four samples' accumulation
+_ACCUMULATE_BELOW = 4
 
 
 def row_chunks(rows: int, row_values: int) -> Iterator[slice]:
@@ -129,6 +133,9 @@ class WeightedGeometry:
     weights: np.ndarray
     stencil: _PeriodicStencil | None = None
     basis: _SpectralBasis | None = None
+    # arrays that other modules derive from the geometry and keep for its lifetime
+    # (sampling's Fourier modes), keyed by their module's name and parameters
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for arr in (self.coords, self.phi, self.psi, self.mu, self.weights):
@@ -144,28 +151,33 @@ class WeightedGeometry:
         """Nodal gradient of per-node data, shape (nodes, dim, N).
 
         Periodic kinds average the two adjacent edge-midpoint differences
-        (equivalently, a centered difference, applied as a cached sparse
-        matrix per axis); the Gauss line differentiates in the collocation
-        basis, ``basis.gradient @ (G u)``.  Both are sparse products, so
-        each column's bits do not depend on the others.
+        (equivalently, a centered difference): one sparse product with the
+        cached axis-major stack of the per-axis difference matrices, divided
+        by ``2 h`` per axis, returned as a (nodes, dim, N) view of the
+        (dim, nodes, N) result.  The Gauss line differentiates in the
+        collocation basis, ``basis.gradient @ (G u)``.  Both are sparse
+        products, so each column's bits do not depend on the others.
         """
         values = np.asarray(values, dtype=float).reshape(self.node_count, -1)
         if self.basis is not None:
-            out = (self.basis.gradient @ (self.differences @ values))[:, None, :]
-        else:
-            out = np.empty((self.node_count, self.dim, values.shape[1]))
-            steps = zip(self._centered_differences, self.stencil.spacings)
-            for axis, (diff, h) in enumerate(steps):
-                out[:, axis, :] = (diff @ values) / (2.0 * h)
-        return out
+            return (self.basis.gradient @ (self.differences @ values))[:, None, :]
+        out = (self._centered_differences @ values).reshape(self.dim, self.node_count, -1)
+        out /= self._two_spacings
+        return out.transpose(1, 0, 2)
 
     @cached_property
-    def _centered_differences(self) -> tuple[scipy.sparse.csr_array, ...]:
-        """Per-axis CSR matrices of ``u[next] - u[prev]`` on the periodic grid."""
+    def _centered_differences(self) -> scipy.sparse.csr_array:
+        """CSR matrix of ``u[next] - u[prev]`` along each axis of the periodic grid, axis-major rows."""
         flat = np.arange(self.node_count).reshape(self.stencil.shape)
         eye = scipy.sparse.eye_array(self.node_count, format="csr")
-        return tuple(eye[np.roll(flat, -1, axis).ravel()] - eye[np.roll(flat, 1, axis).ravel()]
-                     for axis in range(self.dim))
+        return scipy.sparse.vstack(
+            [eye[np.roll(flat, -1, axis).ravel()] - eye[np.roll(flat, 1, axis).ravel()]
+             for axis in range(self.dim)], format="csr")
+
+    @cached_property
+    def _two_spacings(self) -> np.ndarray:
+        """``2 h`` per axis, shaped to divide the (dim, nodes, N) stack of differences."""
+        return (2.0 * np.array(self.stencil.spacings))[:, None, None]
 
     def energy_pairing(self, u_values: np.ndarray, v_values: np.ndarray) -> float:
         """Dirichlet pairing ``sum_e C_e (G u)_e (G v)_e``; equals ``-<u, L v>_mu`` exactly."""
@@ -179,9 +191,12 @@ class WeightedGeometry:
         Runs a chunk of samples at a time (:func:`row_chunks` of ``G u``), so
         no temporary outgrows a few ``CHUNK_VALUES``.  Each sample's sum is the
         same bits whatever the chunk: ``G`` acts on each column alone, and an
-        energy is summed over components per term, then term by term in order
-        (``add.accumulate``), since the order of an einsum's full reduction
-        depends on the shape of its operands.
+        energy is summed over components per term, then term by term in order,
+        since the order of an einsum's full reduction depends on the shape of
+        its operands.  The per-term energies are laid out (terms, samples), so
+        a reduction over the terms adds row after row; a chunk of fewer than
+        ``_ACCUMULATE_BELOW`` samples accumulates instead, since numpy sums a
+        single column pairwise and a reduction over a few columns is slower.
         """
         samples, nodes, comps = stack.shape
         terms = self.differences.shape[0]
@@ -189,9 +204,11 @@ class WeightedGeometry:
         def by_term(rows):
             # contiguous: scipy's product is several times slower on a strided operand
             columns = np.ascontiguousarray(stack[rows].transpose(1, 0, 2)).reshape(nodes, -1)
-            diff = (self.differences @ columns).reshape(terms, -1, comps).transpose(1, 0, 2)
-            per_term = np.einsum("sec,e,sec->se", diff, self.weights, diff)
-            return np.add.accumulate(per_term, axis=1, out=per_term)[:, -1]
+            diff = (self.differences @ columns).reshape(terms, -1, comps)
+            per_term = np.einsum("esc,e,esc->es", diff, self.weights, diff)
+            if per_term.shape[1] < _ACCUMULATE_BELOW:
+                return np.add.accumulate(per_term, axis=0, out=per_term)[-1]
+            return np.add.reduce(per_term, axis=0)
 
         return per_row(by_term, samples, terms * comps)
 
@@ -258,14 +275,15 @@ class TimeGrid:
 
 
 # named privately: bench/tracing.py wraps every package function with a public name,
-# and this one belongs inside its callers' spans
-def _modal_sums(rates: np.ndarray, weights: np.ndarray, offsets: np.ndarray) -> tuple:
-    """``growth = exp(2 rates s)`` at the ``offsets`` s, ``I = growth @ w`` and ``D = growth @ (rates w)``.
+# and these belong inside their callers' spans
+def _modal_growth(rates: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``exp(2 rates s)`` at the ``offsets`` s, shape (samples, modes)."""
+    return np.exp(np.outer(2.0 * offsets, rates))
 
-    I and D of a modal expansion with mode weights ``w = |c_k|^2``.
-    """
-    growth = np.exp(np.outer(2.0 * offsets, rates))
-    return growth, growth @ weights, growth @ (rates * weights)
+
+def _modal_sums(growth: np.ndarray, rates: np.ndarray, weights: np.ndarray) -> tuple:
+    """``I = growth @ w`` and ``D = growth @ (rates w)`` of a modal expansion with mode weights ``w = |c_k|^2``."""
+    return growth @ weights, growth @ (rates * weights)
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,20 @@
 A spectral trajectory is traced in closed form from its modal data: with
 ``w_k = |c_k|^2``, ``I(t) = sum_k w_k exp(2 lambda_k (t - a))`` and
 ``D(t) = sum_k lambda_k w_k exp(2 lambda_k (t - a))``, so its field values are
-never built, and its derivatives ``(log I)' = 2 U`` and ``U'`` are exact.
-Every other trajectory is traced from its value stack and differenced in
-time (second-order centered, one-sided at the endpoints); a stepped
-trajectory's stack is built when the trace first reads it, by running its
-steps, unless a block stepping (``evolution._in_blocks``) has already filled
-it.  Checks read derivatives from the trace only and gate them on interior
+never built, and its derivatives ``(log I)' = 2 U`` and ``U'`` are exact; U'
+is computed only when a check reads it.  Flows projected on one operator's
+dense eigensystem over one time grid share that operator's growth matrix
+``exp(2 lambda_k (t - a))``.  Every other trajectory is traced from its value
+stack and differenced in time (second-order centered, one-sided at the
+endpoints); a stepped trajectory's stack is built when the trace first reads
+it, by running its steps, unless a block stepping (``evolution._in_blocks``)
+has already filled it.
+
+On either kind of trace, ``aux['d_expression_gap']`` compares D with
+``<u, L u>_mu`` at u(a) only: the two differ only where L and its Dirichlet
+form disagree, so later samples would add only round-off.
+
+Checks read derivatives from the trace only and gate them on interior
 samples.  One rule, :func:`default_tolerance`, gives every check its default:
 round-off for exact traces, ``10 * (dt^2 + h^2) * (1 + |U(a)|)`` for
 implicit-step ones.
@@ -16,7 +24,8 @@ implicit-step ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import InitVar, dataclass, field as dc_field
+from typing import Callable
 
 import numpy as np
 
@@ -29,14 +38,19 @@ from .reports import CheckReport, passing
 
 @dataclass(frozen=True)
 class FrequencyTrace:
-    """Sampled I(t), D(t), U(t) = D/I with the derivatives (log I)' and U'."""
+    """Sampled I(t), D(t), U(t) = D/I with the derivatives (log I)' and U'.
+
+    ``dU`` is given as an array, or as a function of no arguments that
+    returns it, called on the first read of ``trace.dU``: a modal trace's U'
+    is a pass over its (samples, modes) growth, and most checks never read it.
+    """
 
     times: np.ndarray
     I: np.ndarray
     D: np.ndarray
     U: np.ndarray
     dlogI: np.ndarray
-    dU: np.ndarray
+    dU: InitVar[np.ndarray | Callable[[], np.ndarray]]
     provenance: str
     dt: float
     length_scale: float
@@ -44,9 +58,20 @@ class FrequencyTrace:
     certified_bound: np.ndarray | None = None
     aux: dict = dc_field(default_factory=dict)
 
-    def __post_init__(self):
-        for arr in (self.times, self.I, self.D, self.U, self.dlogI, self.dU):
+    def __post_init__(self, dU):
+        for arr in (self.times, self.I, self.D, self.U, self.dlogI):
             arr.setflags(write=False)
+        vars(self)["_dU"] = dU
+
+    def __getattr__(self, name: str):
+        # reached only while "dU" is not yet in the instance dict: on its first read
+        if name != "dU" or "_dU" not in vars(self):
+            raise AttributeError(name)
+        dU = vars(self).pop("_dU")
+        dU = dU() if callable(dU) else dU
+        dU.setflags(write=False)
+        vars(self)["dU"] = dU
+        return dU
 
     @property
     def samples(self) -> int:
@@ -56,11 +81,12 @@ class FrequencyTrace:
 def frequency_trace(traj: Trajectory, op: DriftOperator) -> FrequencyTrace:
     """Build the frequency trace of a trajectory on the operator ``op`` it evolved under.
 
-    ``aux['d_expression_gap']`` is the worst gap between two expressions of D,
-    relative to ``energy + I``.  With modal data it compares the closed-form
-    D(a) with both the negated Dirichlet energy and ``<u, L u>_mu`` of u(a)
-    (one sparse apply); otherwise D is the negated Dirichlet energy of every
-    sample, compared with ``<u, L u>_mu`` there.  Raises
+    ``aux['d_expression_gap']`` is the worst gap between two expressions of D
+    at u(a), relative to ``energy + I``.  With modal data it compares the
+    closed-form D(a) with both the negated Dirichlet energy and
+    ``<u, L u>_mu`` of u(a) (one sparse apply); otherwise D is the negated
+    Dirichlet energy of every sample, and the first one is compared with
+    ``<u, L u>_mu``.  Raises
     :class:`DegenerateTraceError` when I(t) vanishes at any sample (the
     backward-uniqueness regime), and :class:`InvalidInputError` when ``op``
     does not act on the flow's geometry or there are fewer than 3 samples.
@@ -97,41 +123,41 @@ def frequency_trace(traj: Trajectory, op: DriftOperator) -> FrequencyTrace:
 def _modal_trace(traj: Trajectory, op: DriftOperator):
     """Closed-form I, D, U and U' of a spectral flow, and the D(a) cross-check.
 
+    The growth ``exp(2 lambda_k (t - a))`` is ``op``'s shared one when the
+    flow projects on its eigensystem (:meth:`DriftOperator.modal_growth`).
     ``U' = 2 sum_k p_k (lambda_k - U)^2``, ``p_k = w_k exp(2 lambda_k (t - a)) / I``, is
-    a variance, >= 0; ``2 (D_2 / I - U^2)`` would cancel on rough data.
+    a variance, >= 0; ``2 (D_2 / I - U^2)`` would cancel on rough data.  It is
+    returned as a function, called on the trace's first read of ``dU``.
     """
     modal = traj.modal
     weights = np.sum(modal.coeffs**2, axis=1)
-    growth, I, D = _modal_sums(modal.rates, weights, traj.grid.times - traj.grid.a)
+    growth = op.modal_growth(modal.rates, traj.grid)
+    I, D = _modal_sums(growth, modal.rates, weights)
     I = _nonvanishing(I, traj.grid.times)
     U = D / I
-    dU = 2.0 * (((modal.rates - U[:, None]) ** 2 * growth) @ weights) / I
+
+    def dU():
+        return 2.0 * (((modal.rates - U[:, None]) ** 2 * growth) @ weights) / I
+
     u0 = modal.initial
     energy = traj.geometry.energy_pairing(u0, u0)
-    d_op = float(np.sum(traj.geometry.mu[:, None] * u0 * (op.matrix @ u0)))
-    d_gap = max(abs(D[0] + energy), abs(D[0] - d_op)) / (energy + abs(I[0]))
+    d_gap = max(abs(D[0] + energy), abs(D[0] - _paired_with_l(op, u0))) / (energy + abs(I[0]))
     return I, D, U, dU, float(d_gap)
 
 
 def _sampled_trace(traj: Trajectory, op: DriftOperator) -> tuple[np.ndarray, np.ndarray, float]:
-    """I and D of every materialized sample, and the two-expression D gap.
-
-    ``<u, L u>_mu`` applies L to a chunk of samples at a time
-    (:func:`core.per_row`), so no temporary grows with the trajectory.
-    """
+    """I and D (the negated Dirichlet energy) of every materialized sample, and the D gap at u(a)."""
     mu = traj.geometry.mu
     stack = traj.values
     I = _nonvanishing(np.einsum("snc,n,snc->s", stack, mu, stack), traj.grid.times)
     energy = traj.geometry.energy_batch(stack)
+    d_gap = abs(_paired_with_l(op, stack[0]) + energy[0]) / (energy[0] + abs(I[0]))
+    return I, -energy, float(d_gap)
 
-    def pairing(rows):
-        by_node = stack[rows].transpose(1, 0, 2)
-        applied = (op.matrix @ by_node.reshape(mu.size, -1)).reshape(by_node.shape)
-        return np.einsum("nsc,n,nsc->s", by_node, mu, applied)
 
-    d_op = per_row(pairing, stack.shape[0], stack[0].size)
-    d_gap = float(np.max(np.abs(d_op + energy) / (energy + np.abs(I))))
-    return I, -energy, d_gap
+def _paired_with_l(op: DriftOperator, u: np.ndarray) -> float:
+    """``<u, L u>_mu`` of one (nodes, N) sample: the second expression of D, one sparse apply."""
+    return float(np.sum(op.geometry.mu[:, None] * u * (op.matrix @ u)))
 
 
 def _nonvanishing(I: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -30,7 +30,9 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .core import Field, WeightedGeometry, _frozen_csr, energy_pairing, weighted_inner
+from .core import (
+    Field, TimeGrid, WeightedGeometry, _frozen_csr, _modal_growth, energy_pairing, weighted_inner,
+)
 from .errors import IncompatibleFieldsError, InvalidInputError, NumericalFailureError
 from .reports import CheckReport
 
@@ -59,12 +61,14 @@ class DriftOperator:
 
     ``matrix`` may be given dense or sparse; it is stored as a read-only CSR
     array.  The LU factor of ``I - gamma L`` is cached per shift ``gamma``
-    for the operator's lifetime (:meth:`shifted_factor`).
+    for the operator's lifetime (:meth:`shifted_factor`), and the modal
+    growth of its dense spectrum for the last time grid (:meth:`modal_growth`).
     """
 
     geometry: WeightedGeometry
     matrix: scipy.sparse.csr_array
     _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _growth: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen_csr(self.matrix))
@@ -94,6 +98,25 @@ class DriftOperator:
             except RuntimeError as exc:
                 raise NumericalFailureError(f"implicit factorization failed: {exc}") from exc
         return self._factors[gamma]
+
+    def modal_growth(self, rates: np.ndarray, grid: TimeGrid) -> np.ndarray:
+        """``exp(2 rates (t - a))`` at the grid's samples, shape (samples, modes).
+
+        When ``rates`` is this operator's dense spectrum (the ``rates`` of
+        every flow projected on its eigensystem), the read-only matrix of the
+        last grid asked for is kept and shared, so one cache entry serves
+        every such flow over one grid.  Other rates, a Krylov flow's, get a
+        new matrix each call.
+        """
+        dense = vars(self).get("eigensystem")  # there once the cached property has run
+        if dense is None or rates is not dense[0]:
+            return _modal_growth(rates, grid.times - grid.a)
+        if grid not in self._growth:
+            growth = _modal_growth(rates, grid.times - grid.a)
+            growth.setflags(write=False)
+            self._growth.clear()
+            self._growth[grid] = growth
+        return self._growth[grid]
 
     @property
     def symmetrized(self) -> np.ndarray:

@@ -3,6 +3,12 @@
 Band-limited data keeps every active mode well inside the stable region of
 the implicit integrator, so the budgeted tolerances of the stepped lane stay
 meaningful; smoothness of the weights keeps the quadrature well conditioned.
+
+On periodic grids a smooth field is a random combination of fixed Fourier
+modes.  The modes are computed once per geometry and ``max_mode`` and kept on
+the geometry (:func:`_fourier_modes`), so each field pays only for its draws
+and one weighted sum; the sum runs term by term in the order of the draws,
+so a field's bits are those of adding the terms one at a time.
 """
 
 from __future__ import annotations
@@ -18,36 +24,65 @@ def random_smooth_values(
     max_mode: int = 4,
 ) -> np.ndarray:
     """Random band-limited per-node data with maximum modulus 1."""
+    if geometry.kind == GAUSS_LINE:
+        count = min(max_mode + 1, geometry.node_count)
+        coeffs = rng.standard_normal(count)
+        out = geometry.basis.basis[:, :count] @ coeffs
+    else:
+        modes, left, right = _fourier_modes(geometry, max_mode)
+        terms = modes[left]
+        terms *= rng.standard_normal(left.size)[:, None]
+        terms *= modes[right]
+        # a reduction over the leading axis adds row after row
+        out = np.add.reduce(terms, axis=0)
+    scale = np.max(np.abs(out))
+    return out / (scale if scale > 0 else 1.0)
+
+
+def _fourier_modes(geometry: WeightedGeometry, max_mode: int) -> tuple[np.ndarray, ...]:
+    """The mode rows of :func:`random_smooth_values` and each term's two rows, cached on the geometry.
+
+    Term j of a field is ``(r_j * modes[left_j]) * modes[right_j]`` with one
+    standard normal draw ``r_j`` each, in draw order: the constant, then per
+    circle frequency ``k`` its cosine and sine; on the torus, per
+    ``(kx, ky) != (0, 0)``, ``cos px * cos py`` and ``sin(px + py)``.  Row 0
+    is 1, the second factor of a term with one factor (multiplying by 1 is
+    exact); each row is held once, the torus's ``cos px`` and ``cos py`` too.
+    """
+    key = ("fourier", max_mode)
+    if key in geometry._derived:
+        return geometry._derived[key]
+    modes = [np.ones(geometry.node_count)]
     if geometry.kind == CIRCLE:
         x = geometry.coords[:, 0]
         length = geometry.node_count * geometry.stencil.spacings[0]
-        out = rng.standard_normal() * np.ones_like(x)
         for k in range(1, max_mode + 1):
             freq = 2.0 * np.pi * k / length
-            out += rng.standard_normal() * np.cos(freq * x)
-            out += rng.standard_normal() * np.sin(freq * x)
+            modes += [np.cos(freq * x), np.sin(freq * x)]
+        left, right = list(range(len(modes))), [0] * len(modes)
     elif geometry.kind == TORUS:
         x, y = geometry.coords[:, 0], geometry.coords[:, 1]
         nx, ny = geometry.stencil.shape
         lx = nx * geometry.stencil.spacings[0]
         ly = ny * geometry.stencil.spacings[1]
-        out = rng.standard_normal() * np.ones_like(x)
+        px = [2.0 * np.pi * kx * x / lx for kx in range(max_mode + 1)]
+        py = [2.0 * np.pi * ky * y / ly for ky in range(max_mode + 1)]
+        modes += [np.cos(p) for p in px + py]  # rows 1 + kx and 2 + max_mode + ky
+        left, right = [0], [0]
         for kx in range(max_mode + 1):
             for ky in range(max_mode + 1):
                 if kx == 0 and ky == 0:
                     continue
-                px = 2.0 * np.pi * kx * x / lx
-                py = 2.0 * np.pi * ky * y / ly
-                out += rng.standard_normal() * np.cos(px) * np.cos(py)
-                out += rng.standard_normal() * np.sin(px + py)
-    elif geometry.kind == GAUSS_LINE:
-        count = min(max_mode + 1, geometry.node_count)
-        coeffs = rng.standard_normal(count)
-        out = geometry.basis.basis[:, :count] @ coeffs
+                left += [1 + kx, len(modes)]
+                right += [2 + max_mode + ky, 0]
+                modes.append(np.sin(px[kx] + py[ky]))
     else:  # pragma: no cover - kinds are closed
         raise ValueError(f"unknown geometry kind {geometry.kind!r}")
-    scale = np.max(np.abs(out))
-    return out / (scale if scale > 0 else 1.0)
+    cached = np.array(modes), np.array(left), np.array(right)
+    for arr in cached:
+        arr.setflags(write=False)
+    geometry._derived[key] = cached
+    return cached
 
 
 def random_smooth_field(

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,17 @@ def peak_allocated(fn):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def retained_by(fn) -> int:
+    """Bytes that ``fn()`` allocates and leaves allocated once its result is dropped (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        fn()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
 
 
 def dense_operator(geometry):

@@ -207,17 +207,19 @@ class TestDirichletEnergy:
 
     @pytest.mark.parametrize("geometry", ["weighted_circle", "conformal_torus", "gauss_line"])
     def test_energy_batch_chunks_keep_each_sample_bit_for_bit(self, request, geometry, monkeypatch):
-        # 75 samples: two full chunks of 32 and a partial one, against the one-shot sum
+        # two full chunks of 32 and a partial one of 11, 1 or 2 samples, against the
+        # one-shot sum; a partial chunk of fewer than 4 samples accumulates its terms
         geom = request.getfixturevalue(geometry)
-        stack = np.random.default_rng(34).standard_normal((75, geom.node_count, 2))
         G, C = geom.differences, geom.weights
         monkeypatch.setattr(core, "CHUNK_VALUES", 32 * G.shape[0] * 2)
-        # G applied to the whole stack at once; term-major in memory, so the einsum
-        # sums each sample's terms in order
-        du = (G @ stack.transpose(1, 0, 2).reshape(geom.node_count, -1)).reshape(-1, 75, 2)
-        du = du.transpose(1, 0, 2)
-        expected = np.einsum("sec,e,sec->s", du, C, du)
-        assert np.array_equal(geom.energy_batch(stack), expected)
+        for samples in (75, 65, 66):
+            stack = np.random.default_rng(34).standard_normal((samples, geom.node_count, 2))
+            # G applied to the whole stack at once; term-major in memory, so the einsum
+            # sums each sample's terms in order
+            du = G @ stack.transpose(1, 0, 2).reshape(geom.node_count, -1)
+            du = du.reshape(-1, samples, 2).transpose(1, 0, 2)
+            expected = np.einsum("sec,e,sec->s", du, C, du)
+            assert np.array_equal(geom.energy_batch(stack), expected)
 
 
 class TestFieldAndGrids:

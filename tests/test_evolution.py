@@ -322,6 +322,23 @@ class TestKrylovFlows:
         u_scale = 1.0 + np.max(np.abs(expected.U))
         assert np.max(np.abs(trace.U - expected.U)) <= 1e-9 * u_scale
 
+    def test_u_that_decays_to_zero_converges_without_the_eigensystem(self, weighted_circle):
+        # data with a mean: U(10) is about -5e-11, where successive bases differ by 3e-6
+        # relative (2e-16 absolute); U held to its own size there measured round-off
+        # and gave way to the eigensystem
+        x = weighted_circle.coords[:, 0]
+        u0 = Field(weighted_circle, np.exp(np.cos(x)) + np.sin(3.0 * x))
+        grid = TimeGrid(0.0, 10.0, 4)
+        op = assemble(weighted_circle)
+        trace = frequency_trace(evolve_exact(op, u0, grid), op)
+        assert "eigensystem" not in vars(op)
+        dense = dense_operator(weighted_circle)
+        expected = frequency_trace(evolve_exact(dense, u0, grid), dense)
+        # within a few _KRYLOV_RTOL of the dense path (1.2e-12 in I, 6e-14 in U here)
+        assert np.max(np.abs(trace.I / expected.I - 1.0)) <= 1e-11
+        u_scale = 1.0 + np.max(np.abs(expected.U))
+        assert np.max(np.abs(trace.U - expected.U)) <= 1e-11 * u_scale
+
     def test_an_invariant_space_ends_the_run_whatever_the_step(self):
         # three eigenmodes span an invariant space; under the step's shift dt/2 the
         # breakdown test missed it at 4095 steps and the run grew to 64 modes

@@ -30,8 +30,9 @@ from parafreq.config import TRACE_CHECKS, read_check
 from parafreq.core import ModalExpansion
 from parafreq.frequency import FrequencyTrace
 from parafreq.errors import DegenerateTraceError, InvalidInputError
+from parafreq.sampling import random_smooth_field
 
-from conftest import peak_allocated
+from conftest import dense_operator, peak_allocated
 
 TWO_PI = 2.0 * np.pi
 
@@ -179,6 +180,62 @@ class TestClosedFormSpectralTrace:
         )
         assert frequency_trace(traj, weighted_circle_op).aux["d_expression_gap"] <= 1e-12
         assert frequency_trace(broken, weighted_circle_op).aux["d_expression_gap"] > 1e-3
+
+    def test_d_gap_detects_a_corrupted_operator_on_a_stepped_flow(self, weighted_circle_op):
+        # a sampled trace compares the two expressions of D at u(a) only
+        geom = weighted_circle_op.geometry
+        u0 = random_smooth_field(geom, np.random.default_rng(24))
+        traj = evolve_cn(weighted_circle_op, u0, TimeGrid(0.0, 1.0, 10))
+        broken = weighted_circle_op.matrix.toarray()
+        k = int(np.argmax(np.abs(u0.values)))  # an entry that u(a) weighs
+        broken[k, k] *= 2.0
+        corrupted = DriftOperator(geometry=geom, matrix=broken)
+        assert frequency_trace(traj, weighted_circle_op).aux["d_expression_gap"] <= 1e-12
+        assert frequency_trace(traj, corrupted).aux["d_expression_gap"] > 1e-3
+
+
+class TestSharedModalGrowth:
+    """Flows projected on one operator's eigensystem share its growth matrix per time grid."""
+
+    @staticmethod
+    def flow(op, seed, grid):
+        u0 = Field(op.geometry, np.random.default_rng(seed).standard_normal(op.geometry.node_count))
+        return evolve_exact(op, u0, grid)
+
+    def test_dense_trace_equals_fresh_modal_sums(self, weighted_circle):
+        op = dense_operator(weighted_circle)
+        grid = TimeGrid(0.0, 1.0, 40)
+        for seed in (25, 26):
+            traj = self.flow(op, seed, grid)
+            rates = traj.modal.rates
+            weights = np.sum(traj.modal.coeffs**2, axis=1)
+            growth = core._modal_growth(rates, grid.times - grid.a)
+            I, D = core._modal_sums(growth, rates, weights)
+            trace = frequency_trace(traj, op)
+            assert np.array_equal(trace.I, I) and np.array_equal(trace.D, D)
+            U = D / I
+            dU = 2.0 * (((rates - U[:, None]) ** 2 * growth) @ weights) / I
+            assert "dU" not in vars(trace)  # computed on its first read
+            assert np.array_equal(trace.dU, dU) and not trace.dU.flags.writeable
+        shared = op.modal_growth(rates, grid)
+        assert shared is op.modal_growth(rates, grid) and not shared.flags.writeable
+
+    def test_two_grids_do_not_share_a_growth_matrix(self, weighted_circle):
+        op = dense_operator(weighted_circle)
+        rates = op.eigensystem[0]
+        short, long = TimeGrid(0.0, 1.0, 40), TimeGrid(0.0, 2.0, 40)
+        for grid in (short, long, short):
+            growth = op.modal_growth(rates, grid)
+            assert np.array_equal(growth, core._modal_growth(rates, grid.times - grid.a))
+            traj = self.flow(op, 27, grid)
+            expected = frequency_trace(materialized(traj), op)
+            trace = frequency_trace(traj, op)
+            assert np.max(np.abs(trace.I / expected.I - 1.0)) <= 1e-13
+        # one entry, the last grid's; rates that are not the dense spectrum are never cached
+        assert list(op._growth) == [short]
+        other = op.modal_growth(rates.copy(), long)
+        assert other is not op.modal_growth(rates.copy(), long)
+        assert list(op._growth) == [short]
 
 
 @pytest.fixture(scope="module")

@@ -27,7 +27,7 @@ from parafreq import (
 from parafreq import evolution
 from parafreq.core import Trajectory, periodic_coords
 from parafreq.expressions import compile_expression
-from parafreq.sampling import random_smooth_field, random_weight
+from parafreq.sampling import random_smooth_field, random_smooth_values, random_weight
 
 TWO_PI = 2.0 * np.pi
 N_SMALL = 16
@@ -299,3 +299,47 @@ class TestExpressionProperties:
         fn = compile_expression(text, ("x",))
         expected = a * np.sin(k * x) + b * np.cos(x) ** 2
         np.testing.assert_allclose(fn(x=x), expected, rtol=1e-12, atol=1e-12)
+
+
+def per_field_smooth_values(geometry, rng, max_mode=4):
+    """Periodic-grid smooth data with the trigonometry computed per field, term by term.
+
+    The reference for the cached Fourier modes of ``random_smooth_values``.
+    """
+    if geometry.dim == 1:
+        x = geometry.coords[:, 0]
+        length = geometry.node_count * geometry.stencil.spacings[0]
+        out = rng.standard_normal() * np.ones_like(x)
+        for k in range(1, max_mode + 1):
+            freq = 2.0 * np.pi * k / length
+            out += rng.standard_normal() * np.cos(freq * x)
+            out += rng.standard_normal() * np.sin(freq * x)
+    else:
+        x, y = geometry.coords[:, 0], geometry.coords[:, 1]
+        nx, ny = geometry.stencil.shape
+        lx = nx * geometry.stencil.spacings[0]
+        ly = ny * geometry.stencil.spacings[1]
+        out = rng.standard_normal() * np.ones_like(x)
+        for kx in range(max_mode + 1):
+            for ky in range(max_mode + 1):
+                if kx == 0 and ky == 0:
+                    continue
+                px = 2.0 * np.pi * kx * x / lx
+                py = 2.0 * np.pi * ky * y / ly
+                out += rng.standard_normal() * np.cos(px) * np.cos(py)
+                out += rng.standard_normal() * np.sin(px + py)
+    return out / np.max(np.abs(out))
+
+
+@pytest.mark.parametrize("max_mode", [1, 4])
+@pytest.mark.parametrize("geometry", ["weighted_circle", "conformal_torus"])
+def test_cached_fourier_modes_give_per_field_bits(request, geometry, max_mode):
+    geom = request.getfixturevalue(geometry)
+    rng, reference = np.random.default_rng(35), np.random.default_rng(35)
+    for _ in range(5):
+        got = random_smooth_values(geom, rng, max_mode)
+        assert np.array_equal(got, per_field_smooth_values(geom, reference, max_mode))
+    # the modes are made once per geometry and max_mode, and later fields reuse them
+    modes = geom._derived[("fourier", max_mode)]
+    random_smooth_values(geom, rng, max_mode)
+    assert geom._derived[("fourier", max_mode)] is modes

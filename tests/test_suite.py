@@ -18,6 +18,8 @@ from parafreq.suite import (
     spectrum_reports,
 )
 
+from conftest import retained_by
+
 
 def test_self_adjoint_suite_passes():
     ctx = SuiteContext(seed=0)
@@ -157,3 +159,11 @@ def test_tol_scale_scales_every_perturbed_line(monkeypatch):
     ]
     for name, tol in base.items():
         assert scaled[name] == pytest.approx(3.0 * tol, rel=1e-15)
+
+
+def test_a_second_check_all_retains_no_cache():
+    # the caches of a run (Fourier modes, growth matrices, LU factors) live on its
+    # geometries and operators, so they go with the run; the first run fills what
+    # the process keeps anyway (imports, lazily built tables)
+    suite.run_check_all(seed=0)
+    assert retained_by(lambda: suite.run_check_all(seed=0)) < 2**20
