@@ -224,13 +224,13 @@ def sample_grid(n: int):
 
 
 def check_cov_residual(cov: CovSolution, points, tol: float = 1e-10) -> CheckReport:
-    """Residual identity of the change of variables at the sample points."""
+    """Residual identity of the change of variables at the samples, margin minus the worst gap."""
     x, s = points
     gap = np.abs(cov.drift_residual(x, s) - cov.heat_defect_rhs(x, s))
     worst = int(np.argmax(gap))
     return passing(
         "cov-residual",
-        tol - float(gap[worst]),
+        -float(gap[worst]),
         tol,
         location=float(np.asarray(s).ravel()[worst]),
         max_gap=float(gap[worst]),
@@ -318,7 +318,8 @@ def check_poon_correspondence(
     """The weighted norm of w reproduces H up to the Gaussian normalization.
 
     Gates on ``I_w(s) / H(e^{-s/2}) == (4 pi)^{n/2}`` (the substitution
-    ``R = e^{-s/2}`` is the self-consistent convention); the ratio against
+    ``R = e^{-s/2}`` is the self-consistent convention), with the margin
+    minus the worst relative deviation; the ratio against
     ``H(e^{+s/2})`` is reported in aux so the sign discrepancy stays visible.
     """
     s_grid = np.asarray(s_grid, dtype=float)
@@ -333,7 +334,7 @@ def check_poon_correspondence(
     ratio_plus = iw / h_plus
     return passing(
         "poon-correspondence",
-        tol - float(rel_dev[worst]),
+        -float(rel_dev[worst]),
         tol,
         location=float(s_grid[worst]),
         expected_ratio=expected,

@@ -48,6 +48,12 @@ def _out_dir(args, config: ExperimentConfig | None = None) -> Path:
     return out
 
 
+def _write_report(out_dir: Path, reports, seed, extra: dict) -> int:
+    """Write ``report.json``; the exit code follows its ``passed`` flag."""
+    payload = write_report(out_dir / "report.json", reports, seed=seed, extra=extra)
+    return EXIT_OK if payload["passed"] else EXIT_CHECK
+
+
 def run_simulate(config: ExperimentConfig, out_dir: Path, seed, tol_scale: float) -> int:
     geometry = build_geometry(config.geometry)
     op = assemble(geometry)
@@ -66,35 +72,23 @@ def run_simulate(config: ExperimentConfig, out_dir: Path, seed, tol_scale: float
     reports = [rep for _, rep in run_trace_checks(config.checks, traj, trace, op, tol_scale)]
     write_trajectory_csv(out_dir / "trajectory.csv", traj)
     write_trace_csv(out_dir / "trace.csv", trace)
-    write_report(
-        out_dir / "report.json",
-        reports,
-        seed=seed,
-        extra={
-            "command": "simulate",
-            "integrator": config.integrator,
-            "provenance": traj.provenance,
-            "samples": trace.samples,
-            "u_initial": float(trace.U[0]),
-            "u_final": float(trace.U[-1]),
-        },
-    )
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK
+    return _write_report(out_dir, reports, seed, {
+        "command": "simulate",
+        "integrator": config.integrator,
+        "provenance": traj.provenance,
+        "samples": trace.samples,
+        "u_initial": float(trace.U[0]),
+        "u_final": float(trace.U[-1]),
+    })
 
 
 def run_eigen(config: ExperimentConfig, out_dir: Path, k: int, seed) -> int:
     geometry = build_geometry(config.geometry)
     op = assemble(geometry)
-    pairs = eigenpairs(op, k)
-    write_spectrum_csv(out_dir / "spectrum.csv", [p.eigenvalue for p in pairs])
-    write_report(
-        out_dir / "report.json",
-        [],
-        seed=seed,
-        extra={"command": "eigen", "k": k,
-               "eigenvalues": [p.eigenvalue for p in pairs]},
-    )
-    return EXIT_OK
+    eigenvalues = [p.eigenvalue for p in eigenpairs(op, k)]
+    write_spectrum_csv(out_dir / "spectrum.csv", eigenvalues)
+    extra = {"command": "eigen", "k": k, "eigenvalues": eigenvalues}
+    return _write_report(out_dir, [], seed, extra)
 
 
 def run_poon(out_dir: Path, seed, tol_scale: float) -> int:
@@ -104,9 +98,7 @@ def run_poon(out_dir: Path, seed, tol_scale: float) -> int:
         oracle = make_oracle(name, 1)
         h_vals = np.array([poon_h(oracle, r) for r in radii])
         write_poon_csv(out_dir / f"poon_{name}.csv", POON_S_GRID, radii, h_vals)
-    reports = poon_reports(1e-8 * tol_scale)
-    write_report(out_dir / "report.json", reports, seed=seed, extra={"command": "poon"})
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK
+    return _write_report(out_dir, poon_reports(1e-8 * tol_scale), seed, {"command": "poon"})
 
 
 def run_sweep(raw_config: dict, out_dir: Path, seed, tol_scale: float) -> int:
@@ -180,20 +172,15 @@ def main(argv=None) -> int:
                 tol_scale=args.tol_scale,
                 corrupt_operator=args.corrupt_operator,
             )
-            write_report(
-                out_dir / "report.json",
-                reports,
-                seed=args.seed,
-                extra={"command": "check", "suite": args.suite,
-                       "tol_scale": args.tol_scale},
-            )
-            failures = [r.name for r in reports if not r.passed]
+            code = _write_report(out_dir, reports, args.seed, {
+                "command": "check", "suite": args.suite, "tol_scale": args.tol_scale,
+            })
             for r in reports:
                 print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}")
-            if failures:
-                print(f"failed checks: {', '.join(failures)}", file=sys.stderr)
-                return EXIT_CHECK
-            return EXIT_OK
+            if code != EXIT_OK:
+                failures = ", ".join(r.name for r in reports if not r.passed)
+                print(f"failed checks: {failures}", file=sys.stderr)
+            return code
         if args.command == "eigen":
             config = ExperimentConfig.load(args.config)
             return run_eigen(config, _out_dir(args, config), args.k, args.seed)

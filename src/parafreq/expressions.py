@@ -5,7 +5,8 @@ Supported: ``+ - * /``, parentheses, ``**`` powers, ``sin``, ``cos``,
 caller (``x``, ``y``, ``t``).  Every numeric literal is a float64; one too
 large for a float is an error.  Parsing rides on the Python ``ast`` module
 with a strict whitelist; anything else is rejected with the offending
-position.
+position.  One walk over the tree checks it and builds the evaluator, a
+closure per node.
 :func:`evaluate_on_grid` samples an expression on a geometry's nodes, or on
 the nodes at every time of a grid.
 """
@@ -47,15 +48,17 @@ def compile_expression(text: str, variables: tuple[str, ...]):
     except SyntaxError as exc:
         raise ExpressionError("syntax error", text, exc.offset) from None
 
-    def validate(node: ast.AST) -> None:
+    def build(node: ast.AST):
+        """``node`` checked against the grammar, pre-order, and its evaluator ``f(env)``."""
         if isinstance(node, ast.Expression):
-            validate(node.body)
-        elif isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-            validate(node.left)
-            validate(node.right)
-        elif isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
-            validate(node.operand)
-        elif isinstance(node, ast.Call):
+            return build(node.body)
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            op, left, right = _BINOPS[type(node.op)], build(node.left), build(node.right)
+            return lambda env: op(left(env), right(env))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+            op, operand = _UNARY[type(node.op)], build(node.operand)
+            return lambda env: op(operand(env))
+        if isinstance(node, ast.Call):
             if (
                 not isinstance(node.func, ast.Name)
                 or node.func.id not in _FUNCTIONS
@@ -67,15 +70,19 @@ def compile_expression(text: str, variables: tuple[str, ...]):
                     text,
                     node.col_offset,
                 )
-            validate(node.args[0])
-        elif isinstance(node, ast.Name):
-            if node.id not in variables and node.id not in _CONSTANTS:
-                raise ExpressionError(
-                    f"unknown name {node.id!r} (allowed: {', '.join(variables)})",
-                    text,
-                    node.col_offset,
-                )
-        elif isinstance(node, ast.Constant):
+            fn, arg = _FUNCTIONS[node.func.id], build(node.args[0])
+            return lambda env: fn(arg(env))
+        if isinstance(node, ast.Name):
+            name = node.id
+            if name in variables:
+                return lambda env: env[name]
+            if name in _CONSTANTS:
+                value = _CONSTANTS[name]
+                return lambda env: value
+            raise ExpressionError(
+                f"unknown name {name!r} (allowed: {', '.join(variables)})", text, node.col_offset
+            )
+        if isinstance(node, ast.Constant):
             # bool is an int subclass, so True and False need their own test
             if not isinstance(node.value, (int, float)) or isinstance(node.value, bool):
                 raise ExpressionError(
@@ -83,38 +90,23 @@ def compile_expression(text: str, variables: tuple[str, ...]):
                 )
             # a float64, so that 2**-1 and 2**64 follow float arithmetic, not int64's
             try:
-                node.value = float(node.value)
+                value = float(node.value)
             except OverflowError:  # an integer beyond the float range
-                node.value = np.inf
-            if not np.isfinite(node.value):
+                value = np.inf
+            if not np.isfinite(value):
                 raise ExpressionError(
                     "numeric literal is too large for a float", text, node.col_offset
                 )
-        else:
-            raise ExpressionError(
-                f"disallowed syntax {type(node).__name__}", text, getattr(node, "col_offset", None)
-            )
+            return lambda env: value
+        raise ExpressionError(
+            f"disallowed syntax {type(node).__name__}", text, getattr(node, "col_offset", None)
+        )
 
-    validate(tree)
-
-    def evaluate(node: ast.AST, env: dict):
-        if isinstance(node, ast.Expression):
-            return evaluate(node.body, env)
-        if isinstance(node, ast.BinOp):
-            return _BINOPS[type(node.op)](
-                evaluate(node.left, env), evaluate(node.right, env)
-            )
-        if isinstance(node, ast.UnaryOp):
-            return _UNARY[type(node.op)](evaluate(node.operand, env))
-        if isinstance(node, ast.Call):
-            return _FUNCTIONS[node.func.id](evaluate(node.args[0], env))
-        if isinstance(node, ast.Name):
-            return env[node.id] if node.id in env else _CONSTANTS[node.id]
-        return node.value  # ast.Constant
+    evaluate = build(tree)
 
     def compiled(**env):
         with np.errstate(all="ignore"):
-            out = evaluate(tree, env)
+            out = evaluate(env)
         out = np.asarray(out, dtype=float)
         if not np.all(np.isfinite(out)):
             raise ExpressionError("expression produced non-finite values", text)

@@ -271,7 +271,8 @@ def check_rigidity(
 
     When U is constant to within tol the flow must be a separated eigenmode:
     ``u(t) = exp(lambda t) u(a)`` and ``L u(a) = lambda u(a)`` with
-    ``lambda = U(a)``.  Non-constant U is reported as non-rigid (and passes).
+    ``lambda = U(a)``, and the margin is minus the worse of the two relative
+    residuals.  Non-constant U is reported as non-rigid (and passes).
     ``op`` is the operator the flow evolved under (one on another geometry
     is an :class:`InvalidInputError`); ``trace`` is
     ``frequency_trace(traj, op)``, traced here when not given, and ``tol``
@@ -301,19 +302,14 @@ def check_rigidity(
         sep_res = float(np.sqrt(np.max(sep_sq))) / norm0
         eig_diff = op.matrix @ u0 - lam * u0
         eig_res = float(np.sqrt(np.sum(mu[:, None] * eig_diff * eig_diff))) / norm0
-        margin = tol - max(sep_res, eig_res)
+        margin = -max(sep_res, eig_res)
         aux = {"separation_residual": sep_res, "eigen_residual": eig_res}
     else:
         margin = u_dev - tol
         aux = {}
-    return CheckReport(
-        name="rigidity",
-        passed=margin >= -tol,
-        margin=float(margin),
-        tolerance=float(tol),
-        location=float(trace.times[0]),
-        aux={"is_eigenmode": is_eigenmode, "lambda_estimate": lam,
-             "u_variation": u_dev, **aux},
+    return passing(
+        "rigidity", float(margin), tol, location=trace.times[0],
+        is_eigenmode=is_eigenmode, lambda_estimate=lam, u_variation=u_dev, **aux,
     )
 
 

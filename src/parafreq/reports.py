@@ -20,10 +20,12 @@ POON_CSV_HEADER = "s,R,H,logH"
 class CheckReport:
     """Outcome of one verification check.
 
-    ``margin`` is signed slack: negative means the inequality under test was
-    violated beyond round-off, and ``passed`` is equivalent to
-    ``margin >= -tolerance``.  ``location`` is the time (or parameter) sample
-    where the worst margin occurred.
+    ``margin`` is the signed slack of the line's own inequality, without the
+    tolerance: negative where the inequality is violated, and minus the
+    defect for a line that measures one (a gap, residual or asymmetry that
+    should vanish).  ``passed`` is ``margin >= -tolerance``, and
+    :func:`passing` is the one builder that sets it.  ``location`` is the
+    time (or parameter) sample where the worst margin occurred.
     """
 
     name: str
@@ -62,7 +64,7 @@ def _json_finite(value: float) -> float:
 
 
 def passing(name: str, margin: float, tol: float, location=None, **aux) -> CheckReport:
-    """Build a report whose pass flag follows the margin/tolerance convention."""
+    """The report of a line with slack ``margin``: it passes when ``margin >= -tol``."""
     return CheckReport(
         name=name,
         passed=bool(margin >= -tol),

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import CIRCLE, GAUSS_LINE, TORUS, Field, WeightedGeometry, weighted_inner
+from .errors import InvalidInputError
 
 
 def random_smooth_values(
@@ -92,7 +93,13 @@ def random_smooth_field(
     components: int = 1,
     zero_mean: bool = False,
 ) -> Field:
-    """Unit mu-norm random smooth field, optionally with zero weighted mean."""
+    """Unit mu-norm random smooth field, optionally with zero weighted mean.
+
+    Data of ``max_mode`` 0 are constant, so zero-mean ones are refused
+    (:class:`InvalidInputError`): they would vanish.
+    """
+    if zero_mean and max_mode == 0:
+        raise InvalidInputError("zero-mean random data need max_mode >= 1: mode 0 is the constant")
     values = np.column_stack(
         [random_smooth_values(geometry, rng, max_mode) for _ in range(components)]
     )

@@ -2,9 +2,13 @@
 
 One seeded generator per run, split deterministically per sub-suite, so a
 fixed seed reproduces the report byte for byte.  Sub-suites return lists of
-:class:`CheckReport`; a report with ``passed=False`` anywhere makes the run
-exit nonzero.  Negative controls assert that deliberately broken inputs are
-caught, and pass exactly when the underlying check fails.
+:class:`CheckReport`, each built by :func:`reports.passing` from its slack;
+a report with ``passed=False`` anywhere makes the run exit nonzero.  A line
+that measures a defect (a gap, residual or asymmetry) reports minus it as
+its margin.  The suite resolves no default tolerance itself: a check that
+takes one runs through :func:`config.run_trace_checks`.  Negative controls
+assert that deliberately broken inputs are caught, and pass exactly when the
+underlying check fails.
 """
 
 from __future__ import annotations
@@ -34,16 +38,7 @@ from .evolution import (
     evolve_perturbed,
     gauge_transform,
 )
-from .frequency import (
-    check_gradient_only,
-    check_general_frequency,
-    check_general_lower_bound,
-    check_hadamard_bound,
-    check_rigidity,
-    check_u_monotone,
-    default_tolerance,
-    frequency_trace,
-)
+from .frequency import check_hadamard_bound, check_rigidity, check_u_monotone, frequency_trace
 from .operators import DriftOperator, assemble, check_self_adjoint, eigenpairs
 from .reports import CheckReport, passing
 from .sampling import random_smooth_field, random_weight
@@ -130,7 +125,7 @@ def spectrum_reports(ctx: SuiteContext) -> list[CheckReport]:
     target = -0.5 * np.arange(6)
     gap = max(abs(p.eigenvalue - t) for p, t in zip(pairs, target))
     reports.append(
-        passing("spectrum/gauss-line", 1e-10 - gap, 1e-10, max_gap=gap,
+        passing("spectrum/gauss-line", -gap, 1e-10, max_gap=gap,
                 eigenvalues=[p.eigenvalue for p in pairs])
     )
     h = TWO_PI / 128
@@ -138,18 +133,14 @@ def spectrum_reports(ctx: SuiteContext) -> list[CheckReport]:
     pairs = eigenpairs(ctx.operators["flat-circle"], 5)
     expected = np.array([0.0, symbol(1), symbol(1), symbol(2), symbol(2)])
     gap = float(np.max(np.abs([p.eigenvalue for p in pairs] - expected)))
-    reports.append(
-        passing("spectrum/circle-symbol", 1e-10 - gap, 1e-10, max_gap=gap)
-    )
+    reports.append(passing("spectrum/circle-symbol", -gap, 1e-10, max_gap=gap))
     continuum = np.array([0.0, -1.0, -1.0, -4.0, -4.0])
     rel = float(
         np.max(
             np.abs([p.eigenvalue for p in pairs] - continuum) / (1.0 + np.abs(continuum))
         )
     )
-    reports.append(
-        passing("spectrum/circle-continuum", 1e-3 - rel, 1e-3, max_rel_gap=rel)
-    )
+    reports.append(passing("spectrum/circle-continuum", -rel, 1e-3, max_rel_gap=rel))
     return reports
 
 
@@ -168,6 +159,10 @@ STEPPED_LANE = (
     ("backward-bound/stepped", {"name": "vanishing-order"}, {}),
 )
 CALORIC_LANE = (("caloric-flow-monotone", {"name": "u-monotone", "tol": 1e-9}, {}),)
+# the perturbed checks, each a report <name>/advection, in report order
+ADVECTION_CHECKS = ("general-frequency", "gradient-only", "general-lower-bound")
+# the random suite's checks on each flow; the last one runs on the gradient-only flows alone
+RANDOM_SUITE_CHECKS = ("general-frequency", "general-lower-bound", "gradient-only")
 
 
 def _lane_reports(lane, flows, op, where: str, tol_scale: float) -> list[CheckReport]:
@@ -207,7 +202,8 @@ def monotonicity_reports(ctx: SuiteContext) -> list[CheckReport]:
         reports += _lane_reports(SPECTRAL_LANE, exact, op, name, 1.0)
         stepped = _in_blocks(evolve_cn(op, u0, grid) for u0 in fields)
         reports += _lane_reports(STEPPED_LANE, stepped, op, name, ctx.tol_scale)
-    # negative control: reversing time makes U nonincreasing
+    # negative control: reversing time makes U nonincreasing.  A control passes when its
+    # inner check fails, so it is the one kind of line that builds its report by hand
     op = ctx.operators["flat-circle"]
     x = op.geometry.coords[:, 0]
     u0 = Field(op.geometry, np.sin(x) + np.sin(2.0 * x))
@@ -274,18 +270,19 @@ def rigidity_reports(ctx: SuiteContext) -> list[CheckReport]:
                 worst_equality, abs(check_hadamard_bound(trace, 1e-9).margin)
             )
         reports.append(
-            passing(f"rigidity/{name}", 1e-9 - worst_u_gap, 1e-9,
+            passing(f"rigidity/{name}", -worst_u_gap, 1e-9,
                     modes=EIGENMODES_CHECKED, max_u_gap=worst_u_gap)
         )
         reports.append(
-            passing(f"rigidity-separation/{name}", 1e-8 - worst_residual, 1e-8,
+            passing(f"rigidity-separation/{name}", -worst_residual, 1e-8,
                     max_residual=worst_residual)
         )
         reports.append(
-            passing(f"hadamard-equality/{name}", 1e-9 - worst_equality, 1e-9,
+            passing(f"hadamard-equality/{name}", -worst_equality, 1e-9,
                     max_equality_gap=worst_equality)
         )
-    # negative control: a two-mode flow must be flagged non-rigid
+    # negative control: a two-mode flow must be flagged non-rigid (a hand-built report,
+    # as for the reversed flow: it passes when the flow is not classed as an eigenmode)
     op = ctx.operators["flat-circle"]
     x = op.geometry.coords[:, 0]
     traj = evolve_exact(op, Field(op.geometry, np.sin(x) + np.sin(2.0 * x)), grid)
@@ -340,17 +337,11 @@ def perturbed_reports(ctx: SuiteContext) -> list[CheckReport]:
     beta = 0.5
     pert = PerturbationSpec(geometry, grid, b=beta, bound=beta)
     traj = evolve_perturbed(op, Field(geometry, np.sin(x)), grid, pert)
-    trace = frequency_trace(traj, op)
-    tol = default_tolerance(trace, ctx.tol_scale)
-    reports.append(
-        check_general_frequency(trace, beta, tol).renamed("general-frequency/advection")
-    )
-    reports.append(
-        check_gradient_only(trace, beta, tol).renamed("gradient-only/advection")
-    )
-    reports.append(
-        check_general_lower_bound(trace, beta, tol).renamed("general-lower-bound/advection")
-    )
+    entries = [read_check({"name": name, "bound": beta}, "check") for name in ADVECTION_CHECKS]
+    reports += [
+        rep.renamed(f"{rep.name}/advection")
+        for _, rep in run_trace_checks(entries, traj, frequency_trace(traj, op), op, ctx.tol_scale)
+    ]
 
     # random certified perturbations, half gradient-only, drawn and stepped a block at a time
     rng = _rng(ctx.seed, 6)
@@ -363,37 +354,37 @@ def perturbed_reports(ctx: SuiteContext) -> list[CheckReport]:
             u0 = random_smooth_field(geometry, rng, zero_mean=True)
             yield evolve_perturbed(op, u0, grid, pert)
 
-    def checked(traj):
-        trace = frequency_trace(traj, op)
-        tol = default_tolerance(trace, ctx.tol_scale)
-        lower = check_general_lower_bound(trace, None, tol)
-        gradient = check_gradient_only(trace, None, tol).margin if traj.gradient_only else np.inf
-        return (tol, check_general_frequency(trace, None, tol).margin, lower, gradient)
+    # bounded by each flow's certificate; gradient-only applies to flows with c == 0
+    entries = [read_check({"name": name}, "check") for name in RANDOM_SUITE_CHECKS]
 
-    margins = {"general": np.inf, "lower": np.inf, "gradient": np.inf}
+    def checked(traj):
+        chosen = entries if traj.gradient_only else entries[:-1]
+        return run_trace_checks(chosen, traj, frequency_trace(traj, op), op, ctx.tol_scale)
+
+    margins = dict.fromkeys(RANDOM_SUITE_CHECKS, np.inf)
     budget = -np.inf
     statement_margins = []
     proof_margins = []
-    for tol, general, lower, gradient in map(checked, _in_blocks(random_flows())):
-        budget = max(budget, tol)
-        margins["general"] = min(margins["general"], general)
-        margins["lower"] = min(margins["lower"], lower.margin)
-        margins["gradient"] = min(margins["gradient"], gradient)
+    for results in map(checked, _in_blocks(random_flows())):
+        for tol, rep in results:
+            budget = max(budget, tol)
+            margins[rep.name] = min(margins[rep.name], rep.margin)
+        _, lower = results[1]  # general-lower-bound
         statement_margins.append(lower.aux["statement_margin"])
         proof_margins.append(lower.aux["proof_margin"])
     reports.append(
-        passing("general-frequency/random-suite", margins["general"], budget,
+        passing("general-frequency/random-suite", margins["general-frequency"], budget,
                 perturbations=RANDOM_PERTURBATIONS)
     )
     reports.append(
         passing(
-            "general-lower-bound/random-suite", margins["lower"], budget,
+            "general-lower-bound/random-suite", margins["general-lower-bound"], budget,
             min_statement_margin=float(np.min(statement_margins)),
             min_proof_margin=float(np.min(proof_margins)),
         )
     )
     reports.append(
-        passing("gradient-only/random-suite", margins["gradient"], budget,
+        passing("gradient-only/random-suite", margins["gradient-only"], budget,
                 perturbations=RANDOM_PERTURBATIONS // 2)
     )
 
@@ -403,14 +394,7 @@ def perturbed_reports(ctx: SuiteContext) -> list[CheckReport]:
     traj_zero = evolve_perturbed(op, u0, grid, zero)
     traj_cn = evolve_cn(op, u0, grid)
     bit_equal = np.array_equal(traj_zero.values, traj_cn.values)
-    reports.append(
-        CheckReport(
-            name="perturbed/zero-matches-stepped",
-            passed=bit_equal,
-            margin=0.0 if bit_equal else -1.0,
-            tolerance=0.0,
-        )
-    )
+    reports.append(passing("perturbed/zero-matches-stepped", 0.0 if bit_equal else -1.0, 0.0))
     return reports
 
 
@@ -431,8 +415,7 @@ def caloric_reports(ctx: SuiteContext) -> list[CheckReport]:
         rep = check_cov_residual(CovSolution(oracle), points, 1e-10)
         worst = max(worst, rep.aux["max_gap"])
     reports.append(
-        passing("cov-residual/oracle-set", 1e-10 - worst, 1e-10, max_gap=worst,
-                oracles=len(oracle_set))
+        passing("cov-residual/oracle-set", -worst, 1e-10, max_gap=worst, oracles=len(oracle_set))
     )
 
     reports += poon_reports(1e-8)
@@ -458,7 +441,7 @@ def gauge_reports(ctx: SuiteContext) -> list[CheckReport]:
     rate = coeffs[0] + coeffs[1] * np.sin(3.0 * grid.times) + coeffs[2] * grid.times
     transformed = frequency_trace(gauge_transform(traj, rate), op)
     gap = float(np.max(np.abs(transformed.U - base.U)))
-    return [passing("gauge/u-invariance", 1e-12 - gap, 1e-12, max_gap=gap)]
+    return [passing("gauge/u-invariance", -gap, 1e-12, max_gap=gap)]
 
 
 def run_check_all(

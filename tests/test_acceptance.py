@@ -250,3 +250,22 @@ def test_growth_bounds_are_gated_after_the_anchor(traced_check_all):
     gated = [r for r in reports if r.name.startswith(("backward-bound/", "gradient-only/"))]
     assert len(gated) == 6
     assert all(r.margin != 0.0 for r in gated), [(r.name, r.margin) for r in gated]
+
+
+# the lines that measure a defect (a gap, residual or asymmetry that should vanish)
+DEFECT_LINES = (
+    "self-adjoint/", "spectrum/", "rigidity/", "rigidity-separation/", "hadamard-equality/",
+    "cov-residual/", "poon-correspondence/", "gauge/",
+)
+
+
+def test_every_line_passes_on_its_own_slack(traced_check_all):
+    # one verdict rule: pass is margin >= -tolerance, the margin carrying no tolerance of its
+    # own; a negative control inverts its inner check's verdict, so it is the one exception
+    reports, _, _ = traced_check_all
+    gated = [r for r in reports if not r.name.startswith("negative-control/")]
+    assert len(reports) - len(gated) == 2
+    assert [r.name for r in gated if r.passed != (r.margin >= -r.tolerance)] == []
+    defects = [r for r in gated if r.name.startswith(DEFECT_LINES)]
+    assert len(defects) == 20
+    assert [(r.name, r.margin) for r in defects if r.margin > 0.0] == []

@@ -209,6 +209,16 @@ class TestChangeOfVariables:
             assert rep.passed, (coeffs, complete, rep.aux)
 
 
+    def test_a_gap_beyond_the_tolerance_fails(self):
+        # the margin is minus the gap, so a gap of 1.5 tol fails
+        cov = CovSolution(make_oracle("caloric-quadratic", 1))
+        gap = check_cov_residual(cov, sample_grid(1), 1e-10).aux["max_gap"]
+        assert gap > 0.0
+        rep = check_cov_residual(cov, sample_grid(1), 2.0 * gap / 3.0)
+        assert not rep.passed
+        assert rep.margin == -gap
+
+
 class TestPoonFrequency:
     def test_constant_normalization(self):
         oracle = make_oracle("constant", 1)
@@ -321,6 +331,17 @@ class TestPoonChecks:
         )
         assert rep.passed
         assert abs(rep.aux["expected_ratio"] - 4.0 * np.pi) < 1e-12
+
+
+    def test_a_deviation_beyond_the_tolerance_fails(self):
+        # the margin is minus the worst relative deviation of the ratio, so 1.5 tol fails
+        oracle = make_oracle("caloric-quadratic", 1)
+        aux = check_poon_correspondence(oracle, S_GRID, 1e-8).aux
+        gap = max(abs(aux[key] / aux["expected_ratio"] - 1.0) for key in ("ratio_min", "ratio_max"))
+        assert gap > 0.0
+        rep = check_poon_correspondence(oracle, S_GRID, 2.0 * gap / 3.0)
+        assert not rep.passed
+        assert rep.margin == -gap
 
 
 class TestDriftFlowLink:

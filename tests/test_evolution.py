@@ -19,7 +19,6 @@ from parafreq import (
     make_circle,
     make_gauss_line,
     make_torus,
-    weighted_inner,
     weighted_norm,
 )
 from parafreq import core, evolution
@@ -37,8 +36,14 @@ from conftest import dense_operator, peak_allocated
 TWO_PI = 2.0 * np.pi
 
 
-def mu_distance(a, b):
-    return weighted_norm(Field(a.geometry, a.values - b.values))
+def mu_distance(geometry, a, b):
+    """The mu-distance of two samples' (nodes, N) values."""
+    return weighted_norm(Field(geometry, a - b))
+
+
+def sq_norms(traj) -> np.ndarray:
+    """``|u(t)|_mu^2`` at every sample of a trajectory."""
+    return np.einsum("snc,n,snc->s", traj.values, traj.geometry.mu, traj.values)
 
 
 class TestSpectralEvolution:
@@ -46,7 +51,7 @@ class TestSpectralEvolution:
         geom = flat_circle_op.geometry
         u0 = Field(geom, np.sin(geom.coords[:, 0]))
         traj = evolve_exact(flat_circle_op, u0, TimeGrid(0.0, 1.0, 1))
-        assert np.max(np.abs(traj.fields[0].values - u0.values)) < 1e-12
+        assert np.max(np.abs(traj.values[0] - u0.values)) < 1e-12
 
     def test_eigenmode_decays_at_its_rate(self, flat_circle_op):
         pair = eigenpairs(flat_circle_op, 2)[1]
@@ -54,7 +59,7 @@ class TestSpectralEvolution:
         traj = evolve_exact(flat_circle_op, pair.eigenfield, grid)
         for k, t in enumerate(grid.times):
             expected = np.exp(pair.eigenvalue * t) * pair.eigenfield.values
-            gap = mu_distance(traj.fields[k], Field(traj.geometry, expected))
+            gap = mu_distance(traj.geometry, traj.values[k], expected)
             assert gap < 1e-10
 
     def test_two_mode_norm_closed_form(self, flat_circle_op):
@@ -66,10 +71,9 @@ class TestSpectralEvolution:
         u0 = Field(geom, np.sin(x) + np.sin(2.0 * x))
         grid = TimeGrid(0.0, 1.0, 100)
         traj = evolve_exact(flat_circle_op, u0, grid)
-        for k, t in enumerate(grid.times):
-            fld = traj.fields[k]
-            expected = np.pi * (np.exp(2.0 * rate(1) * t) + np.exp(2.0 * rate(2) * t))
-            assert abs(weighted_inner(fld, fld) / expected - 1.0) < 1e-8
+        t = grid.times
+        expected = np.pi * (np.exp(2.0 * rate(1) * t) + np.exp(2.0 * rate(2) * t))
+        assert np.max(np.abs(sq_norms(traj) / expected - 1.0)) < 1e-8
 
     def test_semigroup_property(self, weighted_circle_op):
         geom = weighted_circle_op.geometry
@@ -78,17 +82,17 @@ class TestSpectralEvolution:
         full = evolve_exact(weighted_circle_op, u0, TimeGrid(0.0, 1.0, 10))
         first = evolve_exact(weighted_circle_op, u0, TimeGrid(0.0, 0.5, 5))
         second = evolve_exact(
-            weighted_circle_op, first.fields[-1], TimeGrid(0.5, 1.0, 5)
+            weighted_circle_op, Field(geom, first.values[-1]), TimeGrid(0.5, 1.0, 5)
         )
-        assert mu_distance(full.fields[-1], second.fields[-1]) < 1e-10
+        assert mu_distance(geom, full.values[-1], second.values[-1]) < 1e-10
 
     def test_energy_dissipation(self, conformal_torus_op):
         geom = conformal_torus_op.geometry
         rng = np.random.default_rng(12)
         u0 = Field(geom, rng.standard_normal(geom.node_count))
         traj = evolve_exact(conformal_torus_op, u0, TimeGrid(0.0, 0.5, 40))
-        norms = [weighted_inner(f, f) for f in traj.fields]
-        assert all(b <= a * (1.0 + 1e-12) for a, b in zip(norms, norms[1:]))
+        norms = sq_norms(traj)
+        assert np.all(norms[1:] <= norms[:-1] * (1.0 + 1e-12))
 
     def test_zero_initial_field_rejected(self, flat_circle_op):
         zero = Field.constant(flat_circle_op.geometry, 0.0)
@@ -109,12 +113,8 @@ class TestSpectralEvolution:
         both = evolve_exact(op, Field(geom, values), grid)
         parts = [evolve_exact(op, Field(geom, values[:, j]), grid) for j in range(2)]
         assert ("eigensystem" in vars(op)) == (path == "dense")
-        for k in range(len(grid.times)):
-            for j in range(2):
-                gap = np.max(
-                    np.abs(both.fields[k].values[:, j] - parts[j].fields[k].values[:, 0])
-                )
-                assert gap < 1e-12
+        for j in range(2):
+            assert np.max(np.abs(both.values[:, :, j] - parts[j].values[:, :, 0])) < 1e-12
 
     @pytest.mark.parametrize("components", [1, 2])
     def test_batched_samples_match_per_sample_formula(self, conformal_torus_op, components):
@@ -126,10 +126,10 @@ class TestSpectralEvolution:
         vals, vecs = conformal_torus_op.eigensystem
         coeffs = vecs.T @ (geom.mu[:, None] * u0.values)
         scale = np.max(np.abs(u0.values))
-        for fld, t in zip(traj.fields, grid.times):
+        assert traj.values.shape == (grid.steps + 1, geom.node_count, components)
+        for sample, t in zip(traj.values, grid.times):
             expected = vecs @ (np.exp(vals * (t - grid.a))[:, None] * coeffs)
-            assert fld.values.shape == (geom.node_count, components)
-            assert np.max(np.abs(fld.values - expected)) <= 1e-13 * scale
+            assert np.max(np.abs(sample - expected)) <= 1e-13 * scale
 
     def test_trace_d_expressions_agree_on_conformal_torus(self, conformal_torus_op):
         geom = conformal_torus_op.geometry
@@ -155,8 +155,7 @@ class TestSpectralEvolution:
         assert traj.values is values
         assert not values.flags.writeable
         assert np.array_equal(values, modal.sample(grid.times - grid.a))
-        for k, fld in enumerate(traj.fields):
-            assert np.array_equal(fld.values, values[k])
+        assert values.shape == (grid.steps + 1, geom.node_count, 2)
 
 
 class TestKrylovFlows:
@@ -406,14 +405,11 @@ class TestImplicitStepping:
         assert not traj.values.flags.writeable
         assert traj.modal is None
         assert np.array_equal(traj.values[0], u0.values)
-        for k, fld in enumerate(traj.fields):
-            assert np.shares_memory(fld.values, traj.values)
-            assert np.array_equal(fld.values, traj.values[k])
 
     def test_constant_field_is_fixed(self, weighted_circle_op):
         one = Field.constant(weighted_circle_op.geometry)
         traj = evolve_cn(weighted_circle_op, one, TimeGrid(0.0, 1.0, 20))
-        assert np.max(np.abs(traj.fields[-1].values - 1.0)) < 1e-12
+        assert np.max(np.abs(traj.values[-1] - 1.0)) < 1e-12
 
     def test_eigenmode_richardson(self, flat_circle_op):
         # I(b)/I(a) converges to exp(2 lambda (b-a)) at second order
@@ -421,7 +417,7 @@ class TestImplicitStepping:
         errors = []
         for steps in (50, 100):
             traj = evolve_cn(flat_circle_op, pair.eigenfield, TimeGrid(0.0, 1.0, steps))
-            ratio = weighted_inner(traj.fields[-1], traj.fields[-1])
+            ratio = sq_norms(traj)[-1]
             errors.append(abs(ratio - np.exp(2.0 * pair.eigenvalue)))
         assert errors[0] / errors[1] > 3.5
 
@@ -434,7 +430,7 @@ class TestImplicitStepping:
             grid = TimeGrid(0.0, 1.0, steps)
             exact = evolve_exact(weighted_circle_op, u0, grid)
             stepped = evolve_cn(weighted_circle_op, u0, grid)
-            gaps.append(mu_distance(exact.fields[-1], stepped.fields[-1]))
+            gaps.append(mu_distance(geom, exact.values[-1], stepped.values[-1]))
         assert gaps[0] / gaps[1] > 3.5
 
     @pytest.mark.parametrize("data", ["noise", "smooth"])
@@ -493,8 +489,7 @@ class TestPerturbedFlow:
         u0 = Field(geom, rng.standard_normal(geom.node_count))
         a = evolve_perturbed(weighted_circle_op, u0, grid, pert)
         b = evolve_cn(weighted_circle_op, u0, grid)
-        for fa, fb in zip(a.fields, b.fields):
-            assert np.array_equal(fa.values, fb.values)
+        assert np.array_equal(a.values, b.values)
 
     def test_non_finite_stack_rejected(self, flat_circle_op):
         # an explicit potential of 1e300 overflows the stepped values to inf and nan;
@@ -516,7 +511,7 @@ class TestPerturbedFlow:
         traj = evolve_perturbed(flat_circle_op, u0, grid, pert)
         h = TWO_PI / 128
         rate = -4.0 * np.sin(h / 2.0) ** 2 / h**2
-        final = weighted_inner(traj.fields[-1], traj.fields[-1])
+        final = sq_norms(traj)[-1]
         expected = np.pi * np.exp(2.0 * rate)
         assert abs(final / expected - 1.0) < 1e-4
 
@@ -533,7 +528,7 @@ class TestPerturbedFlow:
         # discrete centered advection rotates at speed beta*sin(h)/h
         speed = beta * np.sin(h) / h
         expected = np.exp(rate) * np.sin(x + speed)
-        assert np.max(np.abs(traj.fields[-1].values[:, 0] - expected)) < 5e-4
+        assert np.max(np.abs(traj.values[-1, :, 0] - expected)) < 5e-4
 
     def test_constant_potential_is_gauge_factor(self, weighted_circle_op):
         geom = weighted_circle_op.geometry
@@ -544,13 +539,11 @@ class TestPerturbedFlow:
         u0 = Field(geom, np.sin(geom.coords[:, 0]) + 0.2 * rng.standard_normal())
         perturbed = evolve_perturbed(weighted_circle_op, u0, grid, pert)
         plain = evolve_cn(weighted_circle_op, u0, grid)
-        gaps = []
-        for k, t in enumerate(grid.times):
-            scaled = np.exp(c0 * t) * plain.fields[k].values
-            gaps.append(
-                mu_distance(perturbed.fields[k], Field(geom, scaled))
-                / weighted_norm(perturbed.fields[k])
-            )
+        scaled = np.exp(c0 * grid.times)[:, None, None] * plain.values
+        gaps = [
+            mu_distance(geom, a, b) / np.sqrt(norm)
+            for a, b, norm in zip(perturbed.values, scaled, sq_norms(perturbed))
+        ]
         assert max(gaps) < 1e-4
 
     def test_certification_failure(self, flat_circle_op):
@@ -828,8 +821,7 @@ class TestGauge:
         u0 = Field(geom, np.sin(geom.coords[:, 0]))
         traj = evolve_exact(flat_circle_op, u0, TimeGrid(0.0, 1.0, 20))
         same = gauge_transform(traj, 0.0)
-        for a, b in zip(traj.fields, same.fields):
-            assert np.array_equal(a.values, b.values)
+        assert np.array_equal(traj.values, same.values)
 
     def test_matches_per_field_scaling(self, weighted_circle_op):
         geom = weighted_circle_op.geometry
@@ -841,8 +833,8 @@ class TestGauge:
         integral = scipy.integrate.cumulative_trapezoid(
             0.3 - 0.5 * grid.times, grid.times, initial=0.0
         )
-        for factor, before, after in zip(np.exp(-integral), traj.fields, scaled.fields):
-            assert np.array_equal(after.values, factor * before.values)
+        for factor, before, after in zip(np.exp(-integral), traj.values, scaled.values):
+            assert np.array_equal(after, factor * before)
 
     def test_constant_rate_scales_norm(self, flat_circle_op):
         geom = flat_circle_op.geometry
@@ -850,10 +842,8 @@ class TestGauge:
         grid = TimeGrid(0.0, 1.0, 20)
         traj = evolve_exact(flat_circle_op, u0, grid)
         scaled = gauge_transform(traj, 0.7)
-        for k, t in enumerate(grid.times):
-            base = weighted_inner(traj.fields[k], traj.fields[k])
-            now = weighted_inner(scaled.fields[k], scaled.fields[k])
-            assert abs(now - np.exp(-2.0 * 0.7 * t) * base) < 1e-10 * base
+        base, now = sq_norms(traj), sq_norms(scaled)
+        assert np.all(np.abs(now - np.exp(-2.0 * 0.7 * grid.times) * base) < 1e-10 * base)
 
     def test_gauged_equation_reduces_to_pure_flow(self, flat_circle_op):
         # solve u_t = L u + c0 u by perturbation, remove the gauge, compare
@@ -865,8 +855,8 @@ class TestGauge:
         gauged = evolve_perturbed(flat_circle_op, u0, grid, pert)
         removed = gauge_transform(gauged, c0)
         pure = evolve_cn(flat_circle_op, u0, grid)
-        gap = mu_distance(removed.fields[-1], pure.fields[-1])
-        assert gap < 1e-4 * weighted_norm(pure.fields[-1])
+        gap = mu_distance(geom, removed.values[-1], pure.values[-1])
+        assert gap < 1e-4 * np.sqrt(sq_norms(pure)[-1])
 
     def test_gauge_drops_the_certificate(self, flat_circle_op):
         # v = exp(-int lambda) u solves v_t = L v + b . grad v + (c - lambda) v,

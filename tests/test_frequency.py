@@ -91,8 +91,8 @@ class TestTraceValues:
     def test_degenerate_trace_detected(self, flat_circle_op):
         geom = flat_circle_op.geometry
         grid = TimeGrid(0.0, 1.0, 2)
-        zero = Field.constant(geom, 0.0)
-        traj = Trajectory(grid=grid, fields=(zero, zero, zero), provenance="analytic-oracle")
+        zero = np.zeros((3, geom.node_count, 1))
+        traj = Trajectory(grid=grid, geometry=geom, values=zero, provenance="analytic-oracle")
         with pytest.raises(DegenerateTraceError):
             frequency_trace(traj, flat_circle_op)
 
@@ -305,7 +305,8 @@ class TestMonotonicityChecks:
         traj, _ = two_mode
         reversed_traj = Trajectory(
             grid=traj.grid,
-            fields=tuple(reversed(traj.fields)),
+            geometry=traj.geometry,
+            values=traj.values[::-1],
             provenance=traj.provenance,
         )
         trace = frequency_trace(reversed_traj, flat_circle_op)
@@ -480,16 +481,30 @@ class TestRigidity:
         rep = check_rigidity(traj, 1e-9, weighted_circle_op)
         assert rep.aux["is_eigenmode"]
         lam = rep.aux["lambda_estimate"]
-        u0 = traj.fields[0]
+        u0 = Field(geom, traj.values[0])
         reference = max(
             np.sqrt(weighted_inner(diff, diff) / weighted_inner(u0, u0))
             for diff in (
-                Field(geom, fld.values - np.exp(lam * t) * u0.values)
-                for fld, t in zip(traj.fields, traj.grid.times)
+                Field(geom, sample - np.exp(lam * t) * u0.values)
+                for sample, t in zip(traj.values, traj.grid.times)
             )
         )
         assert abs(rep.aux["separation_residual"] - reference) <= 1e-15
         assert rep.aux["separation_residual"] < 1e-10
+
+    def test_a_residual_beyond_the_tolerance_fails(self, flat_circle_op):
+        # the constant mode plus eps = 1.5 tol of the first oscillating mode: U varies by
+        # about eps^2, so the flow is classed as an eigenmode, and its residuals sit near eps
+        tol = 1e-6
+        const, mode = (pair.eigenfield.values for pair in eigenpairs(flat_circle_op, 2))
+        u0 = Field(flat_circle_op.geometry, const + 1.5 * tol * mode)
+        traj = evolve_exact(flat_circle_op, u0, TimeGrid(0.0, 1.0, 50))
+        rep = check_rigidity(traj, tol, flat_circle_op)
+        assert rep.aux["is_eigenmode"] and rep.aux["u_variation"] < 1e-11
+        worst = max(rep.aux["separation_residual"], rep.aux["eigen_residual"])
+        assert tol < worst < 2.0 * tol
+        assert not rep.passed
+        assert rep.margin == -worst
 
     def test_constant_field_rigid_at_zero(self, weighted_circle_op):
         one = Field.constant(weighted_circle_op.geometry)

@@ -26,6 +26,7 @@ from parafreq import (
 )
 from parafreq import evolution
 from parafreq.core import Trajectory, periodic_coords
+from parafreq.errors import InvalidInputError
 from parafreq.expressions import compile_expression
 from parafreq.sampling import random_smooth_field, random_smooth_values, random_weight
 
@@ -343,3 +344,13 @@ def test_cached_fourier_modes_give_per_field_bits(request, geometry, max_mode):
     modes = geom._derived[("fourier", max_mode)]
     random_smooth_values(geom, rng, max_mode)
     assert geom._derived[("fourier", max_mode)] is modes
+
+
+@pytest.mark.parametrize("geometry", ["weighted_circle", "conformal_torus", "gauss_line"])
+def test_zero_mean_data_of_the_constant_mode_alone_are_refused(request, geometry):
+    # max_mode 0 leaves the constant, whose zero-mean part is 0: normalizing it divided 0 by 0
+    geom = request.getfixturevalue(geometry)
+    with pytest.raises(InvalidInputError, match="max_mode >= 1"):
+        random_smooth_field(geom, np.random.default_rng(4), 0, zero_mean=True)
+    field = random_smooth_field(geom, np.random.default_rng(4), 1, zero_mean=True)
+    assert np.all(np.isfinite(field.values))

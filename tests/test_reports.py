@@ -1,11 +1,15 @@
-"""The CSV writers against the row-at-a-time writer they replaced, and their formatter against repr."""
+"""One builder for every check report; the CSV writers against the row-at-a-time writer they
+replaced, and their formatter against repr."""
 
+import ast
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import parafreq
 from parafreq import TimeGrid, make_circle
 from parafreq.core import PROVENANCE_SPECTRAL, Trajectory
 from parafreq.reports import (
@@ -21,6 +25,39 @@ from parafreq.reports import (
 )
 
 from conftest import peak_allocated
+
+
+def _report_builds() -> list:
+    """(module, top-level definition, name keyword) of each call that builds or re-flags a report.
+
+    That is every ``CheckReport(...)`` call, and every ``replace(...)`` that sets
+    a report's verdict fields.
+    """
+    verdict = {"passed", "margin", "tolerance"}
+    found = []
+    for path in sorted(Path(parafreq.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                keywords = {kw.arg: kw.value for kw in node.keywords}
+                if called == "CheckReport" or (called == "replace" and verdict & set(keywords)):
+                    name = keywords.get("name")
+                    found.append((path.name, owner, getattr(name, "value", None)))
+    return found
+
+
+def test_only_passing_and_the_negative_controls_build_a_report():
+    # one verdict rule: pass is margin >= -tolerance, set in reports.passing; a negative
+    # control passes when its inner check fails, so the two of them build theirs by hand
+    assert sorted(_report_builds()) == [
+        ("reports.py", "passing", None),
+        ("suite.py", "monotonicity_reports", "negative-control/reversed-monotone"),
+        ("suite.py", "rigidity_reports", "negative-control/two-mode-rigidity"),
+    ]
+
 
 # signed zero, extreme magnitudes, a subnormal, values whose repr needs 17 digits, and
 # the edges of repr's positional form (1e-4 <= |v| < 1e16) with a power of two inside it
