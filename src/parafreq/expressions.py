@@ -33,20 +33,20 @@ _BINOPS = {
     ast.Pow: np.power,
 }
 _UNARY = {ast.UAdd: lambda v: v, ast.USub: np.negative}
+# parsing, checking and evaluating each recurse once per level of the tree
+_TOO_DEEP = "expression is nested too deeply"
 
 
 def compile_expression(text: str, variables: tuple[str, ...]):
     """Compile an expression string into ``f(**variables) -> ndarray``.
 
     Raises :class:`ExpressionError` naming the expression and position on any
-    syntax error or use of a name outside the grammar.
+    syntax error or use of a name outside the grammar, and naming the
+    expression on one nested too deeply to parse, check or evaluate within
+    the interpreter's recursion limit.
     """
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError("expression must be a non-empty string", repr(text))
-    try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
-        raise ExpressionError("syntax error", text, exc.offset) from None
 
     def build(node: ast.AST):
         """``node`` checked against the grammar, pre-order, and its evaluator ``f(env)``."""
@@ -102,11 +102,19 @@ def compile_expression(text: str, variables: tuple[str, ...]):
             f"disallowed syntax {type(node).__name__}", text, getattr(node, "col_offset", None)
         )
 
-    evaluate = build(tree)
+    try:
+        evaluate = build(ast.parse(text, mode="eval"))
+    except SyntaxError as exc:
+        raise ExpressionError("syntax error", text, exc.offset) from None
+    except RecursionError:
+        raise ExpressionError(_TOO_DEEP, text) from None
 
     def compiled(**env):
-        with np.errstate(all="ignore"):
-            out = evaluate(env)
+        try:
+            with np.errstate(all="ignore"):
+                out = evaluate(env)
+        except RecursionError:
+            raise ExpressionError(_TOO_DEEP, text) from None
         out = np.asarray(out, dtype=float)
         if not np.all(np.isfinite(out)):
             raise ExpressionError("expression produced non-finite values", text)

@@ -272,9 +272,11 @@ def check_rigidity(
     When U is constant to within tol the flow must be a separated eigenmode:
     ``u(t) = exp(lambda t) u(a)`` and ``L u(a) = lambda u(a)`` with
     ``lambda = U(a)``, and the margin is minus the worse of the two relative
-    residuals.  Non-constant U is reported as non-rigid (and passes).
-    ``op`` is the operator the flow evolved under (one on another geometry
-    is an :class:`InvalidInputError`); ``trace`` is
+    residuals.  Non-constant U is reported as non-rigid (and passes).  A flow
+    with modal data has its separation residual taken from the modal
+    coefficients, so its values are never built; any other flow's is taken
+    from its value stack.  ``op`` is the operator the flow evolved under (one
+    on another geometry is an :class:`InvalidInputError`); ``trace`` is
     ``frequency_trace(traj, op)``, traced here when not given, and ``tol``
     the provenance-aware default when None.
     """
@@ -288,17 +290,27 @@ def check_rigidity(
     lam = float(trace.U[0])
     is_eigenmode = u_dev <= tol
     if is_eigenmode:
-        values = traj.values
-        u0 = values[0]
         mu = traj.geometry.mu
-        norm0 = float(np.sqrt(np.sum(mu[:, None] * u0 * u0)))
-        factors = np.exp(lam * (trace.times - trace.times[0]))
+        offsets = trace.times - trace.times[0]
+        factors = np.exp(lam * offsets)
+        if traj.modal is not None:
+            # the modes are mu-orthonormal, so with w_k = |c_k|^2
+            # |u(a + s) - e^{lam s} u(a)|^2 = sum_k w_k (e^{lam_k s} - e^{lam s})^2
+            modal = traj.modal
+            u0 = modal.initial
+            weights = np.sum(modal.coeffs**2, axis=1)
+            norm0 = float(np.sqrt(np.sum(weights)))
+            sep_sq = (np.exp(np.outer(offsets, modal.rates)) - factors[:, None]) ** 2 @ weights
+        else:
+            values = traj.values
+            u0 = values[0]
+            norm0 = float(np.sqrt(np.sum(mu[:, None] * u0 * u0)))
 
-        def separation(rows):
-            diff = values[rows] - factors[rows, None, None] * u0
-            return np.einsum("snc,n,snc->s", diff, mu, diff)
+            def separation(rows):
+                diff = values[rows] - factors[rows, None, None] * u0
+                return np.einsum("snc,n,snc->s", diff, mu, diff)
 
-        sep_sq = per_row(separation, values.shape[0], u0.size)
+            sep_sq = per_row(separation, values.shape[0], u0.size)
         sep_res = float(np.sqrt(np.max(sep_sq))) / norm0
         eig_diff = op.matrix @ u0 - lam * u0
         eig_res = float(np.sqrt(np.sum(mu[:, None] * eig_diff * eig_diff))) / norm0

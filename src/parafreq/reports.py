@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
@@ -98,23 +99,31 @@ def write_trace_csv(path, trace) -> None:
 
 
 def write_trajectory_csv(path, traj) -> None:
-    """One row per (sample, component, node), formatted a bounded block of rows at a time."""
+    """One row per (sample, component, node), formatted a bounded block of rows at a time.
+
+    Blocks are formatted two at a time, one on a helper thread (see
+    :func:`_write_blocks`), and written in order: the bytes are those of a
+    block-by-block writer.
+    """
     values = traj.values
     _, nodes, comps = values.shape
     per_sample = nodes * comps
     stamps = _ascii([f"{t!r}," for t in traj.grid.times.tolist()])
     keys = _ascii([f"{float(node)!r},{float(comp)!r}," for comp in range(comps) for node in range(nodes)])
     flat = values.reshape(-1)
+
+    def block(first):
+        row = np.arange(first, min(first + _BLOCK_ROWS, values.size))
+        sample = row // per_sample
+        key = row - sample * per_sample  # comp * nodes + node
+        comp = key // nodes
+        node = key - comp * nodes
+        value = flat.take(row - key + node * comps + comp)
+        return _lines([stamps.take(sample, axis=0), keys.take(key, axis=0), _repr_bytes(value)])
+
     with open(path, "wb") as fh:
         fh.write(TRAJECTORY_CSV_HEADER.encode() + b"\n")
-        for first in range(0, values.size, _BLOCK_ROWS):
-            row = np.arange(first, min(first + _BLOCK_ROWS, values.size))
-            sample = row // per_sample
-            key = row - sample * per_sample  # comp * nodes + node
-            comp = key // nodes
-            node = key - comp * nodes
-            value = flat.take(row - key + node * comps + comp)
-            fh.write(_lines([stamps.take(sample, axis=0), keys.take(key, axis=0), _repr_bytes(value)]))
+        _write_blocks(fh, block, range(0, values.size, _BLOCK_ROWS))
 
 
 def write_spectrum_csv(path, eigenvalues) -> None:
@@ -130,13 +139,34 @@ def write_poon_csv(path, s, radii, h_values) -> None:
 def _write_csv(path, header: str, columns) -> None:
     columns = [np.asarray(col, dtype=float) for col in columns]
     rows = _BLOCK_ROWS // len(columns)  # one formatter call per block: its cost is mostly fixed
+
+    def block(first):
+        table = np.stack([col[first : first + rows] for col in columns])
+        fields = _repr_bytes(table).reshape(*table.shape, -1)
+        comma = np.full((table.shape[1], 1), ord(","), np.uint8)
+        return _lines([part for field in fields for part in (comma, field)][1:])
+
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        for first in range(0, columns[0].size, rows):
-            block = np.stack([col[first : first + rows] for col in columns])
-            fields = _repr_bytes(block).reshape(*block.shape, -1)
-            comma = np.full((block.shape[1], 1), ord(","), np.uint8)
-            fh.write(_lines([part for field in fields for part in (comma, field)][1:]))
+        _write_blocks(fh, block, range(0, columns[0].size, rows))
+
+
+def _write_blocks(fh, format_block, starts: range) -> None:
+    """Write ``format_block(start)`` for each start, in order, formatting two blocks at once.
+
+    The main thread formats each even-numbered block while one helper thread
+    formats the block after it; both then go to ``fh``.  This pays because
+    the formatter's numpy passes release the GIL.  The helper runs private
+    functions only, so a tracer that wraps the package's public functions
+    sees every call on the main thread.  It lives for this call, and an
+    exception raised in its block is raised here.
+    """
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for i in range(0, len(starts), 2):
+            ahead = helper.submit(format_block, starts[i + 1]) if i + 1 < len(starts) else None
+            fh.write(format_block(starts[i]))
+            if ahead is not None:
+                fh.write(ahead.result())
 
 
 def _ascii(strings) -> np.ndarray:
@@ -145,10 +175,10 @@ def _ascii(strings) -> np.ndarray:
     return table.view(np.uint8).reshape(table.size, table.itemsize)
 
 
-def _lines(fields) -> bytes:
-    """One line per row of the NUL-padded byte fields put side by side, without the NULs."""
+def _lines(fields) -> np.ndarray:
+    """One line per row of the NUL-padded byte fields put side by side, without the NULs, as uint8."""
     rows = np.hstack([*fields, np.full((len(fields[0]), 1), ord("\n"), np.uint8)])
-    return rows[rows != 0].tobytes()
+    return rows[rows != 0]
 
 
 # Every float in a CSV file is ``repr(float(v))``, byte for byte: the shortest
@@ -225,12 +255,16 @@ def _repr_bytes(x) -> np.ndarray:
     a1, a2 = _halves(ax)
     s1, s2 = _halves(scale)
     lo = ((a1 * s1 - hi) + a1 * s2 + a2 * s1) + a2 * s2
+    del a1, a2, s1, s2  # each dead temporary goes at once: two blocks are formatted at a time
     carry = np.rint(lo)
     whole = hi.astype(np.int64) + carry.astype(np.int64)
     frac = lo - carry  # |frac| <= 1/2
+    del hi, lo, carry
     half = np.ldexp(scale, np.frexp(ax)[1] - 54)  # 10**k ulp(x) / 2
+    del ax, scale
     least = whole + np.floor(frac - half).astype(np.int64) + 1  # the integers in the interval
     most = whole + np.floor(frac + half).astype(np.int64)
+    del half
 
     trim = np.zeros(n, np.int64)  # the largest j with a multiple of 10**j in the interval
     live = np.flatnonzero(fast)
@@ -239,15 +273,19 @@ def _repr_bytes(x) -> np.ndarray:
         if not live.size:
             break
         trim[live] = j
+    del least, most, live
     unit = _TENS.take(trim)
     # the nearest multiple of unit, floor((X + unit / 2) / unit) unit, with 2 |frac| <= 1
     digits = (2 * whole + unit - (frac < 0)) // (2 * unit) * unit
+    del unit
     # X midway between two multiples of 10, both in the interval (wider ones never fit twice)
     fast &= ~((trim == 1) & (frac == 0) & (whole % 10 == 5))
+    del whole, frac
     top = digits == 10**17
     digits[top] = 10**16
     trim[top] = 16
     exp10 += top
+    del top
 
     # the ASCII digits, then each row's layout of sign, point and digits
     canvas = np.empty((n, _FIELD), np.uint8)
@@ -256,29 +294,39 @@ def _repr_bytes(x) -> np.ndarray:
     lead = digits // 10**16
     canvas[:, _DIGIT] += lead.astype(np.uint8)
     rest = digits - lead * 10**16
+    del digits, lead
     octets = np.empty((n, 2), np.int64)
     octets[:, 0] = rest // 10**8
     octets[:, 1] = rest - octets[:, 0] * 10**8
+    del rest
     quads = np.empty((n, 4), np.int64)
     quads[:, ::2] = octets // 10000
     quads[:, 1::2] = octets - quads[:, ::2] * 10000
+    del octets
     canvas.view(np.uint32)[:, 2:] = _QUADS.take(quads)
+    del quads
     # NUL for the digits past the last printed one: the significant ones, and zeros up to the point
     shown = np.maximum(17 - trim, exp10 + 2) - 1
+    del trim
     words[:, 1] &= _KEEP.take(np.minimum(shown, 8))
     words[:, 2] &= _KEEP.take(np.maximum(shown - 8, 0))
+    del shown, words
 
     # the layouts are gathered one (sign, point) group at a time
     code = (np.signbit(x) * 20 + exp10 + 4).astype(np.int8)
     code[~fast] = 4  # the narrowest layout: repr overwrites these rows
+    del exp10
     order = np.argsort(code, kind="stable")
     ranked, codes = canvas.take(order, axis=0), code.take(order)
+    del canvas, code
     cuts = [0, *(np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist(), n]
     for a, b in zip(cuts, cuts[1:]):
         ranked[a:b] = ranked[a:b][:, _LAYOUTS[codes[a]]]
     rank = np.empty_like(order)
     rank[order] = np.arange(n)
+    del order
     out = ranked.take(rank, axis=0)
+    del ranked, rank
     width = int(_WIDTHS[codes[cuts[:-1]]].max(initial=0))
     slow = np.flatnonzero(~fast)
     if slow.size:

@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -144,6 +145,16 @@ class TestSimulate:
         config = write_config(tmp_path / "c.json", raw)
         assert main(["--out", str(tmp_path / "out"), "simulate", "--config", config]) == 0
 
+    def test_deeply_nested_expression_exits_1(self, tmp_path, capsys):
+        raw = eigenmode_config()
+        raw["geometry"]["phi"] = "+".join(["0.001*x"] * 1500)
+        config = write_config(tmp_path / "c.json", raw)
+        code = main(["--out", str(tmp_path / "out"), "simulate", "--config", config])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error: geometry.phi: expression is nested too deeply")
+        assert "Traceback" not in err and "RecursionError" not in err
+
     def test_non_finite_perturbation_at_one_sample_exits_1(self, tmp_path, capsys):
         raw = gradient_only_config()
         raw["geometry"]["nodes"] = 16
@@ -274,6 +285,21 @@ class TestSimulate:
         main(["--out", str(tmp_path / "b"), "--seed", "3", "simulate", "--config", config])
         for name in ("report.json", "trace.csv", "trajectory.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_simulate_pins_the_malloc_thresholds(self, tmp_path, monkeypatch):
+        # so that in-process callers map large buffers on their own, whatever the heap holds
+        if platform.libc_ver()[0] == "glibc":
+            assert cli._mallopt is not None
+        calls = []
+        monkeypatch.setattr(cli, "_mallopt", lambda *args: calls.append(args))
+        config = write_config(tmp_path / "c.json", eigenmode_config())
+        assert main(["--out", str(tmp_path / "out"), "simulate", "--config", config]) == 0
+        assert calls == [(cli._M_MMAP_THRESHOLD, 8 << 20), (cli._M_TRIM_THRESHOLD, 64 << 20)]
+
+    def test_runs_where_the_allocator_has_no_settings(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_mallopt", None)
+        config = write_config(tmp_path / "c.json", eigenmode_config())
+        assert main(["--out", str(tmp_path / "out"), "simulate", "--config", config]) == 0
 
 
 def test_readme_python_examples_run():

@@ -1,5 +1,6 @@
 import functools
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,26 @@ class TestExpressions:
         with pytest.raises(ExpressionError) as err:
             compile_expression("sin(x", ("x",))
         assert err.value.position is not None
+
+    @pytest.mark.parametrize("terms", [1500, 5000])  # too deep to check, and to parse
+    def test_expression_nested_too_deeply_is_an_expression_error(self, terms):
+        with pytest.raises(ExpressionError, match="expression is nested too deeply"):
+            compile_expression("+".join(["0.001*x"] * terms), ("x",))
+
+    def test_evaluation_nested_too_deeply_is_an_expression_error(self):
+        levels = 300
+        fn = compile_expression("+".join(["x"] * levels), ("x",))
+        assert fn(x=np.ones(2)).tolist() == [levels, levels]
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+
+        def call_below(frames):
+            return fn(x=np.ones(2)) if frames == 0 else call_below(frames - 1)
+
+        # the evaluator recurses once per level: called this close to the limit, it overflows
+        with pytest.raises(ExpressionError, match="expression is nested too deeply"):
+            call_below(sys.getrecursionlimit() - depth - levels // 2)
 
     def test_attribute_access_rejected(self):
         with pytest.raises(ExpressionError):

@@ -492,14 +492,44 @@ class TestRigidity:
         assert abs(rep.aux["separation_residual"] - reference) <= 1e-15
         assert rep.aux["separation_residual"] < 1e-10
 
-    def test_a_residual_beyond_the_tolerance_fails(self, flat_circle_op):
+    @staticmethod
+    def _sampled(traj):
+        """The same flow from its value stack alone, without modal data."""
+        return Trajectory(grid=traj.grid, values=traj.values, geometry=traj.geometry,
+                          provenance=traj.provenance)
+
+    @pytest.mark.parametrize("krylov", [False, True])
+    @pytest.mark.parametrize(
+        "operator", ["weighted_circle_op", "conformal_torus_op", "gauss_line_op"]
+    )
+    def test_modal_and_sampled_residuals_agree(self, request, operator, krylov):
+        op = request.getfixturevalue(operator)
+        pair = eigenpairs(op, 3)[2]
+        if krylov:  # an operator without its eigensystem: the flow carries Ritz modes
+            op = assemble(op.geometry)
+        traj = evolve_exact(op, pair.eigenfield, TimeGrid(0.0, 1.0, 50))
+        modal = check_rigidity(traj, 1e-9, op)
+        assert "values" not in vars(traj)  # the modal branch built no values
+        sampled = check_rigidity(self._sampled(traj), 1e-9, op)
+        assert modal.aux["is_eigenmode"] and sampled.aux["is_eigenmode"]
+        # both are round-off: the sampled ones from values rebuilt out of the modes, up
+        # to eps * max|lambda| ~ 4e-13 relative on the weighted circle, where L is stiffest
+        for key in ("separation_residual", "eigen_residual"):
+            assert modal.aux[key] < 1e-10
+            assert abs(modal.aux[key] - sampled.aux[key]) < 1e-12, key
+
+    @pytest.mark.parametrize("branch", ["modal", "sampled"])
+    def test_a_residual_beyond_the_tolerance_fails(self, flat_circle_op, branch):
         # the constant mode plus eps = 1.5 tol of the first oscillating mode: U varies by
         # about eps^2, so the flow is classed as an eigenmode, and its residuals sit near eps
         tol = 1e-6
         const, mode = (pair.eigenfield.values for pair in eigenpairs(flat_circle_op, 2))
         u0 = Field(flat_circle_op.geometry, const + 1.5 * tol * mode)
         traj = evolve_exact(flat_circle_op, u0, TimeGrid(0.0, 1.0, 50))
+        if branch == "sampled":
+            traj = self._sampled(traj)
         rep = check_rigidity(traj, tol, flat_circle_op)
+        assert ("values" in vars(traj)) == (branch == "sampled")
         assert rep.aux["is_eigenmode"] and rep.aux["u_variation"] < 1e-11
         worst = max(rep.aux["separation_residual"], rep.aux["eigen_residual"])
         assert tol < worst < 2.0 * tol

@@ -2,6 +2,8 @@
 replaced, and their formatter against repr."""
 
 import ast
+import inspect
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parafreq
-from parafreq import TimeGrid, make_circle
+from parafreq import TimeGrid, make_circle, reports
 from parafreq.core import PROVENANCE_SPECTRAL, Trajectory
 from parafreq.reports import (
     POON_CSV_HEADER,
@@ -104,8 +106,12 @@ def reprs(values) -> list[str]:
     return [repr(float(v)) for v in values]
 
 
-# 3000 nodes x 2 components x 5 samples is 30000 rows: a block boundary falls inside a column
-@pytest.mark.parametrize("nodes, components, steps", [(NODES, 1, 2), (NODES, 2, 2), (3000, 2, 4)])
+# blocks are 16384 rows, formatted two at a time: 4096 nodes x 1 component x 4, 8 and 12
+# samples (and x 2 components x 6) are exactly 1, 2 and 3 blocks, the last with no partner;
+# 3000 nodes x 2 components x 5 samples is 30000 rows, so the last block is partial
+@pytest.mark.parametrize("nodes, components, steps", [
+    (NODES, 1, 2), (NODES, 2, 2), (4096, 1, 3), (4096, 1, 7), (4096, 1, 11), (4096, 2, 5), (3000, 2, 4),
+])
 def test_trajectory_csv_matches_row_reference(tmp_path, nodes, components, steps):
     geom = make_circle(nodes, 2.0 * np.pi)
     grid = TimeGrid(-0.0, 1.0 / 3.0, steps)
@@ -199,9 +205,10 @@ def test_decisions_print_as_repr():
 
 
 def test_trajectory_writer_peak_memory_is_one_block(tmp_path):
-    # rows are formatted 16384 at a time: 201 and 401 samples of 2048 nodes are 25 and
-    # 50 blocks, and the writer's peak is a few blocks' temporaries (about 7 MB), the same
-    # for both; a copy of the 401 samples alone would add 6.6 MB
+    # rows are formatted 16384 at a time, two blocks in flight (one on the helper thread):
+    # 201 and 401 samples of 2048 nodes are 25 and 50 blocks, and the writer's peak is the
+    # two blocks' temporaries (about 8.3 MB), the same for both; a copy of the 401 samples
+    # alone would add 6.6 MB
     geom = make_circle(2048, 2.0 * np.pi)
     rng = np.random.default_rng(3)
     peaks = []
@@ -213,3 +220,47 @@ def test_trajectory_writer_peak_memory_is_one_block(tmp_path):
         peaks.append(peak)
     assert peaks[1] < 10e6, peaks
     assert abs(peaks[1] - peaks[0]) < 0.05 * peaks[0], peaks
+
+
+def _circle_trajectory(nodes, steps, seed=0):
+    values = np.random.default_rng(seed).standard_normal((steps + 1, nodes, 1))
+    return Trajectory(grid=TimeGrid(0.0, 1.0, steps), values=values,
+                      geometry=make_circle(nodes, 2.0 * np.pi), provenance=PROVENANCE_SPECTRAL)
+
+
+def test_an_error_in_the_helper_block_is_raised_and_no_thread_is_left(tmp_path, monkeypatch):
+    def failing_off_the_main_thread(values):
+        if threading.current_thread() is not threading.main_thread():
+            raise ZeroDivisionError("injected")
+        return _repr_bytes(values)
+
+    monkeypatch.setattr(reports, "_repr_bytes", failing_off_the_main_thread)
+    traj = _circle_trajectory(4096, 7)  # two blocks: the second is the helper's
+    threads = threading.active_count()
+    with pytest.raises(ZeroDivisionError, match="injected"):
+        write_trajectory_csv(tmp_path / "t.csv", traj)
+    assert threading.active_count() == threads
+
+
+def test_the_helper_thread_calls_no_public_function(tmp_path, monkeypatch):
+    # a tracer wraps the package's public functions and keeps one stack of open spans,
+    # which is not thread-safe: every public call must stay on the main thread
+    threads = []
+
+    def recorded(fn):
+        def call(*args, **kwargs):
+            threads.append((fn.__name__, threading.current_thread()))
+            return fn(*args, **kwargs)
+        return call
+
+    public = [name for name, value in vars(reports).items()
+              if inspect.isfunction(value) and value.__module__ == reports.__name__
+              and not name.startswith("_")]
+    for name in [*public, "_repr_bytes"]:
+        monkeypatch.setattr(reports, name, recorded(getattr(reports, name)))
+    reports.write_trajectory_csv(tmp_path / "t.csv", _circle_trajectory(4096, 11))  # 3 blocks
+    reports.write_spectrum_csv(tmp_path / "s.csv", np.arange(30000.0))  # 4 blocks
+    main = threading.main_thread()
+    off_main = {name for name, thread in threads if thread is not main}
+    assert off_main == {"_repr_bytes"}  # the helper ran, and only private code ran there
+    assert {"write_trajectory_csv", "write_spectrum_csv"} <= {name for name, _ in threads}
