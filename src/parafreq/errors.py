@@ -34,10 +34,15 @@ class ConfigError(ParafreqError, ValueError):
 
 
 class ExpressionError(ConfigError):
-    """An expression string failed to parse or evaluate."""
+    """An expression string failed to parse or evaluate; ``expression`` keeps all its text."""
+
+    ECHOED = 80  # characters of the expression the message shows, with its length if longer
 
     def __init__(self, message: str, expression: str, position: int | None = None):
         self.expression = expression
         self.position = position
         where = f" at position {position}" if position is not None else ""
-        super().__init__(f"{message}{where} in expression {expression!r}")
+        echo = repr(expression)
+        if len(expression) > self.ECHOED:
+            echo = f"{expression[:self.ECHOED]!r}... ({len(expression)} characters)"
+        super().__init__(f"{message}{where} in expression {echo}")

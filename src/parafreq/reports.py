@@ -24,9 +24,11 @@ class CheckReport:
     ``margin`` is the signed slack of the line's own inequality, without the
     tolerance: negative where the inequality is violated, and minus the
     defect for a line that measures one (a gap, residual or asymmetry that
-    should vanish).  ``passed`` is ``margin >= -tolerance``, and
-    :func:`passing` is the one builder that sets it.  ``location`` is the
-    time (or parameter) sample where the worst margin occurred.
+    should vanish).  ``passed`` is ``margin >= -tolerance`` (``margin >
+    tolerance`` for a negative control, whose margin is minus its inner
+    line's), and :func:`passing` is the one builder that sets it.
+    ``location`` is the time (or parameter) sample where the worst margin
+    occurred.
     """
 
     name: str
@@ -64,11 +66,20 @@ def _json_finite(value: float) -> float:
     return float(np.clip(value, -1.0e308, 1.0e308))
 
 
-def passing(name: str, margin: float, tol: float, location=None, **aux) -> CheckReport:
-    """The report of a line with slack ``margin``: it passes when ``margin >= -tol``."""
+def passing(
+    name: str, margin: float, tol: float, location=None, expect_fail: bool = False, **aux
+) -> CheckReport:
+    """The report of a line with slack ``margin``: it passes when ``margin >= -tol``.
+
+    A negative control (``expect_fail``) takes the slack of the inner line it
+    expects to fail: it reports minus that slack, and passes only when
+    ``-margin > tol``, so an inner slack of NaN fails the control as well.
+    """
+    if expect_fail:
+        margin = -margin
     return CheckReport(
         name=name,
-        passed=bool(margin >= -tol),
+        passed=bool(margin > tol if expect_fail else margin >= -tol),
         margin=float(margin),
         tolerance=float(tol),
         location=None if location is None else float(location),

@@ -6,9 +6,11 @@ fixed seed reproduces the report byte for byte.  Sub-suites return lists of
 a report with ``passed=False`` anywhere makes the run exit nonzero.  A line
 that measures a defect (a gap, residual or asymmetry) reports minus it as
 its margin.  The suite resolves no default tolerance itself: a check that
-takes one runs through :func:`config.run_trace_checks`.  Negative controls
-assert that deliberately broken inputs are caught, and pass exactly when the
-underlying check fails.
+takes one runs through :func:`config.run_trace_checks`, and a line over many
+flows is the worst margin of its registry entry on them (:func:`_lane_results`,
+:func:`_worst`).  Negative controls assert that deliberately broken inputs are
+caught: each reports minus its inner line's slack, and passes only when that
+line fails (``passing(..., expect_fail=True)``).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .evolution import (
     evolve_perturbed,
     gauge_transform,
 )
-from .frequency import check_hadamard_bound, check_rigidity, check_u_monotone, frequency_trace
+from .frequency import check_rigidity, check_u_monotone, frequency_trace
 from .operators import DriftOperator, assemble, check_self_adjoint, eigenpairs
 from .reports import CheckReport, passing
 from .sampling import random_smooth_field, random_weight
@@ -159,34 +161,48 @@ STEPPED_LANE = (
     ("backward-bound/stepped", {"name": "vanishing-order"}, {}),
 )
 CALORIC_LANE = (("caloric-flow-monotone", {"name": "u-monotone", "tol": 1e-9}, {}),)
+# the checks on each eigenmode flow behind the rigidity lines, pinned like the spectral lane
+RIGIDITY_CHECKS = ({"name": "rigidity", "tol": 1e-9}, {"name": "hadamard-bound", "tol": 1e-9})
 # the perturbed checks, each a report <name>/advection, in report order
 ADVECTION_CHECKS = ("general-frequency", "gradient-only", "general-lower-bound")
-# the random suite's checks on each flow; the last one runs on the gradient-only flows alone
+# the random suite's checks, each a report <name>/random-suite, in report order
 RANDOM_SUITE_CHECKS = ("general-frequency", "general-lower-bound", "gradient-only")
 
 
-def _lane_reports(lane, flows, op, where: str, tol_scale: float) -> list[CheckReport]:
-    """Each entry's worst margin over ``flows`` (trajectories on ``op``, traced one at a time).
+def _lane_results(entries, flows, op, tol_scale: float) -> list[list]:
+    """The ``(tol, report)`` of each entry on each of ``flows`` it applies to, a list per entry.
 
-    The report's tolerance is the largest one the entry resolved to: its pinned
-    ``tol`` times ``tol_scale``, or the largest per-flow default.  No flow is
-    held past its own checks, so a stepped block is freed before the next one.
+    ``gradient-only`` applies to gradient-only flows alone.  The flows, on
+    ``op``, are traced one at a time and none is held past its own checks,
+    so a stepped block is freed before the next one.
     """
+    results = [[] for _ in entries]
+    for traj in flows:
+        applies = [k for k, entry in enumerate(entries)
+                   if entry["name"] != "gradient-only" or traj.gradient_only]
+        checked = run_trace_checks([entries[k] for k in applies], traj,
+                                   frequency_trace(traj, op), op, tol_scale)
+        for k, result in zip(applies, checked):
+            results[k].append(result)
+        del traj  # dropped before the next flow, whose block is stepped when it is taken
+    return results
+
+
+def _worst(name: str, results, **aux) -> CheckReport:
+    """The worst margin of ``(tol, report)`` results against the largest tolerance they resolved to.
+
+    That tolerance is an entry's pinned ``tol`` times ``tol_scale``, or the
+    largest per-flow default.  A NaN margin fails the line.
+    """
+    tols, reps = zip(*results)
+    return passing(name, np.min([rep.margin for rep in reps]), np.max(tols), **aux)
+
+
+def _lane_reports(lane, flows, op, where: str, tol_scale: float) -> list[CheckReport]:
+    """A report ``<label>/<where>`` per row of ``lane``: its entry's worst margin over ``flows``."""
     entries = [read_check(entry, "check") for _, entry, _ in lane]
-
-    def checked(traj):
-        return run_trace_checks(entries, traj, frequency_trace(traj, op), op, tol_scale)
-
-    margins = [np.inf] * len(lane)
-    tols = [-np.inf] * len(lane)
-    for results in map(checked, flows):
-        for k, (tol, rep) in enumerate(results):
-            margins[k] = min(margins[k], rep.margin)
-            tols[k] = max(tols[k], tol)
-    return [
-        passing(f"{label}/{where}", margin, tol, **aux)
-        for (label, _, aux), margin, tol in zip(lane, margins, tols)
-    ]
+    results = _lane_results(entries, flows, op, tol_scale)
+    return [_worst(f"{label}/{where}", res, **aux) for (label, _, aux), res in zip(lane, results)]
 
 
 def monotonicity_reports(ctx: SuiteContext) -> list[CheckReport]:
@@ -202,8 +218,7 @@ def monotonicity_reports(ctx: SuiteContext) -> list[CheckReport]:
         reports += _lane_reports(SPECTRAL_LANE, exact, op, name, 1.0)
         stepped = _in_blocks(evolve_cn(op, u0, grid) for u0 in fields)
         reports += _lane_reports(STEPPED_LANE, stepped, op, name, ctx.tol_scale)
-    # negative control: reversing time makes U nonincreasing.  A control passes when its
-    # inner check fails, so it is the one kind of line that builds its report by hand
+    # negative control: reversing time makes U nonincreasing, so the monotone line must fail
     op = ctx.operators["flat-circle"]
     x = op.geometry.coords[:, 0]
     u0 = Field(op.geometry, np.sin(x) + np.sin(2.0 * x))
@@ -212,15 +227,8 @@ def monotonicity_reports(ctx: SuiteContext) -> list[CheckReport]:
         grid=grid, geometry=traj.geometry, values=traj.values[::-1], provenance=traj.provenance
     )
     rep = check_u_monotone(frequency_trace(reversed_traj, op), 1e-10)
-    reports.append(
-        CheckReport(
-            name="negative-control/reversed-monotone",
-            passed=not rep.passed,
-            margin=-rep.margin,
-            tolerance=rep.tolerance,
-            aux={"inner_margin": rep.margin},
-        )
-    )
+    reports.append(passing("negative-control/reversed-monotone", rep.margin, rep.tolerance,
+                           expect_fail=True, inner_margin=rep.margin))
     return reports
 
 
@@ -249,53 +257,35 @@ def richardson_reports(ctx: SuiteContext) -> list[CheckReport]:
 def rigidity_reports(ctx: SuiteContext) -> list[CheckReport]:
     reports = []
     grid = ctx.window
+    entries = [read_check(entry, "check") for entry in RIGIDITY_CHECKS]
     for name in ("circle", "torus", "gauss-line"):
         op = ctx.operators[name]
-        worst_u_gap = 0.0
-        worst_residual = 0.0
-        worst_equality = 0.0
-        for pair in eigenpairs(op, EIGENMODES_CHECKED):
-            traj = evolve_exact(op, pair.eigenfield, grid)
-            trace = frequency_trace(traj, op)
-            rep = check_rigidity(traj, 1e-9, op, trace)
+        pairs = eigenpairs(op, EIGENMODES_CHECKED)
+        flows = (evolve_exact(op, pair.eigenfield, grid) for pair in pairs)
+        rigid, growth = _lane_results(entries, flows, op, 1.0)
+        # a flow not classed as an eigenmode fails the first line, and the other two skip it
+        u_gaps, residuals, equalities = [0.0], [0.0], [0.0]
+        for pair, (_, rep), (_, bound) in zip(pairs, rigid, growth):
             if not rep.aux["is_eigenmode"]:
-                worst_u_gap = np.inf
+                u_gaps.append(np.inf)
                 continue
-            worst_u_gap = max(worst_u_gap, abs(rep.aux["lambda_estimate"] - pair.eigenvalue))
-            worst_u_gap = max(worst_u_gap, rep.aux["u_variation"])
-            worst_residual = max(
-                worst_residual, rep.aux["separation_residual"], rep.aux["eigen_residual"]
-            )
-            worst_equality = max(
-                worst_equality, abs(check_hadamard_bound(trace, 1e-9).margin)
-            )
-        reports.append(
-            passing(f"rigidity/{name}", -worst_u_gap, 1e-9,
-                    modes=EIGENMODES_CHECKED, max_u_gap=worst_u_gap)
-        )
-        reports.append(
-            passing(f"rigidity-separation/{name}", -worst_residual, 1e-8,
-                    max_residual=worst_residual)
-        )
-        reports.append(
-            passing(f"hadamard-equality/{name}", -worst_equality, 1e-9,
-                    max_equality_gap=worst_equality)
-        )
-    # negative control: a two-mode flow must be flagged non-rigid (a hand-built report,
-    # as for the reversed flow: it passes when the flow is not classed as an eigenmode)
+            u_gaps += [abs(rep.aux["lambda_estimate"] - pair.eigenvalue), rep.aux["u_variation"]]
+            residuals += [rep.aux["separation_residual"], rep.aux["eigen_residual"]]
+            equalities.append(abs(bound.margin))
+        u_gap, residual, equality = (float(np.max(v)) for v in (u_gaps, residuals, equalities))
+        reports += [
+            passing(f"rigidity/{name}", -u_gap, 1e-9, modes=EIGENMODES_CHECKED, max_u_gap=u_gap),
+            passing(f"rigidity-separation/{name}", -residual, 1e-8, max_residual=residual),
+            passing(f"hadamard-equality/{name}", -equality, 1e-9, max_equality_gap=equality),
+        ]
+    # negative control: a two-mode flow must be flagged non-rigid, so its U must fail the
+    # rigidity line's constancy gate
     op = ctx.operators["flat-circle"]
     x = op.geometry.coords[:, 0]
     traj = evolve_exact(op, Field(op.geometry, np.sin(x) + np.sin(2.0 * x)), grid)
-    rep = check_rigidity(traj, 1e-9, op)
-    reports.append(
-        CheckReport(
-            name="negative-control/two-mode-rigidity",
-            passed=(not rep.aux["is_eigenmode"]) and rep.passed,
-            margin=rep.aux["u_variation"],
-            tolerance=1e-9,
-            aux={"u_variation": rep.aux["u_variation"]},
-        )
-    )
+    variation = check_rigidity(traj, 1e-9, op).aux["u_variation"]
+    reports.append(passing("negative-control/two-mode-rigidity", -variation, 1e-9,
+                           expect_fail=True, u_variation=variation))
     return reports
 
 
@@ -354,39 +344,19 @@ def perturbed_reports(ctx: SuiteContext) -> list[CheckReport]:
             u0 = random_smooth_field(geometry, rng, zero_mean=True)
             yield evolve_perturbed(op, u0, grid, pert)
 
-    # bounded by each flow's certificate; gradient-only applies to flows with c == 0
+    # bounded by each flow's certificate; each line's tolerance is the largest budget of the
+    # flows it runs on
     entries = [read_check({"name": name}, "check") for name in RANDOM_SUITE_CHECKS]
-
-    def checked(traj):
-        chosen = entries if traj.gradient_only else entries[:-1]
-        return run_trace_checks(chosen, traj, frequency_trace(traj, op), op, ctx.tol_scale)
-
-    margins = dict.fromkeys(RANDOM_SUITE_CHECKS, np.inf)
-    budget = -np.inf
-    statement_margins = []
-    proof_margins = []
-    for results in map(checked, _in_blocks(random_flows())):
-        for tol, rep in results:
-            budget = max(budget, tol)
-            margins[rep.name] = min(margins[rep.name], rep.margin)
-        _, lower = results[1]  # general-lower-bound
-        statement_margins.append(lower.aux["statement_margin"])
-        proof_margins.append(lower.aux["proof_margin"])
-    reports.append(
-        passing("general-frequency/random-suite", margins["general-frequency"], budget,
-                perturbations=RANDOM_PERTURBATIONS)
-    )
-    reports.append(
-        passing(
-            "general-lower-bound/random-suite", margins["general-lower-bound"], budget,
-            min_statement_margin=float(np.min(statement_margins)),
-            min_proof_margin=float(np.min(proof_margins)),
-        )
-    )
-    reports.append(
-        passing("gradient-only/random-suite", margins["gradient-only"], budget,
-                perturbations=RANDOM_PERTURBATIONS // 2)
-    )
+    flows = _in_blocks(random_flows())
+    general, lower, gradient = _lane_results(entries, flows, op, ctx.tol_scale)
+    least = lambda key: float(np.min([rep.aux[key] for _, rep in lower]))
+    reports += [
+        _worst("general-frequency/random-suite", general, perturbations=len(general)),
+        _worst("general-lower-bound/random-suite", lower,
+               min_statement_margin=least("statement_margin"),
+               min_proof_margin=least("proof_margin")),
+        _worst("gradient-only/random-suite", gradient, perturbations=len(gradient)),
+    ]
 
     # zero perturbation must reproduce the plain stepped flow bit for bit
     zero = PerturbationSpec(geometry, grid, bound=0.0)

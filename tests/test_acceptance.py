@@ -261,11 +261,43 @@ DEFECT_LINES = (
 
 def test_every_line_passes_on_its_own_slack(traced_check_all):
     # one verdict rule: pass is margin >= -tolerance, the margin carrying no tolerance of its
-    # own; a negative control inverts its inner check's verdict, so it is the one exception
+    # own; a negative control reports minus its inner line's slack, and passes on margin > tol
     reports, _, _ = traced_check_all
     gated = [r for r in reports if not r.name.startswith("negative-control/")]
-    assert len(reports) - len(gated) == 2
+    controls = [r for r in reports if r.name.startswith("negative-control/")]
+    assert len(controls) == 2
     assert [r.name for r in gated if r.passed != (r.margin >= -r.tolerance)] == []
+    assert [r.name for r in controls if r.passed != (r.margin > r.tolerance)] == []
     defects = [r for r in gated if r.name.startswith(DEFECT_LINES)]
     assert len(defects) == 20
     assert [(r.name, r.margin) for r in defects if r.margin > 0.0] == []
+
+
+# every line of check all, in report order; the benchmark's check-all workload counts 48
+CHECK_ALL_LINES = (
+    "self-adjoint/circle", "self-adjoint/torus", "self-adjoint/gauss-line",
+    "spectrum/gauss-line", "spectrum/circle-symbol", "spectrum/circle-continuum",
+    "monotone/spectral/circle", "log-convexity/spectral/circle", "hadamard/spectral/circle",
+    "backward-bound/spectral/circle", "monotone/stepped/circle", "log-convexity/stepped/circle",
+    "backward-bound/stepped/circle", "monotone/spectral/torus", "log-convexity/spectral/torus",
+    "hadamard/spectral/torus", "backward-bound/spectral/torus", "monotone/stepped/torus",
+    "log-convexity/stepped/torus", "backward-bound/stepped/torus",
+    "negative-control/reversed-monotone", "richardson/stepped-u-trace", "rigidity/circle",
+    "rigidity-separation/circle", "hadamard-equality/circle", "rigidity/torus",
+    "rigidity-separation/torus", "hadamard-equality/torus", "rigidity/gauss-line",
+    "rigidity-separation/gauss-line", "hadamard-equality/gauss-line",
+    "negative-control/two-mode-rigidity", "general-frequency/advection",
+    "gradient-only/advection", "general-lower-bound/advection",
+    "general-frequency/random-suite", "general-lower-bound/random-suite",
+    "gradient-only/random-suite", "perturbed/zero-matches-stepped", "cov-residual/oracle-set",
+    "poon-correspondence/constant", "poon-convexity/constant", "poon-correspondence/linear",
+    "poon-convexity/linear", "poon-correspondence/caloric-quadratic",
+    "poon-convexity/caloric-quadratic", "caloric-flow-monotone/gauss-line",
+    "gauge/u-invariance",
+)
+
+
+def test_check_all_reports_every_line_in_order(traced_check_all):
+    reports, _, _ = traced_check_all
+    assert tuple(r.name for r in reports) == CHECK_ALL_LINES
+    assert len(CHECK_ALL_LINES) == CheckAll.CHECKS == 48

@@ -155,6 +155,17 @@ class TestSimulate:
         assert err.startswith("config error: geometry.phi: expression is nested too deeply")
         assert "Traceback" not in err and "RecursionError" not in err
 
+    def test_a_long_expression_is_echoed_in_part(self, tmp_path, capsys):
+        raw = eigenmode_config()
+        raw["geometry"]["phi"] = "+".join(["0.001*x"] * 5000)
+        config = write_config(tmp_path / "c.json", raw)
+        code = main(["--out", str(tmp_path / "out"), "simulate", "--config", config])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error: geometry.phi: expression is nested too deeply")
+        assert "... (39999 characters)" in err
+        assert len(err) < 200
+
     def test_non_finite_perturbation_at_one_sample_exits_1(self, tmp_path, capsys):
         raw = gradient_only_config()
         raw["geometry"]["nodes"] = 16

@@ -99,6 +99,19 @@ class TestExpressions:
         with pytest.raises(ExpressionError, match="expression is nested too deeply"):
             compile_expression("+".join(["0.001*x"] * terms), ("x",))
 
+    def test_a_long_expression_keeps_its_text_but_echoes_a_part(self):
+        text = "+".join(["0.001*x"] * 1500)
+        with pytest.raises(ExpressionError) as err:
+            compile_expression(text, ("x",))
+        assert err.value.expression == text
+        shown = repr(text[: ExpressionError.ECHOED])
+        assert str(err.value).endswith(f"in expression {shown}... ({len(text)} characters)")
+
+    def test_a_short_expression_is_echoed_whole(self):
+        with pytest.raises(ExpressionError) as err:
+            compile_expression("sin(x) + q", ("x",))
+        assert str(err.value).endswith("in expression 'sin(x) + q'")
+
     def test_evaluation_nested_too_deeply_is_an_expression_error(self):
         levels = 300
         fn = compile_expression("+".join(["x"] * levels), ("x",))

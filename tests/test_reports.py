@@ -20,6 +20,7 @@ from parafreq.reports import (
     TRACE_CSV_HEADER,
     TRAJECTORY_CSV_HEADER,
     _repr_bytes,
+    passing,
     write_poon_csv,
     write_spectrum_csv,
     write_trace_csv,
@@ -51,14 +52,23 @@ def _report_builds() -> list:
     return found
 
 
-def test_only_passing_and_the_negative_controls_build_a_report():
-    # one verdict rule: pass is margin >= -tolerance, set in reports.passing; a negative
-    # control passes when its inner check fails, so the two of them build theirs by hand
-    assert sorted(_report_builds()) == [
-        ("reports.py", "passing", None),
-        ("suite.py", "monotonicity_reports", "negative-control/reversed-monotone"),
-        ("suite.py", "rigidity_reports", "negative-control/two-mode-rigidity"),
-    ]
+def test_only_passing_builds_a_report():
+    # one verdict rule, set in reports.passing: pass is margin >= -tolerance, and for a
+    # negative control, which reports minus its inner line's slack, margin > tolerance
+    assert _report_builds() == [("reports.py", "passing", None)]
+
+
+# an inner line that passes, one that fails, one at its gate (which passes it) and a NaN one
+@pytest.mark.parametrize("inner, passed", [
+    (0.5, False), (-0.3, True), (-1e-10, False), (np.nan, False),
+])
+def test_a_negative_control_passes_only_when_its_inner_line_fails(inner, passed):
+    control = passing("negative-control/x", inner, 1e-10, expect_fail=True, inner_margin=inner)
+    assert control.passed is passed
+    assert control.aux == {"inner_margin": inner}
+    if not np.isnan(inner):  # a NaN inner line fails, and so does its control
+        assert passing("inner", inner, 1e-10).passed is not passed
+        assert control.margin == -inner and control.tolerance == 1e-10
 
 
 # signed zero, extreme magnitudes, a subnormal, values whose repr needs 17 digits, and

@@ -3,9 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from parafreq import Field, PerturbationSpec, TimeGrid, evolve_exact, make_circle
-from parafreq import config, frequency, suite
-from parafreq.reports import write_report
+from parafreq import (
+    Field, PerturbationSpec, TimeGrid, assemble, evolve_cn, evolve_exact, make_circle, make_torus,
+)
+from parafreq import config, evolution, frequency, suite
+from parafreq.evolution import _in_blocks
+from parafreq.reports import passing, write_report
+from parafreq.sampling import random_smooth_field
 from parafreq.suite import (
     EIGENMODES_CHECKED,
     TWO_PI,
@@ -18,7 +22,7 @@ from parafreq.suite import (
     spectrum_reports,
 )
 
-from conftest import retained_by
+from conftest import peak_allocated, retained_by
 
 
 def test_self_adjoint_suite_passes():
@@ -63,6 +67,21 @@ def test_lane_reads_each_entry_once_for_all_its_flows(monkeypatch):
     reports = suite._lane_reports(suite.SPECTRAL_LANE, flows, op, "flat-circle", 1.0)
     assert all(r.passed for r in reports)
     assert reads == [entry for _, entry, _ in suite.SPECTRAL_LANE]
+
+
+def test_a_stepped_lane_holds_one_block():
+    # ten torus flows are two blocks of five; a flow held past its checks keeps its whole
+    # block alive while the next block is stepped, and the peak nears two blocks
+    op = assemble(make_torus(32, 32, TWO_PI, TWO_PI))
+    grid = TimeGrid(0.0, 1.0, 200)
+    rng = np.random.default_rng(8)
+    starts = [random_smooth_field(op.geometry, rng) for _ in range(10)]
+    assert evolve_cn(op, starts[0], grid).stepping.block_size() == 5  # also factors I - dt/2 L
+    reports, peak = peak_allocated(lambda: suite._lane_reports(
+        suite.STEPPED_LANE, _in_blocks(evolve_cn(op, u0, grid) for u0 in starts), op, "torus", 1.0
+    ))
+    assert all(r.passed for r in reports)
+    assert peak < 1.25 * evolution._BLOCK_BYTES
 
 
 def test_spectrum_reports_pass():
@@ -159,6 +178,42 @@ def test_tol_scale_scales_every_perturbed_line(monkeypatch):
     ]
     for name, tol in base.items():
         assert scaled[name] == pytest.approx(3.0 * tol, rel=1e-15)
+
+
+def test_gradient_only_random_line_takes_its_tolerance_from_its_own_flows(monkeypatch):
+    # the random flows alternate gradient-only (c == 0) and with a potential; only the
+    # gradient-only ones run the gradient-only line, so only their budgets size its gate
+    monkeypatch.setattr(suite, "RANDOM_PERTURBATIONS", 4)
+    traces = []
+    trace = suite.frequency_trace
+    monkeypatch.setattr(suite, "frequency_trace",
+                        lambda traj, op: traces.append(trace(traj, op)) or traces[-1])
+    by_name = {r.name: r for r in suite.perturbed_reports(SuiteContext(seed=0))}
+    random = traces[1:]  # after the advection flow
+    assert [t.gradient_only for t in random] == [True, False, True, False]
+    gradient = max(frequency.default_tolerance(t) for t in random if t.gradient_only)
+    budget = max(frequency.default_tolerance(t) for t in random)
+    line = by_name["gradient-only/random-suite"]
+    assert line.tolerance == gradient < budget
+    assert line.aux == {"perturbations": 2}
+    for name in ("general-frequency/random-suite", "general-lower-bound/random-suite"):
+        assert by_name[name].tolerance == budget
+    assert by_name["general-frequency/random-suite"].aux == {"perturbations": 4}
+
+
+def test_a_nan_margin_fails_a_line_over_many_flows():
+    results = [(1e-9, passing("u-monotone", margin, 1e-9)) for margin in (0.5, np.nan, 0.2)]
+    line = suite._worst("monotone/x", results)
+    assert np.isnan(line.margin) and not line.passed
+
+
+# the gauge line compares the gauged flow's sampled trace with the ungauged flow's modal
+# trace, so it gates their round-off gap (|U| about 6 at these seeds) at an absolute 1e-12
+@pytest.mark.xfail(strict=True, reason="gauge/u-invariance gates sampled-vs-modal round-off")
+@pytest.mark.parametrize("seed", [51, 186])
+def test_gauge_line_passes_at_seed(seed):
+    (line,) = gauge_reports(SuiteContext(seed=seed))
+    assert line.passed, f"seed {seed}: margin {line.margin:.3g} against {line.tolerance:g}"
 
 
 def test_a_second_check_all_retains_no_cache():
