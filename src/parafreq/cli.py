@@ -42,32 +42,36 @@ try:
     _mallopt.argtypes, _mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
 except (AttributeError, OSError, TypeError):
     _mallopt = None
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_M_TRIM_THRESHOLD, _M_TOP_PAD, _M_MMAP_THRESHOLD = -1, -2, -3
 _MMAP_THRESHOLD = 8 << 20
 _TRIM_THRESHOLD = 64 << 20
+_TOP_PAD = 32 << 20
 
 
 def _pin_malloc_thresholds() -> None:
-    """Map every buffer of ``_MMAP_THRESHOLD`` bytes or more on its own (glibc; elsewhere nothing).
+    """Fix glibc's heap settings for the rest of the process (elsewhere nothing).
 
     glibc raises its mmap threshold to the size of each mapped buffer freed
-    (up to 32 MiB), so the next buffer of about that size is carved from the
-    heap instead, and whether it fits in the heap's free top or grows the
-    heap while the old pages stay resident depends on where earlier
-    allocations landed.  That varies from run to run with address and hash
-    randomisation: two simulate runs followed by reading back their
-    ``trajectory.csv`` (15.8 and 18.1 MB) peaked at either ~88 or ~102 MB.
-    With the threshold pinned such buffers are mapped and unmapped on their
-    own and that peak reads 89-90 MB every run.  Pinning it also stops the
-    adaptation of the trim threshold, which is set to 64 MiB, the most that
-    adaptation reaches.  The settings hold for the rest of the process.
-    Only simulate runs pin them: ``check all`` frees many mid-size arrays
-    whose pages the adaptive trim threshold hands back during the run, and
-    with the settings pinned its peak RSS rose from 97 to 111 MB.
+    (up to 32 MiB), so where the next buffer of about that size went would
+    depend on earlier frees.  The threshold is pinned at ``_MMAP_THRESHOLD``;
+    that also stops the adaptation of the trim threshold, which is set to
+    64 MiB, the most that adaptation reaches.  A buffer over the threshold
+    that the free top of the heap cannot hold is mapped afresh while the
+    top's pages stay resident, and whether the top held it came down to a few
+    hundred KB: a simulate run leaves a top of about 18.3 MB, and reading
+    back its 18.1 MB ``trajectory.csv`` in the same process peaked at 88 MB,
+    or at 105 MB once a 400 KB buffer had been taken from that top first.
+    So each growth of the heap reserves ``_TOP_PAD`` more bytes (untouched, so
+    not resident): the top has room for such a buffer, which reuses the top's
+    resident pages, and that peak reads 88 MB both ways.  Only simulate runs
+    pin them: ``check all`` frees many mid-size arrays whose pages the
+    adaptive trim threshold hands back during the run, and with the settings
+    pinned its peak RSS rose from 97 to 111 MB.
     """
     if _mallopt is not None:
         _mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
         _mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+        _mallopt(_M_TOP_PAD, _TOP_PAD)
 
 
 def _out_dir(args, config: ExperimentConfig | None = None) -> Path:

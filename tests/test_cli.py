@@ -298,14 +298,18 @@ class TestSimulate:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_simulate_pins_the_malloc_thresholds(self, tmp_path, monkeypatch):
-        # so that in-process callers map large buffers on their own, whatever the heap holds
+        # so that where a large buffer goes does not depend on what earlier buffers left in the heap
         if platform.libc_ver()[0] == "glibc":
             assert cli._mallopt is not None
         calls = []
         monkeypatch.setattr(cli, "_mallopt", lambda *args: calls.append(args))
         config = write_config(tmp_path / "c.json", eigenmode_config())
         assert main(["--out", str(tmp_path / "out"), "simulate", "--config", config]) == 0
-        assert calls == [(cli._M_MMAP_THRESHOLD, 8 << 20), (cli._M_TRIM_THRESHOLD, 64 << 20)]
+        assert calls == [
+            (cli._M_MMAP_THRESHOLD, 8 << 20),
+            (cli._M_TRIM_THRESHOLD, 64 << 20),
+            (cli._M_TOP_PAD, 32 << 20),
+        ]
 
     def test_runs_where_the_allocator_has_no_settings(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_mallopt", None)
