@@ -142,6 +142,11 @@ class WeightedGeometry:
             arr.setflags(write=False)
         if not np.all(np.isfinite(self.mu) & (self.mu > 0.0)):
             raise InvalidInputError("measure entries must be finite and strictly positive")
+        # every mu-norm and weighted mean sums mu, so a total beyond the float range
+        # would overflow in them
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self.mu.sum()):
+                raise InvalidInputError("the total measure is out of floating-point range")
 
     @property
     def node_count(self) -> int:
@@ -276,9 +281,20 @@ class TimeGrid:
 
 # named privately: bench/tracing.py wraps every package function with a public name,
 # and these belong inside their callers' spans
-def _modal_growth(rates: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """``exp(2 rates s)`` at the ``offsets`` s, shape (samples, modes)."""
-    return np.exp(np.outer(2.0 * offsets, rates))
+def _modal_factors(rates: np.ndarray, offsets: np.ndarray, step: float | None = None,
+                   power: int = 1) -> np.ndarray:
+    """Each mode's factor ``g(s)**power`` at the ``offsets`` s, shape (samples, modes).
+
+    With no ``step``, ``g(s) = exp(rates s)``, the exact semigroup.  With a
+    step ``dt``, ``g(s) = r(dt rates)^k``, the trapezoid flow after
+    ``k = s / dt`` steps (the offsets are multiples of ``dt``), with
+    ``r(z) = (1 + z/2) / (1 - z/2)``; ``r < 0`` on modes with ``dt |rate| > 2``.
+    """
+    if step is None:
+        return np.exp(np.outer(power * offsets, rates))
+    z = step * rates
+    ratio = (1.0 + 0.5 * z) / (1.0 - 0.5 * z)
+    return np.power(ratio, power * np.rint(offsets / step)[:, None])
 
 
 def _modal_sums(growth: np.ndarray, rates: np.ndarray, weights: np.ndarray) -> tuple:
@@ -288,23 +304,32 @@ def _modal_sums(growth: np.ndarray, rates: np.ndarray, weights: np.ndarray) -> t
 
 @dataclass(frozen=True)
 class ModalExpansion:
-    """Modal expansion of a spectral flow, ``u(a + s) = V (exp(rates * s) * coeffs)``.
+    """Modal expansion of a flow, ``u(a + s) = V (g(s) * coeffs)``, each mode's factor ``g`` of its rate.
 
     ``vectors`` holds k modes ``V`` as columns, ``coeffs`` (k, N) their
     coefficients, and ``initial`` is ``u(a)``, (nodes, N).  The modes are
     either every mu-orthonormal eigenvector, with ``coeffs = V^T M u(a)``, or
     the Ritz vectors of one Krylov space per component: mu-orthonormal within
     a component, each with a coefficient in its own component's column only.
+    ``step`` None makes ``g(s) = exp(rates s)``, the exact semigroup; a step
+    ``dt`` makes it the trapezoid flow of that step (:func:`_modal_factors`).
+    Every reader takes the factors from :func:`_modal_factors`, through
+    :meth:`factors` or :meth:`DriftOperator.modal_growth`.
     """
 
     rates: np.ndarray
     vectors: np.ndarray
     coeffs: np.ndarray
     initial: np.ndarray
+    step: float | None = None
 
     def __post_init__(self):
         for arr in (self.rates, self.vectors, self.coeffs, self.initial):
             arr.setflags(write=False)
+
+    def factors(self, offsets: np.ndarray) -> np.ndarray:
+        """``g(s)`` of every mode at the ``offsets`` s, shape (samples, modes)."""
+        return _modal_factors(self.rates, offsets, self.step)
 
     def sample(self, offsets: np.ndarray) -> np.ndarray:
         """Values at the times ``a + offsets``, shape (samples, nodes, N).
@@ -315,11 +340,12 @@ class ModalExpansion:
         """
         nodes, comps = self.initial.shape
         values = np.empty((offsets.size, nodes, comps))
-        step = max(1, SAMPLE_BLOCK_VALUES // (max(nodes, self.rates.size) * comps))
-        for start in range(0, offsets.size, step):
-            rows = slice(start, start + step)
-            decay = np.exp(np.outer(self.rates, offsets[rows]))
-            modal = decay[:, :, None] * self.coeffs[:, None, :]
+        block = max(1, SAMPLE_BLOCK_VALUES // (max(nodes, self.rates.size) * comps))
+        for start in range(0, offsets.size, block):
+            rows = slice(start, start + block)
+            decay = self.factors(offsets[rows]).T
+            # in C order, so the GEMM's operand is laid out (modes, samples * N) row by row
+            modal = np.multiply(decay[:, :, None], self.coeffs[:, None, :], order="C")
             chunk = self.vectors @ modal.reshape(self.rates.size, -1)
             values[rows] = chunk.reshape(nodes, -1, comps).transpose(1, 0, 2)
         return values
@@ -330,8 +356,9 @@ class Trajectory:
     """A time-indexed stack of field values produced by one integrator.
 
     ``values`` is one read-only array of shape (samples, nodes, N), checked
-    finite once over the whole stack.  A spectral trajectory may carry its
-    ``modal`` expansion instead; its ``values`` are then built on first access
+    finite once over the whole stack.  A spectral trajectory, or a trapezoid
+    flow projected on an eigensystem, may carry its ``modal`` expansion
+    instead; its ``values`` are then built on first access
     and cached, so a caller that needs only modal quantities (the frequency
     trace) never materializes them.  A stepped trajectory carries its
     ``stepping`` instead: a callable that runs the steps (or hands over the

@@ -4,7 +4,11 @@ Two integrators on purpose: the spectral path is the exact semigroup of the
 semidiscrete operator (theorem-grade trajectories), the implicit trapezoid
 path carries O(dt^2) stepping error (tolerance-budgeted trajectories).
 Perturbations are treated explicitly with midpoint averaging; the zeroth-order
-gauge is removed by an exact scalar factor.
+gauge is removed by an exact scalar factor.  A plain trapezoid flow on an
+operator that holds its dense eigensystem can also be projected on it instead
+of stepped (:func:`_projected`): ``u_k = V r(dt Lambda)^k V^T M u0`` with
+``r(z) = (1 + z/2)/(1 - z/2)``, the same flow to round-off, kept as a modal
+expansion with the step.
 
 The spectral path is a modal expansion.  On an operator that holds its
 dense eigensystem it is the projection on every eigenvector; otherwise it
@@ -52,7 +56,7 @@ from .core import (
     Trajectory,
     WeightedGeometry,
     cumulative_trapezoid,
-    _modal_growth,
+    _modal_factors,
     _modal_sums,
     row_chunks,
     weighted_inner,
@@ -286,7 +290,7 @@ def _lanczos(op: DriftOperator, u: np.ndarray, grid: TimeGrid):
             if sigma[0] <= 0.0:
                 raise NumericalFailureError("the shift-and-invert Lanczos run lost definiteness")
             rates, coeffs = (1.0 - 1.0 / sigma[::-1]) / gamma, norm * y[0, ::-1]
-            I, D = _modal_sums(_modal_growth(rates, grid.times - grid.a), rates, coeffs**2)
+            I, D = _modal_sums(_modal_factors(rates, grid.times - grid.a, power=2), rates, coeffs**2)
             # U is 0 where I underflows to 0: there the trace will raise, as on the dense path
             trace = I, np.divide(D, I, out=np.zeros_like(I), where=I > 0.0)
             if invariant or (previous is not None and _agree(previous, trace)):
@@ -449,6 +453,13 @@ def step_block(members: list[_PendingSteps]) -> None:
         member.values = values
 
 
+def _blocks(flows: Iterable[Trajectory]) -> Iterator[list[Trajectory]]:
+    """Pending stepped ``flows`` in lists of ``block_size``, each created only when its list is taken."""
+    flows = iter(flows)
+    for first in flows:
+        yield [first, *itertools.islice(flows, first.stepping.block_size() - 1)]
+
+
 def _in_blocks(flows: Iterable[Trajectory]) -> Iterator[Trajectory]:
     """The trajectories of ``flows``, stepped together one block at a time.
 
@@ -460,11 +471,37 @@ def _in_blocks(flows: Iterable[Trajectory]) -> Iterator[Trajectory]:
     or perturbed) and N, so each block of ``block_size`` of them goes to
     :func:`step_block` whole.
     """
-    flows = iter(flows)
-    for first in flows:
-        block = [first, *itertools.islice(flows, first.stepping.block_size() - 1)]
+    for block in _blocks(flows):
         step_block([traj.stepping for traj in block])
         yield from block
+
+
+def _projected(flows: Iterable[Trajectory]) -> Iterator[Trajectory]:
+    """The trapezoid flows of pending plain ``flows``, projected on their operator's eigensystem, not stepped.
+
+    ``flows`` are taken as by :func:`_in_blocks`: pending ``evolve_cn`` flows
+    that share an operator, a grid and N, a block at a time.  Each block's
+    coefficients ``V^T M [u0 ...]`` are one GEMM, and each flow becomes a
+    modal expansion with the grid's step (``ModalExpansion.step``) and the
+    provenance of a stepped flow, so its trace and its gates are those of
+    stepping it, to round-off.  A perturbed flow, or an operator that does
+    not hold its eigensystem, is an :class:`InvalidInputError`: nothing is
+    stepped here.
+    """
+    for block in _blocks(flows):
+        pending = [traj.stepping for traj in block]
+        op, grid = pending[0].op, pending[0].grid
+        if any(p.pert is not None for p in pending):
+            raise InvalidInputError("a perturbed flow has no modal expansion: step it")
+        if "eigensystem" not in vars(op):  # computed by the first read of the cached property
+            raise InvalidInputError("the operator holds no eigensystem to project a flow on")
+        vals, vecs = op.eigensystem
+        starts = np.concatenate([p.u0 for p in pending], axis=1)
+        coeffs = np.split(vecs.T @ (op.geometry.mu[:, None] * starts), len(pending), axis=1)
+        for p, c in zip(pending, coeffs):
+            modal = ModalExpansion(rates=vals, vectors=vecs, coeffs=c, initial=p.u0, step=grid.dt)
+            yield Trajectory(grid=grid, geometry=op.geometry, modal=modal,
+                             provenance=PROVENANCE_IMPLICIT)
 
 
 def _stepped(op: DriftOperator, u0: Field, grid: TimeGrid, pert: PerturbationSpec | None,

@@ -6,7 +6,11 @@ A spectral trajectory is traced in closed form from its modal data: with
 never built, and its derivatives ``(log I)' = 2 U`` and ``U'`` are exact; U'
 is computed only when a check reads it.  Flows projected on one operator's
 dense eigensystem over one time grid share that operator's growth matrix
-``exp(2 lambda_k (t - a))``.  Every other trajectory is traced from its value
+``exp(2 lambda_k (t - a))``.  A trapezoid flow projected on the eigensystem
+(``evolution._projected``) is traced from its modal data too, with
+``r_k^(2k)``, ``r_k = r(dt lambda_k)``, in place of the exponential; it has
+no exact derivative in time, so its (log I)' and U' are differenced as for a
+stepped flow.  Every other trajectory is traced from its value
 stack and differenced in time (second-order centered, one-sided at the
 endpoints); a stepped trajectory's stack is built when the trace first reads
 it, by running its steps, unless a block stepping (``evolution._in_blocks``)
@@ -98,12 +102,14 @@ def frequency_trace(traj: Trajectory, op: DriftOperator) -> FrequencyTrace:
     dt = traj.grid.dt
     if traj.modal is not None:
         I, D, U, dU, d_gap = _modal_trace(traj, op)
-        dlogI = 2.0 * U
     else:
         I, D, d_gap = _sampled_trace(traj, op)
-        U = D / I
+        U, dU = D / I, None
+    if dU is None:  # no exact U': a stepped or trapezoid flow, differenced in time
         dlogI = np.gradient(np.log(I), dt, edge_order=2)
         dU = np.gradient(U, dt, edge_order=2)
+    else:
+        dlogI = 2.0 * U
     return FrequencyTrace(
         times=traj.grid.times,
         I=I,
@@ -121,17 +127,19 @@ def frequency_trace(traj: Trajectory, op: DriftOperator) -> FrequencyTrace:
 
 
 def _modal_trace(traj: Trajectory, op: DriftOperator):
-    """Closed-form I, D, U and U' of a spectral flow, and the D(a) cross-check.
+    """Closed-form I, D and U of a modal flow, U' of a semigroup one, and the D(a) cross-check.
 
-    The growth ``exp(2 lambda_k (t - a))`` is ``op``'s shared one when the
-    flow projects on its eigensystem (:meth:`DriftOperator.modal_growth`).
+    The growth, ``exp(2 lambda_k (t - a))`` or a trapezoid flow's
+    ``r_k^(2k)``, is ``op``'s shared one when the flow projects on its
+    eigensystem (:meth:`DriftOperator.modal_growth`).  For the semigroup,
     ``U' = 2 sum_k p_k (lambda_k - U)^2``, ``p_k = w_k exp(2 lambda_k (t - a)) / I``, is
     a variance, >= 0; ``2 (D_2 / I - U^2)`` would cancel on rough data.  It is
-    returned as a function, called on the trace's first read of ``dU``.
+    returned as a function, called on the trace's first read of ``dU``.  A
+    trapezoid flow has no such derivative, and its U' is None.
     """
     modal = traj.modal
     weights = np.sum(modal.coeffs**2, axis=1)
-    growth = op.modal_growth(modal.rates, traj.grid)
+    growth = op.modal_growth(modal.rates, traj.grid, modal.step)
     I, D = _modal_sums(growth, modal.rates, weights)
     I = _nonvanishing(I, traj.grid.times)
     U = D / I
@@ -142,7 +150,7 @@ def _modal_trace(traj: Trajectory, op: DriftOperator):
     u0 = modal.initial
     energy = traj.geometry.energy_pairing(u0, u0)
     d_gap = max(abs(D[0] + energy), abs(D[0] - _paired_with_l(op, u0))) / (energy + abs(I[0]))
-    return I, D, U, dU, float(d_gap)
+    return I, D, U, dU if modal.step is None else None, float(d_gap)
 
 
 def _sampled_trace(traj: Trajectory, op: DriftOperator) -> tuple[np.ndarray, np.ndarray, float]:
@@ -294,13 +302,13 @@ def check_rigidity(
         offsets = trace.times - trace.times[0]
         factors = np.exp(lam * offsets)
         if traj.modal is not None:
-            # the modes are mu-orthonormal, so with w_k = |c_k|^2
-            # |u(a + s) - e^{lam s} u(a)|^2 = sum_k w_k (e^{lam_k s} - e^{lam s})^2
+            # the modes are mu-orthonormal, so with w_k = |c_k|^2 and g_k the modal factors
+            # |u(a + s) - e^{lam s} u(a)|^2 = sum_k w_k (g_k(s) - e^{lam s})^2
             modal = traj.modal
             u0 = modal.initial
             weights = np.sum(modal.coeffs**2, axis=1)
             norm0 = float(np.sqrt(np.sum(weights)))
-            sep_sq = (np.exp(np.outer(offsets, modal.rates)) - factors[:, None]) ** 2 @ weights
+            sep_sq = (modal.factors(offsets) - factors[:, None]) ** 2 @ weights
         else:
             values = traj.values
             u0 = values[0]

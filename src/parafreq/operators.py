@@ -31,7 +31,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .core import (
-    Field, TimeGrid, WeightedGeometry, _frozen_csr, _modal_growth, energy_pairing, weighted_inner,
+    Field, TimeGrid, WeightedGeometry, _frozen_csr, _modal_factors, energy_pairing, weighted_inner,
 )
 from .errors import IncompatibleFieldsError, InvalidInputError, NumericalFailureError
 from .reports import CheckReport, passing
@@ -62,7 +62,8 @@ class DriftOperator:
     ``matrix`` may be given dense or sparse; it is stored as a read-only CSR
     array.  The LU factor of ``I - gamma L`` is cached per shift ``gamma``
     for the operator's lifetime (:meth:`shifted_factor`), and the modal
-    growth of its dense spectrum for the last time grid (:meth:`modal_growth`).
+    growth of its dense spectrum for the last time grid and step
+    (:meth:`modal_growth`).
     """
 
     geometry: WeightedGeometry
@@ -99,24 +100,27 @@ class DriftOperator:
                 raise NumericalFailureError(f"implicit factorization failed: {exc}") from exc
         return self._factors[gamma]
 
-    def modal_growth(self, rates: np.ndarray, grid: TimeGrid) -> np.ndarray:
-        """``exp(2 rates (t - a))`` at the grid's samples, shape (samples, modes).
+    def modal_growth(self, rates: np.ndarray, grid: TimeGrid, step: float | None = None) -> np.ndarray:
+        """The squared modal factors at the grid's samples, shape (samples, modes).
 
-        When ``rates`` is this operator's dense spectrum (the ``rates`` of
-        every flow projected on its eigensystem), the read-only matrix of the
-        last grid asked for is kept and shared, so one cache entry serves
-        every such flow over one grid.  Other rates, a Krylov flow's, get a
-        new matrix each call.
+        ``exp(2 rates (t - a))`` for the exact semigroup (``step`` None), and
+        ``r(step rates)^(2k)`` for the trapezoid flow of that step
+        (``core._modal_factors``).  When ``rates`` is this operator's dense
+        spectrum (the ``rates`` of every flow projected on its eigensystem),
+        the read-only matrix of the last grid and step asked for is kept and
+        shared, so one cache entry serves every such flow over one grid.
+        Other rates, a Krylov flow's, get a new matrix each call.
         """
         dense = vars(self).get("eigensystem")  # there once the cached property has run
         if dense is None or rates is not dense[0]:
-            return _modal_growth(rates, grid.times - grid.a)
-        if grid not in self._growth:
-            growth = _modal_growth(rates, grid.times - grid.a)
+            return _modal_factors(rates, grid.times - grid.a, step, 2)
+        key = grid, step
+        if key not in self._growth:
+            growth = _modal_factors(rates, grid.times - grid.a, step, 2)
             growth.setflags(write=False)
             self._growth.clear()
-            self._growth[grid] = growth
-        return self._growth[grid]
+            self._growth[key] = growth
+        return self._growth[key]
 
     @property
     def symmetrized(self) -> np.ndarray:

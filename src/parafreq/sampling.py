@@ -66,8 +66,9 @@ def _fourier_modes(geometry: WeightedGeometry, max_mode: int) -> tuple[np.ndarra
         nx, ny = geometry.stencil.shape
         lx = nx * geometry.stencil.spacings[0]
         ly = ny * geometry.stencil.spacings[1]
-        px = [2.0 * np.pi * kx * x / lx for kx in range(max_mode + 1)]
-        py = [2.0 * np.pi * ky * y / ly for ky in range(max_mode + 1)]
+        # the frequency first, as on the circle: 2 pi k x would overflow before / l on a huge side
+        px = [(2.0 * np.pi * kx / lx) * x for kx in range(max_mode + 1)]
+        py = [(2.0 * np.pi * ky / ly) * y for ky in range(max_mode + 1)]
         modes += [np.cos(p) for p in px + py]  # rows 1 + kx and 2 + max_mode + ky
         left, right = [0], [0]
         for kx in range(max_mode + 1):

@@ -35,6 +35,7 @@ from .core import (
 from .evolution import (
     PerturbationSpec,
     _in_blocks,
+    _projected,
     evolve_cn,
     evolve_exact,
     evolve_perturbed,
@@ -91,7 +92,8 @@ class SuiteContext:
 
         The eigensystem is read here only to compute and cache it: every
         spectral flow of the suite then projects on it (``evolve_exact``)
-        instead of building Krylov modes per flow.
+        instead of building Krylov modes per flow, and so does every flow of
+        the stepped lane (``evolution._projected``), as its trapezoid flow.
         """
         ops = {
             "flat-circle": assemble(self.flat_circle),
@@ -198,15 +200,27 @@ def _worst(name: str, results, **aux) -> CheckReport:
     return passing(name, np.min([rep.margin for rep in reps]), np.max(tols), **aux)
 
 
-def _lane_reports(lane, flows, op, where: str, tol_scale: float) -> list[CheckReport]:
-    """A report ``<label>/<where>`` per row of ``lane``: its entry's worst margin over ``flows``."""
+def _lane_reports(lane, flows, op, where: str, tol_scale: float, **extra) -> list[CheckReport]:
+    """A report ``<label>/<where>`` per row of ``lane``: its entry's worst margin over ``flows``.
+
+    Each report carries its row's aux, then ``extra``.
+    """
     entries = [read_check(entry, "check") for _, entry, _ in lane]
     results = _lane_results(entries, flows, op, tol_scale)
-    return [_worst(f"{label}/{where}", res, **aux) for (label, _, aux), res in zip(lane, results)]
+    return [_worst(f"{label}/{where}", res, **aux, **extra)
+            for (label, _, aux), res in zip(lane, results)]
 
 
 def monotonicity_reports(ctx: SuiteContext) -> list[CheckReport]:
-    """Random-data log-convexity suite, spectral and stepped lanes."""
+    """Random-data log-convexity suite, spectral and stepped lanes.
+
+    The stepped lane's trapezoid flows are projected on the operator's
+    eigensystem, not stepped (``evolution._projected``): their traces are
+    the stepped ones to round-off, and the stepper itself is tested by the
+    Richardson and perturbed lines.  Its lines report the stiffness
+    ``dt |lambda_min|``; above 2 the trapezoid factor of the fastest modes
+    is negative.
+    """
     reports = []
     grid = ctx.window
     for name in ("circle", "torus"):
@@ -216,8 +230,10 @@ def monotonicity_reports(ctx: SuiteContext) -> list[CheckReport]:
         # the spectral lane pins its tolerances, so --tol-scale leaves them alone
         exact = (evolve_exact(op, u0, grid) for u0 in fields)
         reports += _lane_reports(SPECTRAL_LANE, exact, op, name, 1.0)
-        stepped = _in_blocks(evolve_cn(op, u0, grid) for u0 in fields)
-        reports += _lane_reports(STEPPED_LANE, stepped, op, name, ctx.tol_scale)
+        stepped = _projected(evolve_cn(op, u0, grid) for u0 in fields)
+        stiffness = grid.dt * abs(float(op.eigensystem[0][-1]))
+        reports += _lane_reports(STEPPED_LANE, stepped, op, name, ctx.tol_scale,
+                                 dt_lambda_min=stiffness)
     # negative control: reversing time makes U nonincreasing, so the monotone line must fail
     op = ctx.operators["flat-circle"]
     x = op.geometry.coords[:, 0]

@@ -29,7 +29,7 @@ from parafreq.config import (
     build_time,
     sweep_configs,
 )
-from parafreq.errors import ConfigError, ExpressionError, ParafreqError
+from parafreq.errors import ConfigError, ExpressionError, InvalidInputError, ParafreqError
 from parafreq.expressions import compile_expression, evaluate_on_grid
 
 from conftest import peak_allocated
@@ -426,6 +426,22 @@ class TestConfigFuzz:
             _build(raw)
         except ParafreqError:
             pass
+
+    def test_random_data_on_a_torus_side_at_the_float_maximum(self):
+        # found by the fuzz test above: 2 pi k y overflowed before its division by ly
+        geometry = {"kind": "torus2d", "nx": 4, "ny": 10, "lx": 1.0, "ly": 1.7976931348623157e308}
+        geom = build_geometry(geometry)
+        fld = build_initial(ExperimentConfig.from_dict(
+            {"geometry": geometry, "initial": {"kind": "random", "seed": 4},
+             "time": {"a": 0.0, "b": 1.0, "steps": 4}}
+        ).initial, geom, assemble(geom))
+        assert np.all(np.isfinite(fld.values)) and abs(weighted_inner(fld, fld) - 1.0) < 1e-12
+
+    def test_a_total_measure_beyond_the_float_range_is_refused(self):
+        # every mu-norm of fields on this torus would overflow: lx * ly is beyond the float range
+        geometry = {"kind": "torus2d", "nx": 4, "ny": 4, "lx": TWO_PI, "ly": 1.7976931348623157e308}
+        with pytest.raises(InvalidInputError, match="total measure"):
+            build_geometry(geometry)
 
     @given(
         base=DOCUMENTS,

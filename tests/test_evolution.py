@@ -10,6 +10,7 @@ from parafreq import (
     PerturbationSpec,
     TimeGrid,
     assemble,
+    check_rigidity,
     evolve_cn,
     evolve_exact,
     evolve_perturbed,
@@ -21,14 +22,15 @@ from parafreq import (
     make_torus,
     weighted_norm,
 )
-from parafreq import core, evolution
+from parafreq import core, evolution, suite
 from parafreq.errors import (
     CertificationFailureError,
     DegenerateInputError,
     InvalidInputError,
     NumericalFailureError,
 )
-from parafreq.evolution import _in_blocks
+from parafreq.evolution import _in_blocks, _projected
+from parafreq.suite import SuiteContext
 from parafreq.sampling import random_smooth_field
 
 from conftest import dense_operator, peak_allocated
@@ -433,28 +435,88 @@ class TestImplicitStepping:
             gaps.append(mu_distance(geom, exact.values[-1], stepped.values[-1]))
         assert gaps[0] / gaps[1] > 3.5
 
-    @pytest.mark.parametrize("data", ["noise", "smooth"])
-    @pytest.mark.parametrize("grid, stiff", [(TimeGrid(0.0, 1.0, 20), True),
-                                             (TimeGrid(0.0, 2e-3, 40), False)])
-    def test_stepped_I_is_the_modal_closed_form(self, weighted_circle_512_op, data, grid, stiff):
+    @staticmethod
+    def closed_form_case(circle_512_op, case: str):
+        """(op, grid, starts, stiff): noise or smooth data on the weighted 512-node circle, or the
+        first ten fields of a stepped lane of ``check all`` (the suite's weighted circle 128 or
+        torus 32x32) at a seed."""
+        kind, variant = case.split("/")
+        if kind.startswith("suite-"):
+            name, seed = kind.removeprefix("suite-"), int(variant)
+            ctx = SuiteContext(seed=seed)
+            op = ctx.operators[name]
+            rng = suite._rng(seed, 3 if name == "circle" else 4)
+            starts = [random_smooth_field(op.geometry, rng) for _ in range(10)]
+            return op, ctx.window, starts, name == "circle"
+        op = circle_512_op
+        stiff = variant == "stiff"
+        grid = TimeGrid(0.0, 1.0, 20) if stiff else TimeGrid(0.0, 2e-3, 40)
+        x = op.geometry.coords[:, 0]
+        if kind == "noise":
+            u0 = np.random.default_rng(24).standard_normal(op.geometry.node_count)
+        else:
+            u0 = np.sin(x) + 0.5 * np.cos(3.0 * x) + 0.2
+        return op, grid, [Field(op.geometry, u0)], stiff
+
+    @pytest.mark.parametrize("case", [
+        "noise/stiff", "smooth/stiff", "noise/mild", "smooth/mild",
+        "suite-circle/0", "suite-circle/7", "suite-torus/0", "suite-torus/7",
+    ])
+    def test_stepped_I_is_the_modal_closed_form(self, weighted_circle_512_op, case):
         # the step multiplies mode j by r(dt lambda_j) = (1 + dt lambda_j / 2) / (1 - dt lambda_j / 2),
-        # so I_k = sum_j w_j r_j^(2k) with w_j the squared mu-projection of u0
-        op = weighted_circle_512_op
+        # so I_k = sum_j w_j r_j^(2k) with w_j the squared mu-projection of u0; projecting the
+        # flow on the eigensystem (_projected) gives the stepped trace and values to round-off
+        op, grid, starts, stiff = self.closed_form_case(weighted_circle_512_op, case)
         geom = op.geometry
         vals, vecs = op.eigensystem
         z = grid.dt * vals
-        assert (abs(z[-1]) > 2.0) == stiff
-        x = geom.coords[:, 0]
-        if data == "noise":
-            u0 = np.random.default_rng(24).standard_normal(geom.node_count)
-        else:
-            u0 = np.sin(x) + 0.5 * np.cos(3.0 * x) + 0.2
-        weights = (vecs.T @ (geom.mu * u0)) ** 2
         factor = (1.0 + 0.5 * z) / (1.0 - 0.5 * z)
+        # stiff: dt |lambda_min| > 2, where the fastest modes' factors are negative
+        assert (abs(z[-1]) > 2.0) == stiff == bool(np.any(factor < 0.0))
         steps = np.arange(grid.steps + 1)[:, None]
-        closed = (weights * factor ** (2 * steps)).sum(axis=1)
-        trace = frequency_trace(evolve_cn(op, Field(geom, u0), grid), op)
-        assert np.max(np.abs(trace.I / closed - 1.0)) <= 1e-11
+        stepped = _in_blocks(evolve_cn(op, u0, grid) for u0 in starts)
+        projected = _projected(evolve_cn(op, u0, grid) for u0 in starts)
+        for u0, step, proj in zip(starts, stepped, projected, strict=True):
+            weights = (vecs.T @ (geom.mu * u0.values[:, 0])) ** 2
+            closed = (weights * factor ** (2 * steps)).sum(axis=1)
+            trace, modal = frequency_trace(step, op), frequency_trace(proj, op)
+            assert np.max(np.abs(trace.I / closed - 1.0)) <= 1e-11
+            assert np.max(np.abs(modal.I / trace.I - 1.0)) <= 1e-11
+            assert np.max(np.abs(modal.U - trace.U)) <= 1e-11 * np.max(np.abs(trace.U))
+            gaps = [mu_distance(geom, a, b) for a, b in zip(proj.values, step.values)]
+            assert max(gaps) <= 1e-11 * weighted_norm(u0)
+            # a trapezoid flow has no exact derivative: its trace is differenced, as a stepped one
+            assert modal.provenance == trace.provenance == "implicit-step"
+            assert np.array_equal(modal.dU, np.gradient(modal.U, grid.dt, edge_order=2))
+
+    def test_projection_steps_nothing_and_refuses_what_it_cannot_project(
+        self, weighted_circle_op, monkeypatch
+    ):
+        geom = weighted_circle_op.geometry
+        grid = TimeGrid(0.0, 1.0, 20)
+        u0 = random_smooth_field(geom, np.random.default_rng(30))
+        monkeypatch.setattr(evolution, "step_block", lambda members: pytest.fail("stepped"))
+        (traj,) = _projected([evolve_cn(weighted_circle_op, u0, grid)])
+        assert traj.modal.step == grid.dt and traj.modal.rates is weighted_circle_op.eigensystem[0]
+        zero = PerturbationSpec(geom, grid, bound=0.0)
+        with pytest.raises(InvalidInputError, match="perturbed"):
+            list(_projected([evolve_perturbed(weighted_circle_op, u0, grid, zero)]))
+        with pytest.raises(InvalidInputError, match="no eigensystem"):
+            list(_projected([evolve_cn(assemble(geom), u0, grid)]))
+
+    def test_projected_eigenmode_separates_at_the_trapezoid_factor(self, weighted_circle_op):
+        # rigidity's separation residual of a projected flow compares r^k, not exp(lambda s),
+        # with exp(U(a) s): it is the stepped flow's residual, not the semigroup's round-off
+        pair = eigenpairs(weighted_circle_op, 3)[2]
+        grid = TimeGrid(0.0, 1.0, 20)
+        stepped = evolve_cn(weighted_circle_op, pair.eigenfield, grid)
+        (projected,) = _projected([evolve_cn(weighted_circle_op, pair.eigenfield, grid)])
+        exact = evolve_exact(weighted_circle_op, pair.eigenfield, grid)
+        residual = lambda traj: check_rigidity(traj, 1e-3, weighted_circle_op).aux[
+            "separation_residual"]
+        assert residual(exact) < 1e-13
+        assert residual(stepped) > 1e-6
+        assert abs(residual(projected) / residual(stepped) - 1.0) < 1e-8
 
     def test_provenance_tags(self, flat_circle_op):
         u0 = Field(flat_circle_op.geometry, np.sin(flat_circle_op.geometry.coords[:, 0]))

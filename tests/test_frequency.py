@@ -209,7 +209,7 @@ class TestSharedModalGrowth:
             traj = self.flow(op, seed, grid)
             rates = traj.modal.rates
             weights = np.sum(traj.modal.coeffs**2, axis=1)
-            growth = core._modal_growth(rates, grid.times - grid.a)
+            growth = core._modal_factors(rates, grid.times - grid.a, power=2)
             I, D = core._modal_sums(growth, rates, weights)
             trace = frequency_trace(traj, op)
             assert np.array_equal(trace.I, I) and np.array_equal(trace.D, D)
@@ -226,16 +226,19 @@ class TestSharedModalGrowth:
         short, long = TimeGrid(0.0, 1.0, 40), TimeGrid(0.0, 2.0, 40)
         for grid in (short, long, short):
             growth = op.modal_growth(rates, grid)
-            assert np.array_equal(growth, core._modal_growth(rates, grid.times - grid.a))
+            assert np.array_equal(growth, core._modal_factors(rates, grid.times - grid.a, power=2))
             traj = self.flow(op, 27, grid)
             expected = frequency_trace(materialized(traj), op)
             trace = frequency_trace(traj, op)
             assert np.max(np.abs(trace.I / expected.I - 1.0)) <= 1e-13
-        # one entry, the last grid's; rates that are not the dense spectrum are never cached
-        assert list(op._growth) == [short]
+        # one entry, the last grid's and step's; rates that are not the dense spectrum are never cached
+        assert list(op._growth) == [(short, None)]
         other = op.modal_growth(rates.copy(), long)
         assert other is not op.modal_growth(rates.copy(), long)
-        assert list(op._growth) == [short]
+        assert list(op._growth) == [(short, None)]
+        # a trapezoid flow's r^(2k) is its own entry, never the semigroup's
+        stepped = op.modal_growth(rates, short, short.dt)
+        assert list(op._growth) == [(short, short.dt)] and not np.array_equal(stepped, growth)
 
 
 @pytest.fixture(scope="module")

@@ -325,8 +325,8 @@ def per_field_smooth_values(geometry, rng, max_mode=4):
             for ky in range(max_mode + 1):
                 if kx == 0 and ky == 0:
                     continue
-                px = 2.0 * np.pi * kx * x / lx
-                py = 2.0 * np.pi * ky * y / ly
+                px = (2.0 * np.pi * kx / lx) * x
+                py = (2.0 * np.pi * ky / ly) * y
                 out += rng.standard_normal() * np.cos(px) * np.cos(py)
                 out += rng.standard_normal() * np.sin(px + py)
     return out / np.max(np.abs(out))

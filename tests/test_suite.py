@@ -84,6 +84,23 @@ def test_a_stepped_lane_holds_one_block():
     assert peak < 1.25 * evolution._BLOCK_BYTES
 
 
+def test_only_the_richardson_and_perturbed_lines_step(monkeypatch):
+    # the stepped lane projects its trapezoid flows on the eigensystem; the stepper itself
+    # stays under test in the Richardson and perturbed lines
+    blocks = []
+    step_block = evolution.step_block
+    monkeypatch.setattr(evolution, "step_block", lambda members: blocks.append(members)
+                        or step_block(members))
+    ctx = SuiteContext(seed=0)
+    stepped = {}
+    for lines in (suite.monotonicity_reports, suite.richardson_reports, suite.perturbed_reports):
+        del blocks[:]
+        assert all(r.passed for r in lines(ctx))
+        stepped[lines.__name__] = len(blocks)
+    assert stepped["monotonicity_reports"] == 0
+    assert stepped["richardson_reports"] > 0 and stepped["perturbed_reports"] > 0
+
+
 def test_spectrum_reports_pass():
     ctx = SuiteContext(seed=0)
     assert all(r.passed for r in spectrum_reports(ctx))
