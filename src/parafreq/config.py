@@ -193,13 +193,6 @@ TRACE_CHECKS = {
         lambda traj, trace, op, tol, entry: check_gradient_only(trace, entry["bound"], tol),
         _BOUND,
     ),
-    # the every-sample growth bound under its backward-uniqueness name
-    "vanishing-order": (
-        lambda traj, trace, op, tol, entry: (
-            check_hadamard_bound(trace, tol).renamed("vanishing-order")
-        ),
-        _TOL,
-    ),
 }
 
 # key tables: key -> parser of a required key, or (parser, default) of an

@@ -26,9 +26,9 @@ Every trajectory is one read-only (samples, nodes, N) array, and neither
 integrator builds it when the flow is created.  The spectral path keeps its
 modal data and builds the array from it, a chunk of samples per GEMM, only
 when a caller reads it.
-The stepped paths check their inputs, factor ``I - dt/2 L`` (once per
-operator and step size, :meth:`DriftOperator.shifted_factor`) and keep their
-initial data and perturbation; the steps run on first read of ``values``.
+The stepped paths check their inputs and keep their initial data and
+perturbation; the steps and the factor of ``I - dt/2 L`` (once per operator and
+step size, :meth:`DriftOperator.shifted_factor`) wait for the first read of ``values``.
 Each stage is one solve, ``u <- (I - dt/2 L)^{-1} (2u + dt p) - u``, the
 trapezoid step with the perturbation term ``p`` and no forward operator.
 :func:`_in_blocks` steps many pending flows that share an operator and a
@@ -70,8 +70,9 @@ from .errors import (
 from .operators import MAX_DENSE_NODES, MAX_VALUES, DriftOperator
 
 _CERT_SLACK = 1e-12
-# bytes of one block of flows stepped together: on circle 128 with 201 samples
-# that is 40 plain or 8 perturbed flows, on torus 32x32 five plain flows
+# bytes of one block of flows stepped together: check all's Richardson flows (10 plain
+# circle-128 flows, one block per grid) and random perturbed suite (7 blocks of up to 8
+# flows); a flow read alone, as in the stepped ladder, is a block of one
 _BLOCK_BYTES = 8 * 2**20
 # Krylov flows: the first basis size (it doubles from there), the agreement of
 # I and U between two successive sizes that ends the doubling (:func:`_agree`),
@@ -469,7 +470,8 @@ def _in_blocks(flows: Iterable[Trajectory]) -> Iterator[Trajectory]:
     for the next, only one block's values are alive at a time.  The flows are
     pending stepped flows that share an operator, a grid, a step kind (plain
     or perturbed) and N, so each block of ``block_size`` of them goes to
-    :func:`step_block` whole.
+    :func:`step_block` whole (``check all``'s Richardson and random perturbed
+    flows, see ``_BLOCK_BYTES``; its stepped lane is projected, :func:`_projected`).
     """
     for block in _blocks(flows):
         step_block([traj.stepping for traj in block])
@@ -506,8 +508,7 @@ def _projected(flows: Iterable[Trajectory]) -> Iterator[Trajectory]:
 
 def _stepped(op: DriftOperator, u0: Field, grid: TimeGrid, pert: PerturbationSpec | None,
              **tags) -> Trajectory:
-    """A deferred stepped trajectory; the factorization is made now, so its failure is raised here."""
-    op.shifted_factor(0.5 * grid.dt)
+    """A deferred stepped trajectory: nothing is factored or stepped until a block steps it."""
     return Trajectory(
         grid=grid, geometry=op.geometry, provenance=PROVENANCE_IMPLICIT,
         stepping=_PendingSteps(op, grid, u0.values, pert), **tags,

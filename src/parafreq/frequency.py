@@ -280,7 +280,7 @@ def check_rigidity(
     When U is constant to within tol the flow must be a separated eigenmode:
     ``u(t) = exp(lambda t) u(a)`` and ``L u(a) = lambda u(a)`` with
     ``lambda = U(a)``, and the margin is minus the worse of the two relative
-    residuals.  Non-constant U is reported as non-rigid (and passes).  A flow
+    residuals.  Non-constant U is non-rigid, and passes at margin ``max |U - U(a)|``.  A flow
     with modal data has its separation residual taken from the modal
     coefficients, so its values are never built; any other flow's is taken
     from its value stack.  ``op`` is the operator the flow evolved under (one
@@ -325,7 +325,7 @@ def check_rigidity(
         margin = -max(sep_res, eig_res)
         aux = {"separation_residual": sep_res, "eigen_residual": eig_res}
     else:
-        margin = u_dev - tol
+        margin = u_dev
         aux = {}
     return passing(
         "rigidity", float(margin), tol, location=trace.times[0],

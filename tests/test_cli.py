@@ -356,7 +356,6 @@ API_CHECKS = {
     "general-frequency": lambda traj, trace, op, C: check_general_frequency(trace, C),
     "general-lower-bound": lambda traj, trace, op, C: check_general_lower_bound(trace, C),
     "gradient-only": lambda traj, trace, op, C: check_gradient_only(trace, C),
-    "vanishing-order": lambda traj, trace, op, C: check_hadamard_bound(trace),
 }
 
 
@@ -469,6 +468,19 @@ class TestCheckTable:
         assert [c["check"] for c in report["checks"]] == [name]
         assert code == 0
 
+    def test_the_backward_uniqueness_alias_is_gone(self, tmp_path, capsys):
+        # the growth bound has one name; the former alias is an unknown check
+        raw = eigenmode_config()
+        raw["checks"] = [{"name": "vanishing-order"}]
+        config = write_config(tmp_path / "c.json", raw)
+        code = main(["--out", str(tmp_path / "out"), "simulate", "--config", config])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and "'vanishing-order'" in err
+        assert all(name in err for name in TRACE_CHECKS)
+        assert len(TRACE_CHECKS) == 7
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_readme_lists_the_table(self):
         text = README.read_text()
         paragraph = text[text.index("Check names:"):]
@@ -478,9 +490,9 @@ class TestCheckTable:
     @pytest.mark.parametrize(
         ("tol", "expected"), [(1e-30, 1e-30 * 5.0), (None, 1e-9 * 5.0)]
     )
-    def test_vanishing_order_scales_its_tolerance(self, tmp_path, tol, expected):
+    def test_hadamard_bound_scales_its_tolerance(self, tmp_path, tol, expected):
         raw = eigenmode_config()
-        raw["checks"] = [{"name": "vanishing-order", "tol": tol}]
+        raw["checks"] = [{"name": "hadamard-bound", "tol": tol}]
         config = write_config(tmp_path / "c.json", raw)
         argv = ["--out", str(tmp_path / "out"), "--tol-scale", "5", "simulate", "--config", config]
         main(argv)
@@ -497,7 +509,7 @@ class TestCheckTable:
             {"name": "general-frequency", "bound": [1, 2]},
             {"name": "general-frequency", "bound": -1},
             {"name": "gradient-only", "bound": -1e-9},
-            {"name": "vanishing-order", "tol": "abc"},
+            {"name": "hadamard-bound", "tol": "abc"},
             {"name": ["u-monotone"]},
         ],
     )
@@ -592,7 +604,7 @@ class TestUnknownKeys:
             ("sweep", sweep_of(eigenmode_config(), {
                 "name": "a", "override": {"initial.index": 2}}), "override"),
             ("simulate", dict(eigenmode_config(), checks=[
-                {"name": "vanishing-order", "rate": 1.0}]), "rate"),
+                {"name": "hadamard-bound", "bound": 0.5}]), "bound"),
             ("simulate", dict(gradient_only_config(), perturbation={
                 "b": ["0.5"], "gradient_only": True}), "gradient_only"),
         ],
@@ -612,13 +624,13 @@ class TestUnknownKeys:
         raw["initial"] = {"kind": "eigenmode", "index": None}
         raw["geometry"]["phi"] = None
         raw.update(integrator=None, gauge=None, perturbation=None, output=None)
-        raw["checks"] = [{"name": "vanishing-order", "tol": None}]
+        raw["checks"] = [{"name": "hadamard-bound", "tol": None}]
         config = write_config(tmp_path / "c.json", raw)
         assert main(["--out", str(tmp_path / "out"), "simulate", "--config", config]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["integrator"] == "spectral-exact"
         assert report["checks"][0]["tolerance"] == 1e-9
-        assert report["checks"][0]["check"] == "vanishing-order"
+        assert report["checks"][0]["check"] == "hadamard-bound"
 
 
 def sized_config(key, value):

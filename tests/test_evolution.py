@@ -390,12 +390,15 @@ class TestImplicitStepping:
         first = evolve_cn(op, u0, grid)
         second = evolve_cn(op, u0, grid)
         zero = evolve_perturbed(op, u0, grid, PerturbationSpec(op.geometry, grid, bound=0.0))
+        assert calls == [] and op._factors == {}  # nothing is factored before a step
+        first.values
         assert len(calls) == 1
         assert np.array_equal(first.values, second.values)
         assert np.array_equal(first.values, zero.values)
-        evolve_cn(op, u0, TimeGrid(0.0, 1.0, 40))
+        assert len(calls) == 1
+        evolve_cn(op, u0, TimeGrid(0.0, 1.0, 40)).values
         assert len(calls) == 2
-        evolve_cn(assemble(op.geometry), u0, grid)
+        evolve_cn(assemble(op.geometry), u0, grid).values
         assert len(calls) == 3
 
     def test_stack_is_one_read_only_array(self, weighted_circle_op):

@@ -406,22 +406,6 @@ class TestHadamardBound:
         assert rep.location == 0.5
         assert abs(rep.margin + 0.35) < 1e-12
 
-    def test_vanishing_order_eigenmode(self, flat_circle_op):
-        pair = eigenpairs(flat_circle_op, 2)[1]
-        traj = evolve_exact(flat_circle_op, pair.eigenfield, TimeGrid(0.0, 1.0, 50))
-        trace = frequency_trace(traj, flat_circle_op)
-        rep = run_config_check("vanishing-order", traj, trace, flat_circle_op, 1e-10)
-        assert rep.name == "vanishing-order" and rep.passed
-        # an eigenmode sits on the growth line: I(t) = I(a) exp(2 lambda (t - a))
-        assert abs(rep.margin) < 1e-10
-
-    def test_vanishing_order_tolerance(self, flat_circle_op, two_mode):
-        traj, trace = two_mode
-        for tol in (1e-9, 1e-3):
-            alias = run_config_check("vanishing-order", traj, trace, flat_circle_op, tol)
-            assert alias == check_hadamard_bound(trace, tol).renamed("vanishing-order")
-            assert alias.tolerance == tol
-
 
 class TestOperatorArgument:
     def test_trace_and_rigidity_need_the_operator(self, two_mode):
@@ -476,6 +460,14 @@ class TestRigidity:
         rep = check_rigidity(traj, 1e-9, flat_circle_op)
         assert rep.passed and not rep.aux["is_eigenmode"]
         assert abs(rep.aux["u_variation"] - 1.491) < 5e-3
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-3, None])
+    def test_non_rigid_margin_is_the_variation_itself(self, flat_circle_op, two_mode, tol):
+        # a non-rigid flow has no inequality to report: its margin carries no tolerance
+        traj, trace = two_mode
+        rep = check_rigidity(traj, tol, flat_circle_op, trace)
+        assert rep.passed and not rep.aux["is_eigenmode"]
+        assert rep.margin == rep.aux["u_variation"] == np.max(np.abs(trace.U - trace.U[0]))
 
     def test_separation_residual_matches_per_sample_reference(self, weighted_circle_op):
         geom = weighted_circle_op.geometry

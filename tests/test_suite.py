@@ -55,9 +55,11 @@ def test_rigidity_traces_each_flow_once(monkeypatch):
 
 
 def test_lane_reads_each_entry_once_for_all_its_flows(monkeypatch):
-    reads = []
-    read = config._read
+    reads, runs = [], []
+    read, bound = config._read, config.check_hadamard_bound
     monkeypatch.setattr(config, "_read", lambda raw, *rest: reads.append(raw) or read(raw, *rest))
+    monkeypatch.setattr(config, "check_hadamard_bound",
+                        lambda trace, tol: runs.append(trace) or bound(trace, tol))
     op = SuiteContext(seed=0).operators["flat-circle"]
     x = op.geometry.coords[:, 0]
     flows = [
@@ -67,6 +69,10 @@ def test_lane_reads_each_entry_once_for_all_its_flows(monkeypatch):
     reports = suite._lane_reports(suite.SPECTRAL_LANE, flows, op, "flat-circle", 1.0)
     assert all(r.passed for r in reports)
     assert reads == [entry for _, entry, _ in suite.SPECTRAL_LANE]
+    # the hadamard and backward-bound rows share one growth-bound run per flow
+    assert len(runs) == len({id(trace) for trace in runs}) == len(flows)
+    hadamard, backward = (r.to_dict() for r in reports[2:])
+    assert backward == dict(hadamard, check="backward-bound/spectral/flat-circle")
 
 
 def test_a_stepped_lane_holds_one_block():
@@ -76,12 +82,32 @@ def test_a_stepped_lane_holds_one_block():
     grid = TimeGrid(0.0, 1.0, 200)
     rng = np.random.default_rng(8)
     starts = [random_smooth_field(op.geometry, rng) for _ in range(10)]
-    assert evolve_cn(op, starts[0], grid).stepping.block_size() == 5  # also factors I - dt/2 L
+    assert evolve_cn(op, starts[0], grid).stepping.block_size() == 5
     reports, peak = peak_allocated(lambda: suite._lane_reports(
         suite.STEPPED_LANE, _in_blocks(evolve_cn(op, u0, grid) for u0 in starts), op, "torus", 1.0
     ))
     assert all(r.passed for r in reports)
     assert peak < 1.25 * evolution._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_backward_bound_is_the_growth_bound_run_once_per_flow(monkeypatch, seed):
+    # backward-bound is hadamard-bound under its backward-uniqueness label: on the spectral
+    # lane both rows share one run per flow, and the stepped lane has one row of it
+    runs = []
+    bound = config.check_hadamard_bound
+    monkeypatch.setattr(config, "check_hadamard_bound",
+                        lambda trace, tol: runs.append(trace) or bound(trace, tol))
+    ctx = SuiteContext(seed=seed)
+    by_name = {r.name: r for r in suite.monotonicity_reports(ctx)}
+    assert len(runs) == len({id(trace) for trace in runs}) == 4 * suite.RANDOM_FIELDS_PER_GEOMETRY
+    for where in ("circle", "torus"):
+        shared, label = by_name[f"hadamard/spectral/{where}"], by_name[f"backward-bound/spectral/{where}"]
+        assert (label.margin, label.tolerance, label.aux) == (shared.margin, shared.tolerance,
+                                                               shared.aux)
+        assert label.passed and by_name[f"backward-bound/stepped/{where}"].passed
+    # the stepped lane is projected, so no operator was factored for it
+    assert ctx.operators["torus"]._factors == {} and ctx.operators["circle"]._factors == {}
 
 
 def test_only_the_richardson_and_perturbed_lines_step(monkeypatch):
