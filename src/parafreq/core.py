@@ -289,12 +289,14 @@ def _modal_factors(rates: np.ndarray, offsets: np.ndarray, step: float | None = 
     step ``dt``, ``g(s) = r(dt rates)^k``, the trapezoid flow after
     ``k = s / dt`` steps (the offsets are multiples of ``dt``), with
     ``r(z) = (1 + z/2) / (1 - z/2)``; ``r < 0`` on modes with ``dt |rate| > 2``.
+    A factor past the float range is inf, which the trace refuses.
     """
-    if step is None:
-        return np.exp(np.outer(power * offsets, rates))
-    z = step * rates
-    ratio = (1.0 + 0.5 * z) / (1.0 - 0.5 * z)
-    return np.power(ratio, power * np.rint(offsets / step)[:, None])
+    with np.errstate(over="ignore"):
+        if step is None:
+            return np.exp(np.outer(power * offsets, rates))
+        z = step * rates
+        ratio = (1.0 + 0.5 * z) / (1.0 - 0.5 * z)
+        return np.power(ratio, power * np.rint(offsets / step)[:, None])
 
 
 def _modal_sums(growth: np.ndarray, rates: np.ndarray, weights: np.ndarray) -> tuple:

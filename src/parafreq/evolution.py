@@ -13,13 +13,13 @@ expansion with the step.
 The spectral path is a modal expansion.  On an operator that holds its
 dense eigensystem it is the projection on every eigenvector; otherwise it
 holds only the modes the initial data needs, the Ritz pairs of
-shift-and-invert Lanczos on ``(I - gamma L)^{-1}`` in the mu inner product
-(:func:`_lanczos`), which grows its Krylov basis until I and U at every
-sample have converged.  The shift is an eighth of the time window,
-``gamma = (b - a)/8``, so the modes a flow needs depend on its data and its
-window, not on the step.  Where mu spans more than eight decades (the Gauss
-line) each solve is iteratively refined; elsewhere it is one plain SuperLU
-solve.  Data that needs more than a quarter of the modes, where the dense
+shift-and-invert Lanczos on ``(I - gamma S)^{-1}``, ``S = M^{1/2} L M^{-1/2}``
+the operator's symmetric form (:func:`_lanczos`), which grows its Krylov basis
+until I and U at every sample have converged.  The shift is an eighth of the
+time window, ``gamma = (b - a)/8``, so the modes a flow needs depend on its
+data and its window, not on the step.  ``S`` is well scaled however many
+decades mu spans (the Gauss line), so each solve is one plain SuperLU solve.
+Data that needs more than a quarter of the modes, where the dense
 eigensolve is the cheaper, computes the eigensystem and projects on it.
 
 Every trajectory is one read-only (samples, nodes, N) array, and neither
@@ -86,15 +86,6 @@ _BREAKDOWN = 1e-12
 # modes on circle 2048 and 64 on torus 48^2, half what the step's dt/2 needs;
 # half the window or all of it needs 128 on torus 48^2 at seed 41
 _SHIFT_SHARE = 0.125
-# iterative refinement of the Krylov solves: only where mu spans more than
-# _REFINE_SPAN (max over min), since there a plain SuperLU solve loses digits
-# (the Gauss line: mu spans 47 decades at order 64, where unrefined Krylov
-# rates land 1e-2 off -k/2 and one correction leaves them 4e-9 off); each
-# solve is corrected until a correction is at most _REFINE_RTOL of the solution
-# in the mu-norm, at most _REFINE_STEPS times (order 370 over [0, 0.01] takes 15)
-_REFINE_SPAN = 1e8
-_REFINE_RTOL = 1e-12
-_REFINE_STEPS = 32
 # the largest share of the nodes a Krylov basis grows to when the dense
 # eigensystem is allowed: with one BLAS thread, a run on nodal noise on a
 # weighted 2048-node circle over [0, 0.01] in 2000 steps, its convergence test
@@ -208,8 +199,8 @@ def evolve_exact(op: DriftOperator, u0: Field, grid: TimeGrid) -> Trajectory:
     on first access.
     """
     _check_initial(op, u0)
-    # vars(op) holds the cached eigensystem once it has been computed
-    modal = None if "eigensystem" in vars(op) else _krylov_expansion(op, u0.values, grid)
+    dense = op.computed_eigensystem()
+    modal = _krylov_expansion(op, u0.values, grid) if dense is None else None
     if modal is None:
         vals, vecs = op.eigensystem
         coeffs = vecs.T @ (op.geometry.mu[:, None] * u0.values)
@@ -242,49 +233,48 @@ def _krylov_expansion(op: DriftOperator, u0: np.ndarray, grid: TimeGrid) -> Moda
 def _lanczos(op: DriftOperator, u: np.ndarray, grid: TimeGrid):
     """Rates, mu-orthonormal vectors and coefficients of the Krylov modes of one component ``u``.
 
-    Shift-and-invert Lanczos in the mu inner product on
-    ``A = (I - gamma L)^{-1}``, ``gamma = (b - a) * _SHIFT_SHARE``, from
-    ``q_0 = u / |u|_mu``.  Each ``A q`` is one solve with the LU factor of
-    ``op.shifted_factor(gamma)``, shared by every Krylov flow over a window of
-    that length on the operator.  Where mu spans more than ``_REFINE_SPAN``
-    (max over min), as on the Gauss line, SuperLU alone loses digits and each
-    solve is iteratively refined (:func:`_refined`); circles and tori skip it.
-    Each new direction is orthogonalized against the whole basis twice.  The
-    basis size doubles from ``_KRYLOV_START``; at each size the tridiagonal
-    ``T = Y diag(sigma) Y^T`` gives the rates
-    ``theta = (1 - 1/sigma) / gamma``, the vectors ``Q Y`` and the
-    coefficients ``|u|_mu Y[0, :]``.  The run ends when I and U at the grid's
-    samples agree with those of the previous size to ``_KRYLOV_RTOL``
-    (:func:`_agree`), or at an invariant subspace (a new direction that keeps at most
-    ``_BREAKDOWN`` of ``A q``, or a basis of every node), where the expansion
-    is exact.  Past ``min(nodes, MAX_VALUES // nodes)`` vectors it raises
+    Lanczos in the symmetric coordinates ``v = M^{1/2} u``, Euclidean, on
+    ``A = (I - gamma S)^{-1}``, ``gamma = (b - a) * _SHIFT_SHARE``, from
+    ``q_0 = v / |v|``.  Each ``A q`` is one solve with the LU factor of
+    ``op.krylov_factor(gamma)``, shared by every Krylov flow over a window of
+    that length on the operator.  Each new direction is orthogonalized
+    against the whole basis twice.  The basis size doubles from
+    ``_KRYLOV_START``; at each size the tridiagonal ``T = Y diag(sigma) Y^T``
+    gives the rates ``theta = (1 - 1/sigma) / gamma``, the vectors
+    ``M^{-1/2} Q Y`` (mu-orthonormal) and the coefficients ``|v| Y[0, :]``.
+    The run ends when I and U at the grid's samples agree with those of the
+    previous size to ``_KRYLOV_RTOL`` (:func:`_agree`), or at an invariant
+    subspace (a new direction that keeps at most ``_BREAKDOWN`` of ``A q``, or
+    a basis of every node), where the expansion is exact.  Past
+    ``min(nodes, MAX_VALUES // nodes)`` vectors it raises
     :class:`NumericalFailureError`.  On at most ``MAX_DENSE_NODES`` nodes it
     gives way (returns None) before the basis passes ``_KRYLOV_SHARE`` of the
     nodes, where the dense eigensolve costs less than the next size.
     """
-    gamma, mu, nodes = (grid.b - grid.a) * _SHIFT_SHARE, op.geometry.mu, u.size
-    solver = op.shifted_factor(gamma)
-    refine = mu.max() > _REFINE_SPAN * mu.min()
+    gamma, nodes = (grid.b - grid.a) * _SHIFT_SHARE, u.size
+    solver = op.krylov_factor(gamma)
+    root = np.sqrt(op.geometry.mu)
     cap = min(nodes, MAX_VALUES // nodes)
-    norm = np.sqrt(np.sum(mu * u * u))
+    v = root * u
+    norm = np.sqrt(v @ v)
     if norm == 0.0:
         return np.empty(0), np.empty((nodes, 0)), np.empty(0)
     size = min(_KRYLOV_START, cap)
     basis = np.empty((size, nodes))  # rows q_0, q_1, ...; grown with the size
-    basis[0] = u / norm
+    basis[0] = v / norm
     alpha, beta = [], []
     previous = None
     while True:
         m = len(alpha)
-        w = _refined(solver, op, gamma, basis[m]) if refine else solver.solve(basis[m])
-        scale = np.sqrt(np.sum(mu * w * w))
+        w = solver.solve(basis[m])
+        scale = np.sqrt(w @ w)
         diagonal = 0.0
         for _ in range(2):
-            h = basis[: m + 1] @ (mu * w)
+            h = basis[: m + 1] @ w
             w -= h @ basis[: m + 1]
             diagonal += h[m]
         alpha.append(diagonal)
-        b = np.sqrt(np.sum(mu * w * w))
+        b = np.sqrt(w @ w)
         invariant = m + 1 == nodes or b <= _BREAKDOWN * scale
         if invariant or m + 1 == size:
             sigma, y = scipy.linalg.eigh_tridiagonal(np.array(alpha), np.array(beta))
@@ -295,7 +285,7 @@ def _lanczos(op: DriftOperator, u: np.ndarray, grid: TimeGrid):
             # U is 0 where I underflows to 0: there the trace will raise, as on the dense path
             trace = I, np.divide(D, I, out=np.zeros_like(I), where=I > 0.0)
             if invariant or (previous is not None and _agree(previous, trace)):
-                return rates, basis[: m + 1].T @ y[:, ::-1], coeffs
+                return rates, basis[: m + 1].T @ y[:, ::-1] / root[:, None], coeffs
             if size == cap:
                 raise NumericalFailureError(
                     f"the Krylov flow did not converge within {cap} modes "
@@ -308,22 +298,6 @@ def _lanczos(op: DriftOperator, u: np.ndarray, grid: TimeGrid):
             basis = np.concatenate([basis, np.empty((size - basis.shape[0], nodes))])
         beta.append(b)
         basis[m + 1] = w / b
-
-
-def _refined(solver, op: DriftOperator, gamma: float, q: np.ndarray) -> np.ndarray:
-    """``(I - gamma L)^{-1} q`` by iterative refinement of ``solver``'s solves.
-
-    Corrections stop once one is at most ``_REFINE_RTOL`` of the solution in
-    the mu-norm, or after ``_REFINE_STEPS`` of them.
-    """
-    mu = op.geometry.mu
-    w = solver.solve(q)
-    for _ in range(_REFINE_STEPS):
-        dw = solver.solve(q - w + gamma * (op.matrix @ w))
-        w += dw
-        if np.sum(mu * dw * dw) <= _REFINE_RTOL**2 * np.sum(mu * w * w):
-            break
-    return w
 
 
 def _agree(old: tuple, new: tuple) -> bool:
@@ -495,7 +469,7 @@ def _projected(flows: Iterable[Trajectory]) -> Iterator[Trajectory]:
         op, grid = pending[0].op, pending[0].grid
         if any(p.pert is not None for p in pending):
             raise InvalidInputError("a perturbed flow has no modal expansion: step it")
-        if "eigensystem" not in vars(op):  # computed by the first read of the cached property
+        if op.computed_eigensystem() is None:
             raise InvalidInputError("the operator holds no eigensystem to project a flow on")
         vals, vecs = op.eigensystem
         starts = np.concatenate([p.u0 for p in pending], axis=1)

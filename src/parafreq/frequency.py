@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .core import PROVENANCE_IMPLICIT, Trajectory, _modal_sums, cumulative_trapezoid, per_row
-from .errors import DegenerateTraceError, InvalidInputError
+from .errors import DegenerateTraceError, InvalidInputError, NumericalFailureError
 from .evolution import _certificate, _over_samples
 from .operators import DriftOperator
 from .reports import CheckReport, passing
@@ -169,7 +169,10 @@ def _paired_with_l(op: DriftOperator, u: np.ndarray) -> float:
 
 
 def _nonvanishing(I: np.ndarray, times: np.ndarray) -> np.ndarray:
-    if np.any(I <= 0.0) or not np.all(np.isfinite(I)):
+    finite = np.isfinite(I)
+    if not finite.all():
+        raise NumericalFailureError(f"I(t) overflowed at t={times[np.argmin(finite)]:.6g}")
+    if np.any(I <= 0.0):
         k = int(np.argmin(I))
         raise DegenerateTraceError(
             f"I(t) vanished at t={times[k]:.6g}; backward-uniqueness regime"

@@ -7,17 +7,17 @@ periodic grid, the modal projection and negated rates of the Gauss line).
 Self-adjointness is structural, never a post-hoc symmetrization.
 
 The operator is stored sparse (CSR): a periodic stencil has 3 (circle) or 5
-(torus) nonzeros per row.  Only the eigensystem is dense, and it is refused
-above :data:`MAX_DENSE_NODES` nodes.  It comes from LAPACK's divide-and-conquer
-``dsyevd``, which overwrites the dense symmetrized matrix with the eigenvectors;
-with its workspace the solve peaks at about 3 n^2 doubles.  It is computed
-only when read: by ``eigen``, ``eigenmode`` data and the check suite.  A
-spectral flow on an operator that has not computed it builds Krylov modes
-instead, unless its data needs so many that the eigensolve is cheaper
-(``evolution.evolve_exact``).  Both those modes and the implicit steps
-solve with a sparse LU factor of ``I - gamma L``
-(:meth:`DriftOperator.shifted_factor`): a step of size ``dt`` takes
-``gamma = dt/2``, a Krylov flow a shift taken from its time window.
+(torus) nonzeros per row.  So is its symmetric form ``S = M^{1/2} L M^{-1/2}``,
+well scaled however many decades mu spans.  Only the eigensystem is dense, and
+it is refused above :data:`MAX_DENSE_NODES` nodes.  It comes from LAPACK's
+divide-and-conquer ``dsyevd``, which overwrites a dense ``S`` with the
+eigenvectors; with its workspace the solve peaks at about 3 n^2 doubles.  It
+is computed only when read: by ``eigen``, ``eigenmode`` data and the check
+suite.  A spectral flow on an operator that has not computed it builds Krylov
+modes instead, unless its data needs so many that the eigensolve is cheaper
+(``evolution.evolve_exact``).  Those modes solve with a sparse LU factor of
+``I - gamma S``, a shift taken from the flow's time window; implicit steps of
+size ``dt`` with one of ``I - dt/2 L``.
 """
 
 from __future__ import annotations
@@ -60,9 +60,10 @@ class DriftOperator:
     """Sparse CSR realization of the discrete drift operator.
 
     ``matrix`` may be given dense or sparse; it is stored as a read-only CSR
-    array.  The LU factor of ``I - gamma L`` is cached per shift ``gamma``
-    for the operator's lifetime (:meth:`shifted_factor`), and the modal
-    growth of its dense spectrum for the last time grid and step
+    array.  Its symmetric form :attr:`symmetric` is built on first read, the LU
+    factors of ``I - gamma L`` and ``I - gamma S`` are cached per shift for the
+    operator's lifetime (:meth:`shifted_factor`, :meth:`krylov_factor`), and the
+    modal growth of its dense spectrum for the last time grid and step
     (:meth:`modal_growth`).
     """
 
@@ -80,25 +81,36 @@ class DriftOperator:
         return Field(self.geometry, self.matrix @ u.values)
 
     def shifted_factor(self, gamma: float) -> scipy.sparse.linalg.SuperLU:
-        """``splu(I - gamma L)``, factored once per shift ``gamma``.
+        """``splu(I - gamma L)``, factored once per shift ``gamma``: the stepper's factor.
 
         A trapezoid step of size ``dt`` is ``2 (I - dt/2 L)^{-1} - I``, so every
         flow stepped on one operator and grid shares the factor of
-        ``gamma = dt/2``.  A Krylov flow asks for the shift of its time window
-        (``evolution._lanczos``), so a caller that both steps and runs Krylov
-        flows on one operator pays two factorizations, unless the two shifts
-        coincide.
+        ``gamma = dt/2``.  Krylov flows factor ``I - gamma S`` instead
+        (:meth:`krylov_factor`), so the two never share a factor.
         """
-        if gamma not in self._factors:
+        return self._factor("L", gamma)
+
+    def krylov_factor(self, gamma: float) -> scipy.sparse.linalg.SuperLU:
+        """``splu(I - gamma S)``, once per shift: every Krylov flow's (``evolution._lanczos``)."""
+        return self._factor("S", gamma)
+
+    def _factor(self, form: str, gamma: float) -> scipy.sparse.linalg.SuperLU:
+        key = form, gamma
+        if key not in self._factors:
+            matrix = self.matrix if form == "L" else self.symmetric
             eye = scipy.sparse.eye_array(self.geometry.node_count, format="csr")
             try:
-                # I - gamma L has a symmetric pattern: minimum degree on A^T + A fills in less than COLAMD
-                self._factors[gamma] = scipy.sparse.linalg.splu(
-                    (eye - gamma * self.matrix).tocsc(), permc_spec="MMD_AT_PLUS_A"
+                # I - gamma L (or S) has a symmetric pattern: minimum degree on A^T + A fills in less than COLAMD
+                self._factors[key] = scipy.sparse.linalg.splu(
+                    (eye - gamma * matrix).tocsc(), permc_spec="MMD_AT_PLUS_A"
                 )
             except RuntimeError as exc:
                 raise NumericalFailureError(f"implicit factorization failed: {exc}") from exc
-        return self._factors[gamma]
+        return self._factors[key]
+
+    def computed_eigensystem(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """:attr:`eigensystem` if it has been computed, else None; never runs the eigensolve."""
+        return vars(self).get("eigensystem")  # there once the cached property has run
 
     def modal_growth(self, rates: np.ndarray, grid: TimeGrid, step: float | None = None) -> np.ndarray:
         """The squared modal factors at the grid's samples, shape (samples, modes).
@@ -111,7 +123,7 @@ class DriftOperator:
         shared, so one cache entry serves every such flow over one grid.
         Other rates, a Krylov flow's, get a new matrix each call.
         """
-        dense = vars(self).get("eigensystem")  # there once the cached property has run
+        dense = self.computed_eigensystem()
         if dense is None or rates is not dense[0]:
             return _modal_factors(rates, grid.times - grid.a, step, 2)
         key = grid, step
@@ -122,14 +134,21 @@ class DriftOperator:
             self._growth[key] = growth
         return self._growth[key]
 
+    @cached_property
+    def symmetric(self) -> scipy.sparse.csr_array:
+        """``S = M^{1/2} L M^{-1/2}``, read-only CSR on L's pattern: ``S_ij = L_ij r_i / r_j``.
+
+        ``r = sqrt(mu)``; ``S`` is symmetric because ``L`` is mu-self-adjoint.
+        """
+        root, L = np.sqrt(self.geometry.mu), self.matrix
+        row_of = np.repeat(np.arange(self.geometry.node_count), np.diff(L.indptr))
+        data = L.data * root[row_of] / root[L.indices]
+        return _frozen_csr(scipy.sparse.csr_array((data, L.indices, L.indptr), shape=L.shape))
+
     @property
     def symmetrized(self) -> np.ndarray:
-        """Dense similarity transform ``M^{1/2} L M^{-1/2}``, plainly symmetric."""
-        root = np.sqrt(self.geometry.mu)
-        dense = self.matrix.toarray()
-        dense *= root[:, None]
-        dense /= root[None, :]
-        return dense
+        """:attr:`symmetric` as a new dense array."""
+        return self.symmetric.toarray()
 
     @cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
@@ -145,10 +164,9 @@ class DriftOperator:
                 f"the dense eigensolve is limited to {MAX_DENSE_NODES} nodes; "
                 f"this geometry has {n}"
             )
-        sym = self.symmetrized
         try:
-            # sym.T is Fortran-ordered, so dsyevd writes the eigenvectors into sym itself
-            vals, vecs = scipy.linalg.eigh(sym.T, driver="evd", overwrite_a=True)
+            # the transpose is Fortran-ordered, so dsyevd writes the eigenvectors into it
+            vals, vecs = scipy.linalg.eigh(self.symmetrized.T, driver="evd", overwrite_a=True)
         except scipy.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"the dense eigensolve failed: {exc}") from exc
         vals, vecs = vals[::-1], vecs[:, ::-1]

@@ -813,13 +813,15 @@ class TestNumericalFailures:
         assert err.startswith("error:") and "did not converge" in err
         assert "Traceback" not in err
 
-    def test_factorization_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("integrator", ["spectral-exact", "implicit-step"])
+    def test_factorization_failure_exits_1(self, tmp_path, capsys, monkeypatch, integrator):
+        # a spectral flow on expression data builds Krylov modes, which factor I - gamma S
         def fail(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", fail)
         raw = eigenmode_config()
-        raw["integrator"] = "implicit-step"
+        raw["integrator"] = integrator
         raw["initial"] = {"kind": "expression", "expression": "sin(x)"}
         code, err = self.run(tmp_path, capsys, raw)
         assert code == 1
@@ -836,6 +838,24 @@ class TestNumericalFailures:
         assert code == 1
         assert err.startswith("error:") and "non-finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("initial", [{"kind": "random", "seed": 5, "max_mode": 4},
+                                         {"kind": "eigenmode", "index": 1}])
+    def test_operator_near_the_float_limit_exits_1(self, tmp_path, capsys, initial):
+        # a torus of side 1e-150 has entries near 1e302: eigenmode data left the float
+        # range in the modal factors, with a numpy warning and "I(t) vanished at t=0"
+        raw = eigenmode_config()
+        raw["geometry"] = {"kind": "torus2d", "nx": 16, "ny": 16, "lx": 1e-150, "ly": 1e-150}
+        raw["initial"] = initial
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = self.run(tmp_path, capsys, raw)
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "vanished" not in err
+        if initial["kind"] == "eigenmode":
+            assert "overflowed" in err
+        assert caught == []
 
     def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch):
         def exhausted(spec):

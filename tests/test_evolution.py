@@ -38,6 +38,13 @@ from conftest import dense_operator, peak_allocated
 TWO_PI = 2.0 * np.pi
 
 
+@pytest.fixture(scope="module")
+def steep_circle():
+    """A circle of weight phi = 20 cos(x + 1): mu spans 17 decades."""
+    base = make_circle(128, TWO_PI)
+    return make_circle(128, TWO_PI, 20.0 * np.cos(base.coords[:, 0] + 1.0))
+
+
 def mu_distance(geometry, a, b):
     """The mu-distance of two samples' (nodes, N) values."""
     return weighted_norm(Field(geometry, a - b))
@@ -198,11 +205,34 @@ class TestKrylovFlows:
         frequency_trace(traj, op)
         traj.values
         assert "eigensystem" not in vars(op)
-        # the Krylov basis solves with the factor of its window's shift (b - a)/8
-        assert list(op._factors) == [0.125]
-        # a stepped flow on the same operator factors its own shift dt/2
+        # the Krylov basis solves with the factor of I - gamma S at its window's shift (b - a)/8
+        assert list(op._factors) == [("S", 0.125)]
+        # a stepped flow on the same operator factors I - gamma L at its own shift dt/2
         evolve_cn(op, u0, TimeGrid(0.0, 1.0, 20)).values
-        assert list(op._factors) == [0.125, 0.025]
+        assert list(op._factors) == [("S", 0.125), ("L", 0.025)]
+        # the two never share a factor, even at one shift
+        evolve_cn(op, u0, TimeGrid(0.0, 1.0, 4)).values
+        assert list(op._factors) == [("S", 0.125), ("L", 0.025), ("L", 0.125)]
+
+    def test_repeated_krylov_flows_factor_once(self, weighted_circle, monkeypatch):
+        calls = []
+        splu = scipy.sparse.linalg.splu
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+        op = assemble(weighted_circle)
+        x = weighted_circle.coords[:, 0]
+        for data in (np.sin(x) + 0.2, np.exp(np.cos(x)), np.cos(2.0 * x) + np.sin(3.0 * x)):
+            # windows of one length share the shift, wherever they start and however stepped
+            for grid in (TimeGrid(0.0, 1.0, 20), TimeGrid(2.0, 3.0, 7)):
+                evolve_exact(op, Field(weighted_circle, data), grid)
+        assert "eigensystem" not in vars(op)
+        assert len(calls) == 1 and list(op._factors) == [("S", 0.125)]
+        evolve_exact(op, Field(weighted_circle, np.sin(x)), TimeGrid(0.0, 2.0, 20))
+        assert len(calls) == 2
 
     def test_an_eigenvector_ends_the_run_at_one_mode(self, flat_circle):
         op = assemble(flat_circle)
@@ -255,11 +285,10 @@ class TestKrylovFlows:
         smooth = Field(weighted_circle, np.cos(weighted_circle.coords[:, 0]))
         assert evolve_exact(op, smooth, grid).modal.rates.size <= 16
 
-    def test_gauss_line_rates_are_exact_under_refinement(self, krylov_only):
-        # mu spans 47 decades at order 64, so every solve is refined; unrefined,
-        # the rates land 1e-2 off -k/2, and after one correction 4e-9 off
+    def test_gauss_line_rates_are_exact(self, krylov_only):
+        # mu spans 47 decades at order 64: plain solves with I - gamma L put the rates
+        # 1e-2 off -k/2, while I - gamma S is well scaled
         gauss = make_gauss_line(64)
-        assert gauss.mu.max() > evolution._REFINE_SPAN * gauss.mu.min()
         op = assemble(gauss)
         u0 = Field(gauss, np.random.default_rng(22).standard_normal(64))
         rates = evolve_exact(op, u0, TimeGrid(0.0, 2.0, 40)).modal.rates
@@ -268,8 +297,6 @@ class TestKrylovFlows:
         assert np.max(np.abs(np.sort(rates)[::-1] + 0.5 * np.arange(64))) <= 1e-12
 
     def test_high_order_gauss_line_keeps_the_expressions_of_D(self, krylov_only):
-        # at order 256 a solve takes up to 7 corrections here: a fixed one leaves the gap
-        # at 2e-6, two at 2e-8
         gauss = make_gauss_line(256)
         op = assemble(gauss)
         u0 = Field(gauss, np.random.default_rng(22).standard_normal(256))
@@ -277,10 +304,29 @@ class TestKrylovFlows:
         assert "eigensystem" not in vars(op)
         assert trace.aux["d_expression_gap"] <= 1e-12
 
+    @pytest.mark.parametrize("order", [64, 256, 370])
+    def test_gauss_line_flows_over_a_long_window_match_the_basis_projection(self, krylov_only,
+                                                                            order):
+        # over [0, 1e4] solves with I - gamma L, even refined, left the gap at 2.1e-8
+        # (order 256), 2.9e-9 (order 370) and 3.7e-10 (order 64)
+        gauss = make_gauss_line(order)
+        op = assemble(gauss)
+        u0 = Field(gauss, np.random.default_rng(22).standard_normal(order))
+        grid = TimeGrid(0.0, 1e4, 40)
+        trace = frequency_trace(evolve_exact(op, u0, grid), op)
+        assert "eigensystem" not in vars(op)
+        assert trace.aux["d_expression_gap"] <= 1e-10
+        # the exact flow: u0's coefficients in the eigenbasis B decay at the rates -k/2
+        coeffs = gauss.basis.basis.T @ (gauss.mu * u0.values[:, 0])
+        rates = -0.5 * np.arange(order)
+        growth = np.exp(2.0 * np.outer(grid.times, rates))
+        U = (growth @ (rates * coeffs**2)) / (growth @ coeffs**2)
+        assert np.max(np.abs(trace.U - U)) <= 1e-10 * (1.0 + np.max(np.abs(U)))
+
     @pytest.mark.parametrize("data", ["noise", "smooth"])
-    @pytest.mark.parametrize("geometry", ["weighted_circle", "conformal_torus"])
-    def test_plain_solves_match_the_dense_path(self, request, monkeypatch, krylov_only,
-                                               geometry, data):
+    @pytest.mark.parametrize("geometry", ["weighted_circle", "conformal_torus", "steep_circle"])
+    def test_plain_solves_match_the_dense_path(self, request, krylov_only, geometry, data):
+        # steep_circle's mu spans 17 decades, where plain solves with I - gamma L lose digits
         geom = request.getfixturevalue(geometry)
         x = geom.coords[:, 0]
         if data == "noise":
@@ -290,11 +336,6 @@ class TestKrylovFlows:
         grid = TimeGrid(0.0, 1.0, 40)
         dense = dense_operator(geom)
         expected = frequency_trace(evolve_exact(dense, u0, grid), dense)
-
-        def refined(*args):
-            raise AssertionError("a solve on a circle or torus was refined")
-
-        monkeypatch.setattr(evolution, "_refined", refined)
         op = assemble(geom)
         trace = frequency_trace(evolve_exact(op, u0, grid), op)
         assert "eigensystem" not in vars(op)
@@ -305,7 +346,7 @@ class TestKrylovFlows:
     @pytest.mark.parametrize("window", [(0.01, 2000), (10.0, 4)])
     def test_small_and_long_windows_stay_on_krylov_modes(self, window):
         # under the step's shift dt/2 the small window needed every mode and took the
-        # dense path; over the long one both shifts are 1.25 and the solves unrefined
+        # dense path
         base = make_circle(1024, TWO_PI)
         geom = make_circle(1024, TWO_PI, np.cos(base.coords[:, 0]))
         x = geom.coords[:, 0]

@@ -17,6 +17,7 @@ from parafreq import (
 from parafreq.errors import IncompatibleFieldsError, InvalidInputError
 from parafreq.core import MAX_GAUSS_ORDER
 from parafreq.operators import MAX_DENSE_NODES
+from parafreq.suite import SuiteContext
 
 from conftest import peak_allocated
 
@@ -289,6 +290,24 @@ class TestSpectrum:
         assert np.array_equal(op.symmetrized, before)
         assert np.array_equal(op.matrix.data, data)
         assert not np.shares_memory(vecs, before)
+
+    @pytest.mark.parametrize("where", ["flat-circle", "circle", "torus", "gauss-line", "gauss-370"])
+    def test_symmetric_form_is_the_dense_scaling_bit_for_bit(self, where):
+        # the sparse S, built entry by entry, densifies to the bits of the dense scaling
+        # L r_i / r_j that the eigensolve used before S was kept sparse
+        ctx = SuiteContext(seed=0)
+        geometry = {"flat-circle": ctx.flat_circle, "circle": ctx.circle, "torus": ctx.torus,
+                    "gauss-line": ctx.gauss, "gauss-370": make_gauss_line(370)}[where]
+        op = assemble(geometry)
+        root = np.sqrt(op.geometry.mu)
+        dense = op.matrix.toarray()
+        dense *= root[:, None]
+        dense /= root[None, :]
+        assert np.array_equal(op.symmetrized, dense)
+        S = op.symmetric
+        assert S is op.symmetric and not S.data.flags.writeable
+        assert np.array_equal(S.indptr, op.matrix.indptr)
+        assert np.array_equal(S.indices, op.matrix.indices)
 
     def test_eigensolve_peaks_near_three_dense_matrices(self):
         # the symmetrized matrix, overwritten by the eigenvectors, plus dsyevd's 2 n^2 workspace;
