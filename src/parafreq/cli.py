@@ -38,40 +38,34 @@ EXIT_CONFIG = 1
 EXIT_CHECK = 2
 
 try:
-    _mallopt = ctypes.CDLL(None).mallopt  # glibc's allocator settings
+    _libc = ctypes.CDLL(None)
+    _mallopt, _malloc_trim = _libc.mallopt, _libc.malloc_trim  # glibc's allocator settings and trim
     _mallopt.argtypes, _mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
 except (AttributeError, OSError, TypeError):
-    _mallopt = None
-_M_TRIM_THRESHOLD, _M_TOP_PAD, _M_MMAP_THRESHOLD = -1, -2, -3
-_MMAP_THRESHOLD = 8 << 20
+    _mallopt = _malloc_trim = None
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 1 << 20
 _TRIM_THRESHOLD = 64 << 20
-_TOP_PAD = 32 << 20
 
 
 def _pin_malloc_thresholds() -> None:
     """Fix glibc's heap settings for the rest of the process (elsewhere nothing).
 
-    glibc raises its mmap threshold to the size of each mapped buffer freed
-    (up to 32 MiB), so where the next buffer of about that size went would
-    depend on earlier frees.  The threshold is pinned at ``_MMAP_THRESHOLD``;
-    that also stops the adaptation of the trim threshold, which is set to
-    64 MiB, the most that adaptation reaches.  A buffer over the threshold
-    that the free top of the heap cannot hold is mapped afresh while the
-    top's pages stay resident, and whether the top held it came down to a few
-    hundred KB: a simulate run leaves a top of about 18.3 MB, and reading
-    back its 18.1 MB ``trajectory.csv`` in the same process peaked at 88 MB,
-    or at 105 MB once a 400 KB buffer had been taken from that top first.
-    So each growth of the heap reserves ``_TOP_PAD`` more bytes (untouched, so
-    not resident): the top has room for such a buffer, which reuses the top's
-    resident pages, and that peak reads 88 MB both ways.  Only simulate runs
-    pin them: ``check all`` frees many mid-size arrays whose pages the
-    adaptive trim threshold hands back during the run, and with the settings
-    pinned its peak RSS rose from 97 to 111 MB.
+    Buffers of ``_MMAP_THRESHOLD`` bytes or more are mapped on their own, so
+    the heap holds only small blocks, and :func:`run_simulate` hands its free
+    pages back when it returns.  A large buffer carved from the heap lands in
+    a hole earlier frees left, and its pages stay resident after it is freed:
+    with an 8 MiB threshold, a 32 MiB top pad and no trim, reading back a
+    simulate run's 15.8 and 18.1 MB ``trajectory.csv`` peaked at 88 MB, or at
+    101-104 MB in one process in ten; now at 86.7-87.5 MB in every process.
+    Pinning the threshold stops glibc's adaptation of it and of the trim
+    threshold, set to 64 MiB, the most that adaptation reaches.  Only simulate
+    runs pin them: with them ``check all``'s peak RSS rose from 97 to 111 MB.
     """
     if _mallopt is not None:
         _mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
         _mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
-        _mallopt(_M_TOP_PAD, _TOP_PAD)
 
 
 def _out_dir(args, config: ExperimentConfig | None = None) -> Path:
@@ -92,7 +86,16 @@ def _write_report(out_dir: Path, reports, seed, extra: dict) -> int:
 
 
 def run_simulate(config: ExperimentConfig, out_dir: Path, seed, tol_scale: float) -> int:
+    """One simulate run; the heap's free pages go back to the system when it returns."""
     _pin_malloc_thresholds()
+    try:
+        return _simulate(config, out_dir, seed, tol_scale)
+    finally:
+        if _malloc_trim is not None:
+            _malloc_trim(0)
+
+
+def _simulate(config: ExperimentConfig, out_dir: Path, seed, tol_scale: float) -> int:
     geometry = build_geometry(config.geometry)
     op = assemble(geometry)
     grid = build_time(config.time)

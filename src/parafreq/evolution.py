@@ -27,10 +27,11 @@ integrator builds it when the flow is created.  The spectral path keeps its
 modal data and builds the array from it, a chunk of samples per GEMM, only
 when a caller reads it.
 The stepped paths check their inputs and keep their initial data and
-perturbation; the steps and the factor of ``I - dt/2 L`` (once per operator and
-step size, :meth:`DriftOperator.shifted_factor`) wait for the first read of ``values``.
-Each stage is one solve, ``u <- (I - dt/2 L)^{-1} (2u + dt p) - u``, the
-trapezoid step with the perturbation term ``p`` and no forward operator.
+perturbation; the steps and the factor of ``I - dt/2 S`` (the Krylov flows'
+form, :meth:`DriftOperator.factor`) wait for the first read of ``values``.
+Each stage is one solve in ``v = M^{1/2} u``, ``v <- (I - dt/2 S)^{-1} (2v +
+dt M^{1/2} p) - v``, the trapezoid step with the perturbation term ``p`` and
+no forward operator.
 :func:`_in_blocks` steps many pending flows that share an operator and a
 grid as one block of columns, one multi-right-hand-side solve per stage
 (:func:`step_block`).
@@ -236,12 +237,13 @@ def _lanczos(op: DriftOperator, u: np.ndarray, grid: TimeGrid):
     Lanczos in the symmetric coordinates ``v = M^{1/2} u``, Euclidean, on
     ``A = (I - gamma S)^{-1}``, ``gamma = (b - a) * _SHIFT_SHARE``, from
     ``q_0 = v / |v|``.  Each ``A q`` is one solve with the LU factor of
-    ``op.krylov_factor(gamma)``, shared by every Krylov flow over a window of
-    that length on the operator.  Each new direction is orthogonalized
-    against the whole basis twice.  The basis size doubles from
-    ``_KRYLOV_START``; at each size the tridiagonal ``T = Y diag(sigma) Y^T``
-    gives the rates ``theta = (1 - 1/sigma) / gamma``, the vectors
-    ``M^{-1/2} Q Y`` (mu-orthonormal) and the coefficients ``|v| Y[0, :]``.
+    ``op.factor(gamma)``, shared by every Krylov flow over a window of that
+    length on the operator, and by its stepped flows of step ``2 gamma``.
+    Each new direction is orthogonalized against the whole basis twice.  The
+    basis size doubles from ``_KRYLOV_START``; at each size the tridiagonal
+    ``T = Y diag(sigma) Y^T`` gives the rates ``theta = (1 - 1/sigma) / gamma``,
+    the vectors ``M^{-1/2} Q Y`` (mu-orthonormal) and the coefficients
+    ``|v| Y[0, :]``.
     The run ends when I and U at the grid's samples agree with those of the
     previous size to ``_KRYLOV_RTOL`` (:func:`_agree`), or at an invariant
     subspace (a new direction that keeps at most ``_BREAKDOWN`` of ``A q``, or
@@ -252,7 +254,7 @@ def _lanczos(op: DriftOperator, u: np.ndarray, grid: TimeGrid):
     nodes, where the dense eigensolve costs less than the next size.
     """
     gamma, nodes = (grid.b - grid.a) * _SHIFT_SHARE, u.size
-    solver = op.krylov_factor(gamma)
+    solver = op.factor(gamma)
     root = np.sqrt(op.geometry.mu)
     cap = min(nodes, MAX_VALUES // nodes)
     v = root * u
@@ -279,6 +281,11 @@ def _lanczos(op: DriftOperator, u: np.ndarray, grid: TimeGrid):
         if invariant or m + 1 == size:
             sigma, y = scipy.linalg.eigh_tridiagonal(np.array(alpha), np.array(beta))
             if sigma[0] <= 0.0:
+                reach = gamma * np.max(np.abs(op.symmetric.diagonal()))
+                if reach * np.finfo(float).eps >= 1.0:  # I is lost in rounding: the factor failed
+                    raise NumericalFailureError(
+                        f"I - gamma S is singular in floating point (gamma max|S_ii| = {reach:.3g} "
+                        "is past 1/eps): the operator's entries are out of the float range")
                 raise NumericalFailureError("the shift-and-invert Lanczos run lost definiteness")
             rates, coeffs = (1.0 - 1.0 / sigma[::-1]) / gamma, norm * y[0, ::-1]
             I, D = _modal_sums(_modal_factors(rates, grid.times - grid.a, power=2), rates, coeffs**2)
@@ -387,43 +394,47 @@ class _BlockTerm:
 def step_block(members: list[_PendingSteps]) -> None:
     """Trapezoidal steps of one block, implicit in L, midpoint-averaged in the perturbation.
 
-    Every stage (a plain step, a predictor, a corrector) is ``solve(2u + dt p) - u``,
-    its sums taken in place.  The members share one operator, grid, step kind
-    and N.  The state is a (nodes, M * N) matrix, a column per member and
-    component; each member's values become a contiguous view of one
-    (M, samples, nodes, N) array.
+    The steps run on ``v = R u``, ``R = M^{1/2}``, where L is ``S`` and every
+    solve is with ``op.factor(dt/2)``.  Every stage (a plain step, a predictor, a
+    corrector) is ``solve(2v + dt R p) - v``, its sums taken in place, with the
+    perturbation term ``p`` taken of ``u = v / R``.  The members share one
+    operator, grid, step kind and N.  The state is a (nodes, M * N) matrix, a
+    column per member and component; each member's values become a contiguous
+    view of one (M, samples, nodes, N) array.
     """
     first = members[0]
     op, grid = first.op, first.grid
     nodes, comps = first.u0.shape
-    dt = grid.dt
-    solver = op.shifted_factor(0.5 * dt)
+    solver = op.factor(0.5 * grid.dt)
+    root = np.sqrt(op.geometry.mu)[:, None]
+    dt_root = grid.dt * root
     term = None if first.pert is None else _BlockTerm(op.geometry, [m.pert for m in members])
     block = np.empty((len(members), grid.steps + 1, nodes, comps))
     for member, values in zip(members, block):
         values[0] = member.u0
     state = (nodes, len(members), comps)
-    u = block[:, 0].transpose(1, 0, 2).reshape(nodes, -1)
+    v = root * block[:, 0].transpose(1, 0, 2).reshape(nodes, -1)
     # a flow that leaves the float range fails the finite check when its values are read
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(grid.steps):
-            rhs = twice = 2.0 * u
+            rhs = twice = 2.0 * v
             if term is not None:
-                p_old = term(k, u.reshape(state)).reshape(u.shape)
-                rhs = dt * p_old
+                p_old = term(k, block[:, k].transpose(1, 0, 2)).reshape(v.shape)
+                rhs = dt_root * p_old
                 rhs += twice
                 predictor = solver.solve(rhs)
-                predictor -= u
-                # (p_new + p_old), then times 0.5 and dt: the bits of dt (0.5 (p_old + p_new))
-                rhs = term(k + 1, predictor.reshape(state)).reshape(u.shape)
+                predictor -= v
+                predictor /= root
+                # (p_new + p_old), then times 0.5 and dt R: the bits of dt R (0.5 (p_old + p_new))
+                rhs = term(k + 1, predictor.reshape(state)).reshape(v.shape)
                 rhs += p_old
                 rhs *= 0.5
-                rhs *= dt
+                rhs *= dt_root
                 rhs += twice
             step = solver.solve(rhs)
-            step -= u
-            u = step
-            block[:, k + 1] = u.reshape(state).transpose(1, 0, 2)
+            step -= v
+            v = step
+            np.divide(v.reshape(state), root[:, :, None], out=block[:, k + 1].transpose(1, 0, 2))
     for member, values in zip(members, block):
         member.values = values
 

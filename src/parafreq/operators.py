@@ -15,9 +15,9 @@ eigenvectors; with its workspace the solve peaks at about 3 n^2 doubles.  It
 is computed only when read: by ``eigen``, ``eigenmode`` data and the check
 suite.  A spectral flow on an operator that has not computed it builds Krylov
 modes instead, unless its data needs so many that the eigensolve is cheaper
-(``evolution.evolve_exact``).  Those modes solve with a sparse LU factor of
-``I - gamma S``, a shift taken from the flow's time window; implicit steps of
-size ``dt`` with one of ``I - dt/2 L``.
+(``evolution.evolve_exact``).  Every solve is with a sparse LU factor of
+``I - gamma S``: a Krylov flow's shift is taken from its time window, an
+implicit step's of size ``dt`` is ``dt/2``.
 """
 
 from __future__ import annotations
@@ -61,10 +61,9 @@ class DriftOperator:
 
     ``matrix`` may be given dense or sparse; it is stored as a read-only CSR
     array.  Its symmetric form :attr:`symmetric` is built on first read, the LU
-    factors of ``I - gamma L`` and ``I - gamma S`` are cached per shift for the
-    operator's lifetime (:meth:`shifted_factor`, :meth:`krylov_factor`), and the
-    modal growth of its dense spectrum for the last time grid and step
-    (:meth:`modal_growth`).
+    factor of ``I - gamma S`` is cached per shift for the operator's lifetime
+    (:meth:`factor`), and the modal growth of its dense spectrum for the last
+    time grid and step (:meth:`modal_growth`).
     """
 
     geometry: WeightedGeometry
@@ -80,33 +79,24 @@ class DriftOperator:
             raise IncompatibleFieldsError("field does not live on the operator geometry")
         return Field(self.geometry, self.matrix @ u.values)
 
-    def shifted_factor(self, gamma: float) -> scipy.sparse.linalg.SuperLU:
-        """``splu(I - gamma L)``, factored once per shift ``gamma``: the stepper's factor.
+    def factor(self, gamma: float) -> scipy.sparse.linalg.SuperLU:
+        """``splu(I - gamma S)``, factored once per shift ``gamma``: every solve's.
 
-        A trapezoid step of size ``dt`` is ``2 (I - dt/2 L)^{-1} - I``, so every
-        flow stepped on one operator and grid shares the factor of
-        ``gamma = dt/2``.  Krylov flows factor ``I - gamma S`` instead
-        (:meth:`krylov_factor`), so the two never share a factor.
+        Krylov flows over a window of one length share a shift
+        (``evolution._lanczos``), and so do the stepped flows of one step size
+        ``dt``, at ``gamma = dt/2`` (``evolution.step_block``); a step and a
+        Krylov flow at the same shift share one factor.
         """
-        return self._factor("L", gamma)
-
-    def krylov_factor(self, gamma: float) -> scipy.sparse.linalg.SuperLU:
-        """``splu(I - gamma S)``, once per shift: every Krylov flow's (``evolution._lanczos``)."""
-        return self._factor("S", gamma)
-
-    def _factor(self, form: str, gamma: float) -> scipy.sparse.linalg.SuperLU:
-        key = form, gamma
-        if key not in self._factors:
-            matrix = self.matrix if form == "L" else self.symmetric
+        if gamma not in self._factors:
             eye = scipy.sparse.eye_array(self.geometry.node_count, format="csr")
             try:
-                # I - gamma L (or S) has a symmetric pattern: minimum degree on A^T + A fills in less than COLAMD
-                self._factors[key] = scipy.sparse.linalg.splu(
-                    (eye - gamma * matrix).tocsc(), permc_spec="MMD_AT_PLUS_A"
+                # I - gamma S has a symmetric pattern: minimum degree on A^T + A fills in less than COLAMD
+                self._factors[gamma] = scipy.sparse.linalg.splu(
+                    (eye - gamma * self.symmetric).tocsc(), permc_spec="MMD_AT_PLUS_A"
                 )
             except RuntimeError as exc:
                 raise NumericalFailureError(f"implicit factorization failed: {exc}") from exc
-        return self._factors[key]
+        return self._factors[gamma]
 
     def computed_eigensystem(self) -> tuple[np.ndarray, np.ndarray] | None:
         """:attr:`eigensystem` if it has been computed, else None; never runs the eigensolve."""
@@ -145,11 +135,6 @@ class DriftOperator:
         data = L.data * root[row_of] / root[L.indices]
         return _frozen_csr(scipy.sparse.csr_array((data, L.indices, L.indptr), shape=L.shape))
 
-    @property
-    def symmetrized(self) -> np.ndarray:
-        """:attr:`symmetric` as a new dense array."""
-        return self.symmetric.toarray()
-
     @cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Full spectrum, nonincreasing from ~0, with mu-orthonormal columns.
@@ -166,7 +151,7 @@ class DriftOperator:
             )
         try:
             # the transpose is Fortran-ordered, so dsyevd writes the eigenvectors into it
-            vals, vecs = scipy.linalg.eigh(self.symmetrized.T, driver="evd", overwrite_a=True)
+            vals, vecs = scipy.linalg.eigh(self.symmetric.toarray().T, driver="evd", overwrite_a=True)
         except scipy.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"the dense eigensolve failed: {exc}") from exc
         vals, vecs = vals[::-1], vecs[:, ::-1]

@@ -306,12 +306,27 @@ class TestSimulate:
         config = write_config(tmp_path / "c.json", eigenmode_config())
         assert main(["--out", str(tmp_path / "out"), "simulate", "--config", config]) == 0
         assert calls == [
-            (cli._M_MMAP_THRESHOLD, 8 << 20),
+            (cli._M_MMAP_THRESHOLD, 1 << 20),
             (cli._M_TRIM_THRESHOLD, 64 << 20),
-            (cli._M_TOP_PAD, 32 << 20),
         ]
 
+    def test_simulate_trims_the_heap_when_it_returns(self, tmp_path, monkeypatch):
+        # so that the pages a run freed do not stay resident for the next run to fragment
+        if platform.libc_ver()[0] == "glibc":
+            assert cli._malloc_trim is not None
+        calls = []
+        monkeypatch.setattr(cli, "_malloc_trim", lambda pad: calls.append(pad))
+        config = write_config(tmp_path / "c.json", eigenmode_config())
+        assert main(["--out", str(tmp_path / "out"), "simulate", "--config", config]) == 0
+        assert calls == [0]
+        raw = gradient_only_config()
+        raw["perturbation"] = {"c": "1/(x+(t-0.5)**2)"}  # infinite at x = 0, t = 0.5: the run fails
+        bad = write_config(tmp_path / "bad.json", raw)
+        assert main(["--out", str(tmp_path / "bad"), "simulate", "--config", bad]) == 1
+        assert calls == [0, 0]
+
     def test_runs_where_the_allocator_has_no_settings(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_malloc_trim", None)
         monkeypatch.setattr(cli, "_mallopt", None)
         config = write_config(tmp_path / "c.json", eigenmode_config())
         assert main(["--out", str(tmp_path / "out"), "simulate", "--config", config]) == 0
@@ -843,7 +858,9 @@ class TestNumericalFailures:
                                          {"kind": "eigenmode", "index": 1}])
     def test_operator_near_the_float_limit_exits_1(self, tmp_path, capsys, initial):
         # a torus of side 1e-150 has entries near 1e302: eigenmode data left the float
-        # range in the modal factors, with a numpy warning and "I(t) vanished at t=0"
+        # range in the modal factors, with a numpy warning and "I(t) vanished at t=0";
+        # random data builds Krylov modes, whose factor of I - gamma S is singular in
+        # floating point, which was reported as Lanczos losing definiteness
         raw = eigenmode_config()
         raw["geometry"] = {"kind": "torus2d", "nx": 16, "ny": 16, "lx": 1e-150, "ly": 1e-150}
         raw["initial"] = initial
@@ -855,7 +872,23 @@ class TestNumericalFailures:
         assert "vanished" not in err
         if initial["kind"] == "eigenmode":
             assert "overflowed" in err
+        else:
+            assert "singular in floating point" in err and "float range" in err
+            assert "definiteness" not in err
         assert caught == []
+
+    def test_steps_near_the_float_limit_keep_I(self, tmp_path, capsys):
+        # on the same torus the step's factor r is about -1 on every non-constant mode,
+        # so the stepped flow keeps its I, and a run with no checks exits 0
+        raw = eigenmode_config()
+        raw["geometry"] = {"kind": "torus2d", "nx": 16, "ny": 16, "lx": 1e-150, "ly": 1e-150}
+        raw["initial"] = {"kind": "random", "seed": 5, "max_mode": 4}
+        raw["integrator"] = "implicit-step"
+        raw["checks"] = []
+        code, err = self.run(tmp_path, capsys, raw)
+        assert code == 0 and err == ""
+        table = np.loadtxt(tmp_path / "out" / "trace.csv", delimiter=",", skiprows=1)
+        assert np.max(np.abs(table[:, 1] / table[0, 1] - 1.0)) <= 1e-12
 
     def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch):
         def exhausted(spec):

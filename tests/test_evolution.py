@@ -206,13 +206,14 @@ class TestKrylovFlows:
         traj.values
         assert "eigensystem" not in vars(op)
         # the Krylov basis solves with the factor of I - gamma S at its window's shift (b - a)/8
-        assert list(op._factors) == [("S", 0.125)]
-        # a stepped flow on the same operator factors I - gamma L at its own shift dt/2
+        assert list(op._factors) == [0.125]
+        # a stepped flow on the same operator factors I - gamma S at its own shift dt/2
         evolve_cn(op, u0, TimeGrid(0.0, 1.0, 20)).values
-        assert list(op._factors) == [("S", 0.125), ("L", 0.025)]
-        # the two never share a factor, even at one shift
+        assert list(op._factors) == [0.125, 0.025]
+        # a step at the Krylov shift reuses the Krylov factor
+        krylov = op._factors[0.125]
         evolve_cn(op, u0, TimeGrid(0.0, 1.0, 4)).values
-        assert list(op._factors) == [("S", 0.125), ("L", 0.025), ("L", 0.125)]
+        assert list(op._factors) == [0.125, 0.025] and op._factors[0.125] is krylov
 
     def test_repeated_krylov_flows_factor_once(self, weighted_circle, monkeypatch):
         calls = []
@@ -230,7 +231,7 @@ class TestKrylovFlows:
             for grid in (TimeGrid(0.0, 1.0, 20), TimeGrid(2.0, 3.0, 7)):
                 evolve_exact(op, Field(weighted_circle, data), grid)
         assert "eigensystem" not in vars(op)
-        assert len(calls) == 1 and list(op._factors) == [("S", 0.125)]
+        assert len(calls) == 1 and list(op._factors) == [0.125]
         evolve_exact(op, Field(weighted_circle, np.sin(x)), TimeGrid(0.0, 2.0, 20))
         assert len(calls) == 2
 
@@ -533,6 +534,28 @@ class TestImplicitStepping:
             assert modal.provenance == trace.provenance == "implicit-step"
             assert np.array_equal(modal.dU, np.gradient(modal.U, grid.dt, edge_order=2))
 
+    @pytest.mark.parametrize("order", [64, 256, 370])
+    def test_stepper_matches_the_gauss_line_trapezoid_oracle(self, order):
+        # mu spans up to 307 decades: the factor of the row-scaled I - dt/2 L put I
+        # 7.3e-6, 0.19 and 7.2e-3 off at orders 64, 256 and 370, that of I - dt/2 S 4.5e-14
+        gauss = make_gauss_line(order)
+        op = assemble(gauss)
+        u0 = Field(gauss, np.random.default_rng(22).standard_normal(order))
+        grid = TimeGrid(0.0, 1.0, 200)
+        trace = frequency_trace(evolve_cn(op, u0, grid), op)
+        assert "eigensystem" not in vars(op)
+        # the oracle, with no eigensolve: u0's coefficients in the eigenbasis B, each
+        # multiplied by r(dt lambda) per step at the rates lambda = -k/2
+        coeffs = gauss.basis.basis.T @ (gauss.mu * u0.values[:, 0])
+        rates = -0.5 * np.arange(order)
+        z = grid.dt * rates
+        factor = (1.0 + 0.5 * z) / (1.0 - 0.5 * z)
+        growth = factor ** (2 * np.arange(grid.steps + 1)[:, None])
+        I = growth @ coeffs**2
+        U = (growth @ (rates * coeffs**2)) / I
+        assert np.max(np.abs(trace.I / I - 1.0)) <= 1e-12
+        assert np.max(np.abs(trace.U - U)) <= 1e-12 * (1.0 + np.max(np.abs(U)))
+
     def test_projection_steps_nothing_and_refuses_what_it_cannot_project(
         self, weighted_circle_op, monkeypatch
     ):
@@ -759,18 +782,21 @@ class TestBlockStepping:
     def recurrence(op, u0, grid, pert=None, textbook=False):
         """The trapezoid recurrence of one flow written out, with no blocks.
 
-        Each stage is ``solve(2u + dt p) - u`` with the LU factor of
-        ``I - dt/2 L``; with ``textbook`` it is ``solve((I + dt/2 L) u + dt p)``
-        instead, with the forward operator built here.
+        The state is ``v = R u``, ``R = M^{1/2}``, and each stage is
+        ``solve(2v + dt R p) - v`` with the LU factor of ``I - dt/2 S``; with
+        ``textbook`` it is ``solve((I + dt/2 S) v + dt R p)`` instead, with the
+        forward operator built here.  The perturbation term is taken of
+        ``u = v / R``.
         """
-        solver = op.shifted_factor(0.5 * grid.dt)
-        forward = scipy.sparse.eye_array(op.geometry.node_count) + 0.5 * grid.dt * op.matrix
+        solver = op.factor(0.5 * grid.dt)
+        root = np.sqrt(op.geometry.mu)[:, None]
+        forward = scipy.sparse.eye_array(op.geometry.node_count) + 0.5 * grid.dt * op.symmetric
 
-        def stage(u, dt_p=None):
-            if textbook:
-                rhs = forward @ u
-                return solver.solve(rhs if dt_p is None else rhs + dt_p)
-            return solver.solve(2.0 * u if dt_p is None else 2.0 * u + dt_p) - u
+        def stage(v, p=None):
+            rhs = forward @ v if textbook else 2.0 * v
+            if p is not None:
+                rhs = (grid.dt * root) * p + rhs
+            return solver.solve(rhs) if textbook else solver.solve(rhs) - v
 
         def term(k, u):
             out = np.zeros_like(u)
@@ -781,14 +807,16 @@ class TestBlockStepping:
             return out
 
         u = u0.values
+        v = root * u
         values = [u]
         for k in range(grid.steps):
             if pert is None:
-                u = stage(u)
+                v = stage(v)
             else:
                 p_old = term(k, u)
-                predictor = stage(u, grid.dt * p_old)
-                u = stage(u, grid.dt * (0.5 * (p_old + term(k + 1, predictor))))
+                predictor = stage(v, p_old) / root
+                v = stage(v, 0.5 * (p_old + term(k + 1, predictor)))
+            u = v / root
             values.append(u)
         return np.stack(values)
 
@@ -893,7 +921,7 @@ class TestBlockStepping:
         rng = np.random.default_rng(8)
         starts = [random_smooth_field(op.geometry, rng) for _ in range(50)]
         member_bytes = (grid.steps + 1) * op.geometry.node_count * 8
-        evolve_cn(op, starts[0], grid)  # factor I - dt/2 L before the traced window
+        op.factor(0.5 * grid.dt)  # factor I - dt/2 S before the traced window
         # map holds no trajectory past its call, so each block is dropped before the next
         finals, peak = peak_allocated(lambda: list(map(
             lambda traj: traj.values[-1].copy(),

@@ -574,7 +574,7 @@ class TestChunkedPasses:
     def _stepped_circle_flow(u0):
         op = assemble(make_circle(4096, TWO_PI))
         grid = TimeGrid(0.0, 0.01, 2**22 // 4096 - 1)
-        # factors I - dt/2 L now; the steps run on the first read of values
+        # nothing is factored yet: the factor and the steps wait for the first read of values
         return op, evolve_cn(op, Field(op.geometry, u0(op.geometry.coords[:, 0])), grid)
 
     def test_stepped_trace_adds_a_few_chunks_to_its_values(self):

@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import parafreq
 from parafreq import (
     DriftOperator,
     Field,
@@ -76,7 +80,8 @@ class TestAssembly:
         op = assemble(geometry)
         root = np.sqrt(geometry.mu)
         reference = root[:, None] * collocation_assembly(geometry) / root[None, :]
-        assert np.max(np.abs(op.symmetrized - reference)) <= 1e-14 * np.max(np.abs(reference))
+        gap = np.max(np.abs(op.symmetric.toarray() - reference))
+        assert gap <= 1e-14 * np.max(np.abs(reference))
         assert check_self_adjoint(op).passed
 
     def test_stencil_sparsity(self, weighted_circle_op, conformal_torus_op):
@@ -284,10 +289,10 @@ class TestSpectrum:
 
     def test_in_place_solve_corrupts_nothing_shared(self, weighted_circle):
         op = assemble(weighted_circle)  # a fresh operator: eigensystem is cached
-        before = op.symmetrized
+        before = op.symmetric.toarray()
         data = op.matrix.data.copy()
         vals, vecs = op.eigensystem
-        assert np.array_equal(op.symmetrized, before)
+        assert np.array_equal(op.symmetric.toarray(), before)
         assert np.array_equal(op.matrix.data, data)
         assert not np.shares_memory(vecs, before)
 
@@ -303,7 +308,7 @@ class TestSpectrum:
         dense = op.matrix.toarray()
         dense *= root[:, None]
         dense /= root[None, :]
-        assert np.array_equal(op.symmetrized, dense)
+        assert np.array_equal(op.symmetric.toarray(), dense)
         S = op.symmetric
         assert S is op.symmetric and not S.data.flags.writeable
         assert np.array_equal(S.indptr, op.matrix.indptr)
@@ -343,7 +348,7 @@ class TestSpectrum:
     def test_gauss_line_matches_dense_solve(self):
         op = assemble(make_gauss_line(48))
         structured = np.array([p.eigenvalue for p in eigenpairs(op, 6)])
-        brute = np.sort(scipy.linalg.eigh(op.symmetrized)[0])[::-1][:6]
+        brute = np.sort(scipy.linalg.eigh(op.symmetric.toarray())[0])[::-1][:6]
         assert np.max(np.abs(structured - brute)) < 1e-12
 
     def test_dense_limit_fails_fast(self):
@@ -359,3 +364,29 @@ class TestSpectrum:
             eigenpairs(flat_circle_op, 0)
         with pytest.raises(InvalidInputError):
             eigenpairs(flat_circle_op, 129)
+
+
+def _splu_references() -> list:
+    """(module, definition) of each place the package names ``splu``, a method as ``Class.method``.
+
+    A name is a call's attribute or name, or an import, so an alias counts too.
+    """
+    found = []
+    for path in sorted(Path(parafreq.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.ClassDef):
+                members = [(f"{top.name}.{getattr(m, 'name', '')}".rstrip("."), m) for m in top.body]
+            else:
+                members = [(getattr(top, "name", None), top)]
+            for owner, member in members:
+                for node in ast.walk(member):
+                    if "splu" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                  node.name if isinstance(node, ast.alias) else None):
+                        found.append((path.name, owner))
+    return found
+
+
+def test_only_the_factor_method_calls_splu():
+    # one factor form per operator, I - gamma S, cached per shift: the stepper and the
+    # Krylov flows share it, and no second factor path comes back
+    assert _splu_references() == [("operators.py", "DriftOperator.factor")]
