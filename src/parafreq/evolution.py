@@ -255,7 +255,7 @@ def _lanczos(op: DriftOperator, u: np.ndarray, grid: TimeGrid):
     """
     gamma, nodes = (grid.b - grid.a) * _SHIFT_SHARE, u.size
     solver = op.factor(gamma)
-    root = np.sqrt(op.geometry.mu)
+    root = op.root
     cap = min(nodes, MAX_VALUES // nodes)
     v = root * u
     norm = np.sqrt(v @ v)
@@ -406,7 +406,7 @@ def step_block(members: list[_PendingSteps]) -> None:
     op, grid = first.op, first.grid
     nodes, comps = first.u0.shape
     solver = op.factor(0.5 * grid.dt)
-    root = np.sqrt(op.geometry.mu)[:, None]
+    root = op.root[:, None]
     dt_root = grid.dt * root
     term = None if first.pert is None else _BlockTerm(op.geometry, [m.pert for m in members])
     block = np.empty((len(members), grid.steps + 1, nodes, comps))

@@ -164,8 +164,9 @@ def _sampled_trace(traj: Trajectory, op: DriftOperator) -> tuple[np.ndarray, np.
 
 
 def _paired_with_l(op: DriftOperator, u: np.ndarray) -> float:
-    """``<u, L u>_mu`` of one (nodes, N) sample: the second expression of D, one sparse apply."""
-    return float(np.sum(op.geometry.mu[:, None] * u * (op.matrix @ u)))
+    """``<u, L u>_mu = v . S v``, ``v = R u``, of one (nodes, N) sample: the second expression of D."""
+    v = op.root[:, None] * u
+    return float(np.sum(v * (op.symmetric @ v)))
 
 
 def _nonvanishing(I: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -283,7 +284,8 @@ def check_rigidity(
     When U is constant to within tol the flow must be a separated eigenmode:
     ``u(t) = exp(lambda t) u(a)`` and ``L u(a) = lambda u(a)`` with
     ``lambda = U(a)``, and the margin is minus the worse of the two relative
-    residuals.  Non-constant U is non-rigid, and passes at margin ``max |U - U(a)|``.  A flow
+    residuals; an eigen-residual that overflows is a :class:`NumericalFailureError`.
+    Non-constant U is non-rigid, and passes at margin ``max |U - U(a)|``.  A flow
     with modal data has its separation residual taken from the modal
     coefficients, so its values are never built; any other flow's is taken
     from its value stack.  ``op`` is the operator the flow evolved under (one
@@ -323,8 +325,11 @@ def check_rigidity(
 
             sep_sq = per_row(separation, values.shape[0], u0.size)
         sep_res = float(np.sqrt(np.max(sep_sq))) / norm0
-        eig_diff = op.matrix @ u0 - lam * u0
-        eig_res = float(np.sqrt(np.sum(mu[:, None] * eig_diff * eig_diff))) / norm0
+        v0 = op.root[:, None] * u0  # |S v0 - lam v0|_2 is the mu-norm of L u0 - lam u0
+        with np.errstate(over="ignore", invalid="ignore"):
+            eig_res = float(np.linalg.norm(op.symmetric @ v0 - lam * v0)) / norm0
+        if not np.isfinite(eig_res):
+            raise NumericalFailureError("the rigidity eigen-residual overflowed near the float limit")
         margin = -max(sep_res, eig_res)
         aux = {"separation_residual": sep_res, "eigen_residual": eig_res}
     else:

@@ -2,13 +2,13 @@
 
 The operator is mu-self-adjoint by construction: on every geometry it is
 ``L = -M^{-1} G^T C G`` for the geometry's Dirichlet form, its differences
-``G`` and weights ``C`` (the edge-difference matrix and edge weights of a
+``G`` and weights ``C >= 0`` (the edge-difference matrix and edge weights of a
 periodic grid, the modal projection and negated rates of the Gauss line).
 Self-adjointness is structural, never a post-hoc symmetrization.
 
-The operator is stored sparse (CSR): a periodic stencil has 3 (circle) or 5
-(torus) nonzeros per row.  So is its symmetric form ``S = M^{1/2} L M^{-1/2}``,
-well scaled however many decades mu spans.  Only the eigensystem is dense, and
+One sparse (CSR) matrix is stored, ``S = R L R^{-1} = -W^T W`` with ``R = M^{1/2}``
+and ``W = C^{1/2} G R^{-1}``: symmetric bit for bit, well scaled however many
+decades mu spans, and ``L = R^{-1} S R``.  Only the eigensystem is dense, and
 it is refused above :data:`MAX_DENSE_NODES` nodes.  It comes from LAPACK's
 divide-and-conquer ``dsyevd``, which overwrites a dense ``S`` with the
 eigenvectors; with its workspace the solve peaks at about 3 n^2 doubles.  It
@@ -57,27 +57,34 @@ class EigenPair:
 
 @dataclass(frozen=True)
 class DriftOperator:
-    """Sparse CSR realization of the discrete drift operator.
+    """The discrete drift operator, stored as its symmetric form ``S = R L R^{-1}``.
 
-    ``matrix`` may be given dense or sparse; it is stored as a read-only CSR
-    array.  Its symmetric form :attr:`symmetric` is built on first read, the LU
-    factor of ``I - gamma S`` is cached per shift for the operator's lifetime
-    (:meth:`factor`), and the modal growth of its dense spectrum for the last
-    time grid and step (:meth:`modal_growth`).
+    ``symmetric`` may be given dense or sparse; it is stored as a read-only CSR
+    array, and ``L`` is applied as ``R^{-1} S R`` with ``R = M^{1/2}``
+    (:attr:`root`).  The LU factor of ``I - gamma S`` is cached per shift for
+    the operator's lifetime (:meth:`factor`), and the modal growth of its dense
+    spectrum for the last time grid and step (:meth:`modal_growth`).
     """
 
     geometry: WeightedGeometry
-    matrix: scipy.sparse.csr_array
+    symmetric: scipy.sparse.csr_array
     _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _growth: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen_csr(self.matrix))
+        object.__setattr__(self, "symmetric", _frozen_csr(self.symmetric))
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        """``sqrt(mu)``, the diagonal of ``R = M^{1/2}`` that takes ``u`` to ``v = R u``; read-only."""
+        root = np.sqrt(self.geometry.mu)
+        root.setflags(write=False)
+        return root
 
     def apply(self, u: Field) -> Field:
         if u.geometry is not self.geometry:
             raise IncompatibleFieldsError("field does not live on the operator geometry")
-        return Field(self.geometry, self.matrix @ u.values)
+        return Field(self.geometry, self.symmetric @ (self.root[:, None] * u.values) / self.root[:, None])
 
     def factor(self, gamma: float) -> scipy.sparse.linalg.SuperLU:
         """``splu(I - gamma S)``, factored once per shift ``gamma``: every solve's.
@@ -125,17 +132,6 @@ class DriftOperator:
         return self._growth[key]
 
     @cached_property
-    def symmetric(self) -> scipy.sparse.csr_array:
-        """``S = M^{1/2} L M^{-1/2}``, read-only CSR on L's pattern: ``S_ij = L_ij r_i / r_j``.
-
-        ``r = sqrt(mu)``; ``S`` is symmetric because ``L`` is mu-self-adjoint.
-        """
-        root, L = np.sqrt(self.geometry.mu), self.matrix
-        row_of = np.repeat(np.arange(self.geometry.node_count), np.diff(L.indptr))
-        data = L.data * root[row_of] / root[L.indices]
-        return _frozen_csr(scipy.sparse.csr_array((data, L.indices, L.indptr), shape=L.shape))
-
-    @cached_property
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Full spectrum, nonincreasing from ~0, with mu-orthonormal columns.
 
@@ -155,7 +151,7 @@ class DriftOperator:
         except scipy.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"the dense eigensolve failed: {exc}") from exc
         vals, vecs = vals[::-1], vecs[:, ::-1]
-        vecs /= np.sqrt(self.geometry.mu)[:, None]
+        vecs /= self.root[:, None]
         vals.setflags(write=False)
         vecs.setflags(write=False)
         return vals, vecs
@@ -164,19 +160,17 @@ class DriftOperator:
 def assemble(geometry: WeightedGeometry) -> DriftOperator:
     """Assemble the drift operator ``L = -M^{-1} G^T C G`` of a geometry's Dirichlet form.
 
-    ``G^T C G`` is one sparse product of the differences ``G`` and weights
-    ``C`` (on a periodic grid, the second-order divergence-form stencil with
-    edge-midpoint weights); each row is then divided by ``mu``, which is where
-    the conformal prefactor enters.  An operator with a non-finite entry
-    raises :class:`InvalidInputError`.
+    It is stored as ``S = -W^T W``, one sparse product of ``W = C^{1/2} G R^{-1}``
+    (``R = M^{1/2}``, the column scaling where the conformal prefactor enters)
+    with itself.  On a periodic grid ``G`` and ``C`` are the second-order
+    divergence-form stencil with edge-midpoint weights.  An operator with a
+    non-finite entry raises :class:`InvalidInputError`.
     """
     G, C = geometry.differences, geometry.weights
-    matrix = scipy.sparse.csr_array(G.T @ (C[:, None] * G))
-    row_of = np.repeat(np.arange(geometry.node_count), np.diff(matrix.indptr))
     with np.errstate(over="ignore", invalid="ignore"):
-        matrix.data = -matrix.data / geometry.mu[row_of]
-    op = DriftOperator(geometry=geometry, matrix=matrix)
-    if not np.all(np.isfinite(op.matrix.data)):
+        W = scipy.sparse.csr_array(np.sqrt(C)[:, None] * (G / np.sqrt(geometry.mu)))
+        op = DriftOperator(geometry=geometry, symmetric=-(W.T @ W))
+    if not np.all(np.isfinite(op.symmetric.data)):
         raise InvalidInputError("the drift operator has non-finite entries: the grid "
                                 "spacing or the weights are out of floating-point range")
     return op

@@ -115,9 +115,9 @@ def self_adjoint_reports(ctx: SuiteContext, corrupt_operator: bool = False) -> l
     for name in ("circle", "torus", "gauss-line"):
         op = ctx.operators[name]
         if corrupt_operator and name == "circle":
-            broken = op.matrix.toarray()
+            broken = op.symmetric.toarray()
             broken[0, 1] += 1e-3
-            op = DriftOperator(geometry=op.geometry, matrix=broken)
+            op = DriftOperator(geometry=op.geometry, symmetric=broken)
         rep = check_self_adjoint(op, seed=ctx.seed + 17)
         reports.append(rep.renamed(f"self-adjoint/{name}"))
     return reports

@@ -877,6 +877,21 @@ class TestNumericalFailures:
             assert "definiteness" not in err
         assert caught == []
 
+    def test_rigidity_near_the_float_limit_exits_1(self, tmp_path, capsys):
+        # on the same torus the stepped flow keeps its I and U, so rigidity takes the
+        # eigen-residual, whose squares leave the float range
+        raw = eigenmode_config()
+        raw["geometry"] = {"kind": "torus2d", "nx": 16, "ny": 16, "lx": 1e-150, "ly": 1e-150}
+        raw["initial"] = {"kind": "random", "seed": 5, "max_mode": 4}
+        raw["integrator"] = "implicit-step"
+        raw["checks"] = [{"name": "rigidity", "tol": 1e-9}]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = self.run(tmp_path, capsys, raw)
+        assert code == 1
+        assert err.startswith("error:") and "eigen-residual" in err and "Traceback" not in err
+        assert caught == []
+
     def test_steps_near_the_float_limit_keep_I(self, tmp_path, capsys):
         # on the same torus the step's factor r is about -1 on every non-constant mode,
         # so the stepped flow keeps its I, and a run with no checks exits 0

@@ -409,7 +409,7 @@ def _build(raw):
     config = ExperimentConfig.from_dict(raw)
     geometry = build_geometry(config.geometry)
     op = assemble(geometry)
-    assert np.all(np.isfinite(op.matrix.data))
+    assert np.all(np.isfinite(op.symmetric.data))
     grid = build_time(config.time)
     build_initial(config.initial, geometry, op)
     if config.perturbation is not None:

@@ -186,10 +186,10 @@ class TestClosedFormSpectralTrace:
         geom = weighted_circle_op.geometry
         u0 = random_smooth_field(geom, np.random.default_rng(24))
         traj = evolve_cn(weighted_circle_op, u0, TimeGrid(0.0, 1.0, 10))
-        broken = weighted_circle_op.matrix.toarray()
+        broken = weighted_circle_op.symmetric.toarray()
         k = int(np.argmax(np.abs(u0.values)))  # an entry that u(a) weighs
         broken[k, k] *= 2.0
-        corrupted = DriftOperator(geometry=geom, matrix=broken)
+        corrupted = DriftOperator(geometry=geom, symmetric=broken)
         assert frequency_trace(traj, weighted_circle_op).aux["d_expression_gap"] <= 1e-12
         assert frequency_trace(traj, corrupted).aux["d_expression_gap"] > 1e-3
 
@@ -419,7 +419,7 @@ class TestOperatorArgument:
         pair = eigenpairs(flat_circle_op, 2)[1]
         traj = evolve_exact(flat_circle_op, pair.eigenfield, TimeGrid(0.0, 1.0, 50))
         assert check_rigidity(traj, 1e-9, flat_circle_op).passed
-        scaled = DriftOperator(geometry=flat_circle_op.geometry, matrix=1.01 * flat_circle_op.matrix)
+        scaled = DriftOperator(geometry=flat_circle_op.geometry, symmetric=1.01 * flat_circle_op.symmetric)
         rep = check_rigidity(traj, 1e-9, scaled, frequency_trace(traj, flat_circle_op))
         assert not rep.passed and rep.aux["eigen_residual"] > 1e-3
 

@@ -1,9 +1,11 @@
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 import parafreq
 from parafreq import (
@@ -59,6 +61,13 @@ def dense_edge_assembly(geometry):
     return -stiff / geometry.mu[:, None]
 
 
+def drift_matrix(op):
+    """``L = R^{-1} S R`` (``R = M^{1/2}``) of the stored symmetric form, as sparse CSR."""
+    root = op.root
+    return scipy.sparse.csr_array(
+        scipy.sparse.diags_array(1.0 / root) @ op.symmetric @ scipy.sparse.diags_array(root))
+
+
 def collocation_assembly(geometry):
     """Reference: the Gauss line's ``B diag(-k/2) B^T M``, diagonal in its eigenbasis ``B``."""
     basis = geometry.basis.basis
@@ -70,7 +79,7 @@ class TestAssembly:
     def test_sparse_matches_dense_edge_assembly(self, weighted_circle_op, conformal_torus_op):
         for op in (weighted_circle_op, conformal_torus_op):
             reference = dense_edge_assembly(op.geometry)
-            gap = np.max(np.abs(op.matrix.toarray() - reference))
+            gap = np.max(np.abs(drift_matrix(op).toarray() - reference))
             assert gap <= 1e-15 * np.max(np.abs(reference))
 
     @pytest.mark.parametrize("order", [32, 64, MAX_GAUSS_ORDER])
@@ -85,15 +94,15 @@ class TestAssembly:
         assert check_self_adjoint(op).passed
 
     def test_stencil_sparsity(self, weighted_circle_op, conformal_torus_op):
-        assert weighted_circle_op.matrix.nnz <= 3 * weighted_circle_op.geometry.node_count
-        assert conformal_torus_op.matrix.nnz <= 5 * conformal_torus_op.geometry.node_count
+        assert drift_matrix(weighted_circle_op).nnz <= 3 * weighted_circle_op.geometry.node_count
+        assert drift_matrix(conformal_torus_op).nnz <= 5 * conformal_torus_op.geometry.node_count
 
     def test_dense_input_is_stored_as_read_only_csr(self, flat_circle_op):
-        op = DriftOperator(geometry=flat_circle_op.geometry, matrix=flat_circle_op.matrix.toarray())
-        assert op.matrix.format == "csr"
-        assert op.matrix.nnz == flat_circle_op.matrix.nnz
+        op = DriftOperator(geometry=flat_circle_op.geometry, symmetric=flat_circle_op.symmetric.toarray())
+        assert op.symmetric.format == "csr"
+        assert op.symmetric.nnz == flat_circle_op.symmetric.nnz
         with pytest.raises(ValueError):
-            op.matrix.data[0] = 0.0
+            op.symmetric.data[0] = 0.0
 
     def test_constants_in_kernel_pointwise(self, flat_circle_op, conformal_torus_op):
         # stencil assembly differences a constant to exact zeros
@@ -111,7 +120,7 @@ class TestAssembly:
         op = assemble(geom)
         expected = -2.0 * np.eye(16)
         expected += np.roll(np.eye(16), 1, axis=1) + np.roll(np.eye(16), -1, axis=1)
-        assert np.max(np.abs(op.matrix.toarray() - expected)) < 1e-14
+        assert np.max(np.abs(drift_matrix(op).toarray() - expected)) < 1e-14
 
     def test_sine_mode_second_order(self):
         errors = []
@@ -200,10 +209,10 @@ class TestSelfAdjointness:
         assert rep.passed
 
     def test_corrupted_operator_fails(self, flat_circle_op):
-        broken = flat_circle_op.matrix.toarray()
+        broken = flat_circle_op.symmetric.toarray()
         broken[0, 1] += 1e-6
         rep = check_self_adjoint(
-            DriftOperator(geometry=flat_circle_op.geometry, matrix=broken), seed=4
+            DriftOperator(geometry=flat_circle_op.geometry, symmetric=broken), seed=4
         )
         assert not rep.passed
 
@@ -290,29 +299,29 @@ class TestSpectrum:
     def test_in_place_solve_corrupts_nothing_shared(self, weighted_circle):
         op = assemble(weighted_circle)  # a fresh operator: eigensystem is cached
         before = op.symmetric.toarray()
-        data = op.matrix.data.copy()
+        data = op.symmetric.data.copy()
         vals, vecs = op.eigensystem
         assert np.array_equal(op.symmetric.toarray(), before)
-        assert np.array_equal(op.matrix.data, data)
+        assert np.array_equal(op.symmetric.data, data)
         assert not np.shares_memory(vecs, before)
 
     @pytest.mark.parametrize("where", ["flat-circle", "circle", "torus", "gauss-line", "gauss-370"])
-    def test_symmetric_form_is_the_dense_scaling_bit_for_bit(self, where):
-        # the sparse S, built entry by entry, densifies to the bits of the dense scaling
-        # L r_i / r_j that the eigensolve used before S was kept sparse
+    def test_stored_form_is_symmetric_bit_for_bit(self, where):
+        # S = -W^T W is a Gram matrix: its (i, j) and (j, i) entries sum the same products,
+        # and it agrees to round-off with the row-scaled R L R^{-1} of L = -M^{-1} G^T C G
         ctx = SuiteContext(seed=0)
         geometry = {"flat-circle": ctx.flat_circle, "circle": ctx.circle, "torus": ctx.torus,
                     "gauss-line": ctx.gauss, "gauss-370": make_gauss_line(370)}[where]
         op = assemble(geometry)
-        root = np.sqrt(op.geometry.mu)
-        dense = op.matrix.toarray()
-        dense *= root[:, None]
-        dense /= root[None, :]
-        assert np.array_equal(op.symmetric.toarray(), dense)
         S = op.symmetric
         assert S is op.symmetric and not S.data.flags.writeable
-        assert np.array_equal(S.indptr, op.matrix.indptr)
-        assert np.array_equal(S.indices, op.matrix.indices)
+        dense = S.toarray()
+        assert np.array_equal(dense, dense.T)
+        G, C, root = geometry.differences, geometry.weights, np.sqrt(geometry.mu)
+        scaled = -(G.T @ (C[:, None] * G)).toarray() / geometry.mu[:, None]
+        scaled *= root[:, None]
+        scaled /= root[None, :]
+        assert np.max(np.abs(dense - scaled)) <= 8 * np.finfo(float).eps * np.max(np.abs(dense))
 
     def test_eigensolve_peaks_near_three_dense_matrices(self):
         # the symmetrized matrix, overwritten by the eigenvectors, plus dsyevd's 2 n^2 workspace;
@@ -342,7 +351,7 @@ class TestSpectrum:
         geom = make_circle(48, TWO_PI, 0.5 * np.sin(base.coords[:, 0]))
         op = assemble(geom)
         structured = np.array([p.eigenvalue for p in eigenpairs(op, 48)])
-        brute = np.sort(scipy.linalg.eig(op.matrix.toarray())[0].real)[::-1]
+        brute = np.sort(scipy.linalg.eig(drift_matrix(op).toarray())[0].real)[::-1]
         assert np.max(np.abs(structured - brute)) < 1e-10
 
     def test_gauss_line_matches_dense_solve(self):
@@ -390,3 +399,16 @@ def test_only_the_factor_method_calls_splu():
     # one factor form per operator, I - gamma S, cached per shift: the stepper and the
     # Krylov flows share it, and no second factor path comes back
     assert _splu_references() == [("operators.py", "DriftOperator.factor")]
+
+
+def test_the_operator_stores_one_matrix():
+    # S alone: L is applied as R^{-1} S R, and no second representation comes back
+    init = [f.name for f in dataclasses.fields(DriftOperator) if f.init]
+    assert init == ["geometry", "symmetric"]
+    readers = [
+        path.name
+        for path in sorted(Path(parafreq.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "matrix"
+    ]
+    assert readers == []

@@ -251,8 +251,9 @@ def test_a_nan_margin_fails_a_line_over_many_flows():
 
 
 # the gauge line compares the gauged flow's sampled trace with the ungauged flow's modal
-# trace, so it gates their round-off gap (|U| about 6 at these seeds) at an absolute 1e-12
-@pytest.mark.xfail(strict=True, reason="gauge/u-invariance gates sampled-vs-modal round-off")
+# trace, so it gates their round-off gap (|U| about 6 at these seeds) at an absolute 1e-12;
+# seed 186 comes closest of 0-219 (margin -8.5e-13), and both seeds fail when the modal
+# rates are not those of the Gram matrix S = -W^T W of the sampled energy's G and C
 @pytest.mark.parametrize("seed", [51, 186])
 def test_gauge_line_passes_at_seed(seed):
     (line,) = gauge_reports(SuiteContext(seed=seed))
