@@ -156,28 +156,28 @@ class WeightedGeometry:
         """Nodal gradient of per-node data, shape (nodes, dim, N).
 
         Periodic kinds average the two adjacent edge-midpoint differences
-        (equivalently, a centered difference): one sparse product with the
-        cached axis-major stack of the per-axis difference matrices, divided
-        by ``2 h`` per axis, returned as a (nodes, dim, N) view of the
-        (dim, nodes, N) result.  The Gauss line differentiates in the
-        collocation basis, ``basis.gradient @ (G u)``.  Both are sparse
-        products, so each column's bits do not depend on the others.
+        (equivalently, a centered difference): ``(u[next] - u[prev]) / 2 h``
+        per axis, gathered with the cached neighbour indices of every axis at
+        once and returned as a (nodes, dim, N) view of the (dim, nodes, N)
+        result.  The Gauss line differentiates in the collocation basis,
+        ``basis.gradient @ (G u)``, a sparse product.  Either way each
+        column's bits do not depend on the others.
         """
         values = np.asarray(values, dtype=float).reshape(self.node_count, -1)
         if self.basis is not None:
             return (self.basis.gradient @ (self.differences @ values))[:, None, :]
-        out = (self._centered_differences @ values).reshape(self.dim, self.node_count, -1)
+        successors, predecessors = self._neighbours
+        out = values.take(successors, axis=0)
+        out -= values.take(predecessors, axis=0)
         out /= self._two_spacings
         return out.transpose(1, 0, 2)
 
     @cached_property
-    def _centered_differences(self) -> scipy.sparse.csr_array:
-        """CSR matrix of ``u[next] - u[prev]`` along each axis of the periodic grid, axis-major rows."""
+    def _neighbours(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat indices of each node's periodic successor and predecessor along each axis, (dim, nodes) each."""
         flat = np.arange(self.node_count).reshape(self.stencil.shape)
-        eye = scipy.sparse.eye_array(self.node_count, format="csr")
-        return scipy.sparse.vstack(
-            [eye[np.roll(flat, -1, axis).ravel()] - eye[np.roll(flat, 1, axis).ravel()]
-             for axis in range(self.dim)], format="csr")
+        return tuple(np.stack([np.roll(flat, shift, axis).ravel() for axis in range(self.dim)])
+                     for shift in (-1, 1))
 
     @cached_property
     def _two_spacings(self) -> np.ndarray:

@@ -6,9 +6,11 @@ path carries O(dt^2) stepping error (tolerance-budgeted trajectories).
 Perturbations are treated explicitly with midpoint averaging; the zeroth-order
 gauge is removed by an exact scalar factor.  A plain trapezoid flow on an
 operator that holds its dense eigensystem can also be projected on it instead
-of stepped (:func:`_projected`): ``u_k = V r(dt Lambda)^k V^T M u0`` with
+of stepped (:func:`project_flows`): ``u_k = V r(dt Lambda)^k V^T M u0`` with
 ``r(z) = (1 + z/2)/(1 - z/2)``, the same flow to round-off, kept as a modal
-expansion with the step.
+expansion with the step.  Every projection, of one spectral flow or of many
+trapezoid flows, is :func:`_projections`: the coefficients of all its flows
+are one GEMM.
 
 The spectral path is a modal expansion.  On an operator that holds its
 dense eigensystem it is the projection on every eigenvector; otherwise it
@@ -193,22 +195,59 @@ def evolve_exact(op: DriftOperator, u0: Field, grid: TimeGrid) -> Trajectory:
     """Exact semigroup of the discrete operator, kept as a modal expansion.
 
     When ``op`` already holds its dense eigensystem, the flow projects onto
-    it: eigenvalues, eigenvectors and ``c = V^T M u0``.  Otherwise it builds
-    only the modes its data needs (:func:`_krylov_expansion`), unless that
-    would cost more than the eigensystem, which it then computes and projects
-    on.  Either way the trajectory's ``values`` are built from the modal data
-    on first access.
+    it (:func:`_projections`).  Otherwise it builds only the modes its data
+    needs (:func:`_krylov_expansion`), unless that would cost more than the
+    eigensystem, which it then computes and projects on.  Either way the
+    trajectory's ``values`` are built from the modal data on first access.
     """
     _check_initial(op, u0)
     dense = op.computed_eigensystem()
     modal = _krylov_expansion(op, u0.values, grid) if dense is None else None
     if modal is None:
-        vals, vecs = op.eigensystem
-        coeffs = vecs.T @ (op.geometry.mu[:, None] * u0.values)
-        modal = ModalExpansion(rates=vals, vectors=vecs, coeffs=coeffs, initial=u0.values)
+        return _projections(op, grid, [u0.values])[0]
     return Trajectory(
         grid=grid, geometry=op.geometry, modal=modal, provenance=PROVENANCE_SPECTRAL
     )
+
+
+def project_flows(flows: Iterable[Trajectory]) -> list[Trajectory]:
+    """The trapezoid flows of pending plain ``flows``, projected on their operator's eigensystem, not stepped.
+
+    ``flows`` are pending ``evolve_cn`` flows that share an operator, a grid
+    and N; their coefficients are one GEMM (:func:`_projections`), and each
+    flow becomes a modal expansion with the grid's step
+    (``ModalExpansion.step``) and the provenance of a stepped flow, so its
+    trace and its gates are those of stepping it, to round-off.  A perturbed
+    flow, or an operator that does not hold its eigensystem, is an
+    :class:`InvalidInputError`: nothing is stepped or solved here.
+    """
+    pending = [traj.stepping for traj in flows]
+    op, grid = pending[0].op, pending[0].grid
+    if any(p.pert is not None for p in pending):
+        raise InvalidInputError("a perturbed flow has no modal expansion: step it")
+    if op.computed_eigensystem() is None:
+        raise InvalidInputError("the operator holds no eigensystem to project a flow on")
+    return _projections(op, grid, [p.u0 for p in pending], grid.dt)
+
+
+def _projections(op: DriftOperator, grid: TimeGrid, starts: list[np.ndarray],
+                 step: float | None = None) -> list[Trajectory]:
+    """The flows from each (nodes, N) array of ``starts``, projected on ``op``'s eigensystem.
+
+    The coefficients ``V^T M [u0_1 ... u0_k]`` of all of them are one GEMM,
+    on BLAS since ``V`` has positive strides.  With ``step`` None each flow
+    is the exact semigroup (spectral provenance); with a step ``dt`` it is
+    the trapezoid flow of that step (implicit provenance).
+    """
+    vals, vecs = op.eigensystem
+    coeffs = vecs.T @ (op.geometry.mu[:, None] * np.concatenate(starts, axis=1))
+    columns = np.split(coeffs, np.cumsum([u0.shape[1] for u0 in starts])[:-1], axis=1)
+    provenance = PROVENANCE_SPECTRAL if step is None else PROVENANCE_IMPLICIT
+    return [
+        Trajectory(grid=grid, geometry=op.geometry, provenance=provenance, modal=ModalExpansion(
+            rates=vals, vectors=vecs, coeffs=c, initial=u0, step=step))
+        for u0, c in zip(starts, columns)
+    ]
 
 
 def _krylov_expansion(op: DriftOperator, u0: np.ndarray, grid: TimeGrid) -> ModalExpansion | None:
@@ -354,7 +393,7 @@ class _BlockTerm:
 
     ``b`` is (samples, nodes, dim, M) and ``c`` is (samples, nodes, M); a
     member without b or c has zeros there, and a part that no member has is
-    left out.  The gradient is one sparse product per term
+    left out.  The gradient is one call per term for the whole block
     (:meth:`WeightedGeometry.gradient`), and the sums run in the order of the
     one-flow formula ``sum_d b_d grad_d u + c u``, so every column gets its
     own bits.
@@ -439,13 +478,6 @@ def step_block(members: list[_PendingSteps]) -> None:
         member.values = values
 
 
-def _blocks(flows: Iterable[Trajectory]) -> Iterator[list[Trajectory]]:
-    """Pending stepped ``flows`` in lists of ``block_size``, each created only when its list is taken."""
-    flows = iter(flows)
-    for first in flows:
-        yield [first, *itertools.islice(flows, first.stepping.block_size() - 1)]
-
-
 def _in_blocks(flows: Iterable[Trajectory]) -> Iterator[Trajectory]:
     """The trajectories of ``flows``, stepped together one block at a time.
 
@@ -456,39 +488,13 @@ def _in_blocks(flows: Iterable[Trajectory]) -> Iterator[Trajectory]:
     pending stepped flows that share an operator, a grid, a step kind (plain
     or perturbed) and N, so each block of ``block_size`` of them goes to
     :func:`step_block` whole (``check all``'s Richardson and random perturbed
-    flows, see ``_BLOCK_BYTES``; its stepped lane is projected, :func:`_projected`).
+    flows, see ``_BLOCK_BYTES``; its stepped lane is projected, :func:`project_flows`).
     """
-    for block in _blocks(flows):
+    flows = iter(flows)
+    for first in flows:
+        block = [first, *itertools.islice(flows, first.stepping.block_size() - 1)]
         step_block([traj.stepping for traj in block])
         yield from block
-
-
-def _projected(flows: Iterable[Trajectory]) -> Iterator[Trajectory]:
-    """The trapezoid flows of pending plain ``flows``, projected on their operator's eigensystem, not stepped.
-
-    ``flows`` are taken as by :func:`_in_blocks`: pending ``evolve_cn`` flows
-    that share an operator, a grid and N, a block at a time.  Each block's
-    coefficients ``V^T M [u0 ...]`` are one GEMM, and each flow becomes a
-    modal expansion with the grid's step (``ModalExpansion.step``) and the
-    provenance of a stepped flow, so its trace and its gates are those of
-    stepping it, to round-off.  A perturbed flow, or an operator that does
-    not hold its eigensystem, is an :class:`InvalidInputError`: nothing is
-    stepped here.
-    """
-    for block in _blocks(flows):
-        pending = [traj.stepping for traj in block]
-        op, grid = pending[0].op, pending[0].grid
-        if any(p.pert is not None for p in pending):
-            raise InvalidInputError("a perturbed flow has no modal expansion: step it")
-        if op.computed_eigensystem() is None:
-            raise InvalidInputError("the operator holds no eigensystem to project a flow on")
-        vals, vecs = op.eigensystem
-        starts = np.concatenate([p.u0 for p in pending], axis=1)
-        coeffs = np.split(vecs.T @ (op.geometry.mu[:, None] * starts), len(pending), axis=1)
-        for p, c in zip(pending, coeffs):
-            modal = ModalExpansion(rates=vals, vectors=vecs, coeffs=c, initial=p.u0, step=grid.dt)
-            yield Trajectory(grid=grid, geometry=op.geometry, modal=modal,
-                             provenance=PROVENANCE_IMPLICIT)
 
 
 def _stepped(op: DriftOperator, u0: Field, grid: TimeGrid, pert: PerturbationSpec | None,

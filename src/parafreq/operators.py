@@ -11,13 +11,17 @@ and ``W = C^{1/2} G R^{-1}``: symmetric bit for bit, well scaled however many
 decades mu spans, and ``L = R^{-1} S R``.  Only the eigensystem is dense, and
 it is refused above :data:`MAX_DENSE_NODES` nodes.  It comes from LAPACK's
 divide-and-conquer ``dsyevd``, which overwrites a dense ``S`` with the
-eigenvectors; with its workspace the solve peaks at about 3 n^2 doubles.  It
-is computed only when read: by ``eigen``, ``eigenmode`` data and the check
-suite.  A spectral flow on an operator that has not computed it builds Krylov
-modes instead, unless its data needs so many that the eigensolve is cheaper
-(``evolution.evolve_exact``).  Every solve is with a sparse LU factor of
-``I - gamma S``: a Krylov flow's shift is taken from its time window, an
-implicit step's of size ``dt`` is ``dt/2``.
+eigenvectors; with its workspace the solve peaks at about 3 n^2 doubles.  The
+eigenvectors ``V`` stay in that Fortran-ordered array, their columns reversed
+in place into nonincreasing order of the eigenvalues, so ``V`` and ``V^T``
+have positive strides and every product with them is one BLAS call.  The
+eigensystem is computed only when read: by ``eigen``, ``eigenmode`` data and
+the check suite.  A spectral flow on an operator that has not computed it
+builds Krylov modes instead, unless its data needs so many that the
+eigensolve is cheaper (``evolution.evolve_exact``).
+Every solve is with a sparse LU factor of ``I - gamma S``: a Krylov flow's
+shift is taken from its time window, an implicit step's of size ``dt`` is
+``dt/2``.
 """
 
 from __future__ import annotations
@@ -135,6 +139,8 @@ class DriftOperator:
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Full spectrum, nonincreasing from ~0, with mu-orthonormal columns.
 
+        The eigenvectors ``V`` are Fortran-ordered with positive strides.
+
         Raises :class:`InvalidInputError` above :data:`MAX_DENSE_NODES` nodes,
         before anything dense is allocated, and :class:`NumericalFailureError`
         when LAPACK reports a failure.
@@ -150,11 +156,28 @@ class DriftOperator:
             vals, vecs = scipy.linalg.eigh(self.symmetric.toarray().T, driver="evd", overwrite_a=True)
         except scipy.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"the dense eigensolve failed: {exc}") from exc
-        vals, vecs = vals[::-1], vecs[:, ::-1]
         vecs /= self.root[:, None]
+        _reverse_columns(vecs)
+        vals = vals[::-1]
         vals.setflags(write=False)
         vecs.setflags(write=False)
         return vals, vecs
+
+
+def _reverse_columns(a: np.ndarray) -> None:
+    """Reverse the order of the columns of ``a`` in place, 64 pairs at a time.
+
+    A reversed view would keep a negative column stride, which numpy's matmul
+    does not hand to BLAS, and a reversed copy is a second n x n array: over
+    repeated ``check all`` passes that allocation left the heap 8 MB larger
+    in some processes (resident 105 MB against 94-97 MB).
+    """
+    n = a.shape[1]
+    for j in range(0, n // 2, 64):
+        k = min(64, n // 2 - j)
+        left = a[:, j:j + k].copy()
+        a[:, j:j + k] = a[:, n - j - k:n - j][:, ::-1]
+        a[:, n - j - k:n - j] = left[:, ::-1]
 
 
 def assemble(geometry: WeightedGeometry) -> DriftOperator:

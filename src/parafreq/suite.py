@@ -35,11 +35,11 @@ from .core import (
 from .evolution import (
     PerturbationSpec,
     _in_blocks,
-    _projected,
     evolve_cn,
     evolve_exact,
     evolve_perturbed,
     gauge_transform,
+    project_flows,
 )
 from .frequency import check_rigidity, check_u_monotone, frequency_trace
 from .operators import DriftOperator, assemble, check_self_adjoint, eigenpairs
@@ -93,7 +93,7 @@ class SuiteContext:
         The eigensystem is read here only to compute and cache it: every
         spectral flow of the suite then projects on it (``evolve_exact``)
         instead of building Krylov modes per flow, and so does every flow of
-        the stepped lane (``evolution._projected``), as its trapezoid flow.
+        the stepped lane (``evolution.project_flows``), as its trapezoid flow.
         """
         ops = {
             "flat-circle": assemble(self.flat_circle),
@@ -173,32 +173,41 @@ RANDOM_SUITE_CHECKS = ("general-frequency", "general-lower-bound", "gradient-onl
 
 
 def _lane_results(entries, flows, op, tol_scale: float) -> list[list]:
-    """The ``(tol, report)`` of each entry on each of ``flows`` it applies to, a list per entry.
+    """The ``(flow, tol, report)`` of each entry on each of ``flows`` it applies to, a list per entry.
 
-    ``gradient-only`` applies to gradient-only flows alone.  The flows, on
-    ``op``, are traced one at a time and none is held past its own checks,
-    so a stepped block is freed before the next one.
+    ``flow`` is the flow's index in ``flows``; ``gradient-only`` applies to
+    gradient-only flows alone.  The flows, on ``op``, are traced one at a
+    time and none is held past its own checks, so a stepped block is freed
+    before the next one.
     """
     results = [[] for _ in entries]
+    # counted by hand: enumerate's reused result tuple would hold the previous flow, and
+    # its block, while the next block is stepped
+    index = 0
     for traj in flows:
         applies = [k for k, entry in enumerate(entries)
                    if entry["name"] != "gradient-only" or traj.gradient_only]
         checked = run_trace_checks([entries[k] for k in applies], traj,
                                    frequency_trace(traj, op), op, tol_scale)
-        for k, result in zip(applies, checked):
-            results[k].append(result)
+        for k, (tol, rep) in zip(applies, checked):
+            results[k].append((index, tol, rep))
+        index += 1
         del traj  # dropped before the next flow, whose block is stepped when it is taken
     return results
 
 
 def _worst(name: str, results, **aux) -> CheckReport:
-    """The worst margin of ``(tol, report)`` results against the largest tolerance they resolved to.
+    """The worst margin of ``(flow, tol, report)`` results against the largest tolerance they resolved to.
 
     That tolerance is an entry's pinned ``tol`` times ``tol_scale``, or the
-    largest per-flow default.  A NaN margin fails the line.
+    largest per-flow default.  The line says where its margin comes from:
+    the worst flow's index (aux ``worst_flow``) and that flow's report's
+    ``location``.  A NaN margin is the worst and fails the line.
     """
-    tols, reps = zip(*results)
-    return passing(name, np.min([rep.margin for rep in reps]), np.max(tols), **aux)
+    flows, tols, reps = zip(*results)
+    worst = int(np.argmin([rep.margin for rep in reps]))
+    return passing(name, reps[worst].margin, np.max(tols), location=reps[worst].location,
+                   **aux, worst_flow=flows[worst])
 
 
 def _lane_reports(lane, flows, op, where: str, tol_scale: float, **extra) -> list[CheckReport]:
@@ -218,11 +227,12 @@ def monotonicity_reports(ctx: SuiteContext) -> list[CheckReport]:
     """Random-data log-convexity suite, spectral and stepped lanes.
 
     The stepped lane's trapezoid flows are projected on the operator's
-    eigensystem, not stepped (``evolution._projected``): their traces are
-    the stepped ones to round-off, and the stepper itself is tested by the
-    Richardson and perturbed lines.  Its lines report the stiffness
-    ``dt |lambda_min|``; above 2 the trapezoid factor of the fastest modes
-    is negative.
+    eigensystem together, one GEMM per geometry, not stepped
+    (``evolution.project_flows``): their traces are the stepped ones to
+    round-off, and the stepper itself is tested by the Richardson and
+    perturbed lines.  Its lines report the stiffness ``dt |lambda_min|``;
+    above 2 the trapezoid factor of the fastest modes is negative.  Every
+    flow of both lanes enters through its own ``evolve_*`` call.
     """
     reports = []
     grid = ctx.window
@@ -233,7 +243,7 @@ def monotonicity_reports(ctx: SuiteContext) -> list[CheckReport]:
         # the spectral lane pins its tolerances, so --tol-scale leaves them alone
         exact = (evolve_exact(op, u0, grid) for u0 in fields)
         reports += _lane_reports(SPECTRAL_LANE, exact, op, name, 1.0)
-        stepped = _projected(evolve_cn(op, u0, grid) for u0 in fields)
+        stepped = project_flows(evolve_cn(op, u0, grid) for u0 in fields)
         stiffness = grid.dt * abs(float(op.eigensystem[0][-1]))
         reports += _lane_reports(STEPPED_LANE, stepped, op, name, ctx.tol_scale,
                                  dt_lambda_min=stiffness)
@@ -284,7 +294,7 @@ def rigidity_reports(ctx: SuiteContext) -> list[CheckReport]:
         rigid, growth = _lane_results(entries, flows, op, 1.0)
         # a flow not classed as an eigenmode fails the first line, and the other two skip it
         u_gaps, residuals, equalities = [0.0], [0.0], [0.0]
-        for pair, (_, rep), (_, bound) in zip(pairs, rigid, growth):
+        for pair, (*_, rep), (*_, bound) in zip(pairs, rigid, growth):
             if not rep.aux["is_eigenmode"]:
                 u_gaps.append(np.inf)
                 continue
@@ -368,7 +378,7 @@ def perturbed_reports(ctx: SuiteContext) -> list[CheckReport]:
     entries = [read_check({"name": name}, "check") for name in RANDOM_SUITE_CHECKS]
     flows = _in_blocks(random_flows())
     general, lower, gradient = _lane_results(entries, flows, op, ctx.tol_scale)
-    least = lambda key: float(np.min([rep.aux[key] for _, rep in lower]))
+    least = lambda key: float(np.min([rep.aux[key] for *_, rep in lower]))
     reports += [
         _worst("general-frequency/random-suite", general, perturbations=len(general)),
         _worst("general-lower-bound/random-suite", lower,

@@ -254,7 +254,7 @@ class TestFieldAndGrids:
 
 
 def roll_gradient(geom, values):
-    """Centered differences with np.roll, the reference for the sparse gradient."""
+    """Centered differences with np.roll, the reference for the nodal gradient."""
     values = values.reshape(geom.node_count, -1)
     grid = values.reshape(geom.stencil.shape + (values.shape[1],))
     out = np.empty((geom.node_count, geom.dim, values.shape[1]))
@@ -267,12 +267,29 @@ def roll_gradient(geom, values):
 class TestGradient:
     @pytest.mark.parametrize("components", [1, 2])
     @pytest.mark.parametrize("geometry", ["weighted_circle", "conformal_torus"])
-    def test_sparse_matches_roll_bit_for_bit(self, request, geometry, components):
+    def test_matches_roll_bit_for_bit(self, request, geometry, components):
         geom = request.getfixturevalue(geometry)
         values = np.random.default_rng(31).standard_normal((geom.node_count, components))
         grad = geom.gradient(values)
         assert grad.shape == (geom.node_count, geom.dim, components)
         assert np.array_equal(grad, roll_gradient(geom, values))
+
+    @pytest.mark.parametrize("shape, lengths", [((96,), (3.0,)), ((12, 7), (TWO_PI, 2.5))])
+    def test_matches_roll_sign_bits_included(self, shape, lengths):
+        # the gather computes u[next] - u[prev] itself, so even the sign of an exact zero
+        # (-0.0 - 0.0 is -0.0) is the roll formula's; non-square cells, several columns
+        coords = periodic_coords(shape, lengths)
+        phi = 0.3 * np.cos(TWO_PI * coords[:, 0] / lengths[0])
+        geom = make_circle(shape[0], lengths[0], phi) if len(shape) == 1 else make_torus(
+            *shape, *lengths, phi)
+        rng = np.random.default_rng(34)
+        values = rng.standard_normal((geom.node_count, 5))
+        values[rng.random(values.shape) < 0.3] = 0.0
+        values[rng.random(values.shape) < 0.3] = -0.0
+        grad = geom.gradient(values)
+        assert grad.shape == (geom.node_count, geom.dim, 5)
+        assert np.any(np.signbit(grad) & (grad == 0.0))
+        assert np.array_equal(grad.view(np.uint64), roll_gradient(geom, values).view(np.uint64))
 
     def test_one_dimensional_input(self, conformal_torus):
         values = np.random.default_rng(32).standard_normal(conformal_torus.node_count)

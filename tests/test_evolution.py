@@ -9,6 +9,7 @@ from parafreq import (
     Field,
     PerturbationSpec,
     TimeGrid,
+    Trajectory,
     assemble,
     check_rigidity,
     evolve_cn,
@@ -29,7 +30,7 @@ from parafreq.errors import (
     InvalidInputError,
     NumericalFailureError,
 )
-from parafreq.evolution import _in_blocks, _projected
+from parafreq.evolution import _in_blocks, project_flows
 from parafreq.suite import SuiteContext
 from parafreq.sampling import random_smooth_field
 
@@ -510,7 +511,7 @@ class TestImplicitStepping:
     def test_stepped_I_is_the_modal_closed_form(self, weighted_circle_512_op, case):
         # the step multiplies mode j by r(dt lambda_j) = (1 + dt lambda_j / 2) / (1 - dt lambda_j / 2),
         # so I_k = sum_j w_j r_j^(2k) with w_j the squared mu-projection of u0; projecting the
-        # flow on the eigensystem (_projected) gives the stepped trace and values to round-off
+        # flow on the eigensystem (project_flows) gives the stepped trace and values to round-off
         op, grid, starts, stiff = self.closed_form_case(weighted_circle_512_op, case)
         geom = op.geometry
         vals, vecs = op.eigensystem
@@ -520,7 +521,7 @@ class TestImplicitStepping:
         assert (abs(z[-1]) > 2.0) == stiff == bool(np.any(factor < 0.0))
         steps = np.arange(grid.steps + 1)[:, None]
         stepped = _in_blocks(evolve_cn(op, u0, grid) for u0 in starts)
-        projected = _projected(evolve_cn(op, u0, grid) for u0 in starts)
+        projected = project_flows(evolve_cn(op, u0, grid) for u0 in starts)
         for u0, step, proj in zip(starts, stepped, projected, strict=True):
             weights = (vecs.T @ (geom.mu * u0.values[:, 0])) ** 2
             closed = (weights * factor ** (2 * steps)).sum(axis=1)
@@ -563,13 +564,33 @@ class TestImplicitStepping:
         grid = TimeGrid(0.0, 1.0, 20)
         u0 = random_smooth_field(geom, np.random.default_rng(30))
         monkeypatch.setattr(evolution, "step_block", lambda members: pytest.fail("stepped"))
-        (traj,) = _projected([evolve_cn(weighted_circle_op, u0, grid)])
+        (traj,) = project_flows([evolve_cn(weighted_circle_op, u0, grid)])
         assert traj.modal.step == grid.dt and traj.modal.rates is weighted_circle_op.eigensystem[0]
+        assert traj.provenance == "implicit-step"
         zero = PerturbationSpec(geom, grid, bound=0.0)
         with pytest.raises(InvalidInputError, match="perturbed"):
-            list(_projected([evolve_perturbed(weighted_circle_op, u0, grid, zero)]))
+            project_flows([evolve_perturbed(weighted_circle_op, u0, grid, zero)])
+        fresh = assemble(geom)
         with pytest.raises(InvalidInputError, match="no eigensystem"):
-            list(_projected([evolve_cn(assemble(geom), u0, grid)]))
+            project_flows([evolve_cn(fresh, u0, grid)])
+        assert fresh.computed_eigensystem() is None
+
+    @pytest.mark.parametrize("where", ["weighted_circle_op", "conformal_torus_op"])
+    def test_flows_projected_together_trace_as_each_alone(self, request, where):
+        # one GEMM for k flows rounds apart from one GEMV per flow, at round-off only: each
+        # flow's coefficients, taken as the exact semigroup, trace as a lone evolve_exact
+        op = request.getfixturevalue(where)
+        grid = TimeGrid(0.0, 1.0, 40)
+        rng = np.random.default_rng(33)
+        starts = [random_smooth_field(op.geometry, rng) for _ in range(7)]
+        together = project_flows(evolve_cn(op, u0, grid) for u0 in starts)
+        for u0, traj in zip(starts, together, strict=True):
+            assert traj.modal.coeffs.shape == (op.geometry.node_count, 1)
+            exact = Trajectory(grid=grid, geometry=op.geometry, provenance="spectral-exact",
+                               modal=dataclasses.replace(traj.modal, step=None))
+            alone, joint = frequency_trace(evolve_exact(op, u0, grid), op), frequency_trace(exact, op)
+            assert np.max(np.abs(joint.I / alone.I - 1.0)) <= 1e-13
+            assert np.max(np.abs(joint.U - alone.U)) <= 1e-13 * np.max(np.abs(alone.U))
 
     def test_projected_eigenmode_separates_at_the_trapezoid_factor(self, weighted_circle_op):
         # rigidity's separation residual of a projected flow compares r^k, not exp(lambda s),
@@ -577,7 +598,7 @@ class TestImplicitStepping:
         pair = eigenpairs(weighted_circle_op, 3)[2]
         grid = TimeGrid(0.0, 1.0, 20)
         stepped = evolve_cn(weighted_circle_op, pair.eigenfield, grid)
-        (projected,) = _projected([evolve_cn(weighted_circle_op, pair.eigenfield, grid)])
+        (projected,) = project_flows([evolve_cn(weighted_circle_op, pair.eigenfield, grid)])
         exact = evolve_exact(weighted_circle_op, pair.eigenfield, grid)
         residual = lambda traj: check_rigidity(traj, 1e-3, weighted_circle_op).aux[
             "separation_residual"]

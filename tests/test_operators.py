@@ -296,6 +296,17 @@ class TestSpectrum:
             vals, _ = op.eigensystem
             assert np.all(np.diff(vals) <= 0.0)
 
+    def test_eigenvectors_are_the_reversed_solve_with_positive_strides(self):
+        # V is LAPACK's output with its columns reversed in place, not a reversed view, whose
+        # negative column stride keeps numpy's matmul off BLAS; its bits are the same
+        for op in SuiteContext(seed=0).operators.values():
+            vals, vecs = op.eigensystem
+            assert vecs.flags.f_contiguous and all(stride > 0 for stride in vecs.strides)
+            assert np.all(np.diff(vals) <= 0.0)
+            ascending, solved = scipy.linalg.eigh(op.symmetric.toarray().T, driver="evd")
+            assert np.array_equal(vals, ascending[::-1])
+            assert np.array_equal(vecs, solved[:, ::-1] / op.root[:, None])
+
     def test_in_place_solve_corrupts_nothing_shared(self, weighted_circle):
         op = assemble(weighted_circle)  # a fresh operator: eigensystem is cached
         before = op.symmetric.toarray()

@@ -110,6 +110,24 @@ def test_backward_bound_is_the_growth_bound_run_once_per_flow(monkeypatch, seed)
     assert ctx.operators["torus"]._factors == {} and ctx.operators["circle"]._factors == {}
 
 
+def test_each_geometry_projects_its_stepped_lane_once(monkeypatch):
+    # the stepped lane's 50 flows on a geometry are one projection, one GEMM
+    ctx = SuiteContext(seed=0)
+    names = {id(op.geometry): name for name, op in ctx.operators.items()}
+    calls = []
+    project = evolution.project_flows
+
+    def counted(flows):
+        projected = project(flows)
+        calls.append((names[id(projected[0].geometry)], len(projected)))
+        return projected
+
+    monkeypatch.setattr(suite, "project_flows", counted)
+    assert all(r.passed for r in suite.monotonicity_reports(ctx))
+    assert calls == [("circle", suite.RANDOM_FIELDS_PER_GEOMETRY),
+                     ("torus", suite.RANDOM_FIELDS_PER_GEOMETRY)]
+
+
 def test_only_the_richardson_and_perturbed_lines_step(monkeypatch):
     # the stepped lane projects its trapezoid flows on the eigensystem; the stepper itself
     # stays under test in the Richardson and perturbed lines
@@ -238,16 +256,40 @@ def test_gradient_only_random_line_takes_its_tolerance_from_its_own_flows(monkey
     budget = max(frequency.default_tolerance(t) for t in random)
     line = by_name["gradient-only/random-suite"]
     assert line.tolerance == gradient < budget
-    assert line.aux == {"perturbations": 2}
+    # its worst flow is one of the gradient-only ones, numbered in the order they were drawn
+    assert line.aux.pop("worst_flow") in (0, 2) and line.aux == {"perturbations": 2}
     for name in ("general-frequency/random-suite", "general-lower-bound/random-suite"):
         assert by_name[name].tolerance == budget
-    assert by_name["general-frequency/random-suite"].aux == {"perturbations": 4}
+    general = by_name["general-frequency/random-suite"].aux
+    assert general.pop("worst_flow") in range(4) and general == {"perturbations": 4}
 
 
 def test_a_nan_margin_fails_a_line_over_many_flows():
-    results = [(1e-9, passing("u-monotone", margin, 1e-9)) for margin in (0.5, np.nan, 0.2)]
+    results = [(k, 1e-9, passing("u-monotone", margin, 1e-9, location=0.1 * k))
+               for k, margin in enumerate((0.5, np.nan, 0.2))]
     line = suite._worst("monotone/x", results)
     assert np.isnan(line.margin) and not line.passed
+    assert line.aux == {"worst_flow": 1} and line.location == 0.1
+
+
+def test_a_lane_line_names_its_worst_flow_and_time():
+    # each monotone line carries the index of the flow with the least margin, and its time
+    ctx = SuiteContext(seed=0)
+    op, grid = ctx.operators["circle"], ctx.window
+    rng = suite._rng(0, 3)
+    fields = [random_smooth_field(op.geometry, rng) for _ in range(suite.RANDOM_FIELDS_PER_GEOMETRY)]
+    by_name = {r.name: r for r in suite.monotonicity_reports(ctx)}
+    lanes = {"spectral": [evolve_exact(op, u0, grid) for u0 in fields],
+             "stepped": evolution.project_flows(evolve_cn(op, u0, grid) for u0 in fields)}
+    for lane, flows in lanes.items():
+        line = by_name[f"monotone/{lane}/circle"]
+        reps = [frequency.check_u_monotone(frequency.frequency_trace(traj, op), line.tolerance)
+                for traj in flows]
+        worst = int(np.argmin([rep.margin for rep in reps]))
+        assert line.aux["worst_flow"] == worst
+        assert (line.margin, line.location) == (reps[worst].margin, reps[worst].location)
+    assert all(line.location is not None for name, line in by_name.items()
+               if not name.startswith("negative-control"))
 
 
 # the gauge line compares the gauged flow's sampled trace with the ungauged flow's modal
