@@ -36,7 +36,7 @@ from .frequency import (
     check_u_monotone,
     default_tolerance,
 )
-from .operators import MAX_VALUES, DriftOperator, eigenpairs
+from .operators import MAX_VALUES, DriftOperator
 from .sampling import random_smooth_field
 
 INTEGRATORS = ("spectral-exact", "implicit-step")
@@ -332,13 +332,42 @@ def build_time(spec: dict) -> TimeGrid:
     return TimeGrid(**_time(spec, "time"))
 
 
+# eigenvalues this many times ``n eps max|lambda|`` apart are one eigenvalue split by
+# round-off: a symmetric eigensolve's eigenvalue error is a modest multiple of
+# ``eps |S|_2``; on flat circles and tori of up to 4096 nodes the eigenvalues of one
+# degenerate eigenspace lie at most 5 ulps of max|lambda| apart, and distinct ones at
+# least 2.6e9 ulps
+_CLUSTER_ULPS = 8.0
+
+
+def _eigenmode(op: DriftOperator, index: int) -> Field:
+    """The mu-unit eigenfield of eigenvalue ``index``, fixed by the operator, not by round-off.
+
+    Within a degenerate eigenspace the eigensolver's vectors are any basis,
+    and a change of a few ulps in ``S`` can rotate it.  The field is instead
+    the mu-projection of one fixed vector ``w`` (seeded standard normal) on
+    the eigenspace of the eigenvalues within ``_CLUSTER_ULPS n eps
+    max|lambda|`` of ``lambda_index``, scaled to unit mu-norm, so that
+    ``<u, w>_mu > 0`` fixes its sign.  On a simple eigenvalue it is the
+    eigenvector itself, or its negative.
+    """
+    vals, vecs = op.eigensystem
+    spread = _CLUSTER_ULPS * vals.size * np.finfo(float).eps * np.max(np.abs(vals))
+    cluster = np.flatnonzero(np.abs(vals - vals[index]) <= spread)
+    space = vecs[:, cluster]
+    w = np.random.default_rng(0).standard_normal(vals.size)
+    coeffs = space.T @ (op.geometry.mu * w)
+    # the vectors are mu-orthonormal, so |coeffs| is the projection's mu-norm
+    return Field(op.geometry, space @ (coeffs / np.sqrt(coeffs @ coeffs)))
+
+
 def build_initial(spec: dict, geometry: WeightedGeometry, op: DriftOperator) -> Field:
     spec = _read_initial(spec, "initial")
     if spec["kind"] == "expression":
         values = [evaluate_on_grid(e, geometry.coords) for e in spec["expression"]]
         return Field(geometry, np.column_stack(values))
     if spec["kind"] == "eigenmode":
-        return eigenpairs(op, spec["index"] + 1)[spec["index"]].eigenfield
+        return _eigenmode(op, spec["index"])
     rng = np.random.default_rng(spec["seed"])
     return random_smooth_field(
         geometry, rng, spec["max_mode"], spec["components"], spec["zero_mean"]

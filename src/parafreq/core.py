@@ -359,8 +359,8 @@ class Trajectory:
 
     ``values`` is one read-only array of shape (samples, nodes, N), checked
     finite once over the whole stack.  A spectral trajectory, or a trapezoid
-    flow projected on an eigensystem, may carry its ``modal`` expansion
-    instead; its ``values`` are then built on first access
+    flow projected on an eigensystem or built from Krylov modes, may carry
+    its ``modal`` expansion instead; its ``values`` are then built on first access
     and cached, so a caller that needs only modal quantities (the frequency
     trace) never materializes them.  A stepped trajectory carries its
     ``stepping`` instead: a callable that runs the steps (or hands over the

@@ -4,28 +4,42 @@ Two integrators on purpose: the spectral path is the exact semigroup of the
 semidiscrete operator (theorem-grade trajectories), the implicit trapezoid
 path carries O(dt^2) stepping error (tolerance-budgeted trajectories).
 Perturbations are treated explicitly with midpoint averaging; the zeroth-order
-gauge is removed by an exact scalar factor.  A plain trapezoid flow on an
-operator that holds its dense eigensystem can also be projected on it instead
-of stepped (:func:`project_flows`): ``u_k = V r(dt Lambda)^k V^T M u0`` with
-``r(z) = (1 + z/2)/(1 - z/2)``, the same flow to round-off, kept as a modal
+gauge is removed by an exact scalar factor.  A plain trapezoid flow has a
+modal form, ``u_k = V r(dt Lambda)^k V^T M u0`` with
+``r(z) = (1 + z/2)/(1 - z/2)``: on an operator that holds its dense
+eigensystem it can be projected on it instead of stepped
+(:func:`project_flows`), the same flow to round-off, kept as a modal
 expansion with the step.  Every projection, of one spectral flow or of many
 trapezoid flows, is :func:`_projections`: the coefficients of all its flows
 are one GEMM.
 
-The spectral path is a modal expansion.  On an operator that holds its
-dense eigensystem it is the projection on every eigenvector; otherwise it
-holds only the modes the initial data needs, the Ritz pairs of
-shift-and-invert Lanczos on ``(I - gamma S)^{-1}``, ``S = M^{1/2} L M^{-1/2}``
-the operator's symmetric form (:func:`_lanczos`), which grows its Krylov basis
-until I and U at every sample have converged.  The shift is an eighth of the
-time window, ``gamma = (b - a)/8``, so the modes a flow needs depend on its
-data and its window, not on the step.  ``S`` is well scaled however many
-decades mu spans (the Gauss line), so each solve is one plain SuperLU solve.
-Data that needs more than a quarter of the modes, where the dense
-eigensolve is the cheaper, computes the eigensystem and projects on it.
+Without the dense eigensystem both flows are modal expansions on the modes
+the initial data needs, the Ritz pairs of shift-and-invert Lanczos on
+``(I - gamma S)^{-1}``, ``S = M^{1/2} L M^{-1/2}`` the operator's symmetric
+form (:func:`_lanczos`), which grows its Krylov basis until I and U at every
+sample, of the exact or of the trapezoid flow, have converged.  The shift is
+an eighth of the time window, ``gamma = (b - a)/8``, so the modes a flow
+needs depend on its data and its window, not on the step.  ``S`` is well
+scaled however many decades mu spans (the Gauss line), so each solve is one
+plain SuperLU solve.  A spectral flow whose data needs more than a quarter
+of the modes, where the dense eigensolve is the cheaper, computes the
+eigensystem and projects on it.  A trapezoid flow (``evolve_cn``) pays a
+solve and its orthogonalization per basis vector, stepping a solve per
+step, so it never computes the eigensystem, and it takes Krylov modes only
+in the regime they were measured in, the stepped ladder's plain flows
+(circle 128 to 2048, torus 16^2 to 48^2, [0, 1] in 400 steps, seeds 0, 3,
+7, 41, 112): data whose frequency over the window, ``(b - a)|U(a)|``, is at
+most 32 (the ladder's read at most 15.3; nodal noise reads hundreds or
+more), on a grid of 32 steps or more.  There every flow converged within 64
+modes, its I agreeing with stepping to 1.5e-11 (relative) and its U to
+2.6e-13 of max|U|.  Other data is stepped at once, and a run is stepped
+instead when its basis would pass 64 modes or a quarter of the steps, or
+when it fails.  On an operator that holds its eigensystem ``evolve_cn``
+still returns a pending stepped flow, so that :func:`project_flows` and
+:func:`_in_blocks` can take it.
 
 Every trajectory is one read-only (samples, nodes, N) array, and neither
-integrator builds it when the flow is created.  The spectral path keeps its
+integrator builds it when the flow is created.  A modal flow keeps its
 modal data and builds the array from it, a chunk of samples per GEMM, only
 when a caller reads it.
 The stepped paths check their inputs and keep their initial data and
@@ -59,6 +73,7 @@ from .core import (
     Trajectory,
     WeightedGeometry,
     cumulative_trapezoid,
+    dirichlet_energy,
     _modal_factors,
     _modal_sums,
     row_chunks,
@@ -75,7 +90,7 @@ from .operators import MAX_DENSE_NODES, MAX_VALUES, DriftOperator
 _CERT_SLACK = 1e-12
 # bytes of one block of flows stepped together: check all's Richardson flows (10 plain
 # circle-128 flows, one block per grid) and random perturbed suite (7 blocks of up to 8
-# flows); a flow read alone, as in the stepped ladder, is a block of one
+# flows); a flow read alone, as the stepped ladder's perturbed flows, is a block of one
 _BLOCK_BYTES = 8 * 2**20
 # Krylov flows: the first basis size (it doubles from there), the agreement of
 # I and U between two successive sizes that ends the doubling (:func:`_agree`),
@@ -96,6 +111,19 @@ _SHIFT_SHARE = 0.125
 # 1.15 s for the dense eigensolve (on 1024 nodes: 0.04 s to 256 modes, 0.18 s
 # to 512, eigh 0.17 s); with the test on, that flow converges at 512 modes
 _KRYLOV_SHARE = 0.25
+# trapezoid flows built from Krylov modes (:func:`_in_krylov_regime`), the
+# regime measured on the stepped ladder's plain flows (circle 128 to 2048,
+# torus 16^2 to 48^2, [0, 1] in 400 steps, seeds 0, 3, 7, 41, 112): the data's
+# frequency over the window, (b - a)|U(a)|, read at most 15.3 there, and every
+# flow converged within 64 modes.  Past _TRAPEZOID_REACH the basis grows with
+# the data's frequency (nodal noise reads 2e2 to 2e5 and needs 128 to 512
+# modes), so such data is stepped at once.  A flow within it still gives way
+# to stepping before its basis passes _TRAPEZOID_MODES, or _STEPS_SHARE of the
+# steps (a basis vector costs about a solve, a step a solve), so a flow that
+# does not converge wastes at most the factor of I - gamma S and 64 solves
+_TRAPEZOID_REACH = 32.0
+_TRAPEZOID_MODES = 64
+_STEPS_SHARE = 0.25
 
 
 def _over_samples(value, shape: tuple, name: str) -> np.ndarray:
@@ -150,12 +178,13 @@ class PerturbationSpec:
                 object.__setattr__(self, name, _over_samples(getattr(self, name), shape, name))
         # sup norms per sample, a chunk of samples at a time so temporaries stay
         # bounded; a non-finite b or c gives a non-finite sup, and so does a
-        # finite b whose |b|^2 overflows
+        # finite b whose |b|^2 overflows.  sqrt is monotone and correctly
+        # rounded, so the root of the largest |b|^2 is the largest |b|, bit for bit
         b_sup, c_sup = np.zeros(times.size), np.zeros(times.size)
         for rows in row_chunks(times.size, nodes * dim):
             if self.b is not None:
                 with np.errstate(over="ignore"):
-                    b_sup[rows] = np.sqrt((self.b[rows] ** 2).sum(axis=2)).max(axis=1)
+                    b_sup[rows] = np.sqrt((self.b[rows] ** 2).sum(axis=2).max(axis=1))
             if self.c is not None:
                 c_sup[rows] = np.abs(self.c[rows]).max(axis=1)
         for name, sup in (("b", b_sup), ("c", c_sup)):
@@ -217,11 +246,12 @@ def project_flows(flows: Iterable[Trajectory]) -> list[Trajectory]:
     and N; their coefficients are one GEMM (:func:`_projections`), and each
     flow becomes a modal expansion with the grid's step
     (``ModalExpansion.step``) and the provenance of a stepped flow, so its
-    trace and its gates are those of stepping it, to round-off.  A perturbed
-    flow, or an operator that does not hold its eigensystem, is an
-    :class:`InvalidInputError`: nothing is stepped or solved here.
+    trace and its gates are those of stepping it, to round-off.  A flow that
+    is not pending (:func:`_pending`), a perturbed flow, or an operator that
+    does not hold its eigensystem, is an :class:`InvalidInputError`: nothing
+    is stepped or solved here.
     """
-    pending = [traj.stepping for traj in flows]
+    pending = [_pending(traj) for traj in flows]
     op, grid = pending[0].op, pending[0].grid
     if any(p.pert is not None for p in pending):
         raise InvalidInputError("a perturbed flow has no modal expansion: step it")
@@ -250,52 +280,72 @@ def _projections(op: DriftOperator, grid: TimeGrid, starts: list[np.ndarray],
     ]
 
 
-def _krylov_expansion(op: DriftOperator, u0: np.ndarray, grid: TimeGrid) -> ModalExpansion | None:
-    """The modes of ``e^{tL} u0`` that Krylov spaces of ``u0`` resolve, one :func:`_lanczos` run per component.
+def _krylov_expansion(op: DriftOperator, u0: np.ndarray, grid: TimeGrid,
+                      step: float | None = None) -> ModalExpansion | None:
+    """The modes of a flow from ``u0`` that Krylov spaces of ``u0`` resolve.
 
-    Component j's modes carry coefficients in column j only, so the
-    components stay decoupled.  None when a run gives way to the dense
-    eigensystem.
+    One :func:`_lanczos` run per component, every run solving with one factor
+    of ``I - gamma S``.  With ``step`` None the flow is ``e^{tL} u0``, and the
+    factor is kept on the operator for its later Krylov flows over a window of
+    this length (``op.factor``); with a step ``dt`` it is the trapezoid flow of
+    that step, and the factor is dropped with the run, since a finished modal
+    flow never solves again.  Component j's modes carry coefficients in column
+    j only, so the components stay decoupled.  None when a run gives way: a
+    semigroup run to the dense eigensystem, a trapezoid run to stepping, which
+    it also does where a semigroup run would raise :class:`NumericalFailureError`.
     """
     runs = []
-    for column in u0.T:
-        run = _lanczos(op, column, grid)
-        if run is None:
-            return None
-        runs.append(run)
+    try:
+        solver = op.factor((grid.b - grid.a) * _SHIFT_SHARE, keep=step is None)
+        for column in u0.T:
+            run = _lanczos(op, solver, column, grid, step)
+            if run is None:
+                return None
+            runs.append(run)
+    except NumericalFailureError:
+        if step is None:
+            raise
+        return None
     rates, vectors, coeffs = zip(*runs)
     return ModalExpansion(
         rates=np.concatenate(rates), vectors=np.concatenate(vectors, axis=1),
-        coeffs=scipy.linalg.block_diag(*(c[:, None] for c in coeffs)), initial=u0,
+        coeffs=scipy.linalg.block_diag(*(c[:, None] for c in coeffs)), initial=u0, step=step,
     )
 
 
-def _lanczos(op: DriftOperator, u: np.ndarray, grid: TimeGrid):
+def _lanczos(op: DriftOperator, solver, u: np.ndarray, grid: TimeGrid,
+             step: float | None = None):
     """Rates, mu-orthonormal vectors and coefficients of the Krylov modes of one component ``u``.
 
     Lanczos in the symmetric coordinates ``v = M^{1/2} u``, Euclidean, on
     ``A = (I - gamma S)^{-1}``, ``gamma = (b - a) * _SHIFT_SHARE``, from
-    ``q_0 = v / |v|``.  Each ``A q`` is one solve with the LU factor of
-    ``op.factor(gamma)``, shared by every Krylov flow over a window of that
-    length on the operator, and by its stepped flows of step ``2 gamma``.
+    ``q_0 = v / |v|``.  Each ``A q`` is one solve with ``solver``, the LU
+    factor of ``I - gamma S`` (:func:`_krylov_expansion`).
     Each new direction is orthogonalized against the whole basis twice.  The
     basis size doubles from ``_KRYLOV_START``; at each size the tridiagonal
     ``T = Y diag(sigma) Y^T`` gives the rates ``theta = (1 - 1/sigma) / gamma``,
     the vectors ``M^{-1/2} Q Y`` (mu-orthonormal) and the coefficients
     ``|v| Y[0, :]``.
-    The run ends when I and U at the grid's samples agree with those of the
-    previous size to ``_KRYLOV_RTOL`` (:func:`_agree`), or at an invariant
-    subspace (a new direction that keeps at most ``_BREAKDOWN`` of ``A q``, or
-    a basis of every node), where the expansion is exact.  Past
+    The run ends when I and U at the grid's samples, of the flow with
+    ``step`` (:func:`_modal_factors`), agree with those of the previous size
+    to ``_KRYLOV_RTOL`` (:func:`_agree`), or at an invariant subspace (a new
+    direction that keeps at most ``_BREAKDOWN`` of ``A q``, or a basis of
+    every node), where the expansion is exact.  Past
     ``min(nodes, MAX_VALUES // nodes)`` vectors it raises
-    :class:`NumericalFailureError`.  On at most ``MAX_DENSE_NODES`` nodes it
-    gives way (returns None) before the basis passes ``_KRYLOV_SHARE`` of the
-    nodes, where the dense eigensolve costs less than the next size.
+    :class:`NumericalFailureError`.  It gives way (returns None) before the
+    basis would pass a budget: on at most ``MAX_DENSE_NODES`` nodes,
+    ``_KRYLOV_SHARE`` of the nodes for the semigroup (``step`` None), where
+    the dense eigensolve costs less than the next size; for a trapezoid flow
+    ``_TRAPEZOID_MODES``, or ``_STEPS_SHARE`` of the grid's steps where that
+    is fewer, past which stepping it costs less.
     """
     gamma, nodes = (grid.b - grid.a) * _SHIFT_SHARE, u.size
-    solver = op.factor(gamma)
-    root = op.root
     cap = min(nodes, MAX_VALUES // nodes)
+    if step is None:
+        budget = _KRYLOV_SHARE * nodes if nodes <= MAX_DENSE_NODES else np.inf
+    else:
+        budget = min(_TRAPEZOID_MODES, _STEPS_SHARE * grid.steps)
+    root = op.root
     v = root * u
     norm = np.sqrt(v @ v)
     if norm == 0.0:
@@ -327,7 +377,7 @@ def _lanczos(op: DriftOperator, u: np.ndarray, grid: TimeGrid):
                         "is past 1/eps): the operator's entries are out of the float range")
                 raise NumericalFailureError("the shift-and-invert Lanczos run lost definiteness")
             rates, coeffs = (1.0 - 1.0 / sigma[::-1]) / gamma, norm * y[0, ::-1]
-            I, D = _modal_sums(_modal_factors(rates, grid.times - grid.a, power=2), rates, coeffs**2)
+            I, D = _modal_sums(_modal_factors(rates, grid.times - grid.a, step, 2), rates, coeffs**2)
             # U is 0 where I underflows to 0: there the trace will raise, as on the dense path
             trace = I, np.divide(D, I, out=np.zeros_like(I), where=I > 0.0)
             if invariant or (previous is not None and _agree(previous, trace)):
@@ -337,7 +387,7 @@ def _lanczos(op: DriftOperator, u: np.ndarray, grid: TimeGrid):
                     f"the Krylov flow did not converge within {cap} modes "
                     f"(at most {MAX_VALUES} basis values on {nodes} nodes)"
                 )
-            if nodes <= MAX_DENSE_NODES and 2 * size > _KRYLOV_SHARE * nodes:
+            if 2 * size > budget:
                 return None
             previous = trace
             size = min(2 * size, cap)
@@ -356,6 +406,14 @@ def _agree(old: tuple, new: tuple) -> bool:
     (old_i, old_u), (new_i, new_u) = old, new
     return bool(np.all(np.abs(new_i - old_i) <= _KRYLOV_RTOL * new_i)
                 and np.all(np.abs(new_u - old_u) <= _KRYLOV_RTOL * np.max(np.abs(new_u))))
+
+
+def _pending(traj: Trajectory) -> "_PendingSteps":
+    """The steps of a pending stepped flow; any other flow is an :class:`InvalidInputError`."""
+    if not isinstance(traj.stepping, _PendingSteps):
+        raise InvalidInputError("not a pending stepped flow: a modal or materialized flow "
+                                "is neither projected nor stepped")
+    return traj.stepping
 
 
 @dataclass(eq=False)
@@ -485,15 +543,15 @@ def _in_blocks(flows: Iterable[Trajectory]) -> Iterator[Trajectory]:
     a block's flows are created only when the block is taken, so random draws
     keep their order, and once the caller drops each trajectory before asking
     for the next, only one block's values are alive at a time.  The flows are
-    pending stepped flows that share an operator, a grid, a step kind (plain
-    or perturbed) and N, so each block of ``block_size`` of them goes to
+    pending stepped flows (:func:`_pending`) that share an operator, a grid, a
+    step kind (plain or perturbed) and N, so each block of ``block_size`` of them goes to
     :func:`step_block` whole (``check all``'s Richardson and random perturbed
     flows, see ``_BLOCK_BYTES``; its stepped lane is projected, :func:`project_flows`).
     """
     flows = iter(flows)
     for first in flows:
-        block = [first, *itertools.islice(flows, first.stepping.block_size() - 1)]
-        step_block([traj.stepping for traj in block])
+        block = [first, *itertools.islice(flows, _pending(first).block_size() - 1)]
+        step_block([_pending(traj) for traj in block])
         yield from block
 
 
@@ -507,13 +565,43 @@ def _stepped(op: DriftOperator, u0: Field, grid: TimeGrid, pert: PerturbationSpe
 
 
 def evolve_cn(op: DriftOperator, u0: Field, grid: TimeGrid) -> Trajectory:
-    """Unconditionally stable implicit trapezoid stepping, O(dt^2) accurate.
+    """The implicit trapezoid flow, unconditionally stable and O(dt^2) accurate.
 
-    The steps run on first read of ``values``, or with a block in
+    The route depends on the operator's cached state as well as on the
+    inputs.  On an operator that holds its dense eigensystem
+    (``op.computed_eigensystem()``) the flow is always a pending stepped one,
+    so that :func:`project_flows` and :func:`_in_blocks` can take it.  On one
+    that does not, data in the Krylov regime (:func:`_in_krylov_regime`)
+    builds the flow from the Krylov modes it needs (:func:`_krylov_expansion`
+    with the grid's step), a modal expansion traced in closed form like a
+    projected flow; other data, and a run that gives way, are stepped.  A
+    stepped flow's steps run on first read of ``values``, or with a block in
     :func:`_in_blocks`.
     """
     _check_initial(op, u0)
+    if op.computed_eigensystem() is None and _in_krylov_regime(u0, grid):
+        modal = _krylov_expansion(op, u0.values, grid, grid.dt)
+        if modal is not None:
+            return Trajectory(
+                grid=grid, geometry=op.geometry, modal=modal, provenance=PROVENANCE_IMPLICIT
+            )
     return _stepped(op, u0, grid, None)
+
+
+def _in_krylov_regime(u0: Field, grid: TimeGrid) -> bool:
+    """Whether a trapezoid flow from ``u0`` is built from Krylov modes: the regime they were measured in.
+
+    The data's frequency over the window, ``(b - a)|U(a)|`` with ``U(a) =
+    -E(u0)/|u0|^2`` (one sparse product), is at most ``_TRAPEZOID_REACH``,
+    and a first basis of ``_KRYLOV_START`` vectors stays within
+    ``_STEPS_SHARE`` of the steps (32 steps or more).  A frequency that is not
+    finite (an operator's entries near the float limit) is outside it.
+    """
+    if _KRYLOV_START > _STEPS_SHARE * grid.steps:
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = (grid.b - grid.a) * dirichlet_energy(u0) / weighted_inner(u0, u0)
+    return bool(reach <= _TRAPEZOID_REACH)
 
 
 def evolve_perturbed(

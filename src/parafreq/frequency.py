@@ -7,7 +7,8 @@ never built, and its derivatives ``(log I)' = 2 U`` and ``U'`` are exact; U'
 is computed only when a check reads it.  Flows projected on one operator's
 dense eigensystem over one time grid share that operator's growth matrix
 ``exp(2 lambda_k (t - a))``.  A trapezoid flow projected on the eigensystem
-(``evolution.project_flows`` with a step) is traced from its modal data too, with
+(``evolution.project_flows`` with a step), or built from Krylov modes
+(``evolution.evolve_cn`` without the eigensystem), is traced from its modal data too, with
 ``r_k^(2k)``, ``r_k = r(dt lambda_k)``, in place of the exponential; it has
 no exact derivative in time, so its (log I)' and U' are differenced as for a
 stepped flow.  Every other trajectory is traced from its value

@@ -18,7 +18,8 @@ have positive strides and every product with them is one BLAS call.  The
 eigensystem is computed only when read: by ``eigen``, ``eigenmode`` data and
 the check suite.  A spectral flow on an operator that has not computed it
 builds Krylov modes instead, unless its data needs so many that the
-eigensolve is cheaper (``evolution.evolve_exact``).
+eigensolve is cheaper (``evolution.evolve_exact``); a plain trapezoid flow
+builds them too, or is stepped (``evolution.evolve_cn``).
 Every solve is with a sparse LU factor of ``I - gamma S``: a Krylov flow's
 shift is taken from its time window, an implicit step's of size ``dt`` is
 ``dt/2``.
@@ -90,24 +91,29 @@ class DriftOperator:
             raise IncompatibleFieldsError("field does not live on the operator geometry")
         return Field(self.geometry, self.symmetric @ (self.root[:, None] * u.values) / self.root[:, None])
 
-    def factor(self, gamma: float) -> scipy.sparse.linalg.SuperLU:
+    def factor(self, gamma: float, keep: bool = True) -> scipy.sparse.linalg.SuperLU:
         """``splu(I - gamma S)``, factored once per shift ``gamma``: every solve's.
 
         Krylov flows over a window of one length share a shift
         (``evolution._lanczos``), and so do the stepped flows of one step size
         ``dt``, at ``gamma = dt/2`` (``evolution.step_block``); a step and a
-        Krylov flow at the same shift share one factor.
+        Krylov flow at the same shift share one factor.  With ``keep`` False a
+        factor not yet held is made for the caller alone and not kept (a
+        trapezoid Krylov run, whose finished flow never solves again).
         """
-        if gamma not in self._factors:
-            eye = scipy.sparse.eye_array(self.geometry.node_count, format="csr")
-            try:
-                # I - gamma S has a symmetric pattern: minimum degree on A^T + A fills in less than COLAMD
-                self._factors[gamma] = scipy.sparse.linalg.splu(
-                    (eye - gamma * self.symmetric).tocsc(), permc_spec="MMD_AT_PLUS_A"
-                )
-            except RuntimeError as exc:
-                raise NumericalFailureError(f"implicit factorization failed: {exc}") from exc
-        return self._factors[gamma]
+        if gamma in self._factors:
+            return self._factors[gamma]
+        eye = scipy.sparse.eye_array(self.geometry.node_count, format="csr")
+        try:
+            # I - gamma S has a symmetric pattern: minimum degree on A^T + A fills in less than COLAMD
+            factor = scipy.sparse.linalg.splu(
+                (eye - gamma * self.symmetric).tocsc(), permc_spec="MMD_AT_PLUS_A"
+            )
+        except RuntimeError as exc:
+            raise NumericalFailureError(f"implicit factorization failed: {exc}") from exc
+        if keep:
+            self._factors[gamma] = factor
+        return factor
 
     def computed_eigensystem(self) -> tuple[np.ndarray, np.ndarray] | None:
         """:attr:`eigensystem` if it has been computed, else None; never runs the eigensolve."""

@@ -5,11 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from parafreq import (
-    PerturbationSpec, TimeGrid, assemble, core, eigenpairs, make_circle, weighted_inner,
+    PerturbationSpec, TimeGrid, assemble, core, eigenpairs, make_circle, make_torus, weighted_inner,
 )
+from parafreq.operators import DriftOperator
 from parafreq.config import (
     CHECK_KEYS,
     CONFIG_KEYS,
@@ -35,6 +37,7 @@ from parafreq.expressions import compile_expression, evaluate_on_grid
 from conftest import peak_allocated
 
 TWO_PI = 2.0 * np.pi
+EPS = np.finfo(float).eps
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -246,6 +249,42 @@ class TestInitialConfig:
         pair = eigenpairs(flat_circle_op, 2)[1]
         lhs = flat_circle_op.apply(fld).values
         assert np.max(np.abs(lhs - pair.eigenvalue * fld.values)) < 1e-8
+
+    @staticmethod
+    def ulps_apart(geometry, seed):
+        """The operator ``S = -W^T W`` rebuilt from a ``W`` moved by up to 2 ulps per entry."""
+        W = scipy.sparse.csr_array(
+            np.sqrt(geometry.weights)[:, None] * (geometry.differences / np.sqrt(geometry.mu)))
+        W.data = W.data * (1.0 + np.random.default_rng(seed).integers(-2, 3, W.data.size) * EPS)
+        return DriftOperator(geometry=geometry, symmetric=-(W.T @ W))
+
+    def test_degenerate_eigenmode_is_fixed_by_the_operator_not_by_round_off(self):
+        # on a 12x20 torus of sides 2 pi and 3 pi the eigenvalues come in pairs and triples;
+        # eigh's vectors within each eigenspace (and its sign of a simple one) moved by up to
+        # 0.43 between these builds of S, the projected field by at most 4.3e-15
+        geometry = make_torus(12, 20, TWO_PI, 3.0 * np.pi)
+        op = assemble(geometry)
+        vals = op.eigensystem[0]
+        assert vals[3] - vals[4] < 1e-13 and vals[5] - vals[7] < 1e-13  # a pair, a triple
+        for index in range(8):
+            spec = {"kind": "eigenmode", "index": index}
+            field = build_initial(spec, geometry, op)
+            assert abs(weighted_inner(field, field) - 1.0) < 1e-13
+            residual = op.apply(field).values - vals[index] * field.values
+            assert np.max(np.abs(residual)) < 1e-12
+            for seed in range(3):
+                other = self.ulps_apart(geometry, seed)
+                assert other.symmetric.data.tobytes() != op.symmetric.data.tobytes()
+                moved = build_initial(spec, geometry, other).values - field.values
+                assert np.max(np.abs(moved)) <= 1e-10
+
+    def test_simple_eigenmode_is_its_eigenvector_up_to_sign(self, gauss_line, gauss_line_op):
+        # the Gauss line's eigenvalues -k/2 are simple: the field is eigh's vector, bit for bit
+        vectors = gauss_line_op.eigensystem[1]
+        for index in range(6):
+            field = build_initial({"kind": "eigenmode", "index": index}, gauss_line, gauss_line_op)
+            assert (np.array_equal(field.values[:, 0], vectors[:, index])
+                    or np.array_equal(field.values[:, 0], -vectors[:, index]))
 
     def test_random_requires_seed(self, flat_circle, flat_circle_op):
         with pytest.raises(ConfigError):

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 import scipy.sparse.linalg
 
 from parafreq import (
@@ -24,6 +25,7 @@ from parafreq import (
     weighted_norm,
 )
 from parafreq import core, evolution, suite
+from parafreq.config import build_geometry
 from parafreq.errors import (
     CertificationFailureError,
     DegenerateInputError,
@@ -287,6 +289,34 @@ class TestKrylovFlows:
         smooth = Field(weighted_circle, np.cos(weighted_circle.coords[:, 0]))
         assert evolve_exact(op, smooth, grid).modal.rates.size <= 16
 
+    def test_the_semigroup_run_does_not_read_the_step(self, weighted_circle, monkeypatch):
+        # a semigroup run's agreement test takes exp(2 rates s), _modal_factors with no step, and
+        # its modes are the same bits whatever the grid's step; a trapezoid run of the same
+        # size is the same Lanczos run, which its step only stops
+        steps_seen = []
+        factors = evolution._modal_factors
+
+        def recorded(rates, offsets, step=None, power=1):
+            steps_seen.append(step)
+            return factors(rates, offsets, step, power)
+
+        monkeypatch.setattr(evolution, "_modal_factors", recorded)
+        x = weighted_circle.coords[:, 0]
+        u = np.exp(np.cos(x)) + 0.3 * np.sin(2.0 * x)
+
+        def run(grid, step=None):
+            op = assemble(weighted_circle)
+            return evolution._lanczos(op, op.factor(0.125), u, grid, step)
+
+        runs = [run(TimeGrid(0.0, 1.0, steps)) for steps in (20, 50, 400)]
+        assert steps_seen and set(steps_seen) == {None}
+        grid = TimeGrid(0.0, 1.0, 400)
+        trapezoid = run(grid, grid.dt)
+        for run in (*runs[1:], trapezoid):
+            assert run[0].size == 16
+            for got, want in zip(run, runs[0], strict=True):
+                assert np.array_equal(got, want)
+
     def test_gauss_line_rates_are_exact(self, krylov_only):
         # mu spans 47 decades at order 64: plain solves with I - gamma L put the rates
         # 1e-2 off -k/2, while I - gamma S is well scaled
@@ -439,7 +469,9 @@ class TestImplicitStepping:
         assert np.array_equal(first.values, second.values)
         assert np.array_equal(first.values, zero.values)
         assert len(calls) == 1
-        evolve_cn(op, u0, TimeGrid(0.0, 1.0, 40)).values
+        # a 40-step evolve_cn flow of this eigenvector would be one Krylov mode: the stepped
+        # flow it gives way to is stepped here
+        evolution._stepped(op, u0, TimeGrid(0.0, 1.0, 40), None).values
         assert len(calls) == 2
         evolve_cn(assemble(op.geometry), u0, grid).values
         assert len(calls) == 3
@@ -536,14 +568,22 @@ class TestImplicitStepping:
             assert np.array_equal(modal.dU, np.gradient(modal.U, grid.dt, edge_order=2))
 
     @pytest.mark.parametrize("order", [64, 256, 370])
-    def test_stepper_matches_the_gauss_line_trapezoid_oracle(self, order):
+    @pytest.mark.parametrize("route", ["stepped", "evolve_cn"])
+    def test_stepper_matches_the_gauss_line_trapezoid_oracle(self, order, route):
         # mu spans up to 307 decades: the factor of the row-scaled I - dt/2 L put I
-        # 7.3e-6, 0.19 and 7.2e-3 off at orders 64, 256 and 370, that of I - dt/2 S 4.5e-14
+        # 7.3e-6, 0.19 and 7.2e-3 off at orders 64, 256 and 370, that of I - dt/2 S 4.5e-14.
+        # evolve_cn builds 32 Krylov modes at order 64 (I 2.2e-15 off) and gives way to
+        # stepping at 256 and 370; "stepped" steps every order
         gauss = make_gauss_line(order)
         op = assemble(gauss)
         u0 = Field(gauss, np.random.default_rng(22).standard_normal(order))
         grid = TimeGrid(0.0, 1.0, 200)
-        trace = frequency_trace(evolve_cn(op, u0, grid), op)
+        if route == "stepped":
+            traj = evolution._stepped(op, u0, grid, None)
+        else:
+            traj = evolve_cn(op, u0, grid)
+            assert (traj.modal is not None) == (order == 64)
+        trace = frequency_trace(traj, op)
         assert "eigensystem" not in vars(op)
         # the oracle, with no eigensolve: u0's coefficients in the eigenbasis B, each
         # multiplied by r(dt lambda) per step at the rates lambda = -k/2
@@ -628,6 +668,134 @@ class TestImplicitStepping:
 
         _, peak = peak_allocated(trace_both)
         assert peak < dense_bytes / 16
+
+
+# two flows in the style of the stepped ladder's plain flows: a smooth weight, zero-mean
+# random data, [0, 1] in 400 steps
+LADDER_GEOMETRIES = {
+    "circle-2048": {"kind": "circle", "nodes": 2048, "length": TWO_PI,
+                    "phi": "0.3*cos(x+0.4)+0.2*sin(3*x+1.1)+0.1*cos(2*x+2.5)"},
+    "torus-48": {"kind": "torus2d", "nx": 48, "ny": 48, "lx": TWO_PI, "ly": TWO_PI,
+                 "phi": "0.2*cos(x+2*y+0.3)+0.15*sin(3*x+0.7)+0.1*cos(2*y+1.9)"},
+}
+
+
+class TestKrylovTrapezoidFlows:
+    """``evolve_cn`` without the eigensystem: Krylov modes, or stepping where they give way."""
+
+    @pytest.mark.parametrize("rung", list(LADDER_GEOMETRIES))
+    def test_krylov_flow_agrees_with_the_stepper(self, rung):
+        # over data seeds 0-5 the Krylov flow's I is at most 1.05e-11 (relative) off the
+        # stepper's on the circle and 6.6e-14 on the torus, its U 2.3e-13 and 5.9e-15 of
+        # max|U|, its values 1.0e-12 and 3.7e-15 in the mu-norm: the gates 1e-10, 2e-12 and
+        # 1e-11 leave about 10x headroom over the circle's figures
+        geometry = build_geometry(LADDER_GEOMETRIES[rung])
+        op = assemble(geometry)
+        grid = TimeGrid(0.0, 1.0, 400)
+        for seed in (0, 1):
+            u0 = random_smooth_field(geometry, np.random.default_rng(seed), zero_mean=True)
+            krylov = evolve_cn(op, u0, grid)
+            assert krylov.stepping is None and krylov.provenance == "implicit-step"
+            assert krylov.modal.step == grid.dt and krylov.modal.rates.size <= 64
+            stepped = evolution._stepped(op, u0, grid, None)
+            evolution.step_block([stepped.stepping])
+            modal, steps = frequency_trace(krylov, op), frequency_trace(stepped, op)
+            assert modal.provenance == steps.provenance
+            assert np.max(np.abs(modal.I / steps.I - 1.0)) <= 1e-10
+            assert np.max(np.abs(modal.U - steps.U)) <= 2e-12 * np.max(np.abs(steps.U))
+            gaps = [mu_distance(geometry, a, b) for a, b in zip(krylov.values, stepped.values)]
+            assert max(gaps) <= 1e-11 * weighted_norm(u0)
+        assert "eigensystem" not in vars(op)
+
+    def test_noise_short_grids_and_the_caps_give_way_to_the_stepper(self, weighted_circle,
+                                                                    monkeypatch):
+        # none of them computes the eigensystem: each steps, to the stepper's bits
+        def refused(*args, **kwargs):
+            raise AssertionError("the dense eigensolve ran")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", refused)
+        nodes = weighted_circle.node_count
+        noise = Field(weighted_circle, np.random.default_rng(23).standard_normal(nodes))
+        smooth = Field(weighted_circle, np.sin(weighted_circle.coords[:, 0]) + 0.2)
+        long_grid, short_grid = TimeGrid(0.0, 1.0, 400), TimeGrid(0.0, 1.0, 31)
+        # past the Krylov regime: noise reads a frequency over the window of 705, and
+        # fewer than 32 steps would pass a quarter of them with the first basis of 8 vectors
+        assert not evolution._in_krylov_regime(noise, long_grid)
+        assert not evolution._in_krylov_regime(smooth, short_grid)
+        for u0, grid in ((noise, long_grid), (smooth, short_grid)):
+            op = assemble(weighted_circle)
+            traj = evolve_cn(op, u0, grid)
+            assert isinstance(traj.stepping, evolution._PendingSteps)
+            assert np.array_equal(traj.values, evolution._stepped(op, u0, grid, None).values)
+            # no Krylov run started: the one factor is the stepper's
+            assert list(op._factors) == [0.5 * grid.dt]
+        # the smooth data converge on the long grid within 16 modes, but not within a cap
+        # of 8, whether the cap is the basis values' or the trapezoid flows' own
+        assert evolve_cn(assemble(weighted_circle), smooth, long_grid).modal.rates.size == 16
+        for name, value in (("_TRAPEZOID_MODES", 8), ("MAX_VALUES", 8 * nodes)):
+            with monkeypatch.context() as patched:
+                patched.setattr(evolution, name, value)
+                op = assemble(weighted_circle)
+                traj = evolve_cn(op, smooth, long_grid)
+            assert isinstance(traj.stepping, evolution._PendingSteps)
+            assert np.array_equal(traj.values,
+                                  evolution._stepped(op, smooth, long_grid, None).values)
+            assert list(op._factors) == [0.5 * long_grid.dt]
+
+    def test_a_trapezoid_run_keeps_no_factor(self, weighted_circle):
+        # a finished modal flow never solves again, so the factor of I - gamma S goes with
+        # its run; a spectral run keeps it for the operator's later Krylov flows
+        u0 = Field(weighted_circle, np.sin(weighted_circle.coords[:, 0]) + 0.2)
+        grid = TimeGrid(0.0, 1.0, 400)
+        op = assemble(weighted_circle)
+        assert evolve_cn(op, u0, grid).modal is not None
+        assert op._factors == {}
+        assert evolve_exact(op, u0, grid).modal is not None
+        assert list(op._factors) == [0.125]
+        # a factor the operator already holds is used, and stays
+        kept = op._factors[0.125]
+        assert evolve_cn(op, u0, grid).modal is not None
+        assert op._factors == {0.125: kept}
+
+    def test_the_regime_is_the_datas_frequency_over_the_window(self, weighted_circle):
+        x = weighted_circle.coords[:, 0]
+        grid = TimeGrid(0.0, 1.0, 400)
+        for mode, inside in ((1, True), (5, True), (6, False)):
+            # |U(a)| of sin(k x) is about k^2 on this circle: 1.24, 24.9 and 35.7
+            u0 = Field(weighted_circle, np.sin(mode * x))
+            assert evolution._in_krylov_regime(u0, grid) is inside
+            # the same data over a window a tenth as long is inside
+            assert evolution._in_krylov_regime(u0, TimeGrid(0.0, 0.1, 400))
+        # an operator whose entries are near the float limit reads an infinite frequency
+        # (the energy overflows, quietly), which is outside the regime
+        tiny = make_torus(16, 16, 1e-150, 1e-150)
+        u0 = Field(tiny, np.sin(2.0 * np.pi * tiny.coords[:, 0] / 1e-150))
+        assert not evolution._in_krylov_regime(u0, grid)
+
+    def test_an_operator_with_its_eigensystem_keeps_the_flow_pending(self, weighted_circle_op,
+                                                                    monkeypatch):
+        monkeypatch.setattr(evolution, "_lanczos", lambda *args: pytest.fail("Krylov run"))
+        u0 = random_smooth_field(weighted_circle_op.geometry, np.random.default_rng(5))
+        traj = evolve_cn(weighted_circle_op, u0, TimeGrid(0.0, 1.0, 400))
+        assert traj.modal is None and isinstance(traj.stepping, evolution._PendingSteps)
+        assert "values" not in vars(traj)
+
+    def test_only_pending_flows_are_projected_or_stepped_in_blocks(self, weighted_circle_op):
+        geom = weighted_circle_op.geometry
+        grid = TimeGrid(0.0, 1.0, 200)
+        u0 = random_smooth_field(geom, np.random.default_rng(6))
+        spectral = evolve_exact(weighted_circle_op, u0, grid)
+        (projected,) = project_flows([evolve_cn(weighted_circle_op, u0, grid)])
+        materialized = Trajectory(grid=grid, geometry=geom, values=spectral.values,
+                                  provenance="implicit-step")
+        # a Krylov trapezoid flow is refused as not pending, before its operator is looked at
+        krylov = evolve_cn(assemble(geom), u0, grid)
+        for traj in (spectral, projected, materialized, krylov):
+            with pytest.raises(InvalidInputError, match="not a pending stepped flow"):
+                project_flows([traj])
+            with pytest.raises(InvalidInputError, match="not a pending stepped flow"):
+                list(_in_blocks([traj]))
+        assert krylov.modal is not None
 
 
 class TestPerturbedFlow:
@@ -723,6 +891,25 @@ class TestPerturbedFlow:
         # full-shaped float64 arrays are kept, not copied, and their callers' arrays go read-only
         assert np.shares_memory(spec.b, b) and np.shares_memory(spec.c, c)
         assert not (b.flags.writeable or c.flags.writeable)
+
+    @pytest.mark.parametrize("top", [150, 200])
+    def test_tight_bound_is_the_largest_root_bit_for_bit(self, top):
+        # the root of the largest |b|^2 per sample is the largest per-node root, bit for bit;
+        # |b| from 1e-160 (|b|^2 underflows) up to 1e150, or to 1e200 (|b|^2 overflows to inf)
+        geom = make_torus(8, 8, TWO_PI, TWO_PI)
+        grid = TimeGrid(0.0, 1.0, 10)
+        scale = np.logspace(-160, top, grid.steps + 1)[:, None, None]
+        b = scale * np.random.default_rng(13).standard_normal((grid.steps + 1, geom.node_count, 2))
+        c = np.full((grid.steps + 1, geom.node_count), 1e-200)
+        with np.errstate(over="ignore"):
+            per_node_roots = np.sqrt((b**2).sum(axis=2)).max(axis=1)
+        if top == 150:
+            spec = PerturbationSpec(geom, grid, b=b, c=c)
+            assert spec.bound.tobytes() == np.maximum(per_node_roots, 1e-200).tobytes()
+        else:
+            assert np.isinf(per_node_roots[-1])
+            with pytest.raises(InvalidInputError, match=r"sup\|b\| must be finite"):
+                PerturbationSpec(geom, grid, b=b, c=c)
 
     def test_constants_and_arrays_broadcast_to_the_same_spec(self, flat_circle_op):
         geom = flat_circle_op.geometry
@@ -943,10 +1130,12 @@ class TestBlockStepping:
         starts = [random_smooth_field(op.geometry, rng) for _ in range(50)]
         member_bytes = (grid.steps + 1) * op.geometry.node_count * 8
         op.factor(0.5 * grid.dt)  # factor I - dt/2 S before the traced window
-        # map holds no trajectory past its call, so each block is dropped before the next
+        # map holds no trajectory past its call, so each block is dropped before the next; the
+        # flows are the pending stepped flows evolve_cn gives way to (it would build these
+        # flows' Krylov modes on an operator without its eigensystem)
         finals, peak = peak_allocated(lambda: list(map(
             lambda traj: traj.values[-1].copy(),
-            _in_blocks(evolve_cn(op, u0, grid) for u0 in starts),
+            _in_blocks(evolution._stepped(op, u0, grid, None) for u0 in starts),
         )))
         assert len(finals) == 50
         assert evolution._BLOCK_BYTES // member_bytes == 5

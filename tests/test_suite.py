@@ -82,9 +82,12 @@ def test_a_stepped_lane_holds_one_block():
     grid = TimeGrid(0.0, 1.0, 200)
     rng = np.random.default_rng(8)
     starts = [random_smooth_field(op.geometry, rng) for _ in range(10)]
-    assert evolve_cn(op, starts[0], grid).stepping.block_size() == 5
+    # evolve_cn would build these flows' Krylov modes on an operator without its eigensystem:
+    # the pending stepped flows it gives way to are stepped here
+    assert evolution._stepped(op, starts[0], grid, None).stepping.block_size() == 5
     reports, peak = peak_allocated(lambda: suite._lane_reports(
-        suite.STEPPED_LANE, _in_blocks(evolve_cn(op, u0, grid) for u0 in starts), op, "torus", 1.0
+        suite.STEPPED_LANE, _in_blocks(evolution._stepped(op, u0, grid, None) for u0 in starts),
+        op, "torus", 1.0,
     ))
     assert all(r.passed for r in reports)
     assert peak < 1.25 * evolution._BLOCK_BYTES
