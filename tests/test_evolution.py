@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from parafreq import (
+    DriftOperator,
     Field,
     PerturbationSpec,
     TimeGrid,
@@ -1157,6 +1159,54 @@ class TestBlockStepping:
         evolve_cn(weighted_circle_op, u0, grid).values
         list(_in_blocks(evolve_cn(weighted_circle_op, u0, grid) for _ in range(3)))
         assert blocks == [1, 3]
+
+    def test_a_perturbed_step_solves_twice_and_a_plain_step_once(self, monkeypatch):
+        # the stepper's cost model: a stage is one solve of the whole block, and a step has
+        # one stage, or two (predictor and corrector) when it is perturbed
+        op = assemble(make_torus(16, 16, TWO_PI, TWO_PI))
+        op.eigensystem  # so evolve_cn gives a pending stepped flow
+        grid = TimeGrid(0.0, 0.5, 25)
+        geom = op.geometry
+        x, y, t = geom.coords[:, :1], geom.coords[:, 1], grid.times[:, None]
+        pert = PerturbationSpec(geom, grid, b=0.3 * np.cos(x + t[:, None]), c=0.2 * np.sin(y - t))
+        factor, solves = DriftOperator.factor, []
+
+        def counted(self, gamma, keep=True):
+            lu = factor(self, gamma, keep)
+            return SimpleNamespace(solve=lambda rhs: solves.append(rhs.shape[1]) or lu.solve(rhs))
+
+        monkeypatch.setattr(DriftOperator, "factor", counted)
+        rng = np.random.default_rng(2)
+        starts = [random_smooth_field(geom, rng) for _ in range(3)]
+        evolve_cn(op, starts[0], grid).values
+        assert solves == [1] * grid.steps
+        solves.clear()
+        evolve_perturbed(op, starts[0], grid, pert).values
+        assert solves == [1] * (2 * grid.steps)
+        solves.clear()
+        list(_in_blocks(evolve_perturbed(op, u0, grid, pert) for u0 in starts))
+        assert solves == [3] * (2 * grid.steps)
+
+    def test_realizing_a_perturbed_flow_holds_its_values_and_a_few_states(self):
+        # A block of one steps on views of its spec's b and c.  Its peak is the values,
+        # (steps + 1) (nodes, 1) states, plus the stepper's temporaries (the state, its
+        # values, 2v, right-hand sides, the solves' outputs, the predictor's values, the
+        # gradient's (dim, nodes) stack and its gathers) and what the first step caches
+        # (the neighbour indices, 4 states, and sqrt(mu)): 18.9 states in all.  The gate
+        # allows 32; copies of b and c would add three times the values (4.9 MB).
+        op = assemble(make_torus(32, 32, TWO_PI, TWO_PI))
+        grid = TimeGrid(0.0, 1.0, 200)
+        geom = op.geometry
+        x, y = geom.coords[:, 0], geom.coords[:, 1]
+        t = grid.times[:, None]
+        b = np.stack([0.3 * np.cos(x + t), 0.2 * np.sin(y - t)], axis=-1)
+        pert = PerturbationSpec(geom, grid, b=b, c=0.2 * np.sin(2.0 * x - t))
+        u0 = random_smooth_field(geom, np.random.default_rng(3))
+        op.factor(0.5 * grid.dt)  # factor I - dt/2 S before the traced window
+        traj = evolve_perturbed(op, u0, grid, pert)
+        state = geom.node_count * 8
+        _, peak = peak_allocated(lambda: traj.values)
+        assert peak < (grid.steps + 1 + 32) * state
 
 
 class TestGauge:

@@ -412,6 +412,37 @@ def test_only_the_factor_method_calls_splu():
     assert _splu_references() == [("operators.py", "DriftOperator.factor")]
 
 
+@pytest.fixture(scope="module")
+def solve_operators():
+    x = make_circle(2048, TWO_PI).coords[:, 0]
+    return {
+        "circle-2048": assemble(make_circle(2048, TWO_PI, 0.5 * np.sin(x) + 0.3 * np.cos(3.0 * x))),
+        "torus-48": assemble(make_torus(48, 48, TWO_PI, TWO_PI)),
+        "gauss-line-370": assemble(make_gauss_line(MAX_GAUSS_ORDER)),
+    }
+
+
+# dt/2 of 400 steps over [0, 1], and the Krylov shift (b - a)/8 of [0, 1] and of [0, 1e4]
+@pytest.mark.parametrize("gamma", [0.5 / 400, 1.0 / 8, 1e4 / 8])
+@pytest.mark.parametrize("name", ["circle-2048", "torus-48", "gauss-line-370"])
+def test_factor_solves_to_round_off(solve_operators, name, gamma):
+    # The normwise backward error of a solve, |A x - r| / (|A|_1 |x| + |r|), A = I - gamma S,
+    # gated at n eps (c = 1): a backward-stable LU solve is within a small multiple of
+    # n eps, and these read at most 0.0055 n eps (the Gauss line at gamma = dt/2).  The
+    # residual relative to |r| alone grows with |gamma S|, the conditioning and not the
+    # factor: 2.4e3 n eps on circle 2048 at gamma = 1250, where |gamma S|_1 is 5.3e8.
+    # |A|_1 bounds |A|_2 for a symmetric A, so the gate is the looser of the two.
+    op = solve_operators[name]
+    n = op.geometry.node_count
+    matrix = scipy.sparse.eye_array(n, format="csr") - gamma * op.symmetric
+    norm = np.max(np.abs(matrix).sum(axis=0))
+    r = np.random.default_rng(5).standard_normal((n, 3))
+    x = op.factor(gamma, keep=False).solve(r)
+    residual = np.linalg.norm(matrix @ x - r, axis=0)
+    backward = residual / (norm * np.linalg.norm(x, axis=0) + np.linalg.norm(r, axis=0))
+    assert np.all(backward <= n * np.finfo(float).eps)
+
+
 def test_the_operator_stores_one_matrix():
     # S alone: L is applied as R^{-1} S R, and no second representation comes back
     init = [f.name for f in dataclasses.fields(DriftOperator) if f.init]
