@@ -265,7 +265,8 @@ class TimeGrid:
     def __post_init__(self):
         if not (np.isfinite(self.a) and np.isfinite(self.b)) or self.a >= self.b:
             raise InvalidInputError("time window requires a < b")
-        if self.steps < 1:
+        steps = self.steps  # a bool is an int to Python, but never a step count
+        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
             raise InvalidInputError("steps must be a positive integer")
 
     @property

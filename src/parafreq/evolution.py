@@ -149,9 +149,9 @@ def _over_samples(value, shape: tuple, name: str) -> np.ndarray:
 
 
 def _certificate(bound):
-    """``bound`` if it is a certificate C(t), finite and >= 0 (to ``_CERT_SLACK``), else an error."""
-    if not np.all(np.isfinite(bound)) or np.any(bound < -_CERT_SLACK):
-        raise InvalidInputError("bound C(t) must be finite and nonnegative at every sample")
+    """``bound`` if it is a certificate C(t): >= 0 (to ``_CERT_SLACK``), and C^2 finite, as the checks square it."""
+    if not np.all(np.abs(bound) <= np.sqrt(np.finfo(float).max)) or np.any(bound < -_CERT_SLACK):
+        raise InvalidInputError("bound C(t) must be nonnegative, with C(t)^2 finite, at every sample")
     return bound
 
 
@@ -165,7 +165,8 @@ class PerturbationSpec:
     float64 array without a copy.  Construction checks that they are finite
     and the sufficient sup-norm condition ``|b|, |c| <= C(t)`` at every
     sampled (node, time) pair, and fills in the tight certificate when
-    ``bound`` is None.  ``gradient_only`` is read off ``c``: None or zero.
+    ``bound`` is None; either is held to :func:`_certificate`'s rule.
+    ``gradient_only`` is read off ``c``: None or zero.
     """
 
     geometry: WeightedGeometry
@@ -205,15 +206,14 @@ class PerturbationSpec:
         object.__setattr__(self, "gradient_only", not c_sup.any())
         if self.bound is None:
             object.__setattr__(self, "bound", np.maximum(b_sup, c_sup))
-        else:
-            _certificate(self.bound)
-            bad = (b_sup > self.bound + _CERT_SLACK) | (c_sup > self.bound + _CERT_SLACK)
-            if np.any(bad):
-                k = int(np.argmax(bad))
-                raise CertificationFailureError(
-                    f"perturbation exceeds its certified bound at t={times[k]:.6g}: "
-                    f"sup|b|={b_sup[k]:.6g}, sup|c|={c_sup[k]:.6g}, C={self.bound[k]:.6g}"
-                )
+        _certificate(self.bound)
+        bad = (b_sup > self.bound + _CERT_SLACK) | (c_sup > self.bound + _CERT_SLACK)
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise CertificationFailureError(
+                f"perturbation exceeds its certified bound at t={times[k]:.6g}: "
+                f"sup|b|={b_sup[k]:.6g}, sup|c|={c_sup[k]:.6g}, C={self.bound[k]:.6g}"
+            )
         for arr in (self.b, self.c, self.bound):
             if arr is not None:
                 arr.setflags(write=False)
@@ -260,9 +260,11 @@ def project_flows(flows: Iterable[Trajectory]) -> list[Trajectory]:
     trace and its gates are those of stepping it, to round-off.  A flow that
     is not pending (:func:`_pending`), a perturbed flow, or an operator that
     does not hold its eigensystem, is an :class:`InvalidInputError`: nothing
-    is stepped or solved here.
+    is stepped or solved here.  No flows give an empty list.
     """
     pending = [_pending(traj) for traj in flows]
+    if not pending:
+        return []
     op, grid = pending[0].op, pending[0].grid
     if any(p.pert is not None for p in pending):
         raise InvalidInputError("a perturbed flow has no modal expansion: step it")
@@ -296,20 +298,17 @@ def _krylov_expansion(op: DriftOperator, u0: np.ndarray, grid: TimeGrid,
     """The modes of a flow from ``u0`` that Krylov spaces of ``u0`` resolve.
 
     One :func:`_lanczos` run per component, every run solving with one factor
-    of ``I - gamma S``.  With ``step`` None the flow is ``e^{tL} u0``, and the
-    factor is kept on the operator for its later Krylov flows over a window of
-    this length (``op.factor``); with a step ``dt`` it is the trapezoid flow of
-    that step, and the factor is dropped with the run, since a finished modal
-    flow never solves again.  Component j's modes carry coefficients in column
-    j only, so the components stay decoupled.  None when a run gives way: a
+    of ``I - gamma S`` (``op.factor``).  With ``step`` None the flow is
+    ``e^{tL} u0``; with a step ``dt`` it is the trapezoid flow of that step.
+    Component j's modes carry coefficients in column j only, so the
+    components stay decoupled.  None when a run gives way: a
     semigroup run to the dense eigensystem, a trapezoid run to stepping, which
     it also does where a semigroup run would raise :class:`NumericalFailureError`.
     """
     runs = []
     try:
-        solver = op.factor((grid.b - grid.a) * _SHIFT_SHARE, keep=step is None)
         for column in u0.T:
-            run = _lanczos(op, solver, column, grid, step)
+            run = _lanczos(op, column, grid, step)
             if run is None:
                 return None
             runs.append(run)
@@ -324,14 +323,12 @@ def _krylov_expansion(op: DriftOperator, u0: np.ndarray, grid: TimeGrid,
     )
 
 
-def _lanczos(op: DriftOperator, solver, u: np.ndarray, grid: TimeGrid,
-             step: float | None = None):
+def _lanczos(op: DriftOperator, u: np.ndarray, grid: TimeGrid, step: float | None = None):
     """Rates, mu-orthonormal vectors and coefficients of the Krylov modes of one component ``u``.
 
     Lanczos in the symmetric coordinates ``v = M^{1/2} u``, Euclidean, on
     ``A = (I - gamma S)^{-1}``, ``gamma = (b - a) * _SHIFT_SHARE``, from
-    ``q_0 = v / |v|``.  Each ``A q`` is one solve with ``solver``, the LU
-    factor of ``I - gamma S`` (:func:`_krylov_expansion`).
+    ``q_0 = v / |v|``.  Each ``A q`` is one solve with ``op.factor(gamma)``.
     Each new direction is orthogonalized against the whole basis twice.  The
     basis size doubles from ``_KRYLOV_START``; at each size the tridiagonal
     ``T = Y diag(sigma) Y^T`` gives the rates ``theta = (1 - 1/sigma) / gamma``,
@@ -351,6 +348,7 @@ def _lanczos(op: DriftOperator, solver, u: np.ndarray, grid: TimeGrid,
     is fewer, past which stepping it costs less.
     """
     gamma, nodes = (grid.b - grid.a) * _SHIFT_SHARE, u.size
+    solver = op.factor(gamma)
     cap = min(nodes, MAX_VALUES // nodes)
     if step is None:
         budget = _KRYLOV_SHARE * nodes if nodes <= MAX_DENSE_NODES else np.inf
@@ -656,17 +654,18 @@ def gauge_transform(traj: Trajectory, rate) -> Trajectory:
     invariant either way because the scalar factor cancels in D/I.  The
     result carries no certified bound and is not gradient-only: gauging a
     perturbed flow adds ``-lambda`` to its potential, which the source's
-    certificate does not bound.
+    certificate does not bound.  A factor out of the float range is an error.
     """
     times = traj.grid.times
     rates = _over_samples(rate, times.shape, "lambda")
     if not np.all(np.isfinite(rates)):
         raise InvalidInputError("lambda must be finite at every sample")
-    integral = cumulative_trapezoid(rates, times)
-    factors = np.exp(-integral)
-    return Trajectory(
-        grid=traj.grid,
-        geometry=traj.geometry,
-        values=factors[:, None, None] * traj.values,
-        provenance=traj.provenance,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, or by the finite check
+        factors = np.exp(-cumulative_trapezoid(rates, times))
+        values = factors[:, None, None] * traj.values
+    bad = ~((factors > 0.0) & (factors < np.inf))  # nan too
+    if bad.any():
+        raise InvalidInputError("the gauge factor exp(-integral of lambda) leaves the float range "
+                                f"at t={times[np.argmax(bad)]:.6g}")
+    return Trajectory(grid=traj.grid, geometry=traj.geometry, values=values,
+                      provenance=traj.provenance)

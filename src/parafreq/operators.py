@@ -22,7 +22,7 @@ eigensolve is cheaper (``evolution.evolve_exact``); a plain trapezoid flow
 builds them too, or is stepped (``evolution.evolve_cn``).
 Every solve is with a sparse LU factor of ``I - gamma S``: a Krylov flow's
 shift is taken from its time window, an implicit step's of size ``dt`` is
-``dt/2``.
+``dt/2``.  The operator holds the factor of the last shift only.
 """
 
 from __future__ import annotations
@@ -66,14 +66,14 @@ class DriftOperator:
 
     ``symmetric`` may be given dense or sparse; it is stored as a read-only CSR
     array, and ``L`` is applied as ``R^{-1} S R`` with ``R = M^{1/2}``
-    (:attr:`root`).  The LU factor of ``I - gamma S`` is cached per shift for
-    the operator's lifetime (:meth:`factor`), and the modal growth of its dense
-    spectrum for the last time grid and step (:meth:`modal_growth`).
+    (:attr:`root`).  The LU factor of ``I - gamma S`` is kept for the last
+    shift (:meth:`factor`), and the modal growth of its dense spectrum for the
+    last time grid and step (:meth:`modal_growth`).
     """
 
     geometry: WeightedGeometry
     symmetric: scipy.sparse.csr_array
-    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _factor: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _growth: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -91,15 +91,14 @@ class DriftOperator:
             raise IncompatibleFieldsError("field does not live on the operator geometry")
         return Field(self.geometry, self.symmetric @ (self.root[:, None] * u.values) / self.root[:, None])
 
-    def factor(self, gamma: float, keep: bool = True) -> scipy.sparse.linalg.SuperLU:
-        """``splu(I - gamma S)``, factored once per shift ``gamma``: every solve's.
+    def factor(self, gamma: float) -> scipy.sparse.linalg.SuperLU:
+        """``splu(I - gamma S)``, every solve's, held for the last shift ``gamma`` asked for.
 
         Krylov flows over a window of one length share a shift
         (``evolution._lanczos``), and so do the stepped flows of one step size
         ``dt``, at ``gamma = dt/2`` (``evolution.step_block``); a step and a
-        Krylov flow at the same shift share one factor.  With ``keep`` False a
-        factor not yet held is made for the caller alone and not kept (a
-        trapezoid Krylov run, whose finished flow never solves again).
+        Krylov flow at the same shift share one factor.  A new shift drops the
+        held factor before its own is made: an operator holds one factor.
 
         The options suit a sparse factor.  ``I - gamma S`` has a symmetric
         pattern, so minimum degree on ``A^T + A`` fills in less than COLAMD.
@@ -112,18 +111,16 @@ class DriftOperator:
         line's factor is dense, so there a solve at order 370 is 6-8% slower
         (70.5 against 75 us).
         """
-        if gamma in self._factors:
-            return self._factors[gamma]
-        eye = scipy.sparse.eye_array(self.geometry.node_count, format="csr")
-        try:
-            factor = scipy.sparse.linalg.splu(
-                (eye - gamma * self.symmetric).tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1
-            )
-        except RuntimeError as exc:
-            raise NumericalFailureError(f"implicit factorization failed: {exc}") from exc
-        if keep:
-            self._factors[gamma] = factor
-        return factor
+        if gamma not in self._factor:
+            self._factor.clear()
+            eye = scipy.sparse.eye_array(self.geometry.node_count, format="csr")
+            try:
+                self._factor[gamma] = scipy.sparse.linalg.splu(
+                    (eye - gamma * self.symmetric).tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1
+                )
+            except RuntimeError as exc:
+                raise NumericalFailureError(f"implicit factorization failed: {exc}") from exc
+        return self._factor[gamma]
 
     def computed_eigensystem(self) -> tuple[np.ndarray, np.ndarray] | None:
         """:attr:`eigensystem` if it has been computed, else None; never runs the eigensolve."""
@@ -145,10 +142,9 @@ class DriftOperator:
             return _modal_factors(rates, grid.times - grid.a, step, 2)
         key = grid, step
         if key not in self._growth:
-            growth = _modal_factors(rates, grid.times - grid.a, step, 2)
-            growth.setflags(write=False)
             self._growth.clear()
-            self._growth[key] = growth
+            self._growth[key] = _modal_factors(rates, grid.times - grid.a, step, 2)
+            self._growth[key].setflags(write=False)
         return self._growth[key]
 
     @cached_property

@@ -7,7 +7,7 @@ meaningful; smoothness of the weights keeps the quadrature well conditioned.
 On periodic grids a smooth field is a random combination of fixed Fourier
 modes.  The modes are computed once per geometry and ``max_mode`` and kept on
 the geometry (:func:`_fourier_modes`), so each field pays only for its draws
-and one weighted sum; the sum runs term by term in the order of the draws,
+and one weighted sum, a chunk of terms at a time, term by term in draw order,
 so a field's bits are those of adding the terms one at a time.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CIRCLE, GAUSS_LINE, TORUS, Field, WeightedGeometry, weighted_inner
+from .core import CIRCLE, GAUSS_LINE, TORUS, Field, WeightedGeometry, row_chunks, weighted_inner
 from .errors import InvalidInputError
 
 
@@ -31,11 +31,13 @@ def random_smooth_values(
         out = geometry.basis.basis[:, :count] @ coeffs
     else:
         modes, left, right = _fourier_modes(geometry, max_mode)
-        terms = modes[left]
-        terms *= rng.standard_normal(left.size)[:, None]
-        terms *= modes[right]
-        # a reduction over the leading axis adds row after row
-        out = np.add.reduce(terms, axis=0)
+        draws = rng.standard_normal(left.size)
+        out = 0.0
+        for rows in row_chunks(left.size, geometry.node_count):
+            terms = modes[left[rows]] * draws[rows, None]
+            terms *= modes[right[rows]]
+            terms[0] += out  # the sum so far; a reduction over the leading axis adds row after row
+            out = np.add.reduce(terms, axis=0)
     scale = np.max(np.abs(out))
     return out / (scale if scale > 0 else 1.0)
 

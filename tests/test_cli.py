@@ -232,6 +232,31 @@ class TestSimulate:
         explicit = dict(raw, gauge="3.0", checks=[{"name": "general-lower-bound", "bound": 3.2}])
         assert run("explicit", explicit) == (0, "")
 
+    @pytest.mark.parametrize("where", ["perturbation", "checks"])
+    def test_a_bound_whose_square_overflows_exits_1(self, tmp_path, capsys, where):
+        # C = 1e200 is finite, but the checks square it, and C^2 overflows
+        raw = {
+            "geometry": {"kind": "circle", "nodes": 64, "length": TWO_PI},
+            "initial": {"kind": "expression", "expression": "sin(x)+0.5*cos(2*x)"},
+            "time": {"a": 0.0, "b": 1.0, "steps": 100},
+            "integrator": "implicit-step",
+            "perturbation": {"b": "0.2*sin(x)"},
+            "checks": [{"name": name} for name in
+                       ("general-frequency", "general-lower-bound", "gradient-only")],
+        }
+        if where == "perturbation":
+            raw["perturbation"]["bound"] = "1e200"
+        else:
+            raw["checks"] = [dict(check, bound=1e200) for check in raw["checks"]]
+        config = write_config(tmp_path / "c.json", raw)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--out", str(tmp_path / "out"), "simulate", "--config", config])
+        err = capsys.readouterr().err
+        assert code == 1 and caught == []
+        assert re.match(r"(config )?error: ", err) and "C(t)^2 finite" in err
+        assert "Traceback" not in err
+
     def test_spectral_run_beyond_dense_limit_runs_on_krylov_modes(self, tmp_path):
         # a 128^2 torus has 4x the dense limit's nodes; its flow needs only a few modes
         raw = eigenmode_config()
@@ -891,6 +916,18 @@ class TestNumericalFailures:
         assert code == 1
         assert err.startswith("error:") and "eigen-residual" in err and "Traceback" not in err
         assert caught == []
+
+    @pytest.mark.parametrize("gauge, t", [("1e308", 0.02), ("-1e5*t", 0.12), ("1e5*t", 0.14)])
+    def test_a_gauge_factor_past_the_float_range_exits_1(self, tmp_path, capsys, gauge, t):
+        # exp(-integral of lambda) overflows (a rate of 1e308 overflows the integral, -1e5 t
+        # the factor) or underflows to 0 (1e5 t), and the first sample where it does is named
+        raw = dict(eigenmode_config(), gauge=gauge)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = self.run(tmp_path, capsys, raw)
+        assert code == 1 and caught == []
+        assert err == ("error: the gauge factor exp(-integral of lambda) leaves the float range "
+                       f"at t={t:.6g}\n")
 
     def test_steps_near_the_float_limit_keep_I(self, tmp_path, capsys):
         # on the same torus the step's factor r is about -1 on every non-constant mode,

@@ -239,6 +239,16 @@ class TestFieldAndGrids:
         grid = TimeGrid(0.0, 1.0, 4)
         assert np.allclose(np.diff(grid.times), grid.dt)
 
+    @pytest.mark.parametrize("steps", [2.5, 4.0, True, "4", None, 0, -3])
+    def test_time_grid_steps_must_be_a_positive_integer(self, steps):
+        # refused when the grid is built, not on the first read of times; True is no count
+        with pytest.raises(InvalidInputError, match="steps must be a positive integer"):
+            TimeGrid(0.0, 1.0, steps)
+
+    def test_time_grid_takes_numpy_integer_steps(self):
+        grid = TimeGrid(0.0, 1.0, np.int64(4))
+        assert np.array_equal(grid.times, TimeGrid(0.0, 1.0, 4).times)
+
     def test_geometry_arrays_are_frozen(self, flat_circle):
         with pytest.raises(ValueError):
             flat_circle.mu[0] = 2.0

@@ -211,14 +211,15 @@ class TestKrylovFlows:
         traj.values
         assert "eigensystem" not in vars(op)
         # the Krylov basis solves with the factor of I - gamma S at its window's shift (b - a)/8
-        assert list(op._factors) == [0.125]
-        # a stepped flow on the same operator factors I - gamma S at its own shift dt/2
-        evolve_cn(op, u0, TimeGrid(0.0, 1.0, 20)).values
-        assert list(op._factors) == [0.125, 0.025]
+        assert list(op._factor) == [0.125]
         # a step at the Krylov shift reuses the Krylov factor
-        krylov = op._factors[0.125]
+        krylov = op._factor[0.125]
         evolve_cn(op, u0, TimeGrid(0.0, 1.0, 4)).values
-        assert list(op._factors) == [0.125, 0.025] and op._factors[0.125] is krylov
+        assert list(op._factor) == [0.125] and op._factor[0.125] is krylov
+        # a stepped flow at another step size factors I - gamma S at its own shift dt/2,
+        # which replaces the Krylov factor
+        evolve_cn(op, u0, TimeGrid(0.0, 1.0, 20)).values
+        assert list(op._factor) == [0.025]
 
     def test_repeated_krylov_flows_factor_once(self, weighted_circle, monkeypatch):
         calls = []
@@ -236,9 +237,9 @@ class TestKrylovFlows:
             for grid in (TimeGrid(0.0, 1.0, 20), TimeGrid(2.0, 3.0, 7)):
                 evolve_exact(op, Field(weighted_circle, data), grid)
         assert "eigensystem" not in vars(op)
-        assert len(calls) == 1 and list(op._factors) == [0.125]
+        assert len(calls) == 1 and list(op._factor) == [0.125]
         evolve_exact(op, Field(weighted_circle, np.sin(x)), TimeGrid(0.0, 2.0, 20))
-        assert len(calls) == 2
+        assert len(calls) == 2 and list(op._factor) == [0.25]
 
     def test_an_eigenvector_ends_the_run_at_one_mode(self, flat_circle):
         op = assemble(flat_circle)
@@ -308,7 +309,7 @@ class TestKrylovFlows:
 
         def run(grid, step=None):
             op = assemble(weighted_circle)
-            return evolution._lanczos(op, op.factor(0.125), u, grid, step)
+            return evolution._lanczos(op, u, grid, step)
 
         runs = [run(TimeGrid(0.0, 1.0, steps)) for steps in (20, 50, 400)]
         assert steps_seen and set(steps_seen) == {None}
@@ -465,7 +466,7 @@ class TestImplicitStepping:
         first = evolve_cn(op, u0, grid)
         second = evolve_cn(op, u0, grid)
         zero = evolve_perturbed(op, u0, grid, PerturbationSpec(op.geometry, grid, bound=0.0))
-        assert calls == [] and op._factors == {}  # nothing is factored before a step
+        assert calls == [] and op._factor == {}  # nothing is factored before a step
         first.values
         assert len(calls) == 1
         assert np.array_equal(first.values, second.values)
@@ -474,7 +475,7 @@ class TestImplicitStepping:
         # a 40-step evolve_cn flow of this eigenvector would be one Krylov mode: the stepped
         # flow it gives way to is stepped here
         evolution._stepped(op, u0, TimeGrid(0.0, 1.0, 40), None).values
-        assert len(calls) == 2
+        assert len(calls) == 2 and list(op._factor) == [0.5 / 40]
         evolve_cn(assemble(op.geometry), u0, grid).values
         assert len(calls) == 3
 
@@ -617,6 +618,9 @@ class TestImplicitStepping:
             project_flows([evolve_cn(fresh, u0, grid)])
         assert fresh.computed_eigensystem() is None
 
+    def test_projecting_no_flows_gives_none(self):
+        assert project_flows([]) == [] and project_flows(iter(())) == []
+
     @pytest.mark.parametrize("where", ["weighted_circle_op", "conformal_torus_op"])
     def test_flows_projected_together_trace_as_each_alone(self, request, where):
         # one GEMM for k flows rounds apart from one GEMV per flow, at round-off only: each
@@ -730,7 +734,7 @@ class TestKrylovTrapezoidFlows:
             assert isinstance(traj.stepping, evolution._PendingSteps)
             assert np.array_equal(traj.values, evolution._stepped(op, u0, grid, None).values)
             # no Krylov run started: the one factor is the stepper's
-            assert list(op._factors) == [0.5 * grid.dt]
+            assert list(op._factor) == [0.5 * grid.dt]
         # the smooth data converge on the long grid within 16 modes, but not within a cap
         # of 8, whether the cap is the basis values' or the trapezoid flows' own
         assert evolve_cn(assemble(weighted_circle), smooth, long_grid).modal.rates.size == 16
@@ -742,22 +746,23 @@ class TestKrylovTrapezoidFlows:
             assert isinstance(traj.stepping, evolution._PendingSteps)
             assert np.array_equal(traj.values,
                                   evolution._stepped(op, smooth, long_grid, None).values)
-            assert list(op._factors) == [0.5 * long_grid.dt]
+            assert list(op._factor) == [0.5 * long_grid.dt]
 
-    def test_a_trapezoid_run_keeps_no_factor(self, weighted_circle):
-        # a finished modal flow never solves again, so the factor of I - gamma S goes with
-        # its run; a spectral run keeps it for the operator's later Krylov flows
+    def test_every_krylov_run_shares_the_held_factor(self, weighted_circle):
+        # trapezoid and spectral runs over one window solve with one factor of I - gamma S,
+        # which the operator holds until a flow solves at another shift
         u0 = Field(weighted_circle, np.sin(weighted_circle.coords[:, 0]) + 0.2)
         grid = TimeGrid(0.0, 1.0, 400)
         op = assemble(weighted_circle)
         assert evolve_cn(op, u0, grid).modal is not None
-        assert op._factors == {}
+        assert list(op._factor) == [0.125]
+        kept = op._factor[0.125]
         assert evolve_exact(op, u0, grid).modal is not None
-        assert list(op._factors) == [0.125]
-        # a factor the operator already holds is used, and stays
-        kept = op._factors[0.125]
         assert evolve_cn(op, u0, grid).modal is not None
-        assert op._factors == {0.125: kept}
+        assert list(op._factor) == [0.125] and op._factor[0.125] is kept
+        # the perturbed steps' shift dt/2 replaces it
+        evolve_perturbed(op, u0, grid, PerturbationSpec(weighted_circle, grid)).values
+        assert list(op._factor) == [0.5 * grid.dt]
 
     def test_the_regime_is_the_datas_frequency_over_the_window(self, weighted_circle):
         x = weighted_circle.coords[:, 0]
@@ -812,11 +817,12 @@ class TestPerturbedFlow:
         assert np.array_equal(a.values, b.values)
 
     def test_non_finite_stack_rejected(self, flat_circle_op):
-        # an explicit potential of 1e300 overflows the stepped values to inf and nan;
-        # the steps, and so the finite check, run when the values are first read
+        # an explicit potential of 1e150 (a certificate whose square, 1e300, is finite)
+        # overflows the stepped values to inf and nan; the steps, and so the finite
+        # check, run when the values are first read
         geom = flat_circle_op.geometry
         grid = TimeGrid(0.0, 1.0, 4)
-        pert = PerturbationSpec(geom, grid, c=1e300)
+        pert = PerturbationSpec(geom, grid, c=1e150)
         u0 = Field(geom, np.sin(geom.coords[:, 0]))
         with pytest.raises(InvalidInputError, match="values must be finite"):
             evolve_perturbed(flat_circle_op, u0, grid, pert).values
@@ -933,6 +939,8 @@ class TestPerturbedFlow:
         [
             {"b": np.nan}, {"c": np.inf}, {"b": 0.1, "bound": np.inf}, {"bound": np.nan},
             {"b": 1e200},  # finite, but its sup norm overflows
+            {"c": 1e200},  # finite, but the square of its tight certificate overflows
+            {"bound": 1e200}, {"b": 0.1, "bound": 1e155},  # C finite, C^2 not
             {"b": np.zeros(5)}, {"c": np.zeros((11, 3))}, {"bound": np.zeros(12)},
             {"b": lambda t: 0.1}, {"c": "high"},
         ],
@@ -1171,8 +1179,8 @@ class TestBlockStepping:
         pert = PerturbationSpec(geom, grid, b=0.3 * np.cos(x + t[:, None]), c=0.2 * np.sin(y - t))
         factor, solves = DriftOperator.factor, []
 
-        def counted(self, gamma, keep=True):
-            lu = factor(self, gamma, keep)
+        def counted(self, gamma):
+            lu = factor(self, gamma)
             return SimpleNamespace(solve=lambda rhs: solves.append(rhs.shape[1]) or lu.solve(rhs))
 
         monkeypatch.setattr(DriftOperator, "factor", counted)

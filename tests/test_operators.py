@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 import parafreq
 from parafreq import (
@@ -437,10 +438,28 @@ def test_factor_solves_to_round_off(solve_operators, name, gamma):
     matrix = scipy.sparse.eye_array(n, format="csr") - gamma * op.symmetric
     norm = np.max(np.abs(matrix).sum(axis=0))
     r = np.random.default_rng(5).standard_normal((n, 3))
-    x = op.factor(gamma, keep=False).solve(r)
+    x = op.factor(gamma).solve(r)
     residual = np.linalg.norm(matrix @ x - r, axis=0)
     backward = residual / (norm * np.linalg.norm(x, axis=0) + np.linalg.norm(r, axis=0))
     assert np.all(backward <= n * np.finfo(float).eps)
+
+
+def test_an_operator_holds_the_last_shifts_factor_alone(monkeypatch):
+    # K distinct shifts leave one factor held, and the held one is dropped before the
+    # next splu runs, so two factors are never alive at once; a repeated shift reuses it
+    op = assemble(make_torus(16, 16, TWO_PI, TWO_PI))
+    splu, held = scipy.sparse.linalg.splu, []
+
+    def counting(*args, **kwargs):
+        held.append(len(op._factor))
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+    shifts = [1.0 / 8, 1.0 / 800, 1.0 / 400, 1.0 / 8]
+    for gamma in shifts:
+        lu = op.factor(gamma)
+        assert op.factor(gamma) is lu and list(op._factor) == [gamma]
+    assert held == [0] * len(shifts)
 
 
 def test_the_operator_stores_one_matrix():

@@ -24,11 +24,14 @@ from parafreq import (
     make_torus,
     weighted_inner,
 )
-from parafreq import evolution
+from parafreq import core, evolution, sampling
 from parafreq.core import Trajectory, periodic_coords
 from parafreq.errors import InvalidInputError
 from parafreq.expressions import compile_expression
 from parafreq.sampling import random_smooth_field, random_smooth_values, random_weight
+from parafreq.suite import SuiteContext
+
+from conftest import peak_allocated
 
 TWO_PI = 2.0 * np.pi
 N_SMALL = 16
@@ -344,6 +347,35 @@ def test_cached_fourier_modes_give_per_field_bits(request, geometry, max_mode):
     modes = geom._derived[("fourier", max_mode)]
     random_smooth_values(geom, rng, max_mode)
     assert geom._derived[("fourier", max_mode)] is modes
+
+
+def test_a_field_sums_its_terms_a_chunk_at_a_time():
+    # torus 32^2 at max_mode 32: 2177 terms of 1024 nodes, 35 chunks of 64 rows.  With the
+    # mode table cached, a field holds one chunk of terms and its second factors (1 MiB),
+    # not the whole term table and its second factors (35.7 MB).  The bits are those of
+    # adding the terms one at a time, across every chunk boundary.
+    geom = make_torus(32, 32, TWO_PI, TWO_PI)
+    modes, left, _ = sampling._fourier_modes(geom, 32)
+    assert left.size > 30 * core.CHUNK_VALUES // geom.node_count
+    rng, reference = np.random.default_rng(8), np.random.default_rng(8)
+    got, peak = peak_allocated(lambda: random_smooth_values(geom, rng, 32))
+    assert peak <= 4 * core.CHUNK_VALUES * 8
+    assert np.array_equal(got, per_field_smooth_values(geom, reference, 32))
+
+
+@pytest.mark.parametrize("where", ["circle", "torus", "torus-48"])
+def test_benchmarked_fields_keep_their_bits(where):
+    # check all's weighted circle and torus at seed 0, and the stepped ladder's flat 48^2
+    # torus, whose max_mode 48 terms are summed in 172 chunks
+    if where == "torus-48":
+        geom, max_modes = make_torus(48, 48, TWO_PI, TWO_PI), (4, 48)
+    else:
+        geom, max_modes = getattr(SuiteContext(seed=0), where), (4,)
+    for max_mode in max_modes:
+        rng, reference = np.random.default_rng(0), np.random.default_rng(0)
+        for _ in range(2):
+            got = random_smooth_values(geom, rng, max_mode)
+            assert np.array_equal(got, per_field_smooth_values(geom, reference, max_mode))
 
 
 @pytest.mark.parametrize("geometry", ["weighted_circle", "conformal_torus", "gauss_line"])

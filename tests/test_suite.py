@@ -110,7 +110,7 @@ def test_backward_bound_is_the_growth_bound_run_once_per_flow(monkeypatch, seed)
                                                                shared.aux)
         assert label.passed and by_name[f"backward-bound/stepped/{where}"].passed
     # the stepped lane is projected, so no operator was factored for it
-    assert ctx.operators["torus"]._factors == {} and ctx.operators["circle"]._factors == {}
+    assert ctx.operators["torus"]._factor == {} and ctx.operators["circle"]._factor == {}
 
 
 def test_each_geometry_projects_its_stepped_lane_once(monkeypatch):
