@@ -10,7 +10,7 @@ by parts ``E(u, v) = -<u, L v>_mu`` holds by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator
 
@@ -120,7 +120,9 @@ class WeightedGeometry:
     in for the torus).  ``differences`` ``G`` (read-only CSR, terms x nodes)
     and ``weights`` ``C`` are its Dirichlet form, and the drift operator is
     ``L = -M^{-1} G^T C G``; ``stencil`` or ``basis`` serve the nodal
-    gradient.  Instances are immutable after construction.
+    gradient.  Instances are immutable after construction and hold no state
+    that other modules derive from them; the cached properties below are
+    functions of the fields alone.
     """
 
     kind: str
@@ -133,9 +135,6 @@ class WeightedGeometry:
     weights: np.ndarray
     stencil: _PeriodicStencil | None = None
     basis: _SpectralBasis | None = None
-    # arrays that other modules derive from the geometry and keep for its lifetime
-    # (sampling's Fourier modes), keyed by their module's name and parameters
-    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for arr in (self.coords, self.phi, self.psi, self.mu, self.weights):

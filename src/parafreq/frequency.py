@@ -378,7 +378,8 @@ def check_general_lower_bound(
     ``(log I)' >= (2 + C/2) U - 3C/2`` at interior samples.  The two displayed
     closed forms (the prefactor ``2 + sup C`` multiplying the bracket versus
     sitting inside the exponential) disagree with each other; both margins are
-    reported in aux without gating.
+    reported in aux without gating, each None where its closed form leaves
+    the float range (a vacuous bound).
     """
     if tol is None:
         tol = default_tolerance(trace)
@@ -393,16 +394,17 @@ def check_general_lower_bound(
     int_c2 = float(np.trapezoid(bound**2, trace.times))
     delta_log_i = float(np.log(trace.I[-1]) - np.log(trace.I[0]))
     u0 = float(trace.U[0])
-    bracket = np.exp(int_c2) * (u0 - 1.0) + 1.0 - 1.5 * sup_c
-    statement_rhs = span * (2.0 + sup_c) * bracket
-    proof_rhs = span * (np.exp((2.0 + sup_c) * int_c2) * (u0 - 1.0) + 1.0 - 1.5 * sup_c)
+    with np.errstate(over="ignore"):  # exp of a large integral of C^2 is +inf: vacuous
+        bracket = np.exp(int_c2) * (u0 - 1.0) + 1.0 - 1.5 * sup_c
+        statement_rhs = span * (2.0 + sup_c) * bracket
+        proof_rhs = span * (np.exp((2.0 + sup_c) * int_c2) * (u0 - 1.0) + 1.0 - 1.5 * sup_c)
     return passing(
         "general-lower-bound",
         float(stepwise[worst]),
         tol,
         location=trace.times[1 + worst],
-        statement_margin=delta_log_i - statement_rhs,
-        proof_margin=delta_log_i - proof_rhs,
+        statement_margin=_finite_or_none(delta_log_i - statement_rhs),
+        proof_margin=_finite_or_none(delta_log_i - proof_rhs),
         sup_c=sup_c,
         int_c_squared=int_c2,
     )
@@ -419,6 +421,8 @@ def check_gradient_only(
     the closed-form lower bound on I(b) (with sup C standing in for a
     time-varying C).  ``location`` is that of the worst of the three, and
     ``aux['not_applicable_from']`` the first sample where U >= 0, if any.
+    A closed form that leaves the float range is vacuous: its margin is
+    +inf, and None in aux.
     """
     if not trace.gradient_only:
         raise InvalidInputError("trace does not come from a gradient-only perturbation")
@@ -435,17 +439,17 @@ def check_gradient_only(
     rate_loc = float(trace.times[1 + k])
 
     cum_c2 = cumulative_trapezoid(bound**2, trace.times)
-    envelope = trace.U[0] * np.exp(0.5 * cum_c2)
-    env_margins = trace.U - envelope  # 0 at t = a by construction
-    k_env = 1 + int(np.argmin(env_margins[1:]))
-
     span = trace.times[-1] - trace.times[0]
     sup_c = float(bound.max())
     int_c2 = float(cum_c2[-1])
     u0 = float(trace.U[0])
-    final_rhs = span * (
-        2.0 * u0 * np.exp(0.5 * int_c2) - sup_c * np.sqrt(-u0) * np.exp(0.25 * int_c2)
-    )
+    with np.errstate(over="ignore"):  # U(a) < 0, so an overflow gives -inf, a vacuous bound
+        envelope = trace.U[0] * np.exp(0.5 * cum_c2)
+        final_rhs = span * (
+            2.0 * u0 * np.exp(0.5 * int_c2) - sup_c * np.sqrt(-u0) * np.exp(0.25 * int_c2)
+        )
+    env_margins = trace.U - envelope  # 0 at t = a by construction
+    k_env = 1 + int(np.argmin(env_margins[1:]))
     final_margin = float(np.log(trace.I[-1]) - np.log(trace.I[0]) - final_rhs)
 
     margins = (rate_margin, float(env_margins[k_env]), final_margin)
@@ -455,8 +459,13 @@ def check_gradient_only(
         margins[worst],
         tol,
         location=(rate_loc, trace.times[k_env], trace.times[-1])[worst],
-        rate_margin=rate_margin if np.isfinite(rate_margin) else None,
-        envelope_margin=float(env_margins[k_env]),
-        final_bound_margin=final_margin,
+        rate_margin=_finite_or_none(rate_margin),
+        envelope_margin=_finite_or_none(env_margins[k_env]),
+        final_bound_margin=_finite_or_none(final_margin),
         not_applicable_from=None if negative.all() else float(trace.times[np.argmin(negative)]),
     )
+
+
+def _finite_or_none(value) -> float | None:
+    """An aux margin as a float, or None where it is not finite (a bound that is vacuous or not applicable)."""
+    return float(value) if np.isfinite(value) else None

@@ -4,18 +4,17 @@ Band-limited data keeps every active mode well inside the stable region of
 the implicit integrator, so the budgeted tolerances of the stepped lane stay
 meaningful; smoothness of the weights keeps the quadrature well conditioned.
 
-On periodic grids a smooth field is a random combination of fixed Fourier
-modes.  The modes are computed once per geometry and ``max_mode`` and kept on
-the geometry (:func:`_fourier_modes`), so each field pays only for its draws
-and one weighted sum, a chunk of terms at a time, term by term in draw order,
-so a field's bits are those of adding the terms one at a time.
+On periodic grids a smooth field is a random combination of Fourier modes.
+Each mode separates on the axes, so a field is a few small matrix products of
+per-axis rows of cosines and sines, made for each field and kept nowhere:
+``O((nx + ny) * max_mode)`` memory, not a row per mode over the whole grid.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import CIRCLE, GAUSS_LINE, TORUS, Field, WeightedGeometry, row_chunks, weighted_inner
+from .core import GAUSS_LINE, Field, WeightedGeometry, weighted_inner
 from .errors import InvalidInputError
 
 
@@ -24,69 +23,45 @@ def random_smooth_values(
     rng: np.random.Generator,
     max_mode: int = 4,
 ) -> np.ndarray:
-    """Random band-limited per-node data with maximum modulus 1."""
+    """Random band-limited per-node data with maximum modulus 1.
+
+    A periodic field draws one standard normal per term, in order: the
+    constant, then per circle frequency ``k`` its cosine and sine; on the
+    torus, per ``(kx, ky) != (0, 0)``, ``cos px * cos py`` and
+    ``sin(px + py) = sin px cos py + cos px sin py``.  With the draws laid
+    out as the ``(kx, ky)`` matrices ``A`` (cosines, the constant at
+    ``(0, 0)``) and ``B`` (sines, 0 at ``(0, 0)``), the grid of values is
+    ``Cx^T A Cy + Sx^T B Cy + Cx^T B Sy``; the circle is the torus whose
+    y axis has one node, at 0, and ``ky = 0`` alone.
+    """
     if geometry.kind == GAUSS_LINE:
         count = min(max_mode + 1, geometry.node_count)
         coeffs = rng.standard_normal(count)
         out = geometry.basis.basis[:, :count] @ coeffs
     else:
-        modes, left, right = _fourier_modes(geometry, max_mode)
-        draws = rng.standard_normal(left.size)
-        out = 0.0
-        for rows in row_chunks(left.size, geometry.node_count):
-            terms = modes[left[rows]] * draws[rows, None]
-            terms *= modes[right[rows]]
-            terms[0] += out  # the sum so far; a reduction over the leading axis adds row after row
-            out = np.add.reduce(terms, axis=0)
+        (cx, sx), (cy, sy) = (_axis_rows(geometry, axis, max_mode) for axis in (0, 1))
+        draws = rng.standard_normal(2 * cx.shape[0] * cy.shape[0] - 1)
+        a, b = np.zeros((2, cx.shape[0], cy.shape[0]))
+        a.flat[0], a.flat[1:], b.flat[1:] = draws[0], draws[1::2], draws[2::2]
+        out = (cx.T @ (a @ cy + b @ sy) + sx.T @ (b @ cy)).ravel()
     scale = np.max(np.abs(out))
     return out / (scale if scale > 0 else 1.0)
 
 
-def _fourier_modes(geometry: WeightedGeometry, max_mode: int) -> tuple[np.ndarray, ...]:
-    """The mode rows of :func:`random_smooth_values` and each term's two rows, cached on the geometry.
+def _axis_rows(geometry: WeightedGeometry, axis: int, max_mode: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cosines and sines of ``p = (2 pi k / l) * x`` at the nodes of one axis, (modes, nodes) each.
 
-    Term j of a field is ``(r_j * modes[left_j]) * modes[right_j]`` with one
-    standard normal draw ``r_j`` each, in draw order: the constant, then per
-    circle frequency ``k`` its cosine and sine; on the torus, per
-    ``(kx, ky) != (0, 0)``, ``cos px * cos py`` and ``sin(px + py)``.  Row 0
-    is 1, the second factor of a term with one factor (multiplying by 1 is
-    exact); each row is held once, the torus's ``cos px`` and ``cos py`` too.
+    ``k`` runs over 0 to ``max_mode``.  The frequency comes first, as in
+    ``2 pi k / l`` times ``x``: ``2 pi k x`` would overflow before its
+    division by ``l`` on a side near the float maximum.  An axis the geometry
+    lacks (the circle's y) is one node at 0 with ``k = 0`` alone.
     """
-    key = ("fourier", max_mode)
-    if key in geometry._derived:
-        return geometry._derived[key]
-    modes = [np.ones(geometry.node_count)]
-    if geometry.kind == CIRCLE:
-        x = geometry.coords[:, 0]
-        length = geometry.node_count * geometry.stencil.spacings[0]
-        for k in range(1, max_mode + 1):
-            freq = 2.0 * np.pi * k / length
-            modes += [np.cos(freq * x), np.sin(freq * x)]
-        left, right = list(range(len(modes))), [0] * len(modes)
-    elif geometry.kind == TORUS:
-        x, y = geometry.coords[:, 0], geometry.coords[:, 1]
-        nx, ny = geometry.stencil.shape
-        lx = nx * geometry.stencil.spacings[0]
-        ly = ny * geometry.stencil.spacings[1]
-        # the frequency first, as on the circle: 2 pi k x would overflow before / l on a huge side
-        px = [(2.0 * np.pi * kx / lx) * x for kx in range(max_mode + 1)]
-        py = [(2.0 * np.pi * ky / ly) * y for ky in range(max_mode + 1)]
-        modes += [np.cos(p) for p in px + py]  # rows 1 + kx and 2 + max_mode + ky
-        left, right = [0], [0]
-        for kx in range(max_mode + 1):
-            for ky in range(max_mode + 1):
-                if kx == 0 and ky == 0:
-                    continue
-                left += [1 + kx, len(modes)]
-                right += [2 + max_mode + ky, 0]
-                modes.append(np.sin(px[kx] + py[ky]))
-    else:  # pragma: no cover - kinds are closed
-        raise ValueError(f"unknown geometry kind {geometry.kind!r}")
-    cached = np.array(modes), np.array(left), np.array(right)
-    for arr in cached:
-        arr.setflags(write=False)
-    geometry._derived[key] = cached
-    return cached
+    if axis >= geometry.dim:
+        return np.ones((1, 1)), np.zeros((1, 1))
+    n, h = geometry.stencil.shape[axis], geometry.stencil.spacings[axis]
+    freqs = 2.0 * np.pi * np.arange(max_mode + 1) / (n * h)
+    phases = freqs[:, None] * (np.arange(n) * h)
+    return np.cos(phases), np.sin(phases)
 
 
 def random_smooth_field(

@@ -30,6 +30,7 @@ from parafreq.config import TRACE_CHECKS, read_check
 from parafreq.core import ModalExpansion
 from parafreq.frequency import FrequencyTrace
 from parafreq.errors import DegenerateTraceError, InvalidInputError
+from parafreq.reports import write_report
 from parafreq.sampling import random_smooth_field
 
 from conftest import dense_operator, peak_allocated
@@ -655,6 +656,25 @@ class TestPerturbedChecks:
         assert rep.passed
         # (log I)' = 2U ~ -2 vs (2 + C/2) U - 3C/2 = -3: margin ~ 1
         assert abs(rep.margin - 1.0) < 5e-3
+
+    def test_closed_forms_beyond_the_float_range_are_vacuous(self, tmp_path):
+        # int C^2 = 900 at C = 30: exp(900) is past the float range, so both closed forms
+        # are vacuous (None in aux and report.json, never 1e308); the gated margin is finite
+        geom = make_circle(64, TWO_PI)
+        op = assemble(geom)
+        grid = TimeGrid(0.0, 1.0, 200)
+        pert = PerturbationSpec(geom, grid, b=0.2 * np.sin(geom.coords[:, 0])[None, :, None], bound=30.0)
+        trace = frequency_trace(evolve_perturbed(op, Field(geom, np.sin(geom.coords[:, 0])), grid, pert), op)
+        lower = check_general_lower_bound(trace)
+        assert lower.passed and np.isfinite(lower.margin)
+        assert lower.aux["statement_margin"] is None and lower.aux["proof_margin"] is None
+        # at C = 1e5 the envelope U(a) exp(C^2 t / 2) and the final bound on I(b) overflow too
+        gradient = check_gradient_only(trace, 1e5)
+        assert gradient.passed and gradient.margin == gradient.aux["rate_margin"] > 0.0
+        assert gradient.aux["envelope_margin"] is None and gradient.aux["final_bound_margin"] is None
+        lower_aux, gradient_aux = (check["aux"] for check in write_report(
+            tmp_path / "report.json", [lower, gradient])["checks"])
+        assert lower_aux["proof_margin"] is None and gradient_aux["final_bound_margin"] is None
 
     def test_gradient_only_needs_flag(self, two_mode):
         _, trace = two_mode

@@ -24,7 +24,8 @@ from parafreq import (
     make_torus,
     weighted_inner,
 )
-from parafreq import core, evolution, sampling
+from parafreq import evolution
+from parafreq.config import ExperimentConfig, build_geometry, build_initial
 from parafreq.core import Trajectory, periodic_coords
 from parafreq.errors import InvalidInputError
 from parafreq.expressions import compile_expression
@@ -308,7 +309,9 @@ class TestExpressionProperties:
 def per_field_smooth_values(geometry, rng, max_mode=4):
     """Periodic-grid smooth data with the trigonometry computed per field, term by term.
 
-    The reference for the cached Fourier modes of ``random_smooth_values``.
+    The reference for ``random_smooth_values``, which sums the same terms in
+    another order: in per-axis matrix products, with ``sin(px + py)`` split
+    into ``sin px cos py + cos px sin py``.
     """
     if geometry.dim == 1:
         x = geometry.coords[:, 0]
@@ -335,47 +338,73 @@ def per_field_smooth_values(geometry, rng, max_mode=4):
     return out / np.max(np.abs(out))
 
 
-@pytest.mark.parametrize("max_mode", [1, 4])
-@pytest.mark.parametrize("geometry", ["weighted_circle", "conformal_torus"])
-def test_cached_fourier_modes_give_per_field_bits(request, geometry, max_mode):
-    geom = request.getfixturevalue(geometry)
-    rng, reference = np.random.default_rng(35), np.random.default_rng(35)
-    for _ in range(5):
+def assert_agrees_with_per_field_sums(geom, max_mode, seed, fields=3):
+    """Each of ``fields`` fields drawn in turn from one stream matches the reference to round-off.
+
+    Both sides sum the same terms, one standard normal draw each, in another
+    order, so after the max-modulus normalization they differ by at most
+    ``terms * eps``.  The next draw after the fields is the same on both
+    streams, so each field takes the reference's number of draws.
+    """
+    terms = 1 + 2 * max_mode if geom.dim == 1 else 2 * (max_mode + 1) ** 2 - 1
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(fields):
         got = random_smooth_values(geom, rng, max_mode)
-        assert np.array_equal(got, per_field_smooth_values(geom, reference, max_mode))
-    # the modes are made once per geometry and max_mode, and later fields reuse them
-    modes = geom._derived[("fourier", max_mode)]
-    random_smooth_values(geom, rng, max_mode)
-    assert geom._derived[("fourier", max_mode)] is modes
+        want = per_field_smooth_values(geom, reference, max_mode)
+        assert np.max(np.abs(got - want)) <= terms * np.finfo(float).eps
+    assert rng.standard_normal() == reference.standard_normal()
 
 
-def test_a_field_sums_its_terms_a_chunk_at_a_time():
-    # torus 32^2 at max_mode 32: 2177 terms of 1024 nodes, 35 chunks of 64 rows.  With the
-    # mode table cached, a field holds one chunk of terms and its second factors (1 MiB),
-    # not the whole term table and its second factors (35.7 MB).  The bits are those of
-    # adding the terms one at a time, across every chunk boundary.
-    geom = make_torus(32, 32, TWO_PI, TWO_PI)
-    modes, left, _ = sampling._fourier_modes(geom, 32)
-    assert left.size > 30 * core.CHUNK_VALUES // geom.node_count
-    rng, reference = np.random.default_rng(8), np.random.default_rng(8)
-    got, peak = peak_allocated(lambda: random_smooth_values(geom, rng, 32))
-    assert peak <= 4 * core.CHUNK_VALUES * 8
-    assert np.array_equal(got, per_field_smooth_values(geom, reference, 32))
-
-
-@pytest.mark.parametrize("where", ["circle", "torus", "torus-48"])
-def test_benchmarked_fields_keep_their_bits(where):
-    # check all's weighted circle and torus at seed 0, and the stepped ladder's flat 48^2
-    # torus, whose max_mode 48 terms are summed in 172 chunks
-    if where == "torus-48":
-        geom, max_modes = make_torus(48, 48, TWO_PI, TWO_PI), (4, 48)
-    else:
-        geom, max_modes = getattr(SuiteContext(seed=0), where), (4,)
+@pytest.mark.parametrize("where", [
+    "weighted_circle", "conformal_torus", "non-square torus", "check-all circle", "check-all torus",
+    "torus 48",
+])
+def test_fields_agree_with_per_field_sums(request, where):
+    # up to max_mode at the smallest axis count, the config's limit; nx != ny and lx != ly
+    # catch a transposed axis, and check all's geometries at seed 0 and the stepped ladder's
+    # flat 48^2 torus are the benchmarked ones
+    geom, max_modes = {
+        "weighted_circle": lambda: (request.getfixturevalue(where), (0, 1, 4, 128)),
+        "conformal_torus": lambda: (request.getfixturevalue(where), (0, 1, 4, 16)),
+        "non-square torus": lambda: (make_torus(12, 20, 1.5, 4.0), (1, 4, 12)),
+        "check-all circle": lambda: (SuiteContext(seed=0).circle, (4,)),
+        "check-all torus": lambda: (SuiteContext(seed=0).torus, (4,)),
+        "torus 48": lambda: (make_torus(48, 48, TWO_PI, TWO_PI), (4, 48)),
+    }[where]()
     for max_mode in max_modes:
-        rng, reference = np.random.default_rng(0), np.random.default_rng(0)
-        for _ in range(2):
-            got = random_smooth_values(geom, rng, max_mode)
-            assert np.array_equal(got, per_field_smooth_values(geom, reference, max_mode))
+        assert_agrees_with_per_field_sums(geom, max_mode, seed=35)
+
+
+@given(
+    shape=st.one_of(st.tuples(st.integers(4, 24)), st.tuples(st.integers(4, 24), st.integers(4, 24))),
+    lengths=st.tuples(st.sampled_from([TWO_PI, 1.0, 3.7]), st.sampled_from([TWO_PI, 0.5, 9.0])),
+    mode_share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_generated_fields_agree_with_per_field_sums(shape, lengths, mode_share, seed):
+    max_mode = round(mode_share * min(shape))
+    if len(shape) == 1:
+        geom = make_circle(shape[0], lengths[0])
+    else:
+        geom = make_torus(*shape, *lengths)
+    assert_agrees_with_per_field_sums(geom, max_mode, seed, fields=2)
+
+
+def test_a_field_at_the_largest_max_mode_allocates_its_axis_rows_alone():
+    # torus 64^2 at max_mode 64, the config's limit: 8449 terms, whose full-grid rows would
+    # take 277 MiB; a field needs only its per-axis rows and (65 x 65) draws, 0.4 MiB
+    geometry = {"kind": "torus2d", "nx": 64, "ny": 64, "lx": TWO_PI, "ly": TWO_PI}
+    geom = build_geometry(geometry)
+    _, peak = peak_allocated(lambda: random_smooth_values(geom, np.random.default_rng(0), 64))
+    assert peak < 2**20
+    spec = ExperimentConfig.from_dict({
+        "geometry": geometry, "initial": {"kind": "random", "seed": 0, "max_mode": 64},
+        "time": {"a": 0.0, "b": 1.0, "steps": 4},
+    }).initial
+    op = assemble(geom)
+    fld, peak = peak_allocated(lambda: build_initial(spec, geom, op))
+    assert peak < 2**20 and abs(weighted_inner(fld, fld) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("geometry", ["weighted_circle", "conformal_torus", "gauss_line"])

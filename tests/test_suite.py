@@ -306,8 +306,8 @@ def test_gauge_line_passes_at_seed(seed):
 
 
 def test_a_second_check_all_retains_no_cache():
-    # the caches of a run (Fourier modes, growth matrices, LU factors) live on its
-    # geometries and operators, so they go with the run; the first run fills what
-    # the process keeps anyway (imports, lazily built tables)
+    # the caches of a run (growth matrices, LU factors) live on its operators, so
+    # they go with the run; the first run fills what the process keeps anyway
+    # (imports, lazily built tables)
     suite.run_check_all(seed=0)
     assert retained_by(lambda: suite.run_check_all(seed=0)) < 2**20
