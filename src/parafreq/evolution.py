@@ -53,12 +53,15 @@ grid as one block of columns, one multi-right-hand-side solve per stage
 (:func:`step_block`).
 SuperLU treats columns independently, so a flow's values are the same bits
 whether it is stepped alone (a block of one) or with others.  A perturbed
-step costs little more than its two solves: ``p`` multiplies each ``b_d``
-in place into the gradient's stack (:class:`_BlockTerm`), and no stage
-copies or transposes the block's state.  The factor has no relaxed
-supernodes (:meth:`DriftOperator.factor`), which pay only in dense factors:
-one solve on a flat torus 48^2 takes 99 us against 120 us with SuperLU's
-default.
+step is a predictor and a midpoint-averaged corrector.  Its first step
+solves both; after it, a flow inside a stability rule read from its
+certificate, step and weight predicts ``2 u_k - u_{k-1}``, so its steps
+cost one solve and two evaluations of ``p`` each, and a flow outside it
+keeps the solved predictor.  ``p`` multiplies each ``b_d`` in place into
+the gradient's stack (:class:`_BlockTerm`), and no stage copies or
+transposes the block's state.  The factor has no relaxed supernodes
+(:meth:`DriftOperator.factor`), which pay only in dense factors: one solve
+on a flat torus 48^2 takes 99 us against 120 us with SuperLU's default.
 """
 
 from __future__ import annotations
@@ -96,8 +99,15 @@ from .operators import MAX_DENSE_NODES, MAX_VALUES, DriftOperator
 _CERT_SLACK = 1e-12
 # bytes of one block of flows stepped together: check all's Richardson flows (10 plain
 # circle-128 flows, one block per grid) and random perturbed suite (7 blocks of up to 8
-# flows); a flow read alone, as the stepped ladder's perturbed flows, is a block of one
+# flows); a flow read alone, as the stepped ladder's perturbed flows, is a block of one.
+# Only the values and the perturbation samples count: a block steps on a few (nodes,
+# M * N) states besides (the state, its values and the previous sample's, 2v, the
+# right-hand sides), and a perturbed block past its first step solves once per step,
+# or twice when a member is outside the extrapolation rule
 _BLOCK_BYTES = 8 * 2**20
+# a perturbed flow extrapolates its predictor while dt C max(1, C, sigma) is at most
+# this (the rule and its derivation: :func:`step_block`)
+_EXTRAPOLATION_REACH = 0.25
 # Krylov flows: the first basis size (it doubles from there), the agreement of
 # I and U between two successive sizes that ends the doubling (:func:`_agree`),
 # and the share of ``A q_j`` below which a Lanczos step's new direction marks
@@ -444,6 +454,17 @@ class _PendingSteps:
             step_block([self])
         return self.values
 
+    def extrapolates(self) -> bool:
+        """Whether the steps after the first predict by extrapolation (:func:`step_block`'s rule)."""
+        geometry = self.op.geometry
+        if self.pert is None or geometry.stencil is None:
+            return False
+        top = float(np.max(self.pert.bound))
+        # sigma: the weight's steepest edge, |phi_j - phi_i| / h (the edges run axis by axis)
+        rises = np.abs(geometry.differences @ geometry.phi).reshape(geometry.dim, -1)
+        sigma = float(np.max(rises / np.array(geometry.stencil.spacings)[:, None]))
+        return self.grid.dt * top * max(1.0, top, sigma) <= _EXTRAPOLATION_REACH
+
     def block_size(self) -> int:
         """Members per block: as many as fit in ``_BLOCK_BYTES``, at least one."""
         geometry = self.op.geometry
@@ -506,14 +527,73 @@ def step_block(members: list[_PendingSteps]) -> None:
     """Trapezoidal steps of one block, implicit in L, midpoint-averaged in the perturbation.
 
     The steps run on ``v = R u``, ``R = M^{1/2}``, where L is ``S`` and every
-    solve is with ``op.factor(dt/2)``.  Every stage (a plain step, a predictor, a
-    corrector) is ``solve(2v + dt R p) - v``, its sums taken in place, with the
-    perturbation term ``p`` taken of ``u = v / R``.  The members share one
-    operator, grid, step kind and N.  The state is a (nodes, M * N) matrix, a
-    column per member and component, and its values ``u`` one C-contiguous
-    (nodes, M * N) array that each step overwrites and copies into the block;
+    solve is with ``op.factor(dt/2)``.  Every solved stage (a plain step, a
+    predictor, a corrector) is ``solve(2v + dt R p) - v``, its sums taken in
+    place, with the perturbation term ``p`` taken of ``u = v / R``.  A
+    perturbed step's corrector takes ``p`` as ``(p(t_k, u_k) + p(t_{k+1},
+    u*)) / 2`` at the predicted values ``u*``.  The first step predicts by a
+    solved stage, ``u* = (solve(2v + dt R p(t_k, u_k)) - v) / R``; from the
+    second step on, a member inside the rule below predicts ``u* = 2 u_k -
+    u_{k-1}``, so its step costs one solve and two term evaluations.  The
+    members share one operator, grid, step kind and N.  The state is a
+    (nodes, M * N) matrix, a column per member and component, and its values
+    ``u`` one C-contiguous (nodes, M * N) array that each step writes, the
+    previous sample's kept for the extrapolation, and copies into the block;
     each member's values are a contiguous view of one (M, samples, nodes, N)
     array.
+
+    The rule (:meth:`_PendingSteps.extrapolates`) is ``dt C max(1, C, sigma)
+    <= 1/4``, ``C`` the largest value of the member's certificate and
+    ``sigma`` the weight's steepest edge, ``max |phi_j - phi_i| / h``.  On a
+    flat periodic grid with constant b and c the centered gradient shares
+    L's Fourier modes, and a mode of rate ``lambda <= 0`` steps by the roots
+    of ``(1 - z/2) xi^2 - (1 + z/2 + 3w/2) xi + w/2 = 0``, ``z = dt lambda``,
+    ``w = dt (c + i b . s)``, where ``s`` is the gradient's symbol, ``s_d =
+    sin(theta_d) / h_d``.  Since ``sin^2 theta <= 4 sin^2(theta/2)``,
+    ``|dt b . s|^2 <= dt C^2 |z|``.  A potential alone (``z = 0``) puts a
+    root at -1 when ``dt c = -1``.  A drift alone, ``w = i beta`` with
+    ``beta^2 <= eps |z|``, ``eps = dt C^2``, has a root ``-1 + eta`` for
+    large ``|z|``, with ``|xi|^2 = 1 - 8 (1 - 3 eps) / |z| + O(|z|^{-3/2})``,
+    so it is stable only for ``eps < 1/3`` (at ``eps = 1/2`` circles of 128
+    and 2048 nodes read max|xi| = 1.045 and 1.049).  So ``dt C`` and ``dt
+    C^2`` are kept at most 1/4.  Swept over C from 0.01 to 1000, ``c`` in
+    ``[-C, C]`` and ``|b|`` in ``{0, C/2, C}``, every root on circles of 128
+    and 2048 nodes has ``|xi| <= max(1, e^{dt c})``, as the solved
+    predictor's one root has.
+
+    A weight ``phi`` makes the centered gradient no longer skew in the mu
+    inner product: there the drift's symmetric part is ``(b . grad phi -
+    div b) / 2``, whose first term acts as a potential of up to ``C sigma /
+    2``, so ``sigma`` enters the rule as ``C`` does.  Without it, a circle
+    of 128 nodes weighted by ``3 cos 8x`` (``sigma = 23.4``), with ``b = cos
+    x``, ``c = -1`` and ``dt = 1/4`` (``dt C max(1, C) = 1/4``), grows
+    8e15-fold in its squared mu-norm over 400 steps where the solved
+    predictor's decays.  On circles of 128 nodes weighted by ``a cos(m x)``
+    (``a`` from 0.5 to 6, ``m`` from 1 to 32), C in {0.3, 1, 3} and three
+    drifts, the smallest step (on steps a factor 1.47 apart) whose spectral
+    radius passes the solved predictor's and 1 has ``dt C max(1, C, sigma)
+    >= 0.46``; where ``sigma > 10`` it has ``dt C sigma / 2 >= 0.83``,
+    near a potential's edge ``dt |c| = 1``.  At the
+    rule's edge on circles of 128 nodes (flat and six weights) and tori
+    12^2 (flat and two weights), with five choices of b and c, the spectral
+    radius never passes the larger of the solved predictor's, the exact
+    flow's and 1.  The largest growth over 200 steps from the worst initial
+    data is within 1.12 of the larger of theirs, but for the oscillating
+    drift ``b = C sin 8x`` at steps of 0.17 to 0.83, where it is 1.6 to 2.8
+    times theirs.  Perturbed flows run only where ``psi = 0``
+    (:func:`evolve_perturbed`), so L's stiff rates are the flat grid's but
+    for the weight.
+
+    The Gauss line's collocation gradient lowers each mode's degree, so it
+    shares no modes with L, and the derivation does not apply there: at the
+    rule's edge on order 64 (C = 1, dt = 1/4, ``b = cos x``, ``c = -1``) the
+    extrapolated flow's mu-norm grows 1.2e6-fold in 200 steps while the
+    exact flow's stays within 1.  Gauss-line flows keep the solved predictor.
+
+    Each member is ruled on alone.  A block with a member outside the rule
+    solves the predictor for every column and then writes the extrapolation
+    into the columns of the members inside it: SuperLU's columns are
+    independent, so a member's bits do not depend on its blockmates.
     """
     first = members[0]
     op, grid = first.op, first.grid
@@ -522,23 +602,29 @@ def step_block(members: list[_PendingSteps]) -> None:
     root = op.root[:, None]
     dt_root = grid.dt * root
     term = None if first.pert is None else _BlockTerm(op.geometry, [m.pert for m in members], comps)
+    extrapolated = np.repeat([m.extrapolates() for m in members], comps)  # by column
+    every, some = extrapolated.all(), extrapolated.any()
     block = np.empty((len(members), grid.steps + 1, nodes, comps))
     u = np.concatenate([m.u0 for m in members], axis=1)
-    by_member = u.reshape(nodes, len(members), comps).transpose(1, 0, 2)
-    block[:, 0] = by_member
+    block[:, 0] = u.reshape(nodes, len(members), comps).transpose(1, 0, 2)
     v = root * u
-    predicted = np.empty_like(u)
+    previous, predicted = np.empty_like(u), np.empty_like(u)
     # a flow that leaves the float range fails the finite check when its values are read
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(grid.steps):
             rhs = twice = 2.0 * v
             if term is not None:
                 p_old = term(k, u)
-                rhs = dt_root * p_old
-                rhs += twice
-                predictor = solver.solve(rhs)
-                predictor -= v
-                np.divide(predictor, root, out=predicted)
+                if k == 0 or not every:
+                    rhs = dt_root * p_old
+                    rhs += twice
+                    predictor = solver.solve(rhs)
+                    predictor -= v
+                    np.divide(predictor, root, out=predicted)
+                if k > 0 and some:
+                    # 2 u_k - u_{k-1} in the columns inside the rule (over the solved ones, if any)
+                    np.multiply(u, 2.0, out=predicted, where=extrapolated)
+                    np.subtract(predicted, previous, out=predicted, where=extrapolated)
                 # (p_new + p_old), then times 0.5 and dt R: the bits of dt R (0.5 (p_old + p_new))
                 rhs = term(k + 1, predicted)
                 rhs += p_old
@@ -548,8 +634,9 @@ def step_block(members: list[_PendingSteps]) -> None:
             step = solver.solve(rhs)
             step -= v
             v = step
+            u, previous = previous, u
             np.divide(v, root, out=u)
-            block[:, k + 1] = by_member
+            block[:, k + 1] = u.reshape(nodes, len(members), comps).transpose(1, 0, 2)
     for member, values in zip(members, block):
         member.values = values
 

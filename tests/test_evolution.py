@@ -997,14 +997,15 @@ class TestBlockStepping:
     """Flows stepped together as one block of columns keep the bits of one-flow stepping."""
 
     @staticmethod
-    def recurrence(op, u0, grid, pert=None, textbook=False):
+    def recurrence(op, u0, grid, pert=None, textbook=False, extrapolate=False):
         """The trapezoid recurrence of one flow written out, with no blocks.
 
         The state is ``v = R u``, ``R = M^{1/2}``, and each stage is
         ``solve(2v + dt R p) - v`` with the LU factor of ``I - dt/2 S``; with
         ``textbook`` it is ``solve((I + dt/2 S) v + dt R p)`` instead, with the
         forward operator built here.  The perturbation term is taken of
-        ``u = v / R``.
+        ``u = v / R``.  A perturbed step predicts by a stage, or with
+        ``extrapolate`` from the second step on by ``2 u_k - u_{k-1}``.
         """
         solver = op.factor(0.5 * grid.dt)
         root = np.sqrt(op.geometry.mu)[:, None]
@@ -1032,7 +1033,10 @@ class TestBlockStepping:
                 v = stage(v)
             else:
                 p_old = term(k, u)
-                predictor = stage(v, p_old) / root
+                if extrapolate and k > 0:
+                    predictor = 2.0 * u - values[-2]
+                else:
+                    predictor = stage(v, p_old) / root
                 v = stage(v, 0.5 * (p_old + term(k + 1, predictor)))
             u = v / root
             values.append(u)
@@ -1059,6 +1063,8 @@ class TestBlockStepping:
             return op, grid, [(Field(op.geometry, rng.standard_normal(nodes)), None)]
         if kind == "flat-torus-perturbed":
             op = assemble(make_torus(16, 16, TWO_PI, TWO_PI))
+        elif kind == "weighted-circle-perturbed":
+            op = request.getfixturevalue("weighted_circle_op")
         elif kind == "gauss-line-perturbed":
             op = request.getfixturevalue("gauss_line_op")
         else:
@@ -1086,7 +1092,7 @@ class TestBlockStepping:
         return evolve_cn(op, u0, grid) if pert is None else evolve_perturbed(op, u0, grid, pert)
 
     CASES = ["circle-two-components", "conformal-torus", "flat-circle-perturbed",
-             "flat-torus-perturbed"]
+             "flat-torus-perturbed", "weighted-circle-perturbed"]
     # the Gauss line's gradient is two sparse products, so its blocks keep the bits too;
     # it is left out of the textbook-step test, whose nodal gate its end nodes would set:
     # 5.7e-10 relative where mu is 1.5e-22, against 7e-14 in the mu-norm
@@ -1094,18 +1100,131 @@ class TestBlockStepping:
 
     @pytest.mark.parametrize("kind", BLOCK_CASES)
     def test_block_of_one_is_the_one_flow_recurrence(self, request, kind):
+        # the periodic cases' perturbed flows extrapolate (dt C max(1, C, sigma) <= 0.0085),
+        # the Gauss line's solve
         op, grid, flows = self.flows(kind, request)
         for u0, pert in flows[:4]:
-            expected = self.recurrence(op, u0, grid, pert)
-            assert np.array_equal(self.evolve(op, grid, u0, pert).values, expected)
+            traj = self.evolve(op, grid, u0, pert)
+            extrapolate = traj.stepping.extrapolates()
+            assert extrapolate == (pert is not None and kind != "gauss-line-perturbed")
+            expected = self.recurrence(op, u0, grid, pert, extrapolate=extrapolate)
+            assert np.array_equal(traj.values, expected)
 
     @pytest.mark.parametrize("kind", [*CASES, "stiff-noise"])
     def test_one_solve_stages_match_the_textbook_step(self, request, kind):
         op, grid, flows = self.flows(kind, request)
         for u0, pert in flows[:4]:
-            expected = self.recurrence(op, u0, grid, pert, textbook=True)
-            got = self.evolve(op, grid, u0, pert).values
+            traj = self.evolve(op, grid, u0, pert)
+            expected = self.recurrence(op, u0, grid, pert, textbook=True,
+                                       extrapolate=traj.stepping.extrapolates())
+            got = traj.values
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_a_flow_inside_the_rule_extrapolates(self, flat_circle_op):
+        # its recurrence differs from the solved predictor's from the second step on
+        geom = flat_circle_op.geometry
+        grid = TimeGrid(0.0, 1.0, 40)
+        x, t = geom.coords[:, 0], grid.times[:, None]
+        pert = PerturbationSpec(geom, grid, b=0.3 * np.cos(x + t)[:, :, None], c=0.2 * np.sin(2.0 * x - t))
+        u0 = random_smooth_field(geom, np.random.default_rng(5))
+        traj = evolve_perturbed(flat_circle_op, u0, grid, pert)
+        assert traj.stepping.extrapolates()
+        extrapolated = self.recurrence(flat_circle_op, u0, grid, pert, extrapolate=True)
+        solved = self.recurrence(flat_circle_op, u0, grid, pert)
+        assert np.array_equal(traj.values, extrapolated)
+        assert np.array_equal(extrapolated[:2], solved[:2]) and not np.array_equal(extrapolated[2], solved[2])
+
+    @staticmethod
+    def steep_circle_op():
+        """A circle of 128 nodes with the steep weight ``3 cos 8x``: sigma, its steepest edge, is 23.4."""
+        x = make_circle(128, TWO_PI).coords[:, 0]
+        return assemble(make_circle(128, TWO_PI, 3.0 * np.cos(8.0 * x)))
+
+    @pytest.mark.parametrize("case", ["drift-30-circle-2048", "potential-400-circle-128",
+                                      "steep-weight-circle-128"])
+    def test_a_flow_outside_the_rule_keeps_the_solved_predictor(self, case):
+        # dt C^2 = 2.25, dt C = 2, and dt C sigma = 5.8: the solved predictor's recurrence,
+        # bit for bit; the extrapolated one would not decay (its roots pass the unit circle
+        # past dt C^2 = 1/3 or dt |c| = 1, and the steep weight's drift acts as a potential
+        # of up to C sigma / 2).  The steep case has dt C max(1, C) = 1/4: only its weight
+        # puts it outside the rule
+        if case == "drift-30-circle-2048":
+            op, grid = assemble(make_circle(2048, TWO_PI)), TimeGrid(0.0, 1.0, 400)
+            x = op.geometry.coords[:, 0]
+            pert = PerturbationSpec(op.geometry, grid, b=30.0 * np.cos(x)[:, None])
+        elif case == "potential-400-circle-128":
+            op, grid = assemble(make_circle(128, TWO_PI)), TimeGrid(0.0, 1.0, 200)
+            pert = PerturbationSpec(op.geometry, grid, c=-400.0)
+        else:
+            op, grid = self.steep_circle_op(), TimeGrid(0.0, 100.0, 400)
+            x = op.geometry.coords[:, 0]
+            pert = PerturbationSpec(op.geometry, grid, b=np.cos(x)[:, None], c=-1.0)
+        u0 = random_smooth_field(op.geometry, np.random.default_rng(6))
+        traj = evolve_perturbed(op, u0, grid, pert)
+        assert not traj.stepping.extrapolates()
+        assert np.array_equal(traj.values, self.recurrence(op, u0, grid, pert))
+        growth = sq_norms(traj)[-1] / sq_norms(traj)[0]
+        assert growth < 1.0
+        extrapolated = self.recurrence(op, u0, grid, pert, extrapolate=True)
+        assert np.sum(op.geometry.mu[:, None] * extrapolated[-1] ** 2) > 1e10 * sq_norms(traj)[0]
+
+    @pytest.mark.parametrize("weight", ["flat", "steep"])
+    def test_a_mixed_block_gives_each_member_its_bits_alone(self, flat_circle_op, monkeypatch, weight):
+        # members inside and outside the rule share a block: the block solves every
+        # predictor, and the members inside it take the extrapolation in their columns.
+        # On the steep weight the last member's drift, of amplitude 3 (dt C max(1, C) =
+        # 0.045), is outside the rule by its weight alone (dt C sigma = 0.35)
+        op = flat_circle_op if weight == "flat" else self.steep_circle_op()
+        geom = op.geometry
+        grid = TimeGrid(0.0, 1.0, 200)
+        x, t = geom.coords[:, 0], grid.times[:, None]
+        perts = [
+            PerturbationSpec(geom, grid, b=0.3 * np.cos(x + t)[:, :, None], c=0.2 * np.sin(2.0 * x - t)),
+            PerturbationSpec(geom, grid, c=-400.0 * np.cos(x) ** 2),
+            PerturbationSpec(geom, grid, bound=0.0),
+            PerturbationSpec(geom, grid, b=(30.0 if weight == "flat" else 3.0) * np.sin(x)[:, None]),
+        ]
+        rng = np.random.default_rng(7)
+        starts = [random_smooth_field(geom, rng, components=2) for _ in perts]
+        trajs = [evolve_perturbed(op, u0, grid, pert) for u0, pert in zip(starts, perts)]
+        assert [traj.stepping.extrapolates() for traj in trajs] == [True, False, True, False]
+        blocks = []
+        step_block = evolution.step_block
+        monkeypatch.setattr(evolution, "step_block", lambda members: blocks.append(len(members))
+                            or step_block(members))
+        list(_in_blocks(trajs))
+        assert blocks == [4]
+        for traj, u0, pert, extrapolate in zip(trajs, starts, perts, [True, False, True, False]):
+            alone = evolve_perturbed(op, u0, grid, pert).values
+            assert np.array_equal(traj.values, alone)
+            assert np.array_equal(alone, self.recurrence(op, u0, grid, pert, extrapolate=extrapolate))
+
+    @pytest.mark.parametrize("geometry", ["flat-circle-128", "flat-torus-16"])
+    @pytest.mark.parametrize("predictor", ["extrapolated", "solved"])
+    def test_both_predictors_are_second_order(self, geometry, predictor, monkeypatch):
+        # b and c both on; each flow against its own predictor's flow at a 16x finer step
+        if predictor == "solved":
+            monkeypatch.setattr(evolution, "_EXTRAPOLATION_REACH", -1.0)
+        if geometry == "flat-circle-128":
+            op = assemble(make_circle(128, TWO_PI))
+        else:
+            op = assemble(make_torus(16, 16, TWO_PI, TWO_PI))
+        geom = op.geometry
+        x, y = geom.coords[:, 0], geom.coords[:, -1]
+        u0 = random_smooth_field(geom, np.random.default_rng(9))
+
+        def final(steps):
+            grid = TimeGrid(0.0, 1.0, steps)
+            t = grid.times[:, None]
+            b = np.stack([0.8 * np.cos(x + t), 0.5 * np.sin(y - 2.0 * t)][: geom.dim], axis=-1)
+            pert = PerturbationSpec(geom, grid, b=b, c=0.6 * np.sin(2.0 * x - t) * np.cos(y))
+            traj = evolve_perturbed(op, u0, grid, pert)
+            assert traj.stepping.extrapolates() == (predictor == "extrapolated")
+            return traj.values[-1]
+
+        reference = final(16 * 20)
+        errors = [mu_distance(geom, final(steps), reference) for steps in (20, 40)]
+        assert np.log2(errors[0] / errors[1]) >= 1.8
 
     @pytest.mark.parametrize("kind", BLOCK_CASES)
     def test_block_matches_one_flow_stepping(self, request, monkeypatch, kind):
@@ -1168,15 +1287,17 @@ class TestBlockStepping:
         list(_in_blocks(evolve_cn(weighted_circle_op, u0, grid) for _ in range(3)))
         assert blocks == [1, 3]
 
-    def test_a_perturbed_step_solves_twice_and_a_plain_step_once(self, monkeypatch):
+    def test_a_perturbed_step_solves_once_past_the_first_unless_outside_the_rule(self, monkeypatch):
         # the stepper's cost model: a stage is one solve of the whole block, and a step has
-        # one stage, or two (predictor and corrector) when it is perturbed
+        # one stage, or two (predictor and corrector) when it is perturbed, but a flow
+        # inside the rule extrapolates its predictor from the second step on
         op = assemble(make_torus(16, 16, TWO_PI, TWO_PI))
         op.eigensystem  # so evolve_cn gives a pending stepped flow
         grid = TimeGrid(0.0, 0.5, 25)
         geom = op.geometry
         x, y, t = geom.coords[:, :1], geom.coords[:, 1], grid.times[:, None]
         pert = PerturbationSpec(geom, grid, b=0.3 * np.cos(x + t[:, None]), c=0.2 * np.sin(y - t))
+        outside = PerturbationSpec(geom, grid, b=pert.b, c=30.0 * np.sin(y - t))  # dt C^2 = 18
         factor, solves = DriftOperator.factor, []
 
         def counted(self, gamma):
@@ -1190,17 +1311,25 @@ class TestBlockStepping:
         assert solves == [1] * grid.steps
         solves.clear()
         evolve_perturbed(op, starts[0], grid, pert).values
+        assert solves == [1] * (grid.steps + 1)
+        solves.clear()
+        evolve_perturbed(op, starts[0], grid, outside).values
         assert solves == [1] * (2 * grid.steps)
         solves.clear()
         list(_in_blocks(evolve_perturbed(op, u0, grid, pert) for u0 in starts))
+        assert solves == [3] * (grid.steps + 1)
+        solves.clear()
+        # one member outside the rule: the block solves every predictor
+        list(_in_blocks(evolve_perturbed(op, u0, grid, p) for u0, p in zip(starts, [pert, outside, pert])))
         assert solves == [3] * (2 * grid.steps)
 
     def test_realizing_a_perturbed_flow_holds_its_values_and_a_few_states(self):
         # A block of one steps on views of its spec's b and c.  Its peak is the values,
         # (steps + 1) (nodes, 1) states, plus the stepper's temporaries (the state, its
-        # values, 2v, right-hand sides, the solves' outputs, the predictor's values, the
-        # gradient's (dim, nodes) stack and its gathers) and what the first step caches
-        # (the neighbour indices, 4 states, and sqrt(mu)): 18.9 states in all.  The gate
+        # values and the previous sample's, which the extrapolated predictor reads, 2v,
+        # right-hand sides, the solves' outputs, the predictor's values, the gradient's
+        # (dim, nodes) stack and its gathers) and what the first step caches (the
+        # neighbour indices, 4 states, and sqrt(mu)): 19.8 states in all.  The gate
         # allows 32; copies of b and c would add three times the values (4.9 MB).
         op = assemble(make_torus(32, 32, TWO_PI, TWO_PI))
         grid = TimeGrid(0.0, 1.0, 200)
