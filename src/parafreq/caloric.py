@@ -18,7 +18,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .core import TimeGrid, Trajectory, PROVENANCE_ANALYTIC, WeightedGeometry
 from .errors import InvalidInputError
-from .reports import CheckReport, passing
+from .reports import CheckReport, passing_at_worst
 
 @dataclass(frozen=True)
 class HeatOracle:
@@ -227,15 +227,8 @@ def check_cov_residual(cov: CovSolution, points, tol: float = 1e-10) -> CheckRep
     """Residual identity of the change of variables at the samples, margin minus the worst gap."""
     x, s = points
     gap = np.abs(cov.drift_residual(x, s) - cov.heat_defect_rhs(x, s))
-    worst = int(np.argmax(gap))
-    return passing(
-        "cov-residual",
-        -float(gap[worst]),
-        tol,
-        location=float(np.asarray(s).ravel()[worst]),
-        max_gap=float(gap[worst]),
-        samples=int(np.asarray(s).size),
-    )
+    s = np.broadcast_to(np.asarray(s, dtype=float), gap.shape)  # as the residuals take it
+    return passing_at_worst("cov-residual", -gap, s, tol, max_gap=float(gap.max()), samples=s.size)
 
 
 # Gauss-Hermite nodes per axis of every H(R) and I_w quadrature
@@ -301,12 +294,11 @@ def check_poon_convexity(
         mirrored = float(d2_minus.min())
     else:
         mirrored = None
-    worst = int(np.argmin(d2_plus))
-    return passing(
+    return passing_at_worst(
         "poon-convexity",
-        float(d2_plus[worst]),
+        d2_plus,
+        s_grid[1:-1],
         tol,
-        location=float(s_grid[1 + worst]),
         min_second_difference=float(d2_plus.min()),
         mirrored_min_second_difference=mirrored,
     )
@@ -330,13 +322,12 @@ def check_poon_correspondence(
     expected = (4.0 * np.pi) ** (oracle.n / 2.0)
     ratio = iw / h_minus
     rel_dev = np.abs(ratio / expected - 1.0)
-    worst = int(np.argmax(rel_dev))
     ratio_plus = iw / h_plus
-    return passing(
+    return passing_at_worst(
         "poon-correspondence",
-        -float(rel_dev[worst]),
+        -rel_dev,
+        s_grid,
         tol,
-        location=float(s_grid[worst]),
         expected_ratio=expected,
         ratio_min=float(ratio.min()),
         ratio_max=float(ratio.max()),

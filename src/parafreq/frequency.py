@@ -38,7 +38,7 @@ from .core import PROVENANCE_IMPLICIT, Trajectory, _modal_sums, cumulative_trape
 from .errors import DegenerateTraceError, InvalidInputError, NumericalFailureError
 from .evolution import _certificate, _over_samples
 from .operators import DriftOperator
-from .reports import CheckReport, passing
+from .reports import CheckReport, passing, passing_at_worst
 
 
 @dataclass(frozen=True)
@@ -210,14 +210,7 @@ def check_u_monotone(trace: FrequencyTrace, tol: float | None = None) -> CheckRe
     if tol is None:
         tol = default_tolerance(trace)
     diffs = np.diff(trace.U)
-    worst = int(np.argmin(diffs))
-    return passing(
-        "u-monotone",
-        float(diffs[worst]),
-        tol,
-        location=trace.times[worst + 1],
-        min_increment=float(diffs.min()),
-    )
+    return passing_at_worst("u-monotone", diffs, trace.times[1:], tol, min_increment=float(diffs.min()))
 
 
 def check_log_convexity(trace: FrequencyTrace, tol: float | None = None) -> CheckReport:
@@ -243,12 +236,11 @@ def check_log_convexity(trace: FrequencyTrace, tol: float | None = None) -> Chec
         raise InvalidInputError(f"the log-convexity tolerance {gate} is not finite")
     log_i = np.log(trace.I)
     second = log_i[2:] - 2.0 * log_i[1:-1] + log_i[:-2]
-    worst = int(np.argmin(second))
-    return passing(
+    return passing_at_worst(
         "log-convexity",
-        float(second[worst]),
+        second,
+        trace.times[1:-1],
         float(gate),
-        location=trace.times[worst + 1],
         min_second_difference=float(second.min()),
         dlogI_vs_2U_gap=float(np.max(np.abs(trace.dlogI[1:-1] - 2.0 * trace.U[1:-1]))),
     )
@@ -265,12 +257,11 @@ def check_hadamard_bound(trace: FrequencyTrace, tol: float | None = None) -> Che
         tol = default_tolerance(trace)
     predicted = 2.0 * trace.U[0] * (trace.times - trace.times[0])
     margins = np.log(trace.I) - np.log(trace.I[0]) - predicted
-    worst = 1 + int(np.argmin(margins[1:]))
-    return passing(
+    return passing_at_worst(
         "hadamard-bound",
-        float(margins[worst]),
+        margins[1:],
+        trace.times[1:],
         tol,
-        location=trace.times[worst],
         log_ratio=float(np.log(trace.I[-1] / trace.I[0])),
         predicted=float(predicted[-1]),
         final_margin=float(margins[-1]),
@@ -357,13 +348,11 @@ def check_general_frequency(
     c2 = bound[sl] ** 2
     m1 = trace.dU[sl] - c2 * (trace.U[sl] - 1.0)
     m2 = c2 + trace.dU[sl] / (1.0 - trace.U[sl])
-    margins = np.minimum(m1, m2)
-    worst = int(np.argmin(margins))
-    return passing(
+    return passing_at_worst(
         "general-frequency",
-        float(margins[worst]),
+        np.minimum(m1, m2),
+        trace.times[sl],
         tol,
-        location=trace.times[1 + worst],
         min_u_rate_margin=float(m1.min()),
         min_log_one_minus_u_margin=float(m2.min()),
     )
@@ -388,7 +377,6 @@ def check_general_lower_bound(
     stepwise = trace.dlogI[sl] - (
         (2.0 + 0.5 * bound[sl]) * trace.U[sl] - 1.5 * bound[sl]
     )
-    worst = int(np.argmin(stepwise))
     span = trace.times[-1] - trace.times[0]
     sup_c = float(bound.max())
     int_c2 = float(np.trapezoid(bound**2, trace.times))
@@ -398,11 +386,11 @@ def check_general_lower_bound(
         bracket = np.exp(int_c2) * (u0 - 1.0) + 1.0 - 1.5 * sup_c
         statement_rhs = span * (2.0 + sup_c) * bracket
         proof_rhs = span * (np.exp((2.0 + sup_c) * int_c2) * (u0 - 1.0) + 1.0 - 1.5 * sup_c)
-    return passing(
+    return passing_at_worst(
         "general-lower-bound",
-        float(stepwise[worst]),
+        stepwise,
+        trace.times[sl],
         tol,
-        location=trace.times[1 + worst],
         statement_margin=_finite_or_none(delta_log_i - statement_rhs),
         proof_margin=_finite_or_none(delta_log_i - proof_rhs),
         sup_c=sup_c,
@@ -434,9 +422,6 @@ def check_gradient_only(
     negative = trace.U < 0.0
     log_rate = np.divide(trace.dU, trace.U, out=np.zeros(trace.samples), where=negative)
     gaps = np.where(negative, 0.5 * bound**2 - log_rate, np.inf)[1:-1]
-    k = int(np.argmin(gaps))
-    rate_margin = float(gaps[k])
-    rate_loc = float(trace.times[1 + k])
 
     cum_c2 = cumulative_trapezoid(bound**2, trace.times)
     span = trace.times[-1] - trace.times[0]
@@ -448,21 +433,19 @@ def check_gradient_only(
         final_rhs = span * (
             2.0 * u0 * np.exp(0.5 * int_c2) - sup_c * np.sqrt(-u0) * np.exp(0.25 * int_c2)
         )
-    env_margins = trace.U - envelope  # 0 at t = a by construction
-    k_env = 1 + int(np.argmin(env_margins[1:]))
+    env_margins = (trace.U - envelope)[1:]  # 0 at t = a by construction
     final_margin = float(np.log(trace.I[-1]) - np.log(trace.I[0]) - final_rhs)
 
-    margins = (rate_margin, float(env_margins[k_env]), final_margin)
-    worst = int(np.argmin(margins))
-    return passing(
+    # the three parts in turn, so that a tie between parts reports the earlier one
+    return passing_at_worst(
         "gradient-only",
-        margins[worst],
+        np.concatenate([gaps, env_margins, [final_margin]]),
+        np.concatenate([trace.times[1:-1], trace.times[1:], trace.times[-1:]]),
         tol,
-        location=(rate_loc, trace.times[k_env], trace.times[-1])[worst],
-        rate_margin=_finite_or_none(rate_margin),
-        envelope_margin=_finite_or_none(env_margins[k_env]),
+        rate_margin=_finite_or_none(gaps.min()),
+        envelope_margin=_finite_or_none(env_margins.min()),
         final_bound_margin=_finite_or_none(final_margin),
-        not_applicable_from=None if negative.all() else float(trace.times[np.argmin(negative)]),
+        not_applicable_from=None if negative.all() else float(trace.times[~negative][0]),
     )
 
 

@@ -87,6 +87,16 @@ def passing(
     )
 
 
+def passing_at_worst(name: str, margins, locations, tol: float, **aux) -> CheckReport:
+    """The :func:`passing` report of a line's worst sample: its first smallest margin, at its location.
+
+    ``margins`` and ``locations`` (sample times or parameters) are aligned
+    sequences; a NaN margin is the worst, as in ``np.argmin``.
+    """
+    worst = int(np.argmin(margins))
+    return passing(name, float(margins[worst]), tol, location=locations[worst], **aux)
+
+
 def write_report(path, reports, *, seed=None, extra=None) -> dict:
     """Write the consolidated report document; returns the payload.
 

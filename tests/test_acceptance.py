@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import parafreq
+from parafreq import evolution, suite
 from parafreq import (
     check_hadamard_bound,
     eigenpairs,
@@ -36,7 +38,7 @@ from parafreq.suite import run_check_all
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from layers import COUNTERS  # noqa: E402
 from tracing import Tracer, instrument  # noqa: E402
-from workloads import CheckAll  # noqa: E402
+from workloads import CheckAll, SteppedLadder  # noqa: E402
 
 _SHARED = {}
 
@@ -301,3 +303,34 @@ def test_check_all_reports_every_line_in_order(traced_check_all):
     reports, _, _ = traced_check_all
     assert tuple(r.name for r in reports) == CHECK_ALL_LINES
     assert len(CHECK_ALL_LINES) == CheckAll.CHECKS == 48
+
+
+def _inside_the_fast_path(traj) -> bool:
+    """A perturbed flow extrapolates its predictor and its potential is inside the edge dt max(-c) <= 2."""
+    pending = traj.stepping
+    c = pending.pert.c
+    within = c is None or pending.grid.dt * -c.min() <= evolution._POTENTIAL_EDGE
+    return pending.extrapolates() and within
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_the_stepped_ladders_perturbed_flows_extrapolate_inside_the_potential_edge(seed):
+    # the benchmark's perturbed flows are built and checked, not stepped
+    ladder = SteppedLadder()
+    for rung, spec in ladder.inputs(seed).items():
+        op, u0, grid, pert = ladder.build(parafreq, spec)
+        assert _inside_the_fast_path(parafreq.evolve_perturbed(op, u0, grid, pert)), rung
+
+
+def test_check_alls_perturbed_flows_extrapolate_inside_the_potential_edge(ctx, monkeypatch):
+    # the 50 random flows at seed 0, with the advection and the zero perturbation
+    flows = []
+
+    def recorded(*args):
+        flows.append(evolution.evolve_perturbed(*args))
+        return flows[-1]
+
+    monkeypatch.setattr(suite, "evolve_perturbed", recorded)
+    perturbed_reports(ctx)
+    assert len(flows) == 2 + suite.RANDOM_PERTURBATIONS == 52
+    assert all(_inside_the_fast_path(traj) for traj in flows)

@@ -218,6 +218,12 @@ class TestChangeOfVariables:
         assert not rep.passed
         assert rep.margin == -gap
 
+    def test_one_s_for_every_point_reports_that_s(self):
+        # the residuals broadcast a scalar s over the points, and so does the report's location
+        cov = CovSolution(make_oracle("heat-kernel", 1))
+        rep = check_cov_residual(cov, (np.linspace(-3.0, 3.0, 50)[:, None], 0.5))
+        assert rep.passed and rep.location == 0.5 and rep.aux["samples"] == 50
+
 
 class TestPoonFrequency:
     def test_constant_normalization(self):

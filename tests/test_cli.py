@@ -232,6 +232,24 @@ class TestSimulate:
         explicit = dict(raw, gauge="3.0", checks=[{"name": "general-lower-bound", "bound": 3.2}])
         assert run("explicit", explicit) == (0, "")
 
+    @pytest.mark.parametrize("c", ["-450", "-600"])
+    def test_a_potential_past_the_edge_exits_1(self, tmp_path, capsys, c):
+        # dt max(-c) = 2.25 and 3 on 200 steps: the explicit potential would amplify the flow
+        raw = {
+            "geometry": {"kind": "circle", "nodes": 128, "length": TWO_PI},
+            "initial": {"kind": "expression", "expression": "sin(x)+0.5*cos(2*x)"},
+            "time": {"a": 0.0, "b": 1.0, "steps": 200},
+            "integrator": "implicit-step",
+            "perturbation": {"c": c},
+            "checks": [{"name": "general-lower-bound"}],
+        }
+        config = write_config(tmp_path / "c.json", raw)
+        code = main(["--out", str(tmp_path / "out"), "simulate", "--config", config])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: dt max(-c) = ") and "steps or more" in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     @pytest.mark.parametrize("where", ["perturbation", "checks"])
     def test_a_bound_whose_square_overflows_exits_1(self, tmp_path, capsys, where):
         # C = 1e200 is finite, but the checks square it, and C^2 overflows

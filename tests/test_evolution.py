@@ -872,6 +872,30 @@ class TestPerturbedFlow:
         ]
         assert max(gaps) < 1e-4
 
+    @pytest.mark.parametrize("c, steps", [(-450.0, 225), (-600.0, 300)])
+    def test_a_potential_past_the_edge_is_refused(self, flat_circle_op, c, steps):
+        # dt max(-c) > 2: the solved predictor's factor on the mean mode, 1 + w + w^2/2
+        # (w = dt c), passes 1 where the flow decays as e^w
+        geom = flat_circle_op.geometry
+        u0 = random_smooth_field(geom, np.random.default_rng(6))
+        grid = TimeGrid(0.0, 1.0, 200)
+        pert = PerturbationSpec(geom, grid, c=c)
+        with pytest.raises(InvalidInputError, match=rf"exceeds 2 at t=0,.* use {steps} steps or more"):
+            evolve_perturbed(flat_circle_op, u0, grid, pert)
+        # the named step count is inside the edge, and the flow decays
+        grid = TimeGrid(0.0, 1.0, steps)
+        traj = evolve_perturbed(flat_circle_op, u0, grid, PerturbationSpec(geom, grid, c=c))
+        assert sq_norms(traj)[-1] < sq_norms(traj)[0]
+
+    def test_a_deepening_well_is_refused_at_the_first_sample_past_the_edge(self, flat_circle_op):
+        # c = -450 t cos^2 x: dt max(-c) = 2.25 t passes 2 first at t = 0.89
+        geom = flat_circle_op.geometry
+        grid = TimeGrid(0.0, 1.0, 200)
+        c = -450.0 * grid.times[:, None] * np.cos(geom.coords[:, 0]) ** 2
+        u0 = random_smooth_field(geom, np.random.default_rng(6))
+        with pytest.raises(InvalidInputError, match=r"= 2.0025 exceeds 2 at t=0.89,.* use 225 steps"):
+            evolve_perturbed(flat_circle_op, u0, grid, PerturbationSpec(geom, grid, c=c))
+
     def test_certification_failure(self, flat_circle_op):
         geom = flat_circle_op.geometry
         grid = TimeGrid(0.0, 1.0, 10)

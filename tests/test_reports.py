@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parafreq
-from parafreq import TimeGrid, make_circle, reports
-from parafreq.core import PROVENANCE_SPECTRAL, Trajectory
+from parafreq import TimeGrid, caloric, frequency, make_circle, reports
+from parafreq.core import PROVENANCE_IMPLICIT, PROVENANCE_SPECTRAL, Trajectory
 from parafreq.reports import (
     POON_CSV_HEADER,
     SPECTRUM_CSV_HEADER,
@@ -21,6 +21,7 @@ from parafreq.reports import (
     TRAJECTORY_CSV_HEADER,
     _repr_bytes,
     passing,
+    passing_at_worst,
     write_poon_csv,
     write_spectrum_csv,
     write_trace_csv,
@@ -69,6 +70,124 @@ def test_a_negative_control_passes_only_when_its_inner_line_fails(inner, passed)
     if not np.isnan(inner):  # a NaN inner line fails, and so does its control
         assert passing("inner", inner, 1e-10).passed is not passed
         assert control.margin == -inner and control.tolerance == 1e-10
+
+
+def test_equal_worst_margins_report_the_first_ones_location():
+    rep = passing_at_worst("line", np.array([0.5, -1.0, 2.0, -1.0]), np.array([0.0, 0.1, 0.2, 0.3]), 1e-9,
+                           seen=4)
+    assert rep.to_dict() == {"check": "line", "pass": False, "margin": -1.0, "tolerance": 1e-9,
+                             "location": 0.1, "aux": {"seen": 4}}
+
+
+def test_a_nan_margin_is_the_worst():
+    rep = passing_at_worst("line", np.array([-5.0, np.nan, -7.0, np.nan]), np.arange(4.0), 1e-9)
+    assert np.isnan(rep.margin) and rep.location == 1.0 and not rep.passed
+
+
+def test_a_tuple_of_margins_works():
+    rep = passing_at_worst("line", (0.3, 0.1, 0.2), (1.0, 2.0, 3.0), 1e-9)
+    assert (rep.margin, rep.location, rep.passed) == (0.1, 2.0, True)
+
+
+def _hand_built_trace(**fields) -> frequency.FrequencyTrace:
+    """Six unit-spaced samples of a gradient-only trace with C = 1/2, each check's worst sample set by hand.
+
+    U dips by 1/2 at t = 2 and t = 4 (u-monotone reports the first); log I's
+    second difference is least at t = 2 (log-convexity), and its slack over
+    ``2 U(a) t`` at t = 3 (hadamard-bound); ``U' / (1 - U)`` is least at t = 3
+    (general-frequency), and so is ``U' / |U|`` (gradient-only's rate part);
+    (log I)' is lowest against its bound at t = 4 (general-lower-bound).
+    """
+    U = np.array([-4.0, -3.0, -3.5, -2.0, -2.5, -1.0])
+    log_i = np.array([0.0, -2.0, -8.0, -20.0, -23.0, -28.0])
+    values = dict(
+        times=np.arange(6.0), I=np.exp(log_i), D=U * np.exp(log_i), U=U,
+        dlogI=np.array([-3.0, -2.5, -3.0, -3.5, -5.0, -2.0]),
+        dU=np.array([1.0, 0.25, 0.75, 0.05, 0.5, 1.5]),
+        provenance=PROVENANCE_IMPLICIT, dt=1.0, length_scale=0.1, gradient_only=True,
+        certified_bound=np.full(6, 0.5),
+    )
+    return frequency.FrequencyTrace(**{**values, **fields})
+
+
+# s -> u = exp(-|s - 1|) at t = -e^s, constant in x: log H(e^{s/2}) = -2|s - 1| + const kinks at s = 1
+_KINKED = caloric.HeatOracle(kind="kinked", n=1, u=lambda x, t: np.full(len(x), np.exp(-abs(np.log(-t) - 1.0))),
+                             u_t=None, grad=None, lap=None)
+_S_GRID = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
+# the deviation of I_w / H(e^{-s/2}) from (4 pi)^{1/2} at each s of _S_GRID: largest at s = 1
+_DEVIATIONS = {0.0: 1e-9, 0.5: -2e-9, 1.0: 4e-9, 1.5: -3e-9, 2.0: 0.0}
+
+
+def _nine_checks():
+    """Each check on its hand-built input: (name, call)."""
+    tol = 1e-9
+    trace = _hand_built_trace()
+    # U drops below its envelope U(a) exp(t / 8) at t = 4, and is positive at t = 5
+    dipped = _hand_built_trace(U=np.array([-4.0, -3.0, -3.5, -2.0, -7.0, 0.5]))
+    # gaps of 1, 3, 3 and 2 (times 1e-12) at s = 0.2 to 0.8: the first 3 is reported
+    cov = SimpleNamespace(drift_residual=lambda x, s: np.array([1.0, 3.0, -3.0, 2.0]) * 1e-12,
+                          heat_defect_rhs=lambda x, s: np.zeros(4))
+    return [
+        ("u-monotone", lambda: frequency.check_u_monotone(trace, tol)),
+        ("log-convexity", lambda: frequency.check_log_convexity(trace, tol)),
+        ("hadamard-bound", lambda: frequency.check_hadamard_bound(trace, tol)),
+        ("general-frequency", lambda: frequency.check_general_frequency(trace, None, tol)),
+        ("general-lower-bound", lambda: frequency.check_general_lower_bound(trace, None, tol)),
+        ("gradient-only/rate", lambda: frequency.check_gradient_only(trace, None, tol)),
+        ("gradient-only/envelope", lambda: frequency.check_gradient_only(dipped, None, tol)),
+        ("cov-residual", lambda: caloric.check_cov_residual(cov, (np.zeros((4, 1)), np.array([0.2, 0.4, 0.6, 0.8])))),
+        ("poon-convexity", lambda: caloric.check_poon_convexity(_KINKED, _S_GRID)),
+        ("poon-correspondence", lambda: caloric.check_poon_correspondence(_KINKED, _S_GRID)),
+    ]
+
+
+# the reports of the per-check selection the shared rule replaced, on the inputs above
+_WORST_SAMPLE_REPORTS = {
+    "u-monotone": {"check": "u-monotone", "pass": False, "margin": -0.5, "tolerance": 1e-09, "location": 2.0,
+                   "aux": {"min_increment": -0.5}},
+    "log-convexity": {"check": "log-convexity", "pass": False, "margin": -6.0, "tolerance": 1e-09, "location": 2.0,
+                      "aux": {"min_second_difference": -6.0, "dlogI_vs_2U_gap": 4.0}},
+    "hadamard-bound": {"check": "hadamard-bound", "pass": True, "margin": 4.0, "tolerance": 1e-09, "location": 3.0,
+                       "aux": {"log_ratio": -28.0, "predicted": -40.0, "final_margin": 12.0}},
+    "general-frequency": {"check": "general-frequency", "pass": True, "margin": 0.26666666666666666,
+                          "tolerance": 1e-09, "location": 3.0,
+                          "aux": {"min_u_rate_margin": 0.8, "min_log_one_minus_u_margin": 0.26666666666666666}},
+    "general-lower-bound": {"check": "general-lower-bound", "pass": True, "margin": 1.375, "tolerance": 1e-09,
+                            "location": 4.0,
+                            "aux": {"statement_margin": 187.02143484136508, "proof_margin": 539.7473773381682,
+                                    "sup_c": 0.5, "int_c_squared": 1.25}},
+    "gradient-only/rate": {"check": "gradient-only", "pass": True, "margin": 0.15, "tolerance": 1e-09,
+                           "location": 3.0,
+                           "aux": {"rate_margin": 0.15, "envelope_margin": 1.5325938122673053,
+                                   "final_bound_margin": 53.56402800315787, "not_applicable_from": None}},
+    "gradient-only/envelope": {"check": "gradient-only", "pass": False, "margin": -0.4051149171994872,
+                               "tolerance": 1e-09, "location": 4.0,
+                               "aux": {"rate_margin": 0.15, "envelope_margin": -0.4051149171994872,
+                                       "final_bound_margin": 53.56402800315787, "not_applicable_from": 5.0}},
+    "cov-residual": {"check": "cov-residual", "pass": True, "margin": -3e-12, "tolerance": 1e-10, "location": 0.4,
+                     "aux": {"max_gap": 3e-12, "samples": 4}},
+    "poon-convexity": {"check": "poon-convexity", "pass": False, "margin": -2.000000000000001, "tolerance": 1e-08,
+                       "location": 1.0,
+                       "aux": {"min_second_difference": -2.000000000000001,
+                               "mirrored_min_second_difference": -4.440892098500626e-16}},
+    "poon-correspondence": {"check": "poon-correspondence", "pass": True, "margin": -4.000000108916879e-09,
+                            "tolerance": 1e-08, "location": 1.0,
+                            "aux": {"expected_ratio": 3.5449077018110318, "ratio_min": 3.5449076911763084,
+                                    "ratio_max": 3.544907715990663, "mismatched_ratio_min": 0.06492724916548172,
+                                    "mismatched_ratio_max": 3.5449077053559397}},
+}
+
+
+_NINE_CHECKS = _nine_checks()
+
+
+@pytest.mark.parametrize("name, check", _NINE_CHECKS, ids=[name for name, _ in _NINE_CHECKS])
+def test_each_check_reports_its_worst_sample(monkeypatch, name, check):
+    def weighted_norm(cov, s):  # I_w read off _DEVIATIONS
+        return (4.0 * np.pi) ** 0.5 * caloric.poon_h(cov.oracle, np.exp(-s / 2.0)) * (1.0 + _DEVIATIONS[s])
+
+    monkeypatch.setattr(caloric, "gauss_weighted_norm2", weighted_norm)
+    assert check().to_dict() == _WORST_SAMPLE_REPORTS[name]
 
 
 # signed zero, extreme magnitudes, a subnormal, values whose repr needs 17 digits, and
@@ -218,7 +337,9 @@ def test_trajectory_writer_peak_memory_is_one_block(tmp_path):
     # rows are formatted 16384 at a time, two blocks in flight (one on the helper thread):
     # 201 and 401 samples of 2048 nodes are 25 and 50 blocks, and the writer's peak is the
     # two blocks' temporaries (about 8.3 MB), the same for both; a copy of the 401 samples
-    # alone would add 6.6 MB
+    # alone would add 6.6 MB.  A run whose two threads' temporaries happen not to overlap
+    # reads lower (6.5-6.8 MB, about one run in 60), so each size's peak is the larger of
+    # three runs
     geom = make_circle(2048, 2.0 * np.pi)
     rng = np.random.default_rng(3)
     peaks = []
@@ -226,8 +347,8 @@ def test_trajectory_writer_peak_memory_is_one_block(tmp_path):
         values = rng.standard_normal((steps + 1, 2048, 1))
         traj = Trajectory(grid=TimeGrid(0.0, 1.0, steps), values=values, geometry=geom,
                           provenance=PROVENANCE_SPECTRAL)
-        _, peak = peak_allocated(lambda: write_trajectory_csv(tmp_path / "t.csv", traj))
-        peaks.append(peak)
+        peaks.append(max(peak_allocated(lambda: write_trajectory_csv(tmp_path / "t.csv", traj))[1]
+                         for _ in range(3)))
     assert peaks[1] < 10e6, peaks
     assert abs(peaks[1] - peaks[0]) < 0.05 * peaks[0], peaks
 
